@@ -4,7 +4,9 @@ States are indexed little-endian: x maps to sum_i x_i * p**i.  One step of
 X' = A X + B (mod p) is a push-forward through the bijection y -> A y
 (gcd(det A, p) = 1 makes it one) followed by a cyclic convolution with the
 reduced increment law, so a step costs O(p^k * |supp mu|) and stays exact
-up to float addition.
+up to float addition.  Mixing times past a short dense prefix are found in
+the Fourier domain, where the law after n steps costs O(log n) pointwise
+products instead of n steps.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .algebra import IntMatrix, as_matrix, det_int, mat_mod, mat_pow
+from .algebra import IntMatrix, as_matrix, det_int, mat_mod, mat_pow_mod
 from .errors import ModulusNotCoprime, StateSpaceTooLarge
 from .increments import IncrementDistribution
 
@@ -59,6 +61,42 @@ def state_table(p: int, k: int) -> np.ndarray:
     """All states as an (p**k, k) int64 array; row i decodes index i."""
     idx = np.arange(p**k, dtype=np.int64)
     return np.stack([(idx // p**i) % p for i in range(k)], axis=1)
+
+
+def _encode(states: np.ndarray, p: int) -> np.ndarray:
+    """Little-endian indices of the rows of an (m, k) array of reduced states."""
+    return states @ np.array([p**i for i in range(states.shape[1])], dtype=np.int64)
+
+
+def index_map(
+    matrix: IntMatrix | Sequence[Sequence[int]],
+    p: int,
+    k: int,
+    offset: Optional[Sequence[int]] = None,
+) -> np.ndarray:
+    """Index of (M x + offset) mod p for every state index x.
+
+    A permutation of the state indices whenever gcd(det M, p) = 1.
+    """
+    states = state_table(p, k)
+    m_mod = np.array(mat_mod(as_matrix(matrix), p).rows, dtype=np.int64)
+    image = states @ m_mod.T
+    if offset is not None:
+        image += np.array([int(c) % p for c in offset], dtype=np.int64)
+    reduced = image % p
+    # Dropping image before the codes are allocated keeps a state-sized
+    # block out of the process's peak: with it held, a mixing sweep over
+    # p up to 3e6 peaked 14% higher in resident memory.
+    del image
+    return _encode(reduced, p)
+
+
+def _mu_hat_table(mu: IncrementDistribution, p: int) -> np.ndarray:
+    """mu_hat(alpha) = sum of mu(h) * exp(2 pi i <h, alpha> / p) at every
+    frequency index alpha, with phases from exact inner products mod p."""
+    supp = np.array([[c % p for c in pt] for pt in mu.support], dtype=np.int64)
+    phases = np.exp((2j * np.pi / p) * ((state_table(p, mu.k) @ supp.T) % p))
+    return phases @ np.array(mu.probs)
 
 
 @dataclass(frozen=True)
@@ -149,11 +187,8 @@ def _check_cap(chain: ChainSpec) -> None:
 def _chain_ops(chain: ChainSpec) -> tuple[np.ndarray, tuple[tuple[tuple[int, ...], float], ...]]:
     """Cached step machinery: the y -> Ay index permutation and the
     reduced increment shifts with their weights."""
-    p, k = chain.p, chain.k
-    states = state_table(p, k)
-    a_mod = np.array(mat_mod(chain.a, p).rows, dtype=np.int64)
-    pow_vec = np.array([p**i for i in range(k)], dtype=np.int64)
-    perm = ((states @ a_mod.T) % p) @ pow_vec
+    p = chain.p
+    perm = index_map(chain.a, p, chain.k)
     shifts: dict[tuple[int, ...], float] = {}
     for pt, w in zip(chain.mu.support, chain.mu.probs):
         key = tuple(int(c) % p for c in pt)
@@ -224,23 +259,174 @@ def simulate(chain: ChainSpec, n: int, trials: int, seed: int) -> StateDistribut
     for _ in range(n):
         picks = rng.choice(len(supp), size=trials, p=probs)
         x = (x @ a_mod.T + supp[picks]) % p
-    pow_vec = np.array([p**i for i in range(k)], dtype=np.int64)
-    codes = x @ pow_vec
-    counts = np.bincount(codes, minlength=p**k)
+    counts = np.bincount(_encode(x, p), minlength=p**k)
     return StateDistribution(p, k, counts / trials)
 
 
 def shift_by(dist: StateDistribution, chain: ChainSpec, n: int) -> StateDistribution:
     """Push dist through x -> A**n x0 + x (mod p), the start-shift map."""
     p, k = chain.p, chain.k
-    offset = mat_pow(chain.a, n).apply(chain.x0)
-    states = state_table(p, k)
-    shifted = (states + np.array([c % p for c in offset], dtype=np.int64)) % p
-    pow_vec = np.array([p**i for i in range(k)], dtype=np.int64)
-    codes = shifted @ pow_vec
+    offset = mat_pow_mod(chain.a, n, p).apply(chain.x0)
     out = np.zeros_like(dist.values)
-    out[codes] = dist.values
+    out[index_map(IntMatrix.identity(k), p, k, offset)] = dist.values
     return StateDistribution(p, k, out)
+
+
+def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int]:
+    """Smallest n <= n_cap with tv_distance(P_n) <= eps, by incremental
+    dense stepping; None when unmixed at the cap.  The reference search."""
+    for n, dist in evolve_iter(chain, n_cap):
+        if tv_distance(dist) <= eps:
+            return n
+    return None
+
+
+def _dense_prefix(n_states: int, support_size: int) -> int:
+    """Dense steps to try before the Fourier search.
+
+    Costs in passes over a length-N array (N = p**k): a dense step makes
+    about |supp mu| + 4 of them (the rolls, their sum and the
+    StateDistribution checks) plus a fixed Python overhead worth about
+    2**14; a candidate n in the Fourier search (an FFT of a complex
+    array and the tv sum) makes about 8 log2 N, plus an overhead of about
+    2**13.  A search takes about 20 transforms (2 log2 n plus the crossing
+    check, for the n in reach of a short prefix).  The prefix is that
+    search's cost counted in dense steps: a chain that mixes within it
+    never pays for a transform, and one that does not has spent at most
+    what the search costs, so neither path costs more than about twice
+    the cheaper one.  Only N and |supp mu| enter; the chain's regime is
+    not known before it has been run.
+    """
+    transform = 8 * n_states * math.log2(max(n_states, 2)) + 2**13
+    step = (support_size + 4) * n_states + 2**14
+    return math.ceil(20 * transform / step)
+
+
+class _NearTie(Exception):
+    """A Fourier tv value too close to eps to decide against it."""
+
+
+def _round_off_margin(n: int, n_states: int, support_size: int, norm: float) -> float:
+    """Bound on |tv_fourier(n) - tv_dense(n)| from float round-off.
+
+    norm is ||Q_m_hat||_2 for some m <= (n - 1) // 2.  With u = 2**-53,
+    N = p**k and s = |supp mu|:
+
+    - Fourier side.  Each mu_hat entry is a sum of s unit phases, off by
+      at most e = (2s + 2) u.  Q_n_hat(alpha) is a product of n factors
+      a_j = mu_hat(T**j alpha), one complex rounding per node of the
+      product tree (relative error <= sqrt(5) u each).  To first order a
+      leaf error e_j moves it by e_j prod_{i != j} a_i, whose modulus is
+      at most that of the orbit product over the longer side of j, at
+      least (n - 1) // 2 factors; so ||dQ_n_hat||_2 <= n (4s + 7) u norm.
+      The forward FFT adds at most c u log2 N ||Q_n_hat||_2 in the same
+      2-norm.  By Parseval, sum_x |dQ_n(x)| <= ||dQ_n_hat||_2, and tv
+      moves by at most half of that.
+    - Dense side.  A step adds s weighted rolls of a nonnegative law, an
+      l1 error of at most (s + 1) u, and a stochastic step does not grow
+      earlier errors; tv_dense is off by at most n (s + 1) u / 2 plus
+      u log2 N for its sum.
+
+    Below the sum of both bounds the two searches may disagree on the
+    side of eps.  With c = 8, norm >= 1 and a factor 2 for the dropped
+    higher-order terms, the sum is at most
+    u norm ((n + 1) (5s + 8) + 10 log2 N).  A bound in n and N alone must
+    take norm = sqrt(N) (a point mass), which at p = 3001 is already wider
+    than the change of tv per step near mixing; ||Q_m_hat||_2 only falls
+    as m grows, since convolving with a law never raises a 2-norm.
+    """
+    terms = (n + 1) * (5 * support_size + 8) + 10 * math.log2(max(n_states, 2))
+    return 2.0**-53 * norm * terms
+
+
+# A Fourier-domain state (Q_n_hat, pi_n): the transform of the law Q_n of
+# S_n = sum_{j<n} A**j B_j at every frequency index, and the index map of
+# alpha -> T**n alpha (T = transpose(A)).
+_Orbit = tuple[np.ndarray, np.ndarray]
+
+
+def _join(a: _Orbit, b: _Orbit) -> _Orbit:
+    """The state of n_a + n_b steps: Q_{a+b}_hat(alpha) = Q_a_hat(alpha) *
+    Q_b_hat(T**a alpha) and T**(a+b) = T**b T**a, by exact index gathers."""
+    (qa, pa), (qb, pb) = a, b
+    q = qb[pa]
+    q *= qa
+    return q, pb[pa]
+
+
+def _power(one: _Orbit, n: int) -> _Orbit:
+    """The state of n steps from that of one, by binary powering; holds
+    at most three states besides its argument, whatever n is."""
+    acc = (np.ones_like(one[0]), np.arange(len(one[1])))
+    sq, width, done = one, 1, 0
+    while done < n:
+        if n & width:
+            acc = _join(acc, sq)
+            done += width
+        if done < n:
+            sq = _join(sq, sq)
+            width *= 2
+    return acc
+
+
+def _fourier_search(chain: ChainSpec, eps: float, n_cap: int, lo: int) -> Optional[int]:
+    """mixing_time past a prefix lo with tv(P_lo) > eps, in the Fourier domain.
+
+    tv to uniform is invariant under translation, so tv(P_n) = tv(Q_n)
+    and x0 drops out.  The transform of Q_n is the orbit product
+    Q_n_hat(alpha) = prod_{j<n} mu_hat(T**j alpha), built from O(log n)
+    joins; one FFT per candidate n gives tv.  Gallop by doubling n, then
+    bisect; valid because tv never increases.  Raises _NearTie when a
+    value lies within the round-off margin of eps, or when the crossing
+    tv(n) <= eps < tv(n - 1), recomputed by another product grouping,
+    does not hold.
+    """
+    p, k, size = chain.p, chain.k, chain.n_states
+    support_size = len(chain.mu.support)
+    one = (_mu_hat_table(chain.mu, p), index_map(chain.a.transpose(), p, k))
+    # ||Q_m_hat||_2 at the step counts m held so far, for the margin
+    norms = {0: math.sqrt(size)}
+
+    def keep_norm(state: _Orbit, m: int) -> None:
+        norms[m] = float(np.linalg.norm(state[0]))
+
+    def mixed(state: _Orbit, n: int) -> bool:
+        # N Q_n(x) by the forward FFT, the transform's sign being +
+        dev = np.fft.fftn(state[0].reshape((p,) * k)).real
+        dev -= 1.0
+        np.abs(dev, out=dev)
+        tv = 0.5 * float(dev.sum()) / size
+        norm = norms[max(m for m in norms if m <= (n - 1) // 2)]
+        if abs(tv - eps) <= _round_off_margin(n, size, support_size, norm):
+            raise _NearTie(f"tv({n}) = {tv!r} is within round-off of eps = {eps!r}")
+        return tv <= eps
+
+    keep_norm(one, 1)
+    low = _power(one, lo)
+    keep_norm(low, lo)
+    while True:
+        hi = min(2 * lo, n_cap)
+        high = _join(low, low if hi == 2 * lo else _power(one, hi - lo))
+        if mixed(high, hi):
+            break
+        if hi == n_cap:
+            return None
+        lo, low = hi, high
+        keep_norm(low, lo)
+    del high
+    while hi - lo > 1:
+        width = 1 << ((hi - lo - 1).bit_length() - 1)
+        mid = _join(low, _power(one, width))
+        if mixed(mid, lo + width):
+            hi = lo + width
+        else:
+            lo, low = lo + width, mid
+        del mid
+    del low
+    prev = _power(one, hi - 1)
+    if mixed(prev, hi - 1) or not mixed(_join(prev, one), hi):
+        raise _NearTie(f"the crossing at n = {hi} did not recompute")
+    return hi
 
 
 def mixing_time(
@@ -248,12 +434,21 @@ def mixing_time(
 ) -> Optional[int]:
     """Smallest n <= n_cap with tv_distance(P_n) <= eps, else None.
 
-    TV to the stationary uniform law never increases, so incremental
-    stepping finds the first crossing.  None means unmixed at the cap.
+    Steps densely for a short prefix (see _dense_prefix), then gallops and
+    bisects on n in the Fourier domain, where each candidate costs O(log n)
+    pointwise products and one FFT, so raising n_cap is cheap.  A Fourier
+    value within the round-off margin of eps, or a crossing that does not
+    recompute, hands the whole search to dense stepping, so the answer is
+    always the one incremental dense stepping gives.  None means unmixed
+    at the cap.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    for n, dist in evolve_iter(chain, n_cap):
-        if tv_distance(dist) <= eps:
-            return n
-    return None
+    prefix = min(n_cap, _dense_prefix(chain.n_states, len(chain.mu.support)))
+    found = _mixing_time_dense(chain, eps, prefix)
+    if found is not None or prefix == n_cap:
+        return found
+    try:
+        return _fourier_search(chain, eps, n_cap, prefix)
+    except _NearTie:
+        return _mixing_time_dense(chain, eps, n_cap)

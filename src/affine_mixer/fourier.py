@@ -13,8 +13,10 @@ frequency fixed by some power of T.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
@@ -27,24 +29,19 @@ from .algebra import (
     inf_norm,
     integer_kernel_vector,
     mat_add,
-    mat_mod,
     mat_pow,
+    mat_pow_mod,
     mat_scale,
 )
-from .errors import (
-    FactorNonpositive,
-    GammaTooLarge,
-    NoTorsion,
-    StateSpaceTooLarge,
-    ZeroFrequency,
-)
+from .errors import FactorNonpositive, GammaTooLarge, NoTorsion, ZeroFrequency
 from .evolution import (
     ChainSpec,
     StateDistribution,
+    _check_cap,
+    _mu_hat_table,
     decode_state,
     evolve_iter,
-    state_cap,
-    state_table,
+    index_map,
     tv_distance,
 )
 from .increments import IncrementDistribution
@@ -161,29 +158,13 @@ def pn_hat_sq(
     return prod
 
 
-def _check_cap(chain: ChainSpec) -> None:
-    if chain.n_states > state_cap():
-        raise StateSpaceTooLarge(
-            f"p**k = {chain.n_states} exceeds the state cap {state_cap()}"
-        )
-
-
 @lru_cache(maxsize=16)
 def _freq_ops(chain: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
     """Cached all-frequency tables: |mu_hat|**2 per index and the index
     permutation of alpha -> T alpha mod p."""
-    p, k = chain.p, chain.k
-    states = state_table(p, k)
-    supp = np.array(
-        [[c % p for c in pt] for pt in chain.mu.support], dtype=np.int64
-    )
-    phases = np.exp((2j * np.pi / p) * ((states @ supp.T) % p))
-    table = np.abs(phases @ np.array(chain.mu.probs)) ** 2
+    table = np.abs(_mu_hat_table(chain.mu, chain.p)) ** 2
     np.clip(table, 0.0, 1.0, out=table)  # |mu_hat| <= 1 exactly; clip float spill
-    at_mod = np.array(mat_mod(chain.a.transpose(), p).rows, dtype=np.int64)
-    pow_vec = np.array([p**i for i in range(k)], dtype=np.int64)
-    perm_t = ((states @ at_mod.T) % p) @ pow_vec
-    return table, perm_t
+    return table, index_map(chain.a.transpose(), chain.p, chain.k)
 
 
 def product_scan(chain: ChainSpec, n: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -276,17 +257,30 @@ def certificate_rho(
     alpha_norm = max(fv.alpha)
     rho = 2 * math.pi**2 * k**2 * alpha_norm**2 * _pair_spread(chain.mu)
     norm_t = inf_norm(chain.a.transpose())
+    bound = next(itertools.islice(_rho_bounds(rho, norm_t, p), n, None))
+    return RhoCertificate(bound=bound, rho=rho, alpha=fv, norm_t=norm_t, n=n)
+
+
+def _rho_bounds(rho: float, norm_t: int, p: int) -> Iterator[float]:
+    """The rho certificate's bound at n = 0, 1, 2, ...: half the running
+    product of sqrt(1 - rho * ||T||**(2j) / p**2).  Raises
+    FactorNonpositive at the first factor that is not positive."""
     bound = 0.5
     growth = 1  # ||T||**(2j), exact
-    for j in range(n):
-        factor = 1.0 - rho * growth / p**2
+    for j in itertools.count():
+        yield bound
+        try:
+            factor = 1.0 - rho * growth / p**2
+        except OverflowError:
+            # growth no longer fits a float: decide the sign exactly
+            scaled = Fraction(rho) * growth / p**2
+            factor = 1.0 - float(scaled) if scaled < 1 else -math.inf
         if factor <= 0.0:
             raise FactorNonpositive(
                 f"factor 1 - rho*||T||**(2j)/p**2 is {factor:.3e} at j={j}"
             )
         bound *= math.sqrt(factor)
         growth *= norm_t * norm_t
-    return RhoCertificate(bound=bound, rho=rho, alpha=fv, norm_t=norm_t, n=n)
 
 
 def find_torsion(a: IntMatrix, l_max: int = DEFAULT_L_MAX) -> tuple[int, tuple[int, ...]]:
@@ -345,7 +339,7 @@ def xi_fractional(
     if j < 0:
         raise ValueError("power must be >= 0")
     a = as_matrix(a)
-    v = mat_pow(a.transpose(), j).apply(alpha.alpha)
+    v = mat_pow_mod(a.transpose(), j, alpha.p).apply(alpha.alpha)
     return tuple((c % alpha.p) / alpha.p for c in v)
 
 
@@ -361,12 +355,16 @@ def bounds_table(
     """
     _check_cap(chain)
     gamma_params: Optional[GammaCertificate] = None
-    rho_applicable = True
     try:
         gamma_params = certificate_gamma(chain, l_max, 0)
     except (NoTorsion, GammaTooLarge, ZeroFrequency):
         gamma_params = None
     e1 = FrequencyVector((1,) + (0,) * (chain.k - 1), chain.p)
+    rho_params = certificate_rho(chain, e1, 0)
+    # carried row to row: the certificate at n extends the one at n - 1
+    rho_bounds: Optional[Iterator[float]] = _rho_bounds(
+        rho_params.rho, rho_params.norm_t, chain.p
+    )
     rows: list[BoundsReport] = []
     scan = product_scan(chain, n_max)
     for (n, dist), (_, prods) in zip(evolve_iter(chain, n_max), scan):
@@ -374,11 +372,11 @@ def bounds_table(
         certificate: Optional[float] = None
         if gamma_params is not None:
             certificate = 0.5 * (1.0 - gamma_params.gamma / chain.p**2) ** (n / 2)
-        elif rho_applicable:
+        elif rho_bounds is not None:
             try:
-                certificate = certificate_rho(chain, e1, n).bound
+                certificate = next(rho_bounds)
             except FactorNonpositive:
-                rho_applicable = False
+                rho_bounds = None
         rows.append(
             BoundsReport(
                 n=n,

@@ -387,3 +387,25 @@ def test_main_flag_override_revalidated(tmp_path, capsys):
     assert code == 1
     record = json.loads(capsys.readouterr().err)
     assert record["error"]["kind"] == "ConfigInvalid"
+
+
+def test_main_bounds_zero_spread_law_long_run(tmp_path, capsys):
+    # one support point: rho = 0, while ||T||**(2j) outgrows a float
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        json.dumps(
+            {
+                "task": "bounds",
+                "matrix": [[2]],
+                "increments": {"k": 1, "support": [[0]], "probs": [1.0]},
+                "p": 101,
+                "n": 600,
+            }
+        )
+    )
+    code = main(["bounds", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 0, capsys.readouterr().err
+    with open(tmp_path / "out" / "bounds.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [int(row["n"]) for row in rows] == list(range(601))
+    assert {row["certificate"] for row in rows} == {"0.5"}

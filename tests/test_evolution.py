@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from affine_mixer import (
     ChainSpec,
@@ -14,6 +18,7 @@ from affine_mixer import (
     ModulusNotCoprime,
     StateDistribution,
     StateSpaceTooLarge,
+    det_int,
     evolve,
     evolve_iter,
     mixing_time,
@@ -22,10 +27,16 @@ from affine_mixer import (
     step_exact,
     tv_distance,
 )
+from affine_mixer import evolution
 from affine_mixer.evolution import (
     STATE_CAP_ENV,
+    _dense_prefix,
+    _fourier_search,
+    _mixing_time_dense,
+    _NearTie,
     decode_state,
     encode_state,
+    index_map,
     shift_by,
     state_cap,
     state_table,
@@ -58,6 +69,17 @@ def test_encode_decode_roundtrip():
         x = tuple(rng.randint(0, p - 1) for _ in range(k))
         assert decode_state(encode_state(x, p), p, k) == x
     assert encode_state((1, 2), 5) == 11  # little-endian: 1 + 2*5
+
+
+def test_index_map_matches_apply():
+    a = IntMatrix.from_rows([[2, -1], [3, 5]])
+    for offset in (None, (4, -2)):
+        codes = index_map(a, 7, 2, offset)
+        for code in range(49):
+            image = a.apply(decode_state(code, 7, 2))
+            if offset is not None:
+                image = tuple(c + o for c, o in zip(image, offset))
+            assert codes[code] == encode_state(image, 7)
 
 
 def test_state_table_matches_decode():
@@ -287,3 +309,124 @@ def test_state_cap_env_override(monkeypatch):
         simulate(chain, 1, trials=10, seed=0)
     monkeypatch.delenv(STATE_CAP_ENV)
     assert state_cap() == 4_000_000
+
+
+def slow_chain(p):
+    """A = I with fair {0, 1} increments: n_mix grows like p**2."""
+    return ChainSpec(IntMatrix.from_rows([[1]]), fair_two_point(1), p)
+
+
+@st.composite
+def small_chains(draw):
+    k = draw(st.sampled_from([1, 2]))
+    p = draw(st.sampled_from([2, 3, 4, 5, 7, 9, 11, 13] if k == 2 else [2, 3, 5, 9, 13, 31, 53]))
+    entry = st.integers(-3, 3)
+    if draw(st.booleans()):
+        a = IntMatrix.identity(k)
+    else:
+        rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
+        a = IntMatrix.from_rows(rows)
+        if math.gcd(det_int(a), p) != 1:
+            a = IntMatrix.identity(k)
+    points = draw(
+        st.lists(st.tuples(*[entry] * k), min_size=1, max_size=4, unique=True)
+    )
+    weights = draw(
+        st.lists(st.floats(0.05, 1.0), min_size=len(points), max_size=len(points))
+    )
+    total = sum(weights)
+    mu = IncrementDistribution(k, tuple(points), tuple(w / total for w in weights))
+    x0 = draw(st.tuples(*[st.integers(0, p - 1)] * k))
+    return ChainSpec(a, mu, p, x0=x0)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(chain=small_chains(), eps=st.floats(0.01, 0.9), cap_shift=st.integers(-3, 3))
+def test_mixing_time_matches_dense_search(chain, eps, cap_shift):
+    reach = 600
+    dense = _mixing_time_dense(chain, eps, reach)
+    assert mixing_time(chain, eps, reach) == dense
+    # a cap just below or above the dense answer
+    cap = max(0, min(reach, (reach if dense is None else dense) + cap_shift))
+    assert mixing_time(chain, eps, cap) == (dense if dense is not None and dense <= cap else None)
+    # the Fourier search itself, from the shortest prefix that allows it
+    if dense is None or dense > 1:
+        try:
+            found = _fourier_search(chain, eps, reach, 1)
+        except _NearTie:
+            return
+        assert found == dense
+
+
+@pytest.mark.parametrize(
+    "rows, p",
+    [
+        ([[1]], 31),
+        ([[2]], 101),
+        ([[2, 1], [1, 1]], 31),
+        ([[1, 0], [1, 1]], 17),
+        ([[0, -1], [1, 0]], 13),
+    ],
+)
+@pytest.mark.parametrize("eps", [0.25, 0.05])
+def test_fourier_search_decides_without_fallback(rows, p, eps):
+    # away from ties the Fourier search answers by itself, from n = 1
+    a = IntMatrix.from_rows(rows)
+    chain = ChainSpec(a, fair_two_point(a.k), p, x0=(1,) * a.k)
+    dense = _mixing_time_dense(chain, eps, 10**4)
+    assert dense is not None and dense > 1
+    assert _fourier_search(chain, eps, 10**4, 1) == dense
+
+
+def test_mixing_time_escalates_on_a_tie(monkeypatch):
+    chain = slow_chain(31)
+    m = 100
+    assert m > _dense_prefix(chain.n_states, 2)
+    eps = tv_distance(evolve(chain, m))  # a dense tv value exactly
+    calls = []
+    original = evolution._mixing_time_dense
+
+    def counted(chain, eps, n_cap):
+        calls.append(n_cap)
+        return original(chain, eps, n_cap)
+
+    monkeypatch.setattr(evolution, "_mixing_time_dense", counted)
+    assert mixing_time(chain, eps, 5000) == original(chain, eps, 5000) == m
+    assert calls[-1] == 5000  # the full dense search ran after the prefix
+
+
+def folded_binomial_tv(n, p):
+    """tv to uniform of Binomial(n, 1/2) folded mod p, from math.lgamma."""
+    spread = 40 * math.sqrt(n) / 2
+    lo, hi = max(0, int(n / 2 - spread)), min(n, int(n / 2 + spread) + 1)
+    head = math.lgamma(n + 1) - n * math.log(2)
+    folded = [0.0] * p
+    for j in range(lo, hi + 1):
+        folded[j % p] += math.exp(head - math.lgamma(j + 1) - math.lgamma(n - j + 1))
+    total = sum(folded)
+    return 0.5 * sum(abs(q / total - 1 / p) for q in folded)
+
+
+def test_mixing_time_binomial_oracle_beyond_dense_reach():
+    # A = I with fair {0, 1} increments: X_n ~ Binomial(n, 1/2) mod p
+    p, eps = 1001, 0.25
+    n = mixing_time(slow_chain(p), eps, n_cap=10**6)
+    assert n is not None and n > 10**5
+    after, before = folded_binomial_tv(n, p), folded_binomial_tv(n - 1, p)
+    assert after <= eps - 1e-8 and before >= eps + 1e-8, (after, before)
+    assert mixing_time(slow_chain(p), eps, n_cap=n - 1) is None
+
+
+def test_mixing_time_memory_does_not_grow_with_cap():
+    chain = slow_chain(2001)  # n_mix ~ 0.19 p**2 ~ 7.6e5
+    mixing_time(chain, 0.25, 10**6)  # warm the caches and FFT plans
+    peaks = {}
+    for cap in (10**4, 10**6):
+        tracemalloc.start()
+        try:
+            found = mixing_time(chain, 0.25, cap)
+            peaks[cap] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (found is None) == (cap == 10**4)
+    assert abs(peaks[10**6] - peaks[10**4]) <= 16 * chain.n_states, peaks

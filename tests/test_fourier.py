@@ -387,6 +387,15 @@ def test_bounds_table_rho_chain():
             assert row.certificate is None
 
 
+def test_bounds_table_carries_rho_certificate_exactly():
+    chain = hand_chain(1009)
+    rows = bounds_table(chain, 40)
+    for row in rows:
+        if row.certificate is not None:
+            assert row.certificate == certificate_rho(chain, (1,), row.n).bound
+    assert rows[0].certificate == 0.5 and rows[-1].certificate is None
+
+
 def test_bounds_table_gamma_chain():
     a = IntMatrix.from_rows([[0, -1], [1, 0]])
     chain = ChainSpec(a, fair_two_point(2), 11)
