@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -80,6 +81,19 @@ def as_matrix(value: IntMatrix | Sequence[Sequence[int]]) -> IntMatrix:
     if isinstance(value, IntMatrix):
         return value
     return IntMatrix.from_rows(value)
+
+
+def exact_int(value) -> int:
+    """An integer read from JSON: an int, or a float with an integral value.
+
+    Fractions, inf, NaN, booleans and strings raise ValueError where int()
+    would truncate, overflow or parse them.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -382,9 +396,13 @@ def minimal_poly(a: IntMatrix | Sequence[Sequence[int]]) -> IntPolynomial:
 
     The first power A**e that is a rational combination of lower powers
     yields the polynomial; annihilation is re-verified exactly before
-    returning.
+    returning.  Cached per matrix.
     """
-    a = as_matrix(a)
+    return _minimal_poly(as_matrix(a))
+
+
+@lru_cache(maxsize=16)
+def _minimal_poly(a: IntMatrix) -> IntPolynomial:
     k = a.k
     powers = [IntMatrix.identity(k)]
     for _ in range(k):
@@ -403,40 +421,102 @@ def minimal_poly(a: IntMatrix | Sequence[Sequence[int]]) -> IntPolynomial:
     raise AssertionError("unreachable: A**k is always a combination of lower powers")
 
 
+def _primitive_rem(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
+    """The remainder of f by a nonzero g over Q, times the positive rational
+    that makes it a primitive integer polynomial (0 stays 0).
+
+    Each elimination step scales by |lc(g)| > 0, so the sign of the result
+    matches that of the true remainder, as a Sturm sequence needs.
+    """
+    rem = list(f.coeffs)
+    dg = g.degree
+    lc = g.coeffs[-1]
+    scale, sign = abs(lc), (1 if lc > 0 else -1)
+    for top in range(len(rem) - 1, dg - 1, -1):
+        t = rem[top]
+        if t:
+            rem = [scale * x for x in rem]
+            for i, gc in enumerate(g.coeffs):
+                rem[top - dg + i] -= sign * t * gc
+    rem = rem[:dg]
+    content = math.gcd(*rem)
+    return IntPolynomial(tuple(x // content for x in rem)) if content else IntPolynomial(())
+
+
+def _squarefree_part(f: IntPolynomial) -> IntPolynomial:
+    """f / gcd(f, f'), monic, for a monic integer polynomial f of degree >= 1."""
+    a, b = f, f.derivative()
+    while not b.is_zero:
+        a, b = b, _primitive_rem(a, b)
+    # a primitive divisor of a monic integer polynomial has leading
+    # coefficient +-1 (Gauss's lemma), so this makes the gcd monic
+    unit = math.gcd(*a.coeffs) * (1 if a.coeffs[-1] > 0 else -1)
+    return poly_divmod(f, IntPolynomial(tuple(c // unit for c in a.coeffs)))[0]
+
+
+def _sign_changes(seq: Sequence[IntPolynomial], x: int) -> int:
+    signs = [v > 0 for v in (g.evaluate(x) for g in seq) if v]
+    return sum(u != w for u, w in zip(signs, signs[1:]))
+
+
 def _integer_roots(f: IntPolynomial) -> list[int]:
-    """All integer roots of a monic integer polynomial, with multiplicity."""
+    """All integer roots of a monic integer polynomial, with multiplicity.
+
+    The real roots of the squarefree part s are isolated by its Sturm
+    sequence: V(lo) - V(hi) counts the roots in (lo, hi], and bisection on
+    integer endpoints inside the Cauchy bound 1 + max|c_i| stops at unit
+    intervals, whose right endpoint is then tested exactly.  The cost grows
+    with the bit length of the coefficients, not with their size.
+    """
+    if f.degree < 1:
+        return []
+    s = _squarefree_part(f)
+    seq = [s, s.derivative()]
+    while seq[-1].degree > 0:
+        seq.append(IntPolynomial(tuple(-c for c in _primitive_rem(seq[-2], seq[-1]).coeffs)))
+    bound = 1 + max(abs(c) for c in s.coeffs[:-1])
+    candidates = []
+    pending = [(-bound, bound, _sign_changes(seq, -bound), _sign_changes(seq, bound))]
+    while pending:
+        lo, hi, v_lo, v_hi = pending.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo == 1:
+            if s.evaluate(hi) == 0:
+                candidates.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        v_mid = _sign_changes(seq, mid)
+        pending += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
     roots: list[int] = []
-    while f.degree >= 1 and f.coeffs[0] == 0:
-        roots.append(0)
-        f = IntPolynomial(f.coeffs[1:])
-    changed = True
-    while changed and f.degree >= 1:
-        changed = False
-        c0 = abs(f.coeffs[0])
-        small = [t for t in range(1, math.isqrt(c0) + 1) if c0 % t == 0]
-        divisors = sorted({t for base in small for t in (base, c0 // base)})
-        for r in [s * t for t in divisors for s in (1, -1)]:
-            while f.degree >= 1 and f.evaluate(r) == 0:
-                f, rem = poly_divmod(f, IntPolynomial((-r, 1)))
-                assert rem.is_zero
-                roots.append(r)
-                changed = True
+    for r in sorted(candidates):
+        while f.degree >= 1 and f.evaluate(r) == 0:
+            f, rem = poly_divmod(f, IntPolynomial((-r, 1)))
+            assert rem.is_zero
+            roots.append(r)
     return roots
 
 
 def _split_quartic(f: IntPolynomial) -> Optional[tuple[IntPolynomial, IntPolynomial]]:
     """Split a monic integer quartic into two monic integer quadratics.
 
-    For x^4 + b x^3 + c x^2 + d x + e = (x^2 + u x + v)(x^2 + w x + s) the
-    constant pair (v, s) must multiply to e; all divisor pairs are tried.
+    If x^4 + b x^3 + c x^2 + d x + e = (x^2 + u x + v)(x^2 + w x + s), then
+    y = v + s is an integer root of the resolvent cubic
+    y^3 - c y^2 + (bd - 4e) y - (b^2 e - 4ce + d^2), and v, s are the roots
+    of z^2 - y z + e; u and w then follow from the x and x^2 coefficients.
     """
     e, d, c, b = f.coeffs[0], f.coeffs[1], f.coeffs[2], f.coeffs[3]
     if e == 0:
         return None
-    small = [t for t in range(1, math.isqrt(abs(e)) + 1) if abs(e) % t == 0]
-    divisors = sorted({t for base in small for t in (base, abs(e) // base)})
-    pairs = [(v, e // v) for t in divisors for v in (t, -t)]
-    for v, s in pairs:
+    resolvent = IntPolynomial((-(b * b * e - 4 * c * e + d * d), b * d - 4 * e, -c, 1))
+    for y in sorted(set(_integer_roots(resolvent))):
+        disc = y * y - 4 * e
+        if disc < 0:
+            continue
+        root = math.isqrt(disc)
+        if root * root != disc or (y + root) % 2 != 0:
+            continue
+        v, s = (y - root) // 2, (y + root) // 2
         if s != v:
             num = d - v * b
             den = s - v
@@ -691,9 +771,13 @@ def canonical_eigenvalue_order(a: IntMatrix | Sequence[Sequence[int]]) -> tuple[
     those of char_poly / min_poly.
 
     All values are exact where the factorization allows and residual-checked
-    otherwise.
+    otherwise.  Cached per matrix.
     """
-    a = as_matrix(a)
+    return _canonical_eigenvalue_order(as_matrix(a))
+
+
+@lru_cache(maxsize=16)
+def _canonical_eigenvalue_order(a: IntMatrix) -> tuple[complex, ...]:
     cp = char_poly(a)
     mp = minimal_poly(a)
     head = list(eigenvalues(mp))

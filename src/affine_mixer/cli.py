@@ -19,12 +19,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import IntMatrix, as_matrix, det_int, verify_spectral_identities
+from .algebra import IntMatrix, det_int, exact_int, verify_spectral_identities
 from .digitlab import block_census
 from .errors import AffineMixerError, ConfigInvalid, InsufficientData, StateSpaceTooLarge
 from .evolution import (
@@ -51,6 +51,8 @@ DEFAULT_EPS = 0.25
 DEFAULT_OUT = "reports"
 FIT_MODELS = ("pow_p", "log", "loglog")
 IDENTITY_J_MAX = 10
+# the least value of each integer config key that has one (README schema)
+_MINIMUMS = {"p": 2, "p_list": 2, "n": 0, "l_max": 1, "sigma": 2, "t": 1, "r": 1, "trials": 1}
 
 
 @dataclass
@@ -111,24 +113,23 @@ class ExperimentConfig:
             )
         if cfg_task not in TASKS:
             raise ConfigInvalid(f"unknown task {cfg_task!r}; expected one of {TASKS}")
-        known = {
-            "task", "matrix", "increments", "x0", "p", "p_list", "n", "eps",
-            "n_cap", "l_max", "sigma", "t", "r", "seed", "trials",
-            "fit_models", "out",
-        }
-        unknown = sorted(set(obj) - known)
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigInvalid(f"unknown config keys: {unknown}")
         try:
-            matrix = as_matrix(obj["matrix"]) if "matrix" in obj else None
+            matrix = (
+                IntMatrix.from_rows([[exact_int(v) for v in row] for row in obj["matrix"]])
+                if "matrix" in obj
+                else None
+            )
             increments = (
                 IncrementDistribution.from_json(obj["increments"])
                 if "increments" in obj
                 else None
             )
-            x0 = tuple(int(c) for c in obj["x0"]) if "x0" in obj else None
+            x0 = tuple(exact_int(c) for c in obj["x0"]) if "x0" in obj else None
             p_list = (
-                tuple(int(v) for v in obj["p_list"]) if "p_list" in obj else None
+                tuple(exact_int(v) for v in obj["p_list"]) if "p_list" in obj else None
             )
             fit_models = tuple(obj.get("fit_models", FIT_MODELS))
             cfg = cls(
@@ -136,17 +137,17 @@ class ExperimentConfig:
                 matrix=matrix,
                 increments=increments,
                 x0=x0,
-                p=int(obj["p"]) if "p" in obj else None,
+                p=exact_int(obj["p"]) if "p" in obj else None,
                 p_list=p_list,
-                n=int(obj["n"]) if "n" in obj else None,
+                n=exact_int(obj["n"]) if "n" in obj else None,
                 eps=float(obj.get("eps", DEFAULT_EPS)),
-                n_cap=int(obj.get("n_cap", DEFAULT_N_CAP)),
-                l_max=int(obj.get("l_max", DEFAULT_L_MAX)),
-                sigma=int(obj["sigma"]) if "sigma" in obj else None,
-                t=int(obj["t"]) if "t" in obj else None,
-                r=int(obj.get("r", 1)),
-                seed=int(obj.get("seed", 0)),
-                trials=int(obj["trials"]) if "trials" in obj else None,
+                n_cap=exact_int(obj.get("n_cap", DEFAULT_N_CAP)),
+                l_max=exact_int(obj.get("l_max", DEFAULT_L_MAX)),
+                sigma=exact_int(obj["sigma"]) if "sigma" in obj else None,
+                t=exact_int(obj["t"]) if "t" in obj else None,
+                r=exact_int(obj.get("r", 1)),
+                seed=exact_int(obj.get("seed", 0)),
+                trials=exact_int(obj["trials"]) if "trials" in obj else None,
                 fit_models=fit_models,
                 out=obj.get("out"),
             )
@@ -171,6 +172,11 @@ class ExperimentConfig:
             raise ConfigInvalid("p_list must be nonempty")
         if not 0 < self.eps < 1:
             raise ConfigInvalid("eps must lie in (0, 1)")
+        values = [(name, getattr(self, name)) for name in _MINIMUMS if name != "p_list"]
+        values += [("p_list", p) for p in self.p_list or ()]
+        low = [f"{name} = {v}" for name, v in values if v is not None and v < _MINIMUMS[name]]
+        if low:
+            raise ConfigInvalid(f"out of range: {low}; minimums are {_MINIMUMS}")
         bad = [m for m in self.fit_models if m not in FIT_MODELS]
         if bad:
             raise ConfigInvalid(f"unknown fit models {bad}; expected subset of {FIT_MODELS}")
@@ -511,13 +517,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             config.n_cap = args.n_cap
         config.validate()
         written = run(config, args.out)
-    except AffineMixerError as err:
-        json.dump({"error": {"kind": err.kind, "message": str(err)}}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as err:
-        record = {"error": {"kind": type(err).__name__, "message": str(err)}}
-        json.dump(record, sys.stderr)
+    except Exception as err:  # every failure ends in one machine readable record
+        kind = err.kind if isinstance(err, AffineMixerError) else type(err).__name__
+        json.dump({"error": {"kind": kind, "message": str(err)}}, sys.stderr)
         sys.stderr.write("\n")
         return 1
     for path in written:

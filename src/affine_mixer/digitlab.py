@@ -88,6 +88,8 @@ class BlockCensus:
 
 def default_block_length(p: int, sigma: int) -> int:
     """Smallest t with sigma**t >= p, the natural block length for p."""
+    if sigma < 2:
+        raise ValueError("base must be >= 2")
     t = 1
     while sigma**t < p:
         t += 1

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import IntMatrix, as_matrix, det_int, int_rank, mat_pow, minimal_poly
+from .algebra import IntMatrix, as_matrix, det_int, exact_int, int_rank, mat_pow, minimal_poly
 from .errors import InvariantSubspace
 
 PROB_SUM_TOL = 1e-12
@@ -43,7 +43,7 @@ class IncrementDistribution:
             raise ValueError("support vectors must be distinct")
         if len(probs) != len(support):
             raise ValueError("probabilities must align with support")
-        if any(w <= 0 for w in probs):
+        if not all(w > 0 for w in probs):  # also rejects NaN
             raise ValueError("probabilities must be strictly positive")
         if abs(math.fsum(probs) - 1.0) > PROB_SUM_TOL:
             raise ValueError("probabilities must sum to 1 within 1e-12")
@@ -58,8 +58,8 @@ class IncrementDistribution:
     @classmethod
     def from_json(cls, obj: dict) -> "IncrementDistribution":
         return cls(
-            int(obj["k"]),
-            tuple(tuple(int(c) for c in pt) for pt in obj["support"]),
+            exact_int(obj["k"]),
+            tuple(tuple(exact_int(c) for c in pt) for pt in obj["support"]),
             tuple(float(w) for w in obj["probs"]),
         )
 

@@ -8,10 +8,14 @@ and direct evaluation for polynomial identities.
 from __future__ import annotations
 
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from affine_mixer import (
     IntMatrix,
@@ -32,6 +36,9 @@ from affine_mixer import (
     root_of_integer_order,
 )
 from affine_mixer.algebra import (
+    _integer_roots,
+    _minimal_poly,
+    _split_quartic,
     int_rank,
     integer_kernel_vector,
     poly_divmod,
@@ -503,3 +510,175 @@ def test_isqrt_based_quadratic_roots_exact():
     # perfect square discriminant must produce exact integer-valued floats
     lams = eigenvalues(IntPolynomial((6, -5, 1)))  # (x-2)(x-3)
     assert lams[0] == complex(2.0) and lams[1] == complex(3.0)
+
+
+def divisor_integer_roots(f):
+    """Oracle: integer roots with multiplicity, by trying every divisor of
+    the constant term (exact, but O(sqrt|c0|))."""
+    roots = []
+    while f.degree >= 1 and f.coeffs[0] == 0:
+        roots.append(0)
+        f = IntPolynomial(f.coeffs[1:])
+    c0 = abs(f.coeffs[0]) if f.degree >= 1 else 0
+    small = [t for t in range(1, isqrt(c0) + 1) if c0 % t == 0]
+    for r in sorted({s * t for base in small for t in (base, c0 // base) for s in (1, -1)}):
+        while f.degree >= 1 and f.evaluate(r) == 0:
+            f, _ = poly_divmod(f, IntPolynomial((-r, 1)))
+            roots.append(r)
+    return sorted(roots)
+
+
+def divisor_split_quartic(f):
+    """Oracle: split a monic quartic by trying every pair (v, s) of
+    constant terms with v * s = e."""
+    e, d, c, b = f.coeffs[:4]
+    if e == 0:
+        return None
+    small = [t for t in range(1, isqrt(abs(e)) + 1) if abs(e) % t == 0]
+    for t in sorted({t for base in small for t in (base, abs(e) // base)}):
+        for v in (t, -t):
+            s = e // v
+            if s != v:
+                if (d - v * b) % (s - v):
+                    continue
+                u = (d - v * b) // (s - v)
+                w = b - u
+                if v + s + u * w == c and u * s + v * w == d:
+                    return IntPolynomial((v, u, 1)), IntPolynomial((s, w, 1))
+            elif v * b == d:
+                disc = b * b - 4 * (c - 2 * v)
+                root = isqrt(disc) if disc >= 0 else -1
+                if root >= 0 and root * root == disc and (b + root) % 2 == 0:
+                    u = (b + root) // 2
+                    return IntPolynomial((v, u, 1)), IntPolynomial((v, b - u, 1))
+    return None
+
+
+def random_monic(rng):
+    """A random monic polynomial built from small factors, so zero roots,
+    repeated roots and repeated quadratics all occur."""
+    f = IntPolynomial((1,))
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.5:
+            g = IntPolynomial((rng.randint(-5, 5), 1))
+        else:
+            g = IntPolynomial((rng.randint(-6, 6), rng.randint(-6, 6), 1))
+        f = poly_mul(f, g)
+        if rng.random() < 0.2:
+            f = poly_mul(f, g)
+    return f
+
+
+def random_quartic(rng):
+    kind = rng.randrange(4)
+    q1 = IntPolynomial((rng.randint(-6, 6), rng.randint(-6, 6), 1))
+    if kind == 0:
+        return IntPolynomial(tuple(rng.randint(-8, 8) for _ in range(4)) + (1,))
+    if kind == 1:  # (x^2 + ux + v)^2
+        return poly_mul(q1, q1)
+    if kind == 2:  # equal constant terms, v = s
+        return poly_mul(q1, IntPolynomial((q1.coeffs[0], rng.randint(-6, 6), 1)))
+    return poly_mul(q1, IntPolynomial((rng.randint(-6, 6), rng.randint(-6, 6), 1)))
+
+
+def test_integer_roots_match_divisor_oracle():
+    rng = random.Random(808)
+    for _ in range(1500):
+        f = random_monic(rng)
+        assert sorted(_integer_roots(f)) == divisor_integer_roots(f), f.coeffs
+
+
+def test_split_quartic_matches_divisor_oracle():
+    rng = random.Random(909)
+    for _ in range(1500):
+        f = random_quartic(rng)
+        split, oracle = _split_quartic(f), divisor_split_quartic(f)
+        assert (split is None) == (oracle is None), f.coeffs
+        if split is None:
+            continue
+        assert poly_mul(*split) == f
+        if not divisor_integer_roots(f):
+            # no linear factor: the split into monic quadratics is unique
+            assert {g.coeffs for g in split} == {g.coeffs for g in oracle}, f.coeffs
+
+
+@contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"exceeded {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_classify_regime_large_diagonal_is_fast():
+    with time_limit(2.0):
+        profile = classify_regime([[10**9 + 7, 0], [0, 10**9 + 9]])
+    assert profile.regime == Regime.ROOTS_OF_INTEGER_EXPANDING
+    assert set(profile.root_orders) == {(1, 10**9 + 7), (1, 10**9 + 9)}
+
+
+def test_factor_int_poly_large_quartic_is_fast():
+    qa = IntPolynomial((10**12 + 39, 1, 1))
+    qb = IntPolynomial((10**12 + 61, 3, 1))
+    with time_limit(2.0):
+        factors, remainder = factor_int_poly(poly_mul(qa, qb))
+    assert remainder is None
+    assert factors == ((qa, 1), (qb, 1))
+
+
+def test_spectral_data_computed_once_per_matrix():
+    from affine_mixer import verify_spectral_identities
+
+    rows = [[2, 1, 0], [0, 3, 0], [1, 0, -1]]
+    _minimal_poly.cache_clear()
+    for e in range(1, 4):
+        for j in range(5):
+            assert verify_spectral_identities(rows, e, j)[0]
+    assert _minimal_poly.cache_info().misses == 1
+    # plain lists and IntMatrix share one cache entry
+    assert canonical_eigenvalue_order(rows) is canonical_eigenvalue_order(
+        IntMatrix.from_rows(rows)
+    )
+
+
+BIG = 10**9
+
+
+@st.composite
+def big_matrices(draw, k=None):
+    k = draw(st.integers(1, 4)) if k is None else k
+    entry = st.integers(-BIG, BIG)
+    return IntMatrix.from_rows([[draw(entry) for _ in range(k)] for _ in range(k)])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(a=big_matrices())
+def test_property_cayley_hamilton_large_entries(a):
+    image = poly_eval_matrix(char_poly(a), a)
+    assert all(x == 0 for row in image.rows for x in row)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(a=big_matrices())
+def test_property_factors_reassemble_char_poly(a):
+    f = char_poly(a)
+    factors, remainder = factor_int_poly(f)
+    rebuilt = remainder or IntPolynomial((1,))
+    for g, mult in factors:
+        for _ in range(mult):
+            rebuilt = poly_mul(rebuilt, g)
+    assert rebuilt == f
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), k=st.integers(1, 4))
+def test_property_det_multiplicative(data, k):
+    a = data.draw(big_matrices(k))
+    b = data.draw(big_matrices(k))
+    assert det_int(a @ b) == det_int(a) * det_int(b)

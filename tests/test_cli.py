@@ -409,3 +409,106 @@ def test_main_bounds_zero_spread_law_long_run(tmp_path, capsys):
         rows = list(csv.DictReader(handle))
     assert [int(row["n"]) for row in rows] == list(range(601))
     assert {row["certificate"] for row in rows} == {"0.5"}
+
+
+def run_main_on_text(tmp_path, capsys, task, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    code = main([task, "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    return code, (json.loads(err) if err else None)
+
+
+EVOLVE_BASE = {
+    "task": "evolve",
+    "matrix": [[2]],
+    "increments": {"k": 1, "support": [[0], [1]], "probs": [0.5, 0.5]},
+    "p": 3,
+    "n": 2,
+}
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"matrix": [[2.7]]},
+        {"matrix": [[float("inf")]]},
+        {"increments": {"k": 1, "support": [[0], [0.5]], "probs": [0.5, 0.5]}},
+        {"increments": {"k": 1.5, "support": [[0], [1]], "probs": [0.5, 0.5]}},
+        {"x0": [0.5]},
+        {"p": 3.5},
+        {"p_list": [101, 103.5]},
+        {"n": float("nan")},
+        {"n_cap": 1e3 + 0.5},
+        {"l_max": float("-inf")},
+        {"sigma": 2.5},
+        {"t": 1.5},
+        {"r": 1.25},
+        {"seed": 0.5},
+        {"trials": 10.5},
+        {"seed": True},
+        {"p": "3"},
+    ],
+)
+def test_main_rejects_non_integral_config_integers(tmp_path, capsys, override):
+    text = json.dumps({**EVOLVE_BASE, **override})
+    code, record = run_main_on_text(tmp_path, capsys, "evolve", text)
+    assert code == 1
+    assert record["error"]["kind"] == "ConfigInvalid"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"task": "classify", "matrix": [[2.7, 0], [0, 3]]}',
+        '{"task": "classify", "matrix": [[1e400]]}',
+    ],
+)
+def test_main_rejects_truncated_or_overflowing_matrix(tmp_path, capsys, text):
+    code, record = run_main_on_text(tmp_path, capsys, "classify", text)
+    assert code == 1
+    assert record["error"]["kind"] == "ConfigInvalid"
+    assert "expected an integer" in record["error"]["message"]
+
+
+def test_integral_floats_are_read_as_integers():
+    cfg = ExperimentConfig.from_json({**EVOLVE_BASE, "matrix": [[2.0]], "p": 3.0, "n": 2.0})
+    assert cfg.matrix.rows == ((2,),)
+    assert (cfg.p, cfg.n) == (3, 2)
+    assert all(type(v) is int for v in (cfg.p, cfg.n, cfg.matrix.rows[0][0]))
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"p": 1},
+        {"p": 0},
+        {"p": -7},
+        {"task": "mixing-sweep", "p_list": [101, 0]},
+        {"l_max": 0},
+        {"n": -1},
+        {"task": "digit-census", "sigma": 1},
+        {"t": 0},
+        {"r": 0},
+        {"trials": 0},
+    ],
+)
+def test_main_enforces_documented_ranges(tmp_path, capsys, override):
+    obj = {**EVOLVE_BASE, **override}
+    code, record = run_main_on_text(tmp_path, capsys, obj["task"], json.dumps(obj))
+    assert code == 1
+    assert record["error"]["kind"] == "ConfigInvalid"
+
+
+def test_main_maps_unexpected_exception_to_record(tmp_path, capsys, monkeypatch):
+    import affine_mixer.cli as cli
+
+    def broken(config, out_dir):
+        raise RuntimeError("runner fell over")
+
+    monkeypatch.setitem(cli._RUNNERS, "classify", broken)
+    text = json.dumps({"task": "classify", "matrix": [[2]]})
+    code, record = run_main_on_text(tmp_path, capsys, "classify", text)
+    assert code == 1
+    assert record == {"error": {"kind": "RuntimeError", "message": "runner fell over"}}

@@ -96,6 +96,9 @@ def test_default_block_length():
     assert default_block_length(9, 2) == 4
     assert default_block_length(1000, 10) == 3
     assert default_block_length(2, 2) == 1
+    for sigma in (1, 0):  # sigma**t never reaches p: must raise, not loop
+        with pytest.raises(ValueError):
+            default_block_length(5, sigma)
 
 
 def test_block_census_p5():

@@ -28,6 +28,8 @@ def test_increment_distribution_validation():
     with pytest.raises(ValueError):
         IncrementDistribution(1, ((0,), (1,)), (1.0, 0.0))  # zero weight
     with pytest.raises(ValueError):
+        IncrementDistribution(1, ((0,), (1,)), (float("nan"), float("nan")))  # NaN weights
+    with pytest.raises(ValueError):
         IncrementDistribution(2, ((0,), (1,)), (0.5, 0.5))  # wrong length
     with pytest.raises(ValueError):
         IncrementDistribution(1, (), ())  # empty support
