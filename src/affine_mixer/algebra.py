@@ -9,12 +9,12 @@ root is residual-checked against the integer polynomial it came from.
 
 from __future__ import annotations
 
-import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -94,6 +94,17 @@ def exact_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"expected an integer, got {value!r}")
     return value
+
+
+def json_float(value) -> float:
+    """A real number read from JSON: an int or a float.
+
+    Booleans and strings raise ValueError where float() would take them; an
+    int too large for a float raises OverflowError.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -205,6 +216,30 @@ def int_rank(vectors: Sequence[Sequence[int]]) -> int:
     return rank
 
 
+def _row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss-Jordan over the rationals, in place, on the first ncols columns.
+
+    Columns past ncols (an augmented right-hand side) ride along.  Returns
+    the pivot columns; pivot r sits in row r with value 1, and every other
+    row is 0 in that column.
+    """
+    pivot_cols: list[int] = []
+    for col in range(ncols):
+        top = len(pivot_cols)
+        pivot = next((r for r in range(top, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        inv = rows[top][col]
+        rows[top] = [x / inv for x in rows[top]]
+        for r in range(len(rows)):
+            if r != top and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[top])]
+        pivot_cols.append(col)
+    return pivot_cols
+
+
 def integer_kernel_vector(a: IntMatrix) -> tuple[int, ...]:
     """Primitive integer kernel vector of a singular integer matrix.
 
@@ -214,21 +249,7 @@ def integer_kernel_vector(a: IntMatrix) -> tuple[int, ...]:
     """
     n = a.k
     m = [[Fraction(x) for x in row] for row in a.rows]
-    pivot_cols: list[int] = []
-    row_idx = 0
-    for col in range(n):
-        pivot = next((r for r in range(row_idx, n) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row_idx], m[pivot] = m[pivot], m[row_idx]
-        inv = m[row_idx][col]
-        m[row_idx] = [x / inv for x in m[row_idx]]
-        for r in range(n):
-            if r != row_idx and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[row_idx])]
-        pivot_cols.append(col)
-        row_idx += 1
+    pivot_cols = _row_reduce(m, n)
     free_cols = [c for c in range(n) if c not in pivot_cols]
     if not free_cols:
         raise ValueError("matrix has trivial kernel")
@@ -365,26 +386,10 @@ def _solve_exact(columns: list[list[int]], rhs: list[int]) -> Optional[list[Frac
     Returns one solution (free variables set to 0) or None if inconsistent.
     """
     ncols = len(columns)
-    nrows = len(rhs)
-    m = [[Fraction(columns[c][r]) for c in range(ncols)] + [Fraction(rhs[r])] for r in range(nrows)]
-    pivot_cols: list[int] = []
-    row_idx = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row_idx, nrows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row_idx], m[pivot] = m[pivot], m[row_idx]
-        inv = m[row_idx][col]
-        m[row_idx] = [x / inv for x in m[row_idx]]
-        for r in range(nrows):
-            if r != row_idx and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[row_idx])]
-        pivot_cols.append(col)
-        row_idx += 1
-    for r in range(row_idx, nrows):
-        if m[r][ncols] != 0:
-            return None
+    m = [[Fraction(col[r]) for col in columns] + [Fraction(v)] for r, v in enumerate(rhs)]
+    pivot_cols = _row_reduce(m, ncols)
+    if any(row[ncols] != 0 for row in m[len(pivot_cols):]):
+        return None
     x = [Fraction(0)] * ncols
     for r, col in enumerate(pivot_cols):
         x[col] = m[r][ncols]
@@ -553,33 +558,21 @@ def factor_int_poly(
     """
     if not f.is_monic:
         raise ValueError("polynomial must be monic")
-    counts: dict[IntPolynomial, int] = {}
-    for r in _integer_roots(f):
-        lin = IntPolynomial((-r, 1))
-        counts[lin] = counts.get(lin, 0) + 1
+    counts = Counter(IntPolynomial((-r, 1)) for r in _integer_roots(f))
     rem = f
     for poly, mult in counts.items():
         for _ in range(mult):
             rem, check = poly_divmod(rem, poly)
             assert check.is_zero
+    # rem has no integer root, so below degree 4 it is irreducible
     remainder: Optional[IntPolynomial] = None
-    while rem.degree >= 2:
-        if rem.degree in (2, 3):
-            counts[rem] = counts.get(rem, 0) + 1
-            rem = IntPolynomial((1,))
-        elif rem.degree == 4:
-            split = _split_quartic(rem)
-            if split is None:
-                counts[rem] = counts.get(rem, 0) + 1
-                rem = IntPolynomial((1,))
-            else:
-                qa, qb = split
-                counts[qa] = counts.get(qa, 0) + 1
-                counts[qb] = counts.get(qb, 0) + 1
-                rem = IntPolynomial((1,))
-        else:
-            remainder = rem
-            break
+    split = _split_quartic(rem) if rem.degree == 4 else None
+    if split is not None:
+        counts.update(split)
+    elif 2 <= rem.degree <= 4:
+        counts[rem] += 1
+    elif rem.degree > 4:
+        remainder = rem
     factors = tuple(sorted(counts.items(), key=lambda it: (it[0].degree, it[0].coeffs)))
     return factors, remainder
 
@@ -665,15 +658,23 @@ def eigenvalues(f: IntPolynomial, tol: float = ROOT_RESIDUAL_TOL) -> tuple[compl
         raise ValueError("zero polynomial has no defined root list")
     if f.degree == 0:
         return ()
-    if f.is_monic:
-        factors, remainder = factor_int_poly(f)
-        roots: list[complex] = []
+    return _checked_roots(f, factor_int_poly(f) if f.is_monic else None, tol)
+
+
+def _checked_roots(
+    f: IntPolynomial, factorization: Optional[tuple], tol: float = ROOT_RESIDUAL_TOL
+) -> tuple[complex, ...]:
+    """The roots of f, taken from factorization (factor_int_poly(f)) when
+    given and numerically otherwise, sorted and residual-checked against f."""
+    if factorization is None:
+        roots = _roots_numeric(f)
+    else:
+        factors, remainder = factorization
+        roots = []
         for poly, mult in factors:
             roots.extend(_roots_of_irreducible(poly) * mult)
         if remainder is not None:
             roots.extend(_roots_numeric(remainder))
-    else:
-        roots = _roots_numeric(f)
     roots.sort(key=lambda z: (z.real, z.imag))
     for z in roots:
         residual = abs(complex(f.evaluate(z)))
@@ -735,8 +736,9 @@ def classify_regime(
         raise SingularMatrix("matrix is singular; the recursion would not be bijective")
     cp = char_poly(a)
     mp = minimal_poly(a)
-    factors, remainder = factor_int_poly(cp)
-    eigs = eigenvalues(cp)
+    factorization = factor_int_poly(cp)
+    factors, remainder = factorization
+    eigs = _checked_roots(cp, factorization)
     orders = tuple(root_of_integer_order(poly, l_max) for poly, _ in factors)
     if remainder is not None:
         regime = Regime.UNKNOWN
@@ -798,29 +800,6 @@ def _complete_homogeneous(s: int, lams: Sequence[complex]):
     return h[s]
 
 
-def _generic_mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-
-
-def _generic_identity(n, one=1):
-    return [[one if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _generic_scale_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _generic_shift(a, lam):
-    """a - lam * I."""
-    n = len(a)
-    return [[a[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def _max_abs(a) -> float:
-    return max(abs(complex(x)) for row in a for x in row)
-
-
 def verify_spectral_identities(
     a: IntMatrix | Sequence[Sequence[int]],
     e: int,
@@ -858,44 +837,30 @@ def verify_spectral_identities(
             raise OrderMismatch(f"eigenvalue_order must be a permutation of range({k})")
         lams = [lams[i] for i in eigenvalue_order]
     exact = all(z.imag == 0 and float(z.real).is_integer() for z in lams)
-    if exact:
-        lam_vals: list = [int(z.real) for z in lams]
-        t = [list(row) for row in a.transpose().rows]
-    else:
-        lam_vals = [complex(z) for z in lams]
-        t = [[complex(x) for x in row] for row in a.transpose().rows]
+    one = 1 if exact else complex(1)
+    lam_vals = [int(z.real) if exact else complex(z) for z in lams]
+    # object arrays keep the entries Python ints (exact) or complex
+    eye = np.identity(k, dtype=object) * one
+    t = np.array(a.transpose().rows, dtype=object) * one
+    shifts = [t - lam * eye for lam in lam_vals[:d]]
+    prods = [eye]
+    for shift in shifts:
+        prods.append(prods[-1] @ shift)
 
-    def mat_power(base, n):
-        result = _generic_identity(k, one=1 if exact else complex(1))
-        for _ in range(n):
-            result = _generic_mat_mul(result, base)
-        return result
-
-    prods = [_generic_identity(k, one=1 if exact else complex(1))]
-    for i in range(d):
-        prods.append(_generic_mat_mul(prods[-1], _generic_shift(t, lam_vals[i])))
-
-    lhs1 = mat_power(t, e)
-    rhs1 = prods[e]
-    for s in range(e):
-        term = _generic_mat_mul(mat_power(t, e - s - 1), prods[s])
-        scaled = [[lam_vals[s] * x for x in row] for row in term]
-        rhs1 = _generic_scale_add(rhs1, scaled)
-
-    lhs2 = _generic_mat_mul(mat_power(t, j), prods[e])
-    rhs2 = [[0 if exact else complex(0) for _ in range(k)] for _ in range(k)]
+    # T**n by one running product, not by squaring: in complex arithmetic
+    # the order of the products sets the rounding, and so the reported
+    # residual, once the entries of T**n pass 2**53
+    powers = [eye]
+    for _ in range(max(e, j)):
+        powers.append(powers[-1] @ t)
+    lhs1 = powers[e]
+    rhs1 = sum((lam_vals[s] * (powers[e - s - 1] @ prods[s]) for s in range(e)), prods[e])
+    lhs2 = powers[j] @ prods[e]
+    rhs2 = 0
     for h in range(e + 1, d + 1):
         coeff = _complete_homogeneous(j - d + h, lam_vals[h - 1 : d])
-        if coeff == 0:
-            continue
-        tail = _generic_identity(k, one=1 if exact else complex(1))
-        for n in range(h + 1, d + 1):
-            tail = _generic_mat_mul(tail, _generic_shift(t, lam_vals[n - 1]))
-        term = _generic_mat_mul(tail, prods[e])
-        rhs2 = _generic_scale_add(rhs2, [[coeff * x for x in row] for row in term])
-
-    res1 = _max_abs(_generic_scale_add(lhs1, [[-x for x in row] for row in rhs1]))
-    res2 = _max_abs(_generic_scale_add(lhs2, [[-x for x in row] for row in rhs2]))
-    residual = max(res1, res2)
-    scale = max(1.0, _max_abs(lhs1), _max_abs(lhs2))
+        if coeff != 0:
+            rhs2 = rhs2 + coeff * (reduce(np.matmul, shifts[h:], eye) @ prods[e])
+    residual = float(max(np.abs(lhs1 - rhs1).max(), np.abs(lhs2 - rhs2).max()))
+    scale = max(1.0, float(max(np.abs(lhs1).max(), np.abs(lhs2).max())))
     return residual <= IDENTITY_RESIDUAL_TOL * scale, residual

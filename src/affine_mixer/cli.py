@@ -15,16 +15,26 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, field, fields
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import IntMatrix, det_int, exact_int, verify_spectral_identities
+from .algebra import (
+    DEFAULT_L_MAX,
+    IntMatrix,
+    classify_regime,
+    det_int,
+    exact_int,
+    json_float,
+    minimal_poly,
+    verify_spectral_identities,
+)
 from .digitlab import block_census
 from .errors import AffineMixerError, ConfigInvalid, InsufficientData, StateSpaceTooLarge
 from .evolution import (
@@ -35,24 +45,58 @@ from .evolution import (
     simulate,
     tv_distance,
 )
-from .fourier import DEFAULT_L_MAX, bounds_table
-from .increments import IncrementDistribution, admissible_modulus, support_basis
-from .algebra import classify_regime
+from .fourier import bounds_table
+from .increments import IncrementDistribution, support_basis
 
-TASKS = (
-    "classify",
-    "evolve",
-    "bounds",
-    "mixing-sweep",
-    "digit-census",
-    "verify-identities",
-)
+# the config keys each task needs
+_REQUIRED = {
+    "classify": ("matrix",),
+    "evolve": ("matrix", "increments", "p", "n"),
+    "bounds": ("matrix", "increments", "p", "n"),
+    "mixing-sweep": ("matrix", "increments", "p_list"),
+    "digit-census": ("p", "sigma"),
+    "verify-identities": ("matrix",),
+}
+TASKS = tuple(_REQUIRED)
 DEFAULT_EPS = 0.25
 DEFAULT_OUT = "reports"
 FIT_MODELS = ("pow_p", "log", "loglog")
 IDENTITY_J_MAX = 10
 # the least value of each integer config key that has one (README schema)
-_MINIMUMS = {"p": 2, "p_list": 2, "n": 0, "l_max": 1, "sigma": 2, "t": 1, "r": 1, "trials": 1}
+_MINIMUMS = {
+    "p": 2,
+    "p_list": 2,
+    "n": 0,
+    "n_cap": 0,
+    "l_max": 1,
+    "sigma": 2,
+    "t": 1,
+    "r": 1,
+    "seed": 0,
+    "trials": 1,
+}
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _ints(values) -> tuple[int, ...]:
+    return tuple(exact_int(v) for v in values)
+
+
+# how each config value is read from JSON; every other key holds one integer
+_PARSERS = {
+    "matrix": lambda rows: IntMatrix.from_rows([_ints(row) for row in rows]),
+    "increments": IncrementDistribution.from_json,
+    "x0": _ints,
+    "p_list": _ints,
+    "eps": json_float,
+    "fit_models": lambda names: tuple(_string(name) for name in names),
+    "out": _string,
+}
 
 
 @dataclass
@@ -116,62 +160,33 @@ class ExperimentConfig:
         unknown = sorted(set(obj) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigInvalid(f"unknown config keys: {unknown}")
-        try:
-            matrix = (
-                IntMatrix.from_rows([[exact_int(v) for v in row] for row in obj["matrix"]])
-                if "matrix" in obj
-                else None
-            )
-            increments = (
-                IncrementDistribution.from_json(obj["increments"])
-                if "increments" in obj
-                else None
-            )
-            x0 = tuple(exact_int(c) for c in obj["x0"]) if "x0" in obj else None
-            p_list = (
-                tuple(exact_int(v) for v in obj["p_list"]) if "p_list" in obj else None
-            )
-            fit_models = tuple(obj.get("fit_models", FIT_MODELS))
-            cfg = cls(
-                task=cfg_task,
-                matrix=matrix,
-                increments=increments,
-                x0=x0,
-                p=exact_int(obj["p"]) if "p" in obj else None,
-                p_list=p_list,
-                n=exact_int(obj["n"]) if "n" in obj else None,
-                eps=float(obj.get("eps", DEFAULT_EPS)),
-                n_cap=exact_int(obj.get("n_cap", DEFAULT_N_CAP)),
-                l_max=exact_int(obj.get("l_max", DEFAULT_L_MAX)),
-                sigma=exact_int(obj["sigma"]) if "sigma" in obj else None,
-                t=exact_int(obj["t"]) if "t" in obj else None,
-                r=exact_int(obj.get("r", 1)),
-                seed=exact_int(obj.get("seed", 0)),
-                trials=exact_int(obj["trials"]) if "trials" in obj else None,
-                fit_models=fit_models,
-                out=obj.get("out"),
-            )
-        except (TypeError, ValueError) as err:
-            raise ConfigInvalid(f"malformed config value: {err}") from err
+        values = {}
+        for name, value in obj.items():
+            if name != "task":
+                try:
+                    values[name] = _PARSERS.get(name, exact_int)(value)
+                except (TypeError, ValueError, KeyError, OverflowError) as err:
+                    raise ConfigInvalid(f"malformed config value {name!r}: {err!r}") from err
+        cfg = cls(task=cfg_task, **values)
         cfg.validate()
         return cfg
 
     def validate(self) -> None:
-        need = {
-            "classify": ("matrix",),
-            "evolve": ("matrix", "increments", "p", "n"),
-            "bounds": ("matrix", "increments", "p", "n"),
-            "mixing-sweep": ("matrix", "increments", "p_list"),
-            "digit-census": ("p", "sigma"),
-            "verify-identities": ("matrix",),
-        }[self.task]
-        missing = [name for name in need if getattr(self, name) is None]
+        missing = [name for name in _REQUIRED[self.task] if getattr(self, name) is None]
         if missing:
             raise ConfigInvalid(f"task {self.task!r} needs config keys: {missing}")
         if self.task == "mixing-sweep" and not self.p_list:
             raise ConfigInvalid("p_list must be nonempty")
         if not 0 < self.eps < 1:
             raise ConfigInvalid("eps must lie in (0, 1)")
+        if self.matrix is not None:
+            k = self.matrix.k
+            if self.x0 is not None and len(self.x0) != k:
+                raise ConfigInvalid(f"x0 has length {len(self.x0)}; the matrix has dimension {k}")
+            if self.increments is not None and self.increments.k != k:
+                raise ConfigInvalid(
+                    f"increments have k = {self.increments.k}; the matrix has dimension {k}"
+                )
         values = [(name, getattr(self, name)) for name in _MINIMUMS if name != "p_list"]
         values += [("p_list", p) for p in self.p_list or ()]
         low = [f"{name} = {v}" for name, v in values if v is not None and v < _MINIMUMS[name]]
@@ -198,15 +213,10 @@ def fit_exponent(rows: Sequence[SweepRow], model: str) -> FitResult:
         raise InsufficientData(
             f"{len(usable)} usable rows; need at least 3 for a fit"
         )
+    x = np.array([row.ln_p_ln_ln_p if model == "loglog" else row.ln_p for row in usable])
+    y = np.array([float(row.n_mix) for row in usable])
     if model == "pow_p":
-        x = np.array([row.ln_p for row in usable])
-        y = np.log(np.array([float(row.n_mix) for row in usable]))
-    elif model == "log":
-        x = np.array([row.ln_p for row in usable])
-        y = np.array([float(row.n_mix) for row in usable])
-    else:
-        x = np.array([row.ln_p_ln_ln_p for row in usable])
-        y = np.array([float(row.n_mix) for row in usable])
+        y = np.log(y)
     coeff, intercept = np.polyfit(x, y, 1)
     rms = float(np.sqrt(np.mean((y - (coeff * x + intercept)) ** 2)))
     return FitResult(
@@ -236,20 +246,14 @@ def mixing_sweep(config: ExperimentConfig) -> list[SweepRow]:
             reasons.append(f"gcd(det(A),p)={math.gcd(det_a, p)}")
         if math.gcd(basis.det, p) != 1:
             reasons.append(f"gcd(det(B),p)={math.gcd(basis.det, p)}")
-        if reasons:
-            rows.append(
-                SweepRow(p, regime, None, ln_p, lnln, p * p, False, "; ".join(reasons))
-            )
-            continue
-        try:
-            n_mix = mixing_time(ChainSpec(a, mu, p), config.eps, config.n_cap)
-        except StateSpaceTooLarge as err:
-            rows.append(
-                SweepRow(p, regime, None, ln_p, lnln, p * p, True, f"error: {err.kind}")
-            )
-            continue
-        reason = "" if n_mix is not None else "unmixed"
-        rows.append(SweepRow(p, regime, n_mix, ln_p, lnln, p * p, True, reason))
+        n_mix, reason = None, "; ".join(reasons)
+        if not reasons:
+            try:
+                n_mix = mixing_time(ChainSpec(a, mu, p), config.eps, config.n_cap)
+                reason = "" if n_mix is not None else "unmixed"
+            except StateSpaceTooLarge as err:
+                reason = f"error: {err.kind}"
+        rows.append(SweepRow(p, regime, n_mix, ln_p, lnln, p * p, not reasons, reason))
     if not any(row.admissible for row in rows):
         raise ConfigInvalid("no admissible modulus in p_list")
     return rows
@@ -262,18 +266,23 @@ def _write_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_json(path: str, obj: dict) -> None:
+def _write_json(path: str, obj: dict) -> str:
     _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    return path
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    import io
-
+def _write_report(
+    out_dir: str, stem: str, header: Sequence[str], rows: Iterable[Sequence], summary: dict
+) -> list[str]:
+    """Write stem.csv (header, then rows) and stem.json (summary) into
+    out_dir; returns both paths."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _write_atomic(path, buf.getvalue())
+    csv_path = os.path.join(out_dir, stem + ".csv")
+    _write_atomic(csv_path, buf.getvalue())
+    return [csv_path, _write_json(os.path.join(out_dir, stem + ".json"), summary)]
 
 
 def _digit_string(digits: Sequence[int], sigma: int) -> str:
@@ -305,20 +314,12 @@ def _run_classify(config: ExperimentConfig, out_dir: str) -> list[str]:
         ],
         "remainder": _poly_json(profile.remainder) if profile.remainder else None,
     }
-    path = os.path.join(out_dir, "classify.json")
-    _write_json(path, report)
-    return [path]
+    return [_write_json(os.path.join(out_dir, "classify.json"), report)]
 
 
 def _run_evolve(config: ExperimentConfig, out_dir: str) -> list[str]:
     chain = ChainSpec(config.matrix, config.increments, config.p, config.x0)
     dist = evolve(chain, config.n)
-    csv_path = os.path.join(out_dir, "evolve.csv")
-    _write_csv(
-        csv_path,
-        ("index", "probability"),
-        [(i, v) for i, v in enumerate(dist.values)],
-    )
     summary = {
         "p": chain.p,
         "k": chain.k,
@@ -333,33 +334,29 @@ def _run_evolve(config: ExperimentConfig, out_dir: str) -> list[str]:
         summary["tv_empirical_vs_exact"] = 0.5 * float(
             np.abs(empirical.values - dist.values).sum()
         )
-    json_path = os.path.join(out_dir, "evolve.json")
-    _write_json(json_path, summary)
-    return [csv_path, json_path]
+    return _write_report(
+        out_dir, "evolve", ("index", "probability"), enumerate(dist.values), summary
+    )
 
 
 def _run_bounds(config: ExperimentConfig, out_dir: str) -> list[str]:
     chain = ChainSpec(config.matrix, config.increments, config.p, config.x0)
     rows = bounds_table(chain, config.n, config.l_max)
-    csv_path = os.path.join(out_dir, "bounds.csv")
-    _write_csv(
-        csv_path,
+    return _write_report(
+        out_dir,
+        "bounds",
         ("n", "tv", "upper", "lower_best", "alpha_witness", "certificate"),
-        [
+        (
             (
                 row.n,
                 row.tv,
                 row.upper,
                 row.lower_best,
-                str(row.alpha_witness),
-                "" if row.certificate is None else row.certificate,
+                row.alpha_witness,
+                row.certificate,
             )
             for row in rows
-        ],
-    )
-    json_path = os.path.join(out_dir, "bounds.json")
-    _write_json(
-        json_path,
+        ),
         {
             "p": chain.p,
             "k": chain.k,
@@ -369,20 +366,25 @@ def _run_bounds(config: ExperimentConfig, out_dir: str) -> list[str]:
             "final_lower_best": rows[-1].lower_best,
         },
     )
-    return [csv_path, json_path]
 
 
 def _run_mixing_sweep(config: ExperimentConfig, out_dir: str) -> list[str]:
     rows = mixing_sweep(config)
-    csv_path = os.path.join(out_dir, "sweep.csv")
-    _write_csv(
-        csv_path,
+    fits = []
+    for model in config.fit_models:
+        try:
+            fits.append(asdict(fit_exponent(rows, model)))
+        except InsufficientData as err:
+            fits.append({"model": model, "error": str(err)})
+    return _write_report(
+        out_dir,
+        "sweep",
         ("p", "regime", "n_mix", "ln_p", "ln_p_ln_ln_p", "p_sq", "admissible", "reason"),
-        [
+        (
             (
                 row.p,
                 row.regime,
-                "" if row.n_mix is None else row.n_mix,
+                row.n_mix,
                 row.ln_p,
                 row.ln_p_ln_ln_p,
                 row.p_sq,
@@ -390,36 +392,18 @@ def _run_mixing_sweep(config: ExperimentConfig, out_dir: str) -> list[str]:
                 row.reason,
             )
             for row in rows
-        ],
+        ),
+        {"eps": config.eps, "n_cap": config.n_cap, "fits": fits},
     )
-    fits = []
-    for model in config.fit_models:
-        try:
-            result = fit_exponent(rows, model)
-        except InsufficientData as err:
-            fits.append({"model": model, "error": str(err)})
-            continue
-        fits.append(
-            {
-                "model": result.model,
-                "coefficient": result.coefficient,
-                "intercept": result.intercept,
-                "rms_residual": result.rms_residual,
-                "points": result.points,
-            }
-        )
-    json_path = os.path.join(out_dir, "sweep.json")
-    _write_json(json_path, {"eps": config.eps, "n_cap": config.n_cap, "fits": fits})
-    return [csv_path, json_path]
 
 
 def _run_digit_census(config: ExperimentConfig, out_dir: str) -> list[str]:
     census = block_census(config.p, config.sigma, config.t, config.r)
-    csv_path = os.path.join(out_dir, "census.csv")
-    _write_csv(
-        csv_path,
+    return _write_report(
+        out_dir,
+        "census",
         ("a", "block_index", "digits", "alternations"),
-        [
+        (
             (
                 row.a,
                 row.block_index,
@@ -427,11 +411,7 @@ def _run_digit_census(config: ExperimentConfig, out_dir: str) -> list[str]:
                 row.alternations,
             )
             for row in census.rows
-        ],
-    )
-    json_path = os.path.join(out_dir, "census.json")
-    _write_json(
-        json_path,
+        ),
         {
             "p": census.p,
             "sigma": census.sigma,
@@ -442,36 +422,28 @@ def _run_digit_census(config: ExperimentConfig, out_dir: str) -> list[str]:
             "histogram": {str(key): val for key, val in census.histogram.items()},
         },
     )
-    return [csv_path, json_path]
 
 
 def _run_verify_identities(config: ExperimentConfig, out_dir: str) -> list[str]:
-    from .algebra import minimal_poly
-
     d = minimal_poly(config.matrix).degree
     rows = []
-    worst = 0.0
-    all_ok = True
     for e in range(1, d + 1):
         for j in range(IDENTITY_J_MAX + 1):
             ok, residual = verify_spectral_identities(config.matrix, e, j)
             rows.append((e, j, int(ok), residual))
-            worst = max(worst, residual)
-            all_ok = all_ok and ok
-    csv_path = os.path.join(out_dir, "identities.csv")
-    _write_csv(csv_path, ("e", "j", "ok", "residual"), rows)
-    json_path = os.path.join(out_dir, "identities.json")
-    _write_json(
-        json_path,
+    return _write_report(
+        out_dir,
+        "identities",
+        ("e", "j", "ok", "residual"),
+        rows,
         {
             "matrix": [list(row) for row in config.matrix.rows],
             "d": d,
             "j_max": IDENTITY_J_MAX,
-            "all_ok": all_ok,
-            "max_residual": worst,
+            "all_ok": all(row[2] for row in rows),
+            "max_residual": max([0.0] + [row[3] for row in rows]),
         },
     )
-    return [csv_path, json_path]
 
 
 _RUNNERS = {
@@ -509,12 +481,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with open(args.config) as handle:
             raw = json.load(handle)
         config = ExperimentConfig.from_json(raw, task=args.task)
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.eps is not None:
-            config.eps = args.eps
-        if args.n_cap is not None:
-            config.n_cap = args.n_cap
+        for name in ("seed", "eps", "n_cap"):
+            if getattr(args, name) is not None:
+                setattr(config, name, getattr(args, name))
         config.validate()
         written = run(config, args.out)
     except Exception as err:  # every failure ends in one machine readable record

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
@@ -226,11 +227,7 @@ def evolve_iter(chain: ChainSpec, n: int) -> Iterator[tuple[int, StateDistributi
 
 def evolve(chain: ChainSpec, n: int) -> StateDistribution:
     """The law P_n of X_n, by n exact steps from the point mass at x0."""
-    dist = None
-    for _, dist in evolve_iter(chain, n):
-        pass
-    assert dist is not None
-    return dist
+    return deque(evolve_iter(chain, n), maxlen=1)[0][1]
 
 
 def tv_distance(dist: StateDistribution) -> float:

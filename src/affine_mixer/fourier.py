@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,6 +24,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .algebra import (
+    DEFAULT_L_MAX,
     IntMatrix,
     as_matrix,
     det_int,
@@ -47,7 +49,6 @@ from .evolution import (
 from .increments import IncrementDistribution
 
 FREEZE_THRESHOLD = 1e-30
-DEFAULT_L_MAX = 24
 
 
 @dataclass(frozen=True)
@@ -188,15 +189,16 @@ def product_scan(chain: ChainSpec, n: int) -> Iterator[tuple[int, np.ndarray]]:
         yield j, prods
 
 
+def _products_at(chain: ChainSpec, n: int) -> np.ndarray:
+    """pn_hat_sq at every frequency index after n steps of product_scan."""
+    _check_cap(chain)
+    return deque(product_scan(chain, n), maxlen=1)[0][1]
+
+
 def upper_bound(chain: ChainSpec, n: int) -> float:
     """Fourier upper bound for tv**2: quarter sum over nonzero alpha of
     pn_hat_sq(alpha, n)."""
-    _check_cap(chain)
-    prods = None
-    for _, prods in product_scan(chain, n):
-        pass
-    assert prods is not None
-    return 0.25 * float(prods[1:].sum())
+    return 0.25 * float(_products_at(chain, n)[1:].sum())
 
 
 def lower_bound_at(
@@ -219,12 +221,7 @@ def _best_witness(prods: np.ndarray, p: int, k: int) -> tuple[float, FrequencyVe
 def lower_bound_best(chain: ChainSpec, n: int) -> tuple[float, FrequencyVector]:
     """Best single-frequency lower bound over all alpha != 0, with the
     lexicographically first maximizing witness."""
-    _check_cap(chain)
-    prods = None
-    for _, prods in product_scan(chain, n):
-        pass
-    assert prods is not None
-    return _best_witness(prods, chain.p, chain.k)
+    return _best_witness(_products_at(chain, n), chain.p, chain.k)
 
 
 def _pair_spread(mu: IncrementDistribution) -> float:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import IntMatrix, as_matrix, det_int, exact_int, int_rank, mat_pow, minimal_poly
+from .algebra import IntMatrix, as_matrix, det_int, exact_int, int_rank, json_float, minimal_poly
 from .errors import InvariantSubspace
 
 PROB_SUM_TOL = 1e-12
@@ -60,7 +60,7 @@ class IncrementDistribution:
         return cls(
             exact_int(obj["k"]),
             tuple(tuple(exact_int(c) for c in pt) for pt in obj["support"]),
-            tuple(float(w) for w in obj["probs"]),
+            tuple(json_float(w) for w in obj["probs"]),
         )
 
     def to_json(self) -> dict:

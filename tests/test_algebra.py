@@ -682,3 +682,88 @@ def test_property_det_multiplicative(data, k):
     a = data.draw(big_matrices(k))
     b = data.draw(big_matrices(k))
     assert det_int(a @ b) == det_int(a) * det_int(b)
+
+
+def test_row_reduction_kernel_and_solve_random():
+    # integer_kernel_vector and _solve_exact share one Gauss-Jordan pass
+    from math import gcd
+
+    from affine_mixer.algebra import _solve_exact
+
+    rng = random.Random(404)
+    for _ in range(400):
+        k = rng.randint(1, 4)
+        rows = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k)]
+        # make the last row a combination of the others: the matrix is singular
+        mix = [rng.randint(-2, 2) for _ in rows[:-1]]
+        rows[-1] = [sum(w * r[c] for w, r in zip(mix, rows)) for c in range(k)]
+        a = IntMatrix.from_rows(rows)
+        v = integer_kernel_vector(a)
+        assert any(v) and not any(a.apply(v))
+        assert gcd(*v) == 1 and next(x for x in v if x) > 0
+
+        columns = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rng.randint(1, 4))]
+        weights = [rng.randint(-3, 3) for _ in columns]
+        rhs = [sum(w * col[r] for w, col in zip(weights, columns)) for r in range(k)]
+        if rng.random() < 0.5:
+            rhs[rng.randrange(k)] += rng.choice((-1, 1))
+        solution = _solve_exact(columns, rhs)
+        consistent = fraction_rank(columns + [rhs]) == fraction_rank(columns)
+        assert (solution is not None) == consistent
+        if solution is not None:
+            assert [sum(x * col[r] for x, col in zip(solution, columns)) for r in range(k)] == rhs
+
+
+def test_classify_factors_char_poly_once(monkeypatch):
+    import affine_mixer.algebra as algebra
+
+    calls = []
+    original = algebra.factor_int_poly
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(algebra, "factor_int_poly", counted)
+    cases = [
+        [[2, 1], [1, 1]],
+        [[0, -1], [1, 0]],
+        [[3, 0, 0], [0, 2, 1], [0, 1, 1]],
+        [[0, 0, 0, 0, 1], [1, 0, 0, 0, 1], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]],
+    ]
+    for rows in cases:
+        calls.clear()
+        profile = classify_regime(rows)
+        assert calls == [profile.char_poly], rows
+        assert profile.eigenvalues == eigenvalues(profile.char_poly)
+
+
+@st.composite
+def diagonalizable_matrices(draw):
+    """U D U^-1 for an integer diagonal D and a random unimodular U."""
+    k = draw(st.integers(1, 4))
+    lams = draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k))
+    u = [[int(i == j) for j in range(k)] for i in range(k)]
+    u_inv = [row[:] for row in u]
+    for _ in range(draw(st.integers(0, 8)) if k > 1 else 0):
+        i, j = draw(st.permutations(range(k)))[:2]
+        c = draw(st.sampled_from((-2, -1, 1, 2)))
+        # U <- E U and U^-1 <- U^-1 E^-1 with E = I + c e_i e_j^T
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        for row in u_inv:
+            row[j] -= c * row[i]
+    ud = [[u[r][c] * lams[c] for c in range(k)] for r in range(k)]
+    return IntMatrix.from_rows(
+        [[sum(ud[r][t] * u_inv[t][c] for t in range(k)) for c in range(k)] for r in range(k)]
+    )
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(a=diagonalizable_matrices())
+def test_property_spectral_identities_exact_on_integer_spectra(a):
+    from affine_mixer import verify_spectral_identities
+
+    d = minimal_poly(a).degree
+    for e in range(1, d + 1):
+        for j in range(11):
+            assert verify_spectral_identities(a, e, j) == (True, 0), (a.rows, e, j)

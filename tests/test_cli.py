@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from affine_mixer import (
+    AffineMixerError,
     ConfigInvalid,
     ExperimentConfig,
     InsufficientData,
@@ -17,7 +24,7 @@ from affine_mixer import (
     mixing_sweep,
     run,
 )
-from affine_mixer.cli import main
+from affine_mixer.cli import TASKS, main
 
 
 def cfg_evolve(tmp_path, **overrides):
@@ -512,3 +519,138 @@ def test_main_maps_unexpected_exception_to_record(tmp_path, capsys, monkeypatch)
     code, record = run_main_on_text(tmp_path, capsys, "classify", text)
     assert code == 1
     assert record == {"error": {"kind": "RuntimeError", "message": "runner fell over"}}
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"eps": "0.3"},
+        {"eps": True},
+        {"increments": {"k": 1, "support": [[0], [1]], "probs": ["0.5", "0.5"]}},
+        {"out": 5},
+        {"fit_models": [1]},
+        {"increments": {"k": 1, "support": [[0], [1]]}},
+        {"increments": [1, [[0], [1]], [0.5, 0.5]]},
+        {"eps": 10**400},
+    ],
+)
+def test_main_rejects_mistyped_config_values(tmp_path, capsys, override):
+    text = json.dumps({**EVOLVE_BASE, **override})
+    code, record = run_main_on_text(tmp_path, capsys, "evolve", text)
+    assert code == 1
+    assert record["error"]["kind"] == "ConfigInvalid"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"x0": [0, 0]},
+        {"x0": []},
+        {"increments": {"k": 2, "support": [[0, 0], [1, 0]], "probs": [0.5, 0.5]}},
+        {
+            "task": "mixing-sweep",
+            "p_list": [5, 7],
+            "increments": {"k": 2, "support": [[0, 0], [1, 0]], "probs": [0.5, 0.5]},
+        },
+    ],
+)
+def test_main_rejects_dimension_mismatch(tmp_path, capsys, override):
+    obj = {**EVOLVE_BASE, **override}
+    code, record = run_main_on_text(tmp_path, capsys, obj["task"], json.dumps(obj))
+    assert code == 1
+    assert record["error"]["kind"] == "ConfigInvalid"
+    assert "dimension" in record["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"seed": -1, "trials": 10},
+        {"task": "mixing-sweep", "p_list": [5, 7], "n_cap": -1},
+    ],
+)
+def test_main_rejects_negative_seed_and_n_cap(tmp_path, capsys, override):
+    obj = {**EVOLVE_BASE, **override}
+    code, record = run_main_on_text(tmp_path, capsys, obj["task"], json.dumps(obj))
+    assert code == 1
+    assert record["error"]["kind"] == "ConfigInvalid"
+
+
+ERROR_KINDS = {cls.kind for cls in AffineMixerError.__subclasses__()}
+# one wrong value of each JSON type; numbers stay small so no run is long
+WRONG = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 40),
+    st.floats(-3, 40) | st.sampled_from([float("nan"), float("inf")]),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 3), max_size=3),
+    st.lists(st.lists(st.integers(-2, 3), max_size=3), max_size=3),
+    st.dictionaries(st.sampled_from(["k", "support", "probs", "x"]), st.integers(-1, 2)),
+)
+
+
+@st.composite
+def schema_shaped_configs(draw):
+    """A schema-valid config for one task in which up to two keys, and
+    maybe one key of increments, are dropped, mistyped or resized."""
+    task = draw(st.sampled_from(TASKS))
+    k = draw(st.integers(1, 2))
+    entry = st.integers(-3, 3)
+    matrix = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
+    support = draw(
+        st.lists(st.lists(entry, min_size=k, max_size=k), min_size=1, max_size=3, unique_by=tuple)
+    )
+    obj = {
+        "task": task,
+        "matrix": matrix,
+        "increments": {"k": k, "support": support, "probs": [1 / len(support)] * len(support)},
+        "x0": draw(st.lists(entry, min_size=k, max_size=k)),
+        "p": draw(st.integers(2, 23 if k == 1 else 7)),
+        "p_list": draw(st.lists(st.integers(2, 30), min_size=1, max_size=4)),
+        "n": draw(st.integers(0, 12)),
+        "eps": draw(st.floats(0.05, 0.95)),
+        "n_cap": draw(st.integers(0, 300)),
+        "l_max": draw(st.integers(1, 8)),
+        "sigma": draw(st.integers(2, 16)),
+        "t": draw(st.integers(1, 4)),
+        "r": draw(st.integers(1, 3)),
+        "seed": draw(st.integers(0, 99)),
+        "trials": draw(st.integers(1, 40)),
+        "fit_models": draw(st.lists(st.sampled_from(["pow_p", "log", "loglog"]), max_size=3)),
+        "out": "ignored",
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(obj)), max_size=2, unique=True)):
+        _break(draw, obj, key)
+    if draw(st.integers(0, 3)) == 0 and isinstance(obj.get("increments"), dict):
+        _break(draw, obj["increments"], draw(st.sampled_from(["k", "support", "probs"])))
+    return task, obj
+
+
+def _break(draw, obj, key):
+    """Drop obj[key], give it a wrong value, or make a list one longer or shorter."""
+    action = draw(st.sampled_from(["drop", "wrong", "resize"]))
+    if action == "drop":
+        del obj[key]
+    elif action == "resize" and isinstance(obj[key], list):
+        obj[key] = obj[key][:-1] if draw(st.booleans()) else obj[key] + obj[key][:1]
+    else:
+        obj[key] = draw(WRONG)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=schema_shaped_configs())
+def test_property_random_configs_end_in_result_or_typed_error(case):
+    task, obj = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as handle:
+            json.dump(obj, handle)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([task, "--config", path, "--out", os.path.join(tmp, "out")])
+    if code != 0:
+        assert code == 1
+        record = json.loads(err.getvalue())
+        assert record["error"]["kind"] in ERROR_KINDS, (obj, record)
