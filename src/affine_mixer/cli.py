@@ -83,6 +83,12 @@ def _string(value) -> str:
     return value
 
 
+def _list(value) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"expected a list, got {value!r}")
+    return value
+
+
 def _ints(values) -> tuple[int, ...]:
     return tuple(exact_int(v) for v in values)
 
@@ -94,7 +100,7 @@ _PARSERS = {
     "x0": _ints,
     "p_list": _ints,
     "eps": json_float,
-    "fit_models": lambda names: tuple(_string(name) for name in names),
+    "fit_models": lambda names: tuple(_string(name) for name in _list(names)),
     "out": _string,
 }
 
@@ -285,9 +291,13 @@ def _write_report(
     return [csv_path, _write_json(os.path.join(out_dir, stem + ".json"), summary)]
 
 
-def _digit_string(digits: Sequence[int], sigma: int) -> str:
-    sep = "" if sigma <= 10 else "-"
-    return sep.join(str(d) for d in digits)
+def _digit_strings(blocks: np.ndarray, sigma: int) -> list[str]:
+    """One string per row of a (m, t) digit array: the digits concatenated
+    when sigma <= 10, joined with '-' otherwise."""
+    if sigma <= 10:
+        chars = np.add(blocks, ord("0"), dtype=np.uint8)
+        return chars.view(f"S{blocks.shape[1]}").ravel().astype(str).tolist()
+    return ["-".join(map(str, row)) for row in blocks.tolist()]
 
 
 def _poly_json(poly) -> list[int]:
@@ -399,18 +409,16 @@ def _run_mixing_sweep(config: ExperimentConfig, out_dir: str) -> list[str]:
 
 def _run_digit_census(config: ExperimentConfig, out_dir: str) -> list[str]:
     census = block_census(config.p, config.sigma, config.t, config.r)
+    p, r = census.p, census.r
     return _write_report(
         out_dir,
         "census",
         ("a", "block_index", "digits", "alternations"),
-        (
-            (
-                row.a,
-                row.block_index,
-                _digit_string(row.block.digits, census.sigma),
-                row.alternations,
-            )
-            for row in census.rows
+        zip(
+            np.repeat(np.arange(1, p), r).tolist(),
+            np.tile(np.arange(r), p - 1).tolist(),
+            _digit_strings(census.digits.reshape(-1, census.t), census.sigma),
+            census.alternations.ravel().tolist(),
         ),
         {
             "p": census.p,

@@ -176,12 +176,11 @@ def reduce_increments(mu: IncrementDistribution, p: int) -> StateDistribution:
     return StateDistribution(p, mu.k, arr)
 
 
-def _check_cap(chain: ChainSpec) -> None:
+def _check_cap(count: int, what: str) -> None:
+    """Refuse to build `count` dense rows or states, before allocating any."""
     cap = state_cap()
-    if chain.n_states > cap:
-        raise StateSpaceTooLarge(
-            f"p**k = {chain.n_states} exceeds the state cap {cap}"
-        )
+    if count > cap:
+        raise StateSpaceTooLarge(f"{what} = {count} exceeds the state cap {cap}")
 
 
 @lru_cache(maxsize=16)
@@ -217,7 +216,7 @@ def evolve_iter(chain: ChainSpec, n: int) -> Iterator[tuple[int, StateDistributi
     """Yield (i, P_i) for i = 0..n starting from the point mass at x0."""
     if n < 0:
         raise ValueError("step count must be >= 0")
-    _check_cap(chain)
+    _check_cap(chain.n_states, "p**k")
     dist = StateDistribution.point_mass(chain.p, chain.k, chain.x0)
     yield 0, dist
     for i in range(1, n + 1):
@@ -243,7 +242,7 @@ def simulate(chain: ChainSpec, n: int, trials: int, seed: int) -> StateDistribut
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _check_cap(chain)
+    _check_cap(chain.n_states, "p**k")
     p, k = chain.p, chain.k
     rng = np.random.default_rng(seed)
     a_mod = np.array(mat_mod(chain.a, p).rows, dtype=np.int64)

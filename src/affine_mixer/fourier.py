@@ -191,7 +191,7 @@ def product_scan(chain: ChainSpec, n: int) -> Iterator[tuple[int, np.ndarray]]:
 
 def _products_at(chain: ChainSpec, n: int) -> np.ndarray:
     """pn_hat_sq at every frequency index after n steps of product_scan."""
-    _check_cap(chain)
+    _check_cap(chain.n_states, "p**k")
     return deque(product_scan(chain, n), maxlen=1)[0][1]
 
 
@@ -212,9 +212,16 @@ def lower_bound_at(
 
 
 def _best_witness(prods: np.ndarray, p: int, k: int) -> tuple[float, FrequencyVector]:
+    """Half the root of the largest product over alpha != 0, and the
+    lexicographically first alpha attaining it."""
     best = float(prods[1:].max())
-    ties = np.nonzero(prods == best)[0]
-    witness = min(decode_state(int(i), p, k) for i in ties if i != 0)
+    ties = np.flatnonzero(prods[1:] == best) + 1
+    # keep the ties with the least c_0, then among those the least c_1, ...;
+    # the index of x is sum of x_i p**i, so this leaves exactly one
+    for i in range(k):
+        digit = ties // p**i % p
+        ties = ties[digit == digit.min()]
+    witness = decode_state(int(ties[0]), p, k)
     return 0.5 * math.sqrt(best), FrequencyVector(witness, p)
 
 
@@ -350,7 +357,7 @@ def bounds_table(
     the first nonzero frequency; entries are empty from the first step the
     chosen certificate stops applying.
     """
-    _check_cap(chain)
+    _check_cap(chain.n_states, "p**k")
     gamma_params: Optional[GammaCertificate] = None
     try:
         gamma_params = certificate_gamma(chain, l_max, 0)

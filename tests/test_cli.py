@@ -25,6 +25,8 @@ from affine_mixer import (
     run,
 )
 from affine_mixer.cli import TASKS, main
+from affine_mixer.digitlab import block_census
+from affine_mixer.evolution import STATE_CAP_ENV
 
 
 def cfg_evolve(tmp_path, **overrides):
@@ -291,6 +293,50 @@ def test_run_census_wide_base_separator(tmp_path):
     assert rows["4"] == "12-12"  # 4/5 = 0.CC... in base 16
 
 
+def reference_census_files(p, sigma, t, r):
+    """census.csv and census.json text written one CensusRow at a time."""
+    census = block_census(p, sigma, t, r)
+    sep = "" if sigma <= 10 else "-"
+    lines = ["a,block_index,digits,alternations"]
+    for row in census.rows:
+        digits = sep.join(str(d) for d in row.block.digits)
+        lines.append(f"{row.a},{row.block_index},{digits},{row.alternations}")
+    summary = {
+        "p": census.p,
+        "sigma": census.sigma,
+        "t": census.t,
+        "r": census.r,
+        "distinct_per_index": list(census.distinct_per_index),
+        "min_alternations": min(row.alternations for row in census.rows),
+        "histogram": {str(key): val for key, val in census.histogram.items()},
+    }
+    return "\n".join(lines) + "\n", json.dumps(summary, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "p, sigma, t, r",
+    [(2, 2, None, 1), (7, 7, 3, 2), (1009, 10, None, 3), (997, 3, 40, 1), (211, 16, 3, 2), (101, 10**18, None, 2)],
+)
+def test_census_files_match_per_row_writer(tmp_path, p, sigma, t, r):
+    obj = {"task": "digit-census", "p": p, "sigma": sigma, "r": r}
+    if t is not None:
+        obj["t"] = t
+    csv_path, json_path = run(ExperimentConfig.from_json(obj), str(tmp_path))
+    expected_csv, expected_json = reference_census_files(p, sigma, t, r)
+    with open(csv_path, "rb") as handle:
+        assert handle.read() == expected_csv.encode()
+    with open(json_path, "rb") as handle:
+        assert handle.read() == expected_json.encode()
+
+
+def test_main_census_over_state_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(STATE_CAP_ENV, "20")
+    text = json.dumps({"task": "digit-census", "p": 11, "sigma": 2, "r": 3})
+    code, record = run_main_on_text(tmp_path, capsys, "digit-census", text)
+    assert code == 1
+    assert record["error"]["kind"] == "StateSpaceTooLarge"
+
+
 def test_run_identities_reports(tmp_path):
     cfg = ExperimentConfig.from_json(
         {"task": "verify-identities", "matrix": [[2, 1], [1, 1]]}
@@ -537,6 +583,15 @@ def test_main_maps_unexpected_exception_to_record(tmp_path, capsys, monkeypatch)
 def test_main_rejects_mistyped_config_values(tmp_path, capsys, override):
     text = json.dumps({**EVOLVE_BASE, **override})
     code, record = run_main_on_text(tmp_path, capsys, "evolve", text)
+    assert code == 1
+    assert record["error"]["kind"] == "ConfigInvalid"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fit_models", [{"log": 1}, "", "log"])
+def test_main_rejects_fit_models_that_are_not_a_list(tmp_path, capsys, fit_models):
+    obj = {**EVOLVE_BASE, "task": "mixing-sweep", "p_list": [5, 7, 11], "fit_models": fit_models}
+    code, record = run_main_on_text(tmp_path, capsys, "mixing-sweep", json.dumps(obj))
     assert code == 1
     assert record["error"]["kind"] == "ConfigInvalid"
     assert not (tmp_path / "out").exists()

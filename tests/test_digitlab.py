@@ -5,16 +5,21 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine_mixer import (
     DigitBlock,
     OutOfRange,
+    StateSpaceTooLarge,
     base_digits,
     block_census,
     generalized_alternations,
 )
-from affine_mixer.digitlab import default_block_length
+from affine_mixer.digitlab import CensusRow, default_block_length
+from affine_mixer.evolution import STATE_CAP_ENV
 
 
 def test_base_digits_hand_values():
@@ -153,3 +158,90 @@ def test_block_census_distinct_blocks_sample():
 def test_block_census_validation():
     with pytest.raises(ValueError):
         block_census(5, 2, r=0)
+
+
+def census_oracle(p, sigma, t, r):
+    """The census one numerator at a time: base_digits per a, the scalar
+    alternation count, set-based distinctness and a dict histogram."""
+    rows, histogram = [], {}
+    per_index = [set() for _ in range(r)]
+    for a in range(1, p):
+        digits = base_digits(a, p, sigma, r * t).digits
+        for i in range(r):
+            block = DigitBlock(sigma=sigma, digits=digits[i * t : (i + 1) * t], a=a, p=p, offset=i * t)
+            alt = generalized_alternations(block)
+            rows.append(CensusRow(a=a, block_index=i, block=block, alternations=alt))
+            per_index[i].add(block.digits)
+            histogram[alt] = histogram.get(alt, 0) + 1
+    return {
+        "rows": tuple(rows),
+        "distinct_per_index": tuple(len(seen) == p - 1 for seen in per_index),
+        "min_alternations": min(row.alternations for row in rows),
+        "histogram": dict(sorted(histogram.items())),
+    }
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    p=st.integers(2, 3000),
+    sigma=st.one_of(st.integers(2, 16), st.integers(2**62, 2**70)),
+    t=st.one_of(st.none(), st.integers(1, 40)),
+    r=st.integers(1, 3),
+)
+def test_property_block_census_matches_scalar_oracle(p, sigma, t, r):
+    census = block_census(p, sigma, t, r)
+    t = default_block_length(p, sigma) if t is None else t
+    expected = census_oracle(p, sigma, t, r)
+    assert (census.p, census.sigma, census.t, census.r) == (p, sigma, t, r)
+    for name, value in expected.items():
+        assert getattr(census, name) == value, name
+    assert type(census.min_alternations) is int
+    assert all(type(key) is int and type(n) is int for key, n in census.histogram.items())
+    assert census.digits.shape == (p - 1, r, t)
+    assert census.digits.tolist() == [
+        [list(row.block.digits) for row in expected["rows"][a * r : (a + 1) * r]]
+        for a in range(p - 1)
+    ]
+    assert census.alternations.tolist() == [
+        [row.alternations for row in expected["rows"][a * r : (a + 1) * r]]
+        for a in range(p - 1)
+    ]
+
+
+def test_block_census_arrays_are_read_only():
+    census = block_census(11, 3, t=2, r=2)
+    for arr in (census.digits, census.alternations):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0
+    assert census.rows is census.rows  # built once, on first access
+
+
+def test_block_census_undistinct_blocks_and_equality():
+    # t = 1 in base 2 leaves two possible blocks for 10 numerators
+    census = block_census(11, 2, t=1, r=3)
+    assert census.distinct_per_index == (False, False, False)
+    assert census == block_census(11, 2, t=1, r=3)
+    assert census != block_census(11, 2, t=2, r=3)
+
+
+def test_block_census_size_cap(monkeypatch):
+    monkeypatch.setenv(STATE_CAP_ENV, "12")
+    assert len(block_census(7, 2, r=2).rows) == 12
+    with pytest.raises(StateSpaceTooLarge):
+        block_census(7, 2, r=3)
+    with pytest.raises(StateSpaceTooLarge):
+        block_census(14, 2)
+    monkeypatch.delenv(STATE_CAP_ENV)
+    # refused before any allocation: 10**12 numerators would not fit in memory
+    with pytest.raises(StateSpaceTooLarge):
+        block_census(10**12, 2)
+
+
+def test_block_census_rejects_degenerate_arguments():
+    for args in ((1, 2), (0, 2), (5, 1), (5, 0)):
+        with pytest.raises(ValueError):
+            block_census(*args)
+    with pytest.raises(ValueError):
+        block_census(5, 1, t=3)
+    with pytest.raises(ValueError):
+        block_census(5, 2, t=0)

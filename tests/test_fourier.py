@@ -37,6 +37,7 @@ from affine_mixer import (
     xi_fractional,
 )
 from affine_mixer.evolution import STATE_CAP_ENV, decode_state, encode_state
+from affine_mixer.fourier import _best_witness
 from common import fair_two_point, suite_chains
 
 
@@ -417,3 +418,29 @@ def test_state_cap_applies_to_bounds(monkeypatch):
         lower_bound_best(chain, 1)
     with pytest.raises(StateSpaceTooLarge):
         bounds_table(chain, 1)
+
+
+def best_witness_oracle(prods, p, k):
+    """The per-tie decode that _best_witness replaces."""
+    best = float(prods[1:].max())
+    ties = np.nonzero(prods == best)[0]
+    return 0.5 * math.sqrt(best), min(decode_state(int(i), p, k) for i in ties if i != 0)
+
+
+def test_best_witness_matches_decoding_oracle():
+    rng = np.random.default_rng(17)
+    for p, k in ((2, 1), (7, 1), (101, 1), (2, 2), (5, 2), (23, 2), (3, 3), (7, 3), (5, 4)):
+        n = p**k
+        cases = [np.ones(n), rng.random(n)]  # all ties; almost surely no tie
+        ties = rng.random(n)
+        ties[rng.choice(np.arange(1, n), size=max(1, n // 3))] = 2.0  # random ties
+        cases.append(ties)
+        single = rng.random(n) * 0.5
+        single[rng.integers(1, n)] = 1.0  # one maximum
+        cases.append(single)
+        zero_wins = rng.random(n) * 0.5
+        zero_wins[0] = 1.0  # the zero frequency never counts
+        cases.append(zero_wins)
+        for prods in cases:
+            bound, witness = _best_witness(prods, p, k)
+            assert (bound, witness.alpha) == best_witness_oracle(prods, p, k)
