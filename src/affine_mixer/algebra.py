@@ -169,43 +169,23 @@ def inf_norm(a: IntMatrix) -> int:
     return max(sum(abs(x) for x in row) for row in a.rows)
 
 
-def det_int(a: IntMatrix | Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    a = as_matrix(a)
-    n = a.k
-    m = [list(row) for row in a.rows]
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if m[i][i] == 0:
-            pivot = next((r for r in range(i + 1, n) if m[r][i] != 0), None)
-            if pivot is None:
-                return 0
-            m[i], m[pivot] = m[pivot], m[i]
-            sign = -sign
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
-            m[r][i] = 0
-        prev = m[i][i]
-    return sign * m[n - 1][n - 1]
+def _fraction_free(rows: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free (Bareiss) row echelon form of rows, in place.
 
-
-def int_rank(vectors: Sequence[Sequence[int]]) -> int:
-    """Rank of a list of integer vectors, by fraction-free elimination."""
-    rows = [list(v) for v in vectors if any(v)]
-    if not rows:
-        return 0
-    width = len(rows[0])
-    rank = 0
-    col = 0
-    prev = 1
+    Returns the rank and the last pivot, negated once per row swap; every
+    entry stays an integer minor, so the divisions are exact.  For a
+    nonsingular square matrix the signed last pivot is its determinant.
+    """
+    width = len(rows[0]) if rows else 0
+    rank, col, sign, prev = 0, 0, 1, 1
     while rank < len(rows) and col < width:
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
             col += 1
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            sign = -sign
         for r in range(rank + 1, len(rows)):
             for c in range(col + 1, width):
                 rows[r][c] = (rows[r][c] * rows[rank][col] - rows[r][col] * rows[rank][c]) // prev
@@ -213,7 +193,19 @@ def int_rank(vectors: Sequence[Sequence[int]]) -> int:
         prev = rows[rank][col]
         rank += 1
         col += 1
-    return rank
+    return rank, sign * prev
+
+
+def det_int(a: IntMatrix | Sequence[Sequence[int]]) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    a = as_matrix(a)
+    rank, last = _fraction_free([list(row) for row in a.rows])
+    return last if rank == a.k else 0
+
+
+def int_rank(vectors: Sequence[Sequence[int]]) -> int:
+    """Rank of a list of integer vectors, by fraction-free elimination."""
+    return _fraction_free([list(v) for v in vectors])[0]
 
 
 def _row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:

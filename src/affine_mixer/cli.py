@@ -14,14 +14,14 @@ to stderr and the exit status is nonzero.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
-from typing import Iterable, Optional, Sequence
+from typing import IO, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -265,15 +265,22 @@ def mixing_sweep(config: ExperimentConfig) -> list[SweepRow]:
     return rows
 
 
-def _write_atomic(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _atomic(path: str) -> Iterator[IO[str]]:
+    """A text handle on path + ".tmp", renamed to path on success, removed on failure."""
     tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as handle:
+            yield handle
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _write_json(path: str, obj: dict) -> str:
-    _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    with _atomic(path) as handle:
+        handle.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -282,12 +289,11 @@ def _write_report(
 ) -> list[str]:
     """Write stem.csv (header, then rows) and stem.json (summary) into
     out_dir; returns both paths."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
     csv_path = os.path.join(out_dir, stem + ".csv")
-    _write_atomic(csv_path, buf.getvalue())
+    with _atomic(csv_path) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     return [csv_path, _write_json(os.path.join(out_dir, stem + ".json"), summary)]
 
 
@@ -345,7 +351,7 @@ def _run_evolve(config: ExperimentConfig, out_dir: str) -> list[str]:
             np.abs(empirical.values - dist.values).sum()
         )
     return _write_report(
-        out_dir, "evolve", ("index", "probability"), enumerate(dist.values), summary
+        out_dir, "evolve", ("index", "probability"), enumerate(dist.values.tolist()), summary
     )
 
 

@@ -154,8 +154,9 @@ def block_census(p: int, sigma: int, t: Optional[int] = None, r: int = 1) -> Blo
     alternation count, and the alternation histogram.
 
     The digits come from one exact long division of all numerators at
-    once, O((p - 1) r t) array work; (p - 1) r rows above the state cap
-    raise StateSpaceTooLarge before anything is allocated.
+    once, O((p - 1) r t) array work.  (p - 1) r rows above the state cap,
+    or (p - 1) r t digits above 8 times it (the bytes of a dense law at the
+    cap), raise StateSpaceTooLarge before anything is allocated.
     """
     if r < 1:
         raise ValueError("block count must be >= 1")
@@ -168,6 +169,7 @@ def block_census(p: int, sigma: int, t: Optional[int] = None, r: int = 1) -> Blo
     if t < 1:
         raise ValueError("digit count must be >= 1")
     _check_cap((p - 1) * r, "(p - 1) * r census rows")
+    _check_cap((p - 1) * r * t, "(p - 1) * r * t census digits", per_state=8)
     digits = _long_division(p, sigma, r * t).reshape(p - 1, r, t)
     left, right = digits[..., :-1], digits[..., 1:]
     alternations = ((left != right) | ((left != 0) & (left != sigma - 1))).sum(axis=2)

@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .algebra import IntMatrix, as_matrix, det_int, mat_mod, mat_pow_mod
-from .errors import ModulusNotCoprime, StateSpaceTooLarge
+from .errors import ConfigInvalid, ModulusNotCoprime, StateSpaceTooLarge
 from .increments import IncrementDistribution
 
 DEFAULT_STATE_CAP = 4_000_000
@@ -36,9 +36,12 @@ def state_cap() -> int:
     raw = os.environ.get(STATE_CAP_ENV)
     if raw is None:
         return DEFAULT_STATE_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
     if cap < 1:
-        raise ValueError(f"{STATE_CAP_ENV} must be a positive integer")
+        raise ConfigInvalid(f"{STATE_CAP_ENV} must be a positive integer, got {raw!r}")
     return cap
 
 
@@ -94,15 +97,17 @@ def index_map(
 
 def _mu_hat_table(mu: IncrementDistribution, p: int) -> np.ndarray:
     """mu_hat(alpha) = sum of mu(h) * exp(2 pi i <h, alpha> / p) at every
-    frequency index alpha, with phases from exact inner products mod p."""
+    frequency index alpha, with phases from exact inner products mod p
+    looked up among the p roots of unity."""
     supp = np.array([[c % p for c in pt] for pt in mu.support], dtype=np.int64)
-    phases = np.exp((2j * np.pi / p) * ((state_table(p, mu.k) @ supp.T) % p))
-    return phases @ np.array(mu.probs)
+    roots = np.exp((2j * np.pi / p) * np.arange(p))
+    return roots[(state_table(p, mu.k) @ supp.T) % p] @ np.array(mu.probs)
 
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """The recursion X_{n+1} = A X_n + B_n (mod p) with start X_0 = x0."""
+    """The recursion X_{n+1} = A X_n + B_n (mod p) with start X_0 = x0; its
+    index tables are built on first use and freed with the chain."""
 
     a: IntMatrix
     mu: IncrementDistribution
@@ -131,6 +136,24 @@ class ChainSpec:
     @property
     def n_states(self) -> int:
         return self.p**self.k
+
+    @cached_property
+    def _perm(self) -> np.ndarray:
+        """Index permutation of the push-forward y -> A y mod p."""
+        return index_map(self.a, self.p, self.k)
+
+    @cached_property
+    def _perm_t(self) -> np.ndarray:
+        """Index permutation of alpha -> T alpha mod p, T = transpose(A)."""
+        return index_map(self.a.transpose(), self.p, self.k)
+
+    @cached_property
+    def _shifts(self) -> tuple[tuple[tuple[int, ...], float], ...]:
+        """mu folded mod p, as sorted (shift, weight) pairs."""
+        shifts: defaultdict[tuple[int, ...], float] = defaultdict(float)
+        for pt, w in zip(self.mu.support, self.mu.probs):
+            shifts[tuple(int(c) % self.p for c in pt)] += w
+        return tuple(sorted(shifts.items()))
 
 
 class StateDistribution:
@@ -176,24 +199,13 @@ def reduce_increments(mu: IncrementDistribution, p: int) -> StateDistribution:
     return StateDistribution(p, mu.k, arr)
 
 
-def _check_cap(count: int, what: str) -> None:
-    """Refuse to build `count` dense rows or states, before allocating any."""
+def _check_cap(count: int, what: str, per_state: int = 1) -> None:
+    """Refuse to build `count` dense rows or states, or `count` items at
+    per_state items to a state, before allocating any."""
     cap = state_cap()
-    if count > cap:
-        raise StateSpaceTooLarge(f"{what} = {count} exceeds the state cap {cap}")
-
-
-@lru_cache(maxsize=16)
-def _chain_ops(chain: ChainSpec) -> tuple[np.ndarray, tuple[tuple[tuple[int, ...], float], ...]]:
-    """Cached step machinery: the y -> Ay index permutation and the
-    reduced increment shifts with their weights."""
-    p = chain.p
-    perm = index_map(chain.a, p, chain.k)
-    shifts: dict[tuple[int, ...], float] = {}
-    for pt, w in zip(chain.mu.support, chain.mu.probs):
-        key = tuple(int(c) % p for c in pt)
-        shifts[key] = shifts.get(key, 0.0) + w
-    return perm, tuple(sorted(shifts.items()))
+    if count > per_state * cap:
+        times = f"{per_state} * " if per_state > 1 else ""
+        raise StateSpaceTooLarge(f"{what} = {count} exceeds {times}the state cap {cap}")
 
 
 def step_exact(dist: StateDistribution, chain: ChainSpec) -> StateDistribution:
@@ -201,12 +213,11 @@ def step_exact(dist: StateDistribution, chain: ChainSpec) -> StateDistribution:
     if (dist.p, dist.k) != (chain.p, chain.k):
         raise ValueError("distribution and chain dimensions disagree")
     p, k = chain.p, chain.k
-    perm, shifts = _chain_ops(chain)
     pushed = np.empty_like(dist.values)
-    pushed[perm] = dist.values
+    pushed[chain._perm] = dist.values
     cube = pushed.reshape((p,) * k)
     out = np.zeros_like(cube)
-    for shift, w in shifts:
+    for shift, w in chain._shifts:
         # axis j of the cube holds component x_{k-1-j}, hence the reversal
         out += w * np.roll(cube, shift=shift[::-1], axis=tuple(range(k)))
     return StateDistribution(p, k, out.reshape(-1))
@@ -379,7 +390,7 @@ def _fourier_search(chain: ChainSpec, eps: float, n_cap: int, lo: int) -> Option
     """
     p, k, size = chain.p, chain.k, chain.n_states
     support_size = len(chain.mu.support)
-    one = (_mu_hat_table(chain.mu, p), index_map(chain.a.transpose(), p, k))
+    one = (_mu_hat_table(chain.mu, p), chain._perm_t)
     # ||Q_m_hat||_2 at the step counts m held so far, for the margin
     norms = {0: math.sqrt(size)}
 

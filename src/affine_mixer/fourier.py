@@ -18,7 +18,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -43,7 +42,6 @@ from .evolution import (
     _mu_hat_table,
     decode_state,
     evolve_iter,
-    index_map,
     tv_distance,
 )
 from .increments import IncrementDistribution
@@ -159,32 +157,24 @@ def pn_hat_sq(
     return prod
 
 
-@lru_cache(maxsize=16)
-def _freq_ops(chain: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Cached all-frequency tables: |mu_hat|**2 per index and the index
-    permutation of alpha -> T alpha mod p."""
-    table = np.abs(_mu_hat_table(chain.mu, chain.p)) ** 2
-    np.clip(table, 0.0, 1.0, out=table)  # |mu_hat| <= 1 exactly; clip float spill
-    return table, index_map(chain.a.transpose(), chain.p, chain.k)
-
-
 def product_scan(chain: ChainSpec, n: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (j, products) for j = 0..n where products[i] is the running
     pn_hat_sq of the frequency with index i.
 
     Products that fall below FREEZE_THRESHOLD are frozen (kept, no longer
     multiplied); frozen values only overstate the true product, so sums
-    stay valid upper bounds.  The yielded array is a live buffer.
+    stay valid upper bounds.  The yielded array is a live buffer.  Step j
+    multiplies in |mu_hat(T**(j-1) alpha)|**2, a factor table gathered
+    through alpha -> T alpha after every step.
     """
-    table, perm_t = _freq_ops(chain)
-    size = len(table)
-    prods = np.ones(size)
-    freq = np.arange(size)
-    active = np.ones(size, dtype=bool)
+    factor = np.abs(_mu_hat_table(chain.mu, chain.p)) ** 2
+    np.clip(factor, 0.0, 1.0, out=factor)  # |mu_hat| <= 1 exactly; clip float spill
+    prods = np.ones(len(factor))
+    active = np.ones(len(factor), dtype=bool)
     yield 0, prods
     for j in range(1, n + 1):
-        prods[active] *= table[freq[active]]
-        freq = perm_t[freq]
+        np.multiply(prods, factor, out=prods, where=active)
+        factor = factor[chain._perm_t]
         np.logical_and(active, prods > FREEZE_THRESHOLD, out=active)
         yield j, prods
 
@@ -358,9 +348,8 @@ def bounds_table(
     chosen certificate stops applying.
     """
     _check_cap(chain.n_states, "p**k")
-    gamma_params: Optional[GammaCertificate] = None
     try:
-        gamma_params = certificate_gamma(chain, l_max, 0)
+        gamma_params: Optional[GammaCertificate] = certificate_gamma(chain, l_max, 0)
     except (NoTorsion, GammaTooLarge, ZeroFrequency):
         gamma_params = None
     e1 = FrequencyVector((1,) + (0,) * (chain.k - 1), chain.p)
@@ -370,8 +359,7 @@ def bounds_table(
         rho_params.rho, rho_params.norm_t, chain.p
     )
     rows: list[BoundsReport] = []
-    scan = product_scan(chain, n_max)
-    for (n, dist), (_, prods) in zip(evolve_iter(chain, n_max), scan):
+    for (n, dist), (_, prods) in zip(evolve_iter(chain, n_max), product_scan(chain, n_max)):
         lower, witness = _best_witness(prods, chain.p, chain.k)
         certificate: Optional[float] = None
         if gamma_params is not None:

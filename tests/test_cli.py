@@ -24,7 +24,7 @@ from affine_mixer import (
     mixing_sweep,
     run,
 )
-from affine_mixer.cli import TASKS, main
+from affine_mixer.cli import TASKS, _write_report, main
 from affine_mixer.digitlab import block_census
 from affine_mixer.evolution import STATE_CAP_ENV
 
@@ -337,6 +337,24 @@ def test_main_census_over_state_cap(tmp_path, capsys, monkeypatch):
     assert record["error"]["kind"] == "StateSpaceTooLarge"
 
 
+def test_main_census_over_digit_budget(tmp_path, capsys):
+    # 2 * 10**12 digits: refused before the long division allocates them
+    text = json.dumps({"task": "digit-census", "p": 3, "sigma": 2, "t": 10**12})
+    code, record = run_main_on_text(tmp_path, capsys, "digit-census", text)
+    assert code == 1
+    assert record["error"]["kind"] == "StateSpaceTooLarge"
+
+
+def test_report_left_absent_when_rows_fail(tmp_path):
+    def rows():
+        yield 0, 0.5
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError):
+        _write_report(str(tmp_path), "evolve", ("index", "probability"), rows(), {})
+    assert os.listdir(tmp_path) == []  # neither evolve.csv nor evolve.csv.tmp
+
+
 def test_run_identities_reports(tmp_path):
     cfg = ExperimentConfig.from_json(
         {"task": "verify-identities", "matrix": [[2, 1], [1, 1]]}
@@ -552,6 +570,15 @@ def test_main_enforces_documented_ranges(tmp_path, capsys, override):
     code, record = run_main_on_text(tmp_path, capsys, obj["task"], json.dumps(obj))
     assert code == 1
     assert record["error"]["kind"] == "ConfigInvalid"
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
+def test_main_rejects_malformed_state_cap(tmp_path, capsys, monkeypatch, raw):
+    monkeypatch.setenv(STATE_CAP_ENV, raw)
+    code, record = run_main_on_text(tmp_path, capsys, "evolve", json.dumps(EVOLVE_BASE))
+    assert code == 1
+    assert record["error"]["kind"] == "ConfigInvalid"
+    assert STATE_CAP_ENV in record["error"]["message"]
 
 
 def test_main_maps_unexpected_exception_to_record(tmp_path, capsys, monkeypatch):

@@ -237,6 +237,16 @@ def test_block_census_size_cap(monkeypatch):
         block_census(10**12, 2)
 
 
+def test_block_census_digit_budget(monkeypatch):
+    # the rows stay under the cap of 12; the digits may reach 8 * 12 = 96
+    monkeypatch.setenv(STATE_CAP_ENV, "12")
+    assert block_census(7, 2, t=16).digits.size == 96
+    assert block_census(7, 2, t=8, r=2).digits.size == 96
+    for t, r in ((17, 1), (9, 2)):
+        with pytest.raises(StateSpaceTooLarge):
+            block_census(7, 2, t=t, r=r)
+
+
 def test_block_census_rejects_degenerate_arguments():
     for args in ((1, 2), (0, 2), (5, 1), (5, 0)):
         with pytest.raises(ValueError):

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import cmath
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from affine_mixer import (
     ChainSpec,
@@ -22,12 +26,14 @@ from affine_mixer import (
     bounds_table,
     certificate_gamma,
     certificate_rho,
+    det_int,
     evolve,
     evolve_iter,
     find_torsion,
     lower_bound_at,
     lower_bound_best,
     mat_pow,
+    mixing_time,
     mu_hat,
     pn_hat_sq,
     product_scan,
@@ -36,8 +42,15 @@ from affine_mixer import (
     upper_bound,
     xi_fractional,
 )
-from affine_mixer.evolution import STATE_CAP_ENV, decode_state, encode_state
-from affine_mixer.fourier import _best_witness
+from affine_mixer.evolution import (
+    STATE_CAP_ENV,
+    _mu_hat_table,
+    decode_state,
+    encode_state,
+    index_map,
+    state_table,
+)
+from affine_mixer.fourier import FREEZE_THRESHOLD, _best_witness
 from common import fair_two_point, suite_chains
 
 
@@ -160,6 +173,74 @@ def test_product_scan_freeze_keeps_positive_overestimates():
     assert final[1] > 0.0
     assert final[1] >= true_val
     assert final[1] < 1e-30  # it did freeze below the threshold
+
+
+@st.composite
+def scan_chains(draw):
+    """Chains in k = 1..3 with random A, support and weights, started at 0."""
+    k = draw(st.integers(1, 3))
+    p = draw(st.sampled_from({1: [2, 3, 5, 13, 31], 2: [2, 3, 5, 7], 3: [2, 3]}[k]))
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
+    a = IntMatrix.from_rows(rows)
+    if math.gcd(det_int(a), p) != 1:
+        a = IntMatrix.identity(k)
+    points = draw(st.lists(st.tuples(*[entry] * k), min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(points), max_size=len(points)))
+    total = sum(weights)
+    mu = IncrementDistribution(k, tuple(points), tuple(w / total for w in weights))
+    return ChainSpec(a, mu, p)
+
+
+def index_walk_scan(chain, n):
+    """Products after each of n steps, by walking every frequency's orbit
+    index: step j multiplies in |mu_hat|**2 at T**(j-1) alpha."""
+    table = np.abs(_mu_hat_table(chain.mu, chain.p)) ** 2
+    np.clip(table, 0.0, 1.0, out=table)
+    perm_t = index_map(chain.a.transpose(), chain.p, chain.k)
+    prods = np.ones(len(table))
+    freq = np.arange(len(table))
+    active = np.ones(len(table), dtype=bool)
+    history = [prods.copy()]
+    for _ in range(n):
+        prods[active] *= table[freq[active]]
+        freq = perm_t[freq]
+        np.logical_and(active, prods > FREEZE_THRESHOLD, out=active)
+        history.append(prods.copy())
+    return history
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(chain=scan_chains(), n=st.integers(0, 150))
+@example(chain=hand_chain(), n=80)  # freezes at frequency 1 (see the test above)
+def test_product_scan_bitwise_equals_index_walk(chain, n):
+    history = index_walk_scan(chain, n)
+    for j, prods in product_scan(chain, n):
+        assert np.array_equal(prods.view(np.int64), history[j].view(np.int64)), j
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(chain=scan_chains())
+def test_mu_hat_table_bitwise_equals_per_entry_exp(chain):
+    p = chain.p
+    supp = np.array([[c % p for c in pt] for pt in chain.mu.support], dtype=np.int64)
+    phases = np.exp((2j * np.pi / p) * ((state_table(p, chain.k) @ supp.T) % p))
+    expected = phases @ np.array(chain.mu.probs)
+    got = _mu_hat_table(chain.mu, p)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_chain_tables_are_freed_with_the_chain():
+    mu = IncrementDistribution.fair([(0, 0), (1, 0), (0, 1)])
+    chain = ChainSpec(IntMatrix.from_rows([[1, 1], [0, 2]]), mu, 61)
+    # mixes past the dense prefix, so the Fourier search reads _perm_t
+    assert mixing_time(chain, 0.25) is not None
+    bounds_table(chain, 5)
+    assert {"_perm", "_perm_t", "_shifts"} <= set(vars(chain))
+    ref = weakref.ref(chain)
+    del chain
+    gc.collect()
+    assert ref() is None
 
 
 def test_transform_of_distribution_matches_direct():
