@@ -13,7 +13,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
@@ -74,7 +73,7 @@ class IntMatrix:
         return tuple(sum(a * int(x) for a, x in zip(row, vec)) for row in self.rows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        return mat_mul(self, other)
+        return _matrix(_array(self) @ _array(other))
 
 
 def as_matrix(value: IntMatrix | Sequence[Sequence[int]]) -> IntMatrix:
@@ -107,45 +106,21 @@ def json_float(value) -> float:
     return float(value)
 
 
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.k != b.k:
-        raise ValueError("dimension mismatch")
-    bt = b.transpose().rows
-    return IntMatrix(
-        tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a.rows)
-    )
+def _array(a: IntMatrix) -> np.ndarray:
+    """The entries of a as a numpy object array; they stay Python ints, so
+    sums and products are exact."""
+    return np.array(a.rows, dtype=object)
 
 
-def mat_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return IntMatrix(
-        tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.rows, b.rows))
-    )
-
-
-def mat_scale(a: IntMatrix, c: int) -> IntMatrix:
-    return IntMatrix(tuple(tuple(c * x for x in row) for row in a.rows))
-
-
-def mat_trace(a: IntMatrix) -> int:
-    return sum(a.rows[i][i] for i in range(a.k))
+def _matrix(arr: np.ndarray) -> IntMatrix:
+    return IntMatrix(tuple(map(tuple, arr.tolist())))
 
 
 def mat_pow(a: IntMatrix, e: int) -> IntMatrix:
     """Exact integer power A**e for e >= 0."""
     if e < 0:
         raise ValueError("exponent must be >= 0")
-    result = IntMatrix.identity(a.k)
-    base = a
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        e >>= 1
-    return result
-
-
-def mat_mod(a: IntMatrix, p: int) -> IntMatrix:
-    return IntMatrix(tuple(tuple(x % p for x in row) for row in a.rows))
+    return _matrix(np.linalg.matrix_power(_array(a), e))
 
 
 def mat_pow_mod(a: IntMatrix, e: int, p: int) -> IntMatrix:
@@ -154,14 +129,14 @@ def mat_pow_mod(a: IntMatrix, e: int, p: int) -> IntMatrix:
         raise ValueError("exponent must be >= 0")
     if p < 2:
         raise ValueError("modulus must be >= 2")
-    result = mat_mod(IntMatrix.identity(a.k), p)
-    base = mat_mod(a, p)
+    result = np.identity(a.k, dtype=object)
+    base = _array(a) % p
     while e:
         if e & 1:
-            result = mat_mod(mat_mul(result, base), p)
-        base = mat_mod(mat_mul(base, base), p)
+            result = result @ base % p
+        base = base @ base % p
         e >>= 1
-    return result
+    return _matrix(result)
 
 
 def inf_norm(a: IntMatrix) -> int:
@@ -169,95 +144,81 @@ def inf_norm(a: IntMatrix) -> int:
     return max(sum(abs(x) for x in row) for row in a.rows)
 
 
-def _fraction_free(rows: list[list[int]]) -> tuple[int, int]:
-    """Fraction-free (Bareiss) row echelon form of rows, in place.
+def _fraction_free(m: np.ndarray) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of a 2-D integer object array,
+    in place.
 
-    Returns the rank and the last pivot, negated once per row swap; every
-    entry stays an integer minor, so the divisions are exact.  For a
-    nonsingular square matrix the signed last pivot is its determinant.
+    Each pivot step multiplies every other row by the pivot, subtracts the
+    pivot row times that row's entry in the pivot column, and divides by
+    the previous pivot.  Every entry stays an integer minor of the input
+    (Bareiss), so the divisions are exact.  At the end each pivot row holds
+    the same value, the last pivot, in its pivot column, and every other
+    row holds 0 there.  Returns the pivot columns (pivot r in row r) and the
+    last pivot negated once per row swap: for a nonsingular square matrix,
+    its determinant.
     """
-    width = len(rows[0]) if rows else 0
-    rank, col, sign, prev = 0, 0, 1, 1
-    while rank < len(rows) and col < width:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            col += 1
+    pivots: list[int] = []
+    sign, prev = 1, 1
+    for col in range(m.shape[1]):
+        top = len(pivots)
+        if top == m.shape[0]:
+            break
+        below = np.flatnonzero(m[top:, col])
+        if not len(below):
             continue
-        if pivot != rank:
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        if below[0]:
+            m[[top, top + below[0]]] = m[[top + below[0], top]]
             sign = -sign
-        for r in range(rank + 1, len(rows)):
-            for c in range(col + 1, width):
-                rows[r][c] = (rows[r][c] * rows[rank][col] - rows[r][col] * rows[rank][c]) // prev
-            rows[r][col] = 0
-        prev = rows[rank][col]
-        rank += 1
-        col += 1
-    return rank, sign * prev
+        pivot = m[top, col]
+        others = np.arange(m.shape[0]) != top
+        m[others] = (pivot * m[others] - np.outer(m[others, col], m[top])) // prev
+        prev = pivot
+        pivots.append(col)
+    return pivots, sign * prev
 
 
 def det_int(a: IntMatrix | Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by fraction-free elimination."""
     a = as_matrix(a)
-    rank, last = _fraction_free([list(row) for row in a.rows])
-    return last if rank == a.k else 0
+    pivots, last = _fraction_free(_array(a))
+    return last if len(pivots) == a.k else 0
 
 
 def int_rank(vectors: Sequence[Sequence[int]]) -> int:
     """Rank of a list of integer vectors, by fraction-free elimination."""
-    return _fraction_free([list(v) for v in vectors])[0]
+    m = np.array([list(v) for v in vectors], dtype=object)
+    return len(_fraction_free(m)[0]) if m.size else 0
 
 
-def _row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """Gauss-Jordan over the rationals, in place, on the first ncols columns.
+def _kernel_vector(rows: Sequence[Sequence[int]] | np.ndarray) -> list[int]:
+    """A nonzero integer vector x with rows @ x = 0.
 
-    Columns past ncols (an augmented right-hand side) ride along.  Returns
-    the pivot columns; pivot r sits in row r with value 1, and every other
-    row is 0 in that column.
+    After fraction-free elimination the first free column of x is the common
+    pivot and each pivot column is minus its row's entry in that free
+    column; the other free columns are 0.
     """
-    pivot_cols: list[int] = []
-    for col in range(ncols):
-        top = len(pivot_cols)
-        pivot = next((r for r in range(top, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[top], rows[pivot] = rows[pivot], rows[top]
-        inv = rows[top][col]
-        rows[top] = [x / inv for x in rows[top]]
-        for r in range(len(rows)):
-            if r != top and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[top])]
-        pivot_cols.append(col)
-    return pivot_cols
+    m = np.array(rows, dtype=object)
+    pivots, _ = _fraction_free(m)
+    free = next((c for c in range(m.shape[1]) if c not in pivots), None)
+    if free is None:
+        raise ValueError("matrix has trivial kernel")
+    x = [0] * m.shape[1]
+    x[free] = m[0, pivots[0]] if pivots else 1
+    for r, col in enumerate(pivots):
+        x[col] = -m[r, free]
+    return x
 
 
 def integer_kernel_vector(a: IntMatrix) -> tuple[int, ...]:
     """Primitive integer kernel vector of a singular integer matrix.
 
-    Deterministic: the first free column of the reduced system is set to 1,
-    denominators are cleared, the gcd is divided out, and the sign is fixed
-    so the first nonzero component is positive.
+    Deterministic: the vector of the first free column of the reduced system,
+    with the gcd divided out and the sign fixed so the first nonzero
+    component is positive.
     """
-    n = a.k
-    m = [[Fraction(x) for x in row] for row in a.rows]
-    pivot_cols = _row_reduce(m, n)
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-    if not free_cols:
-        raise ValueError("matrix has trivial kernel")
-    free = free_cols[0]
-    x = [Fraction(0)] * n
-    x[free] = Fraction(1)
-    for r, col in enumerate(pivot_cols):
-        x[col] = -m[r][free]
-    denom = math.lcm(*(v.denominator for v in x))
-    ints = [int(v * denom) for v in x]
-    g = math.gcd(*(abs(v) for v in ints))
-    ints = [v // g for v in ints]
-    first = next(v for v in ints if v != 0)
-    if first < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    x = _kernel_vector(a.rows)
+    unit = math.gcd(*x) * (1 if next(v for v in x if v) > 0 else -1)
+    return tuple(v // unit for v in x)
 
 
 @dataclass(frozen=True)
@@ -346,11 +307,12 @@ def poly_mod(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
 
 def poly_eval_matrix(f: IntPolynomial, a: IntMatrix) -> IntMatrix:
     """Horner evaluation of f at an integer matrix."""
-    k = a.k
-    acc = mat_scale(IntMatrix.identity(k), 0)
+    m = _array(a)
+    eye = np.identity(a.k, dtype=object)
+    acc = 0 * eye
     for c in reversed(f.coeffs):
-        acc = mat_add(mat_mul(acc, a), mat_scale(IntMatrix.identity(k), c))
-    return acc
+        acc = acc @ m + c * eye
+    return _matrix(acc)
 
 
 def char_poly(a: IntMatrix | Sequence[Sequence[int]]) -> IntPolynomial:
@@ -360,32 +322,17 @@ def char_poly(a: IntMatrix | Sequence[Sequence[int]]) -> IntPolynomial:
     """
     a = as_matrix(a)
     k = a.k
+    m = _array(a)
+    eye = np.identity(k, dtype=object)
     c = [0] * (k + 1)
     c[k] = 1
-    m = mat_scale(IntMatrix.identity(k), 0)
+    n = 0 * eye
     for step in range(1, k + 1):
-        m = mat_add(mat_mul(a, m), mat_scale(IntMatrix.identity(k), c[k - step + 1]))
-        am = mat_mul(a, m)
-        tr = mat_trace(am)
+        n = m @ n + c[k - step + 1] * eye
+        tr = np.trace(m @ n)
         assert tr % step == 0
         c[k - step] = -tr // step
     return IntPolynomial(tuple(c))
-
-
-def _solve_exact(columns: list[list[int]], rhs: list[int]) -> Optional[list[Fraction]]:
-    """Solve sum_i x_i * columns[i] = rhs over the rationals.
-
-    Returns one solution (free variables set to 0) or None if inconsistent.
-    """
-    ncols = len(columns)
-    m = [[Fraction(col[r]) for col in columns] + [Fraction(v)] for r, v in enumerate(rhs)]
-    pivot_cols = _row_reduce(m, ncols)
-    if any(row[ncols] != 0 for row in m[len(pivot_cols):]):
-        return None
-    x = [Fraction(0)] * ncols
-    for r, col in enumerate(pivot_cols):
-        x[col] = m[r][ncols]
-    return x
 
 
 def minimal_poly(a: IntMatrix | Sequence[Sequence[int]]) -> IntPolynomial:
@@ -400,22 +347,20 @@ def minimal_poly(a: IntMatrix | Sequence[Sequence[int]]) -> IntPolynomial:
 
 @lru_cache(maxsize=16)
 def _minimal_poly(a: IntMatrix) -> IntPolynomial:
-    k = a.k
-    powers = [IntMatrix.identity(k)]
-    for _ in range(k):
-        powers.append(mat_mul(powers[-1], a))
-    vecs = [[x for row in p.rows for x in row] for p in powers]
-    for e in range(1, k + 1):
-        sol = _solve_exact(vecs[:e], vecs[e])
-        if sol is None:
-            continue
-        coeffs = [-c for c in sol] + [Fraction(1)]
-        assert all(c.denominator == 1 for c in coeffs)
-        poly = IntPolynomial(tuple(int(c) for c in coeffs))
-        check = poly_eval_matrix(poly, a)
-        assert all(x == 0 for row in check.rows for x in row)
-        return poly
-    raise AssertionError("unreachable: A**k is always a combination of lower powers")
+    m = _array(a)
+    powers = [np.identity(a.k, dtype=object)]
+    for _ in range(a.k):
+        powers.append(powers[-1] @ m)
+    # Column e of the Krylov matrix is vec(A**e).  A**0 .. A**(d-1) are
+    # independent and A**d is not, so the first free column is d and the
+    # kernel vector is a multiple of the coefficients, zero above degree d.
+    x = _kernel_vector(np.array(powers).reshape(a.k + 1, -1).T)
+    lead = next(c for c in reversed(x) if c)
+    assert all(c % lead == 0 for c in x)
+    poly = IntPolynomial(tuple(c // lead for c in x))
+    check = poly_eval_matrix(poly, a)
+    assert all(v == 0 for row in check.rows for v in row)
+    return poly
 
 
 def _primitive_rem(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
@@ -833,7 +778,7 @@ def verify_spectral_identities(
     lam_vals = [int(z.real) if exact else complex(z) for z in lams]
     # object arrays keep the entries Python ints (exact) or complex
     eye = np.identity(k, dtype=object) * one
-    t = np.array(a.transpose().rows, dtype=object) * one
+    t = _array(a).T * one
     shifts = [t - lam * eye for lam in lam_vals[:d]]
     prods = [eye]
     for shift in shifts:

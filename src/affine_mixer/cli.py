@@ -209,6 +209,9 @@ def fit_exponent(rows: Sequence[SweepRow], model: str) -> FitResult:
     pow_p fits ln n_mix against ln p (slope = the power of p); log fits
     n_mix against ln p; loglog fits n_mix against ln p * ln ln p.  All fits
     include an intercept and report the RMS residual of the fitted value.
+    A fit needs at least 3 usable rows and at least 2 distinct p among them
+    (a line through points at one x is not determined); otherwise
+    InsufficientData is raised.
     """
     if model not in FIT_MODELS:
         raise ValueError(f"unknown model {model!r}")
@@ -218,6 +221,11 @@ def fit_exponent(rows: Sequence[SweepRow], model: str) -> FitResult:
     if len(usable) < 3:
         raise InsufficientData(
             f"{len(usable)} usable rows; need at least 3 for a fit"
+        )
+    distinct = len({row.p for row in usable})
+    if distinct < 2:
+        raise InsufficientData(
+            f"usable rows hold {distinct} distinct p; need at least 2 for a fit"
         )
     x = np.array([row.ln_p_ln_ln_p if model == "loglog" else row.ln_p for row in usable])
     y = np.array([float(row.n_mix) for row in usable])

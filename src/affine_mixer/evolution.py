@@ -20,7 +20,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .algebra import IntMatrix, as_matrix, det_int, mat_mod, mat_pow_mod
+from .algebra import IntMatrix, as_matrix, det_int, mat_pow_mod
 from .errors import ConfigInvalid, ModulusNotCoprime, StateSpaceTooLarge
 from .increments import IncrementDistribution
 
@@ -83,7 +83,7 @@ def index_map(
     A permutation of the state indices whenever gcd(det M, p) = 1.
     """
     states = state_table(p, k)
-    m_mod = np.array(mat_mod(as_matrix(matrix), p).rows, dtype=np.int64)
+    m_mod = (np.array(as_matrix(matrix).rows, dtype=object) % p).astype(np.int64)
     image = states @ m_mod.T
     if offset is not None:
         image += np.array([int(c) % p for c in offset], dtype=np.int64)
@@ -256,7 +256,7 @@ def simulate(chain: ChainSpec, n: int, trials: int, seed: int) -> StateDistribut
     _check_cap(chain.n_states, "p**k")
     p, k = chain.p, chain.k
     rng = np.random.default_rng(seed)
-    a_mod = np.array(mat_mod(chain.a, p).rows, dtype=np.int64)
+    a_mod = (np.array(chain.a.rows, dtype=object) % p).astype(np.int64)
     supp = np.array(
         [[int(c) % p for c in pt] for pt in chain.mu.support], dtype=np.int64
     )

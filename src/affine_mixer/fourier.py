@@ -29,10 +29,7 @@ from .algebra import (
     det_int,
     inf_norm,
     integer_kernel_vector,
-    mat_add,
-    mat_pow,
     mat_pow_mod,
-    mat_scale,
 )
 from .errors import FactorNonpositive, GammaTooLarge, NoTorsion, ZeroFrequency
 from .evolution import (
@@ -280,10 +277,12 @@ def _rho_bounds(rho: float, norm_t: int, p: int) -> Iterator[float]:
 def find_torsion(a: IntMatrix, l_max: int = DEFAULT_L_MAX) -> tuple[int, tuple[int, ...]]:
     """Smallest l <= l_max with T**l - I singular (T = transpose(A)) and a
     primitive integer vector it fixes; raises NoTorsion when none exists."""
-    at = as_matrix(a).transpose()
-    k = at.k
+    t = np.array(as_matrix(a).rows, dtype=object).T
+    eye = np.identity(len(t), dtype=object)
+    power = eye
     for l in range(1, l_max + 1):
-        m = mat_add(mat_pow(at, l), mat_scale(IntMatrix.identity(k), -1))
+        power = power @ t
+        m = IntMatrix.from_rows((power - eye).tolist())
         if det_int(m) == 0:
             return l, integer_kernel_vector(m)
     raise NoTorsion(f"no power of the transpose up to {l_max} fixes a vector")

@@ -1,8 +1,9 @@
 """Exact integer linear algebra and spectral classification tests.
 
 Oracles used here are deliberately independent of the implementation:
-Laplace expansion for determinants, Fraction-based elimination for rank,
-and direct evaluation for polynomial identities.
+Laplace expansion for determinants, Fraction-based Gauss-Jordan
+elimination for rank, kernel vectors and the per-degree Krylov solve of
+the minimal polynomial, and direct evaluation for polynomial identities.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -36,6 +38,7 @@ from affine_mixer import (
     root_of_integer_order,
 )
 from affine_mixer.algebra import (
+    _fraction_free,
     _integer_roots,
     _minimal_poly,
     _split_quartic,
@@ -61,24 +64,34 @@ def laplace_det(rows):
     return total
 
 
+def row_reduce_oracle(rows, ncols):
+    """Gauss-Jordan over the rationals, in place, on the first ncols columns.
+
+    Columns past ncols (an augmented right-hand side) ride along.  Returns
+    the pivot columns; pivot r sits in row r with value 1, and every other
+    row is 0 in that column.
+    """
+    pivot_cols = []
+    for col in range(ncols):
+        top = len(pivot_cols)
+        pivot = next((r for r in range(top, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        inv = rows[top][col]
+        rows[top] = [x / inv for x in rows[top]]
+        for r in range(len(rows)):
+            if r != top and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[top])]
+        pivot_cols.append(col)
+    return pivot_cols
+
+
 def fraction_rank(vectors):
     """Row rank over Q via Gaussian elimination with Fractions."""
     rows = [[Fraction(x) for x in v] for v in vectors]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col]
-        rows[rank] = [x / inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    return len(row_reduce_oracle(rows, len(rows[0]) if rows else 0))
 
 
 def random_int_matrix(rng, k, lo=-5, hi=5):
@@ -685,11 +698,8 @@ def test_property_det_multiplicative(data, k):
 
 
 def test_row_reduction_kernel_and_solve_random():
-    # integer_kernel_vector and _solve_exact share one Gauss-Jordan pass
-    from math import gcd
-
-    from affine_mixer.algebra import _solve_exact
-
+    # a primitive kernel vector, first nonzero entry positive, of random
+    # singular matrices
     rng = random.Random(404)
     for _ in range(400):
         k = rng.randint(1, 4)
@@ -701,17 +711,6 @@ def test_row_reduction_kernel_and_solve_random():
         v = integer_kernel_vector(a)
         assert any(v) and not any(a.apply(v))
         assert gcd(*v) == 1 and next(x for x in v if x) > 0
-
-        columns = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rng.randint(1, 4))]
-        weights = [rng.randint(-3, 3) for _ in columns]
-        rhs = [sum(w * col[r] for w, col in zip(weights, columns)) for r in range(k)]
-        if rng.random() < 0.5:
-            rhs[rng.randrange(k)] += rng.choice((-1, 1))
-        solution = _solve_exact(columns, rhs)
-        consistent = fraction_rank(columns + [rhs]) == fraction_rank(columns)
-        assert (solution is not None) == consistent
-        if solution is not None:
-            assert [sum(x * col[r] for x, col in zip(solution, columns)) for r in range(k)] == rhs
 
 
 def test_classify_factors_char_poly_once(monkeypatch):
@@ -738,11 +737,9 @@ def test_classify_factors_char_poly_once(monkeypatch):
         assert profile.eigenvalues == eigenvalues(profile.char_poly)
 
 
-@st.composite
-def diagonalizable_matrices(draw):
-    """U D U^-1 for an integer diagonal D and a random unimodular U."""
-    k = draw(st.integers(1, 4))
-    lams = draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k))
+def conjugate_by_unimodular(draw, core):
+    """U core U^-1 for a random unimodular U built from row additions."""
+    k = len(core)
     u = [[int(i == j) for j in range(k)] for i in range(k)]
     u_inv = [row[:] for row in u]
     for _ in range(draw(st.integers(0, 8)) if k > 1 else 0):
@@ -752,9 +749,19 @@ def diagonalizable_matrices(draw):
         u[i] = [x + c * y for x, y in zip(u[i], u[j])]
         for row in u_inv:
             row[j] -= c * row[i]
-    ud = [[u[r][c] * lams[c] for c in range(k)] for r in range(k)]
+    uc = [[sum(u[r][t] * core[t][c] for t in range(k)) for c in range(k)] for r in range(k)]
     return IntMatrix.from_rows(
-        [[sum(ud[r][t] * u_inv[t][c] for t in range(k)) for c in range(k)] for r in range(k)]
+        [[sum(uc[r][t] * u_inv[t][c] for t in range(k)) for c in range(k)] for r in range(k)]
+    )
+
+
+@st.composite
+def diagonalizable_matrices(draw):
+    """U D U^-1 for an integer diagonal D and a random unimodular U."""
+    k = draw(st.integers(1, 4))
+    lams = draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k))
+    return conjugate_by_unimodular(
+        draw, [[lams[i] if i == j else 0 for j in range(k)] for i in range(k)]
     )
 
 
@@ -767,3 +774,155 @@ def test_property_spectral_identities_exact_on_integer_spectra(a):
     for e in range(1, d + 1):
         for j in range(11):
             assert verify_spectral_identities(a, e, j) == (True, 0), (a.rows, e, j)
+
+
+# Oracles for the fraction-free elimination, built on the Fraction
+# Gauss-Jordan pass above: kernel vectors, and the minimal polynomial by one
+# rational solve per degree.
+
+
+def kernel_oracle(rows):
+    """Primitive kernel vector from the Fraction reduced form: first free
+    column 1, denominators cleared, gcd divided out, first nonzero > 0."""
+    n = len(rows[0])
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivot_cols = row_reduce_oracle(m, n)
+    free_cols = [c for c in range(n) if c not in pivot_cols]
+    if not free_cols:
+        return None
+    x = [Fraction(0)] * n
+    x[free_cols[0]] = Fraction(1)
+    for r, col in enumerate(pivot_cols):
+        x[col] = -m[r][free_cols[0]]
+    denom = lcm(*(v.denominator for v in x))
+    ints = [int(v * denom) for v in x]
+    g = gcd(*ints)
+    sign = 1 if next(v for v in ints if v) > 0 else -1
+    return tuple(sign * v // g for v in ints)
+
+
+def solve_oracle(columns, rhs):
+    """One rational solution of sum_i x_i * columns[i] = rhs (free variables
+    0), or None if the system is inconsistent."""
+    ncols = len(columns)
+    m = [[Fraction(col[r]) for col in columns] + [Fraction(v)] for r, v in enumerate(rhs)]
+    pivot_cols = row_reduce_oracle(m, ncols)
+    if any(row[ncols] != 0 for row in m[len(pivot_cols) :]):
+        return None
+    x = [Fraction(0)] * ncols
+    for r, col in enumerate(pivot_cols):
+        x[col] = m[r][ncols]
+    return x
+
+
+def list_matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def minimal_poly_oracle(rows):
+    """The first power A**e that is a rational combination of lower powers
+    gives the minimal polynomial."""
+    k = len(rows)
+    powers = [[[int(i == j) for j in range(k)] for i in range(k)]]
+    for _ in range(k):
+        powers.append(list_matmul(powers[-1], rows))
+    vecs = [[x for row in p for x in row] for p in powers]
+    for e in range(1, k + 1):
+        sol = solve_oracle(vecs[:e], vecs[e])
+        if sol is not None:
+            coeffs = [-c for c in sol] + [Fraction(1)]
+            assert all(c.denominator == 1 for c in coeffs)
+            return IntPolynomial(tuple(int(c) for c in coeffs))
+    raise AssertionError("A**k is always a combination of lower powers")
+
+
+@st.composite
+def int_rows(draw, square=True):
+    """1..5 rows of 1..5 integers, small or near 1e9 in size; half of the
+    draws make the last row a combination of the others (a zero row when
+    there is only one), so the rows are dependent."""
+    n = draw(st.integers(1, 5))
+    width = n if square else draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        entry = st.integers(-3, 3)
+    else:
+        entry = st.tuples(st.sampled_from((-1, 1)), st.integers(BIG - 100, BIG + 100)).map(
+            lambda t: t[0] * t[1]
+        )
+    rows = [[draw(entry) for _ in range(width)] for _ in range(n)]
+    if draw(st.booleans()):
+        mix = [draw(st.integers(-2, 2)) for _ in rows[:-1]]
+        rows[-1] = [sum(w * r[c] for w, r in zip(mix, rows)) for c in range(width)]
+    return rows
+
+
+@st.composite
+def repeated_spectrum_matrices(draw):
+    """U J U^-1 for an upper triangular J with diagonal entries from {-1, 2}
+    and sparse 0/1 entries above it: repeated eigenvalues and Jordan blocks
+    of several sizes, so the minimal polynomial often has lower degree than
+    the characteristic one."""
+    k = draw(st.integers(1, 5))
+    core = [[0] * k for _ in range(k)]
+    for i in range(k):
+        core[i][i] = draw(st.sampled_from((-1, 2)))
+        for j in range(i + 1, k):
+            core[i][j] = draw(st.sampled_from((0, 0, 1)))
+    return [list(row) for row in conjugate_by_unimodular(draw, core).rows]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rows=int_rows())
+def test_property_det_and_kernel_match_fraction_oracles(rows):
+    a = IntMatrix.from_rows(rows)
+    assert det_int(a) == laplace_det(rows)
+    expected = kernel_oracle(rows)
+    if expected is None:
+        with pytest.raises(ValueError):
+            integer_kernel_vector(a)
+    else:
+        assert integer_kernel_vector(a) == expected
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rows=int_rows(square=False))
+def test_property_rank_matches_fraction_oracle_on_any_shape(rows):
+    assert int_rank(rows) == fraction_rank(rows)
+    assert int_rank([tuple(col) for col in zip(*rows)]) == fraction_rank(rows)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rows=st.one_of(int_rows(), repeated_spectrum_matrices()))
+def test_property_minimal_poly_matches_krylov_oracle(rows):
+    assert minimal_poly(rows) == minimal_poly_oracle(rows)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rows=int_rows(square=False))
+def test_property_fraction_free_form_is_pivot_times_reduced_form(rows):
+    m = np.array(rows, dtype=object)
+    pivots, last = _fraction_free(m)
+    oracle = [[Fraction(x) for x in row] for row in rows]
+    assert pivots == row_reduce_oracle(oracle, len(rows[0]))
+    common = m[0, pivots[0]] if pivots else 1
+    assert abs(last) == abs(common)
+    for r, col in enumerate(pivots):
+        # equal pivots, zeros elsewhere in every pivot column
+        assert list(m[:, col]) == [common if i == r else 0 for i in range(len(rows))]
+    # every pivot row is the common pivot times the rational reduced row, so
+    # no floor division was inexact; the rows past the rank are zero
+    for r in range(len(rows)):
+        assert list(m[r]) == [common * x for x in oracle[r]]
+        assert all(type(x) is int for x in m[r])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rows=int_rows(), e=st.integers(0, 12), p=st.integers(2, 60))
+def test_property_powers_match_repeated_products(rows, e, p):
+    a = IntMatrix.from_rows(rows)
+    assert (a @ a).rows == tuple(map(tuple, list_matmul(rows, rows)))
+    expected = IntMatrix.identity(a.k)
+    for _ in range(e):
+        expected = expected @ a
+    assert mat_pow(a, e) == expected
+    assert mat_pow_mod(a, e, p).rows == tuple(tuple(x % p for x in row) for row in expected.rows)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -142,6 +143,15 @@ def test_fit_exponent_insufficient_data():
         fit_exponent(rows, "pow_p")
     with pytest.raises(ValueError):
         fit_exponent(synthetic_rows(lambda p: float(p)), "cubic")
+
+
+def test_fit_exponent_needs_two_distinct_moduli():
+    rows = synthetic_rows(lambda p: float(p), ps=(7, 7, 7, 7))
+    for model in ("pow_p", "log", "loglog"):
+        with pytest.raises(InsufficientData, match="1 distinct p"):
+            fit_exponent(rows, model)
+    # two distinct moduli among the usable rows are enough
+    assert fit_exponent(synthetic_rows(lambda p: float(p), ps=(7, 7, 11)), "log").points == 3
 
 
 def sweep_config(matrix, p_list, k=1, **overrides):
@@ -370,6 +380,65 @@ def test_run_identities_reports(tmp_path):
     assert report["max_residual"] <= 1e-8
 
 
+# sha256 of the classify and verify-identities reports of three matrices:
+# the exact-lab benchmark's classify matrix (two integer eigenvalues near
+# 1e7 beside the cat map block) and identities matrix (six distinct integer
+# eigenvalues) at seed 1, and the companion matrix of x^5 - x - 1, whose
+# characteristic polynomial stays an unfactored remainder.  Any change to
+# the exact algebra that moves a byte of these reports fails here.
+PINNED_MATRICES = {
+    "lab-classify": [
+        [30015834, 40021113, -80042224, -20010556],
+        [40016521, 50021802, -100043598, -20010554],
+        [30015831, 40021111, -80042218, -20010555],
+        [-10014450, -20019729, 40039457, 20010557],
+    ],
+    "lab-identities": [
+        [-4, 5, 0, 0, 0, 0],
+        [0, -9, 0, 0, 0, 0],
+        [17, 17, 13, 0, 0, 6],
+        [-11, -33, -11, 2, 0, 11],
+        [34, 14, 34, 10, 7, -10],
+        [0, 0, 0, 0, 0, 19],
+    ],
+    "companion-5": [
+        [0, 0, 0, 0, 1],
+        [1, 0, 0, 0, 1],
+        [0, 1, 0, 0, 0],
+        [0, 0, 1, 0, 0],
+        [0, 0, 0, 1, 0],
+    ],
+}
+PINNED_SHA256 = {
+    "lab-classify": {
+        "classify.json": "e185c7b1b63dc5bf0be3017e9f93baa1d0f5df98dc06bee61a43116d936857c8",
+        "identities.csv": "6601eaa1c973e6646cc7f8f9a392e2d3718c07ca2de538791b7d616f33a1a491",
+        "identities.json": "51cbec2200372cbb088980b232e2102ec3d346a3ebf8ce0e48dd6a53d866e650",
+    },
+    "lab-identities": {
+        "classify.json": "57d90063fd7c43067e4ac0fe1029039ed340d67ff115b01a527c1efe8af7657d",
+        "identities.csv": "1f937c36e8c02af1517f984a786b62450b7858f94ed1a0c83ebbd9864d9577b8",
+        "identities.json": "40666d29339c61862aca812053de1348c89327abbec5758350bc264c7688a3f3",
+    },
+    "companion-5": {
+        "classify.json": "bbd604552761ec9c7abab2483b350dc27c41c29e525d08623a0329e89cfa36cb",
+        "identities.csv": "477dceb6a39ff6786d3e69f3dff3f92f26148485ead8db1a2b20e5f88e71fb2c",
+        "identities.json": "621fc1c2daa4507cd11f32fcfda2f6dc2cc63021c0849654f94aa64a41d678d0",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MATRICES))
+def test_algebra_reports_match_pinned_bytes(tmp_path, name):
+    digests = {}
+    for task in ("classify", "verify-identities"):
+        cfg = ExperimentConfig.from_json({"task": task, "matrix": PINNED_MATRICES[name]})
+        for path in run(cfg, str(tmp_path / task)):
+            with open(path, "rb") as handle:
+                digests[os.path.basename(path)] = hashlib.sha256(handle.read()).hexdigest()
+    assert digests == PINNED_SHA256[name]
+
+
 def test_replay_is_byte_identical(tmp_path):
     cfgs = [
         sweep_config([[1]], [5, 7, 9, 11, 13]),
@@ -406,6 +475,25 @@ def test_main_happy_path(tmp_path, capsys):
         str(tmp_path / "out" / "evolve.csv"),
         str(tmp_path / "out" / "evolve.json"),
     ]
+
+
+def test_main_sweep_over_one_repeated_modulus_fits_nothing(tmp_path, capsys):
+    # np.polyfit over three equal ln p was rank-deficient and only warned,
+    # so sweep.json used to report a made-up slope with rms ~ 1e-16
+    config = {
+        "task": "mixing-sweep",
+        "matrix": [[1]],
+        "increments": {"k": 1, "support": [[0], [1]], "probs": [0.5, 0.5]},
+        "p_list": [101, 101, 101],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["mixing-sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "sweep.json").read_text())
+    assert [fit["model"] for fit in report["fits"]] == ["pow_p", "log", "loglog"]
+    for fit in report["fits"]:
+        assert set(fit) == {"model", "error"}
+        assert "1 distinct p" in fit["error"]
 
 
 def test_main_seed_override_changes_empirical_tv(tmp_path):

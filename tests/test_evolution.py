@@ -317,9 +317,10 @@ def slow_chain(p):
 
 
 @st.composite
-def small_chains(draw):
+def small_chains(draw, max_p=None):
     k = draw(st.sampled_from([1, 2]))
-    p = draw(st.sampled_from([2, 3, 4, 5, 7, 9, 11, 13] if k == 2 else [2, 3, 5, 9, 13, 31, 53]))
+    moduli = [2, 3, 4, 5, 7, 9, 11, 13] if k == 2 else [2, 3, 5, 9, 13, 31, 53]
+    p = draw(st.sampled_from([q for q in moduli if max_p is None or q <= max_p]))
     entry = st.integers(-3, 3)
     if draw(st.booleans()):
         a = IntMatrix.identity(k)
@@ -338,6 +339,20 @@ def small_chains(draw):
     mu = IncrementDistribution(k, tuple(points), tuple(w / total for w in weights))
     x0 = draw(st.tuples(*[st.integers(0, p - 1)] * k))
     return ChainSpec(a, mu, p, x0=x0)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(chain=small_chains(max_p=13), n=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
+def test_property_simulate_lies_near_the_exact_law(chain, n, seed):
+    # E[tv] <= 0.5 * sum_x sqrt(P(x) / trials) <= 0.5 * sqrt(N / trials) by
+    # Cauchy-Schwarz, and one trajectory moves tv by at most 1 / trials, so
+    # by McDiarmid tv exceeds its mean by 0.05 with probability at most
+    # exp(-2 * 0.05**2 * trials) = exp(-20)
+    trials = 4000
+    emp = simulate(chain, n, trials=trials, seed=seed)
+    exact = evolve(chain, n)
+    dist = 0.5 * float(np.abs(emp.values - exact.values).sum())
+    assert dist <= 0.5 * (chain.n_states / trials) ** 0.5 + 0.05
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
