@@ -184,10 +184,16 @@ def det_int(a: IntMatrix | Sequence[Sequence[int]]) -> int:
     return last if len(pivots) == a.k else 0
 
 
-def int_rank(vectors: Sequence[Sequence[int]]) -> int:
-    """Rank of a list of integer vectors, by fraction-free elimination."""
+def independent_indices(vectors: Sequence[Sequence[int]]) -> list[int]:
+    """Indices of the vectors outside the rational span of those before them:
+    the pivot columns of one fraction-free elimination with the vectors as columns."""
     m = np.array([list(v) for v in vectors], dtype=object)
-    return len(_fraction_free(m)[0]) if m.size else 0
+    return _fraction_free(m.T)[0] if m.size else []
+
+
+def int_rank(vectors: Sequence[Sequence[int]]) -> int:
+    """Rank of a list of integer vectors."""
+    return len(independent_indices(vectors))
 
 
 def _kernel_vector(rows: Sequence[Sequence[int]] | np.ndarray) -> list[int]:

@@ -75,6 +75,9 @@ _MINIMUMS = {
     "seed": 0,
     "trials": 1,
 }
+# the largest l_max the schema accepts: the torsion search's cost grows
+# faster than linearly in it
+MAX_L_MAX = 256
 
 
 def _string(value) -> str:
@@ -198,6 +201,8 @@ class ExperimentConfig:
         low = [f"{name} = {v}" for name, v in values if v is not None and v < _MINIMUMS[name]]
         if low:
             raise ConfigInvalid(f"out of range: {low}; minimums are {_MINIMUMS}")
+        if self.l_max > MAX_L_MAX:
+            raise ConfigInvalid(f"l_max = {self.l_max} exceeds the maximum {MAX_L_MAX}")
         bad = [m for m in self.fit_models if m not in FIT_MODELS]
         if bad:
             raise ConfigInvalid(f"unknown fit models {bad}; expected subset of {FIT_MODELS}")
@@ -305,6 +310,13 @@ def _write_report(
     return [csv_path, _write_json(os.path.join(out_dir, stem + ".json"), summary)]
 
 
+def _dataclass_table(rows: Sequence) -> tuple[list[str], Iterator[list]]:
+    """Header and cells of nonempty dataclass rows, one column per field; booleans as 0/1."""
+    names = [f.name for f in fields(rows[0])]
+    values = ((getattr(row, n) for n in names) for row in rows)
+    return names, ([int(v) if isinstance(v, bool) else v for v in row] for row in values)
+
+
 def _digit_strings(blocks: np.ndarray, sigma: int) -> list[str]:
     """One string per row of a (m, t) digit array: the digits concatenated
     when sigma <= 10, joined with '-' otherwise."""
@@ -369,18 +381,7 @@ def _run_bounds(config: ExperimentConfig, out_dir: str) -> list[str]:
     return _write_report(
         out_dir,
         "bounds",
-        ("n", "tv", "upper", "lower_best", "alpha_witness", "certificate"),
-        (
-            (
-                row.n,
-                row.tv,
-                row.upper,
-                row.lower_best,
-                row.alpha_witness,
-                row.certificate,
-            )
-            for row in rows
-        ),
+        *_dataclass_table(rows),
         {
             "p": chain.p,
             "k": chain.k,
@@ -403,20 +404,7 @@ def _run_mixing_sweep(config: ExperimentConfig, out_dir: str) -> list[str]:
     return _write_report(
         out_dir,
         "sweep",
-        ("p", "regime", "n_mix", "ln_p", "ln_p_ln_ln_p", "p_sq", "admissible", "reason"),
-        (
-            (
-                row.p,
-                row.regime,
-                row.n_mix,
-                row.ln_p,
-                row.ln_p_ln_ln_p,
-                row.p_sq,
-                int(row.admissible),
-                row.reason,
-            )
-            for row in rows
-        ),
+        *_dataclass_table(rows),
         {"eps": config.eps, "n_cap": config.n_cap, "fits": fits},
     )
 

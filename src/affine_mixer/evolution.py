@@ -72,21 +72,14 @@ def _encode(states: np.ndarray, p: int) -> np.ndarray:
     return states @ np.array([p**i for i in range(states.shape[1])], dtype=np.int64)
 
 
-def index_map(
-    matrix: IntMatrix | Sequence[Sequence[int]],
-    p: int,
-    k: int,
-    offset: Optional[Sequence[int]] = None,
-) -> np.ndarray:
-    """Index of (M x + offset) mod p for every state index x.
+def index_map(matrix: IntMatrix | Sequence[Sequence[int]], p: int, k: int) -> np.ndarray:
+    """Index of M x mod p for every state index x.
 
     A permutation of the state indices whenever gcd(det M, p) = 1.
     """
     states = state_table(p, k)
     m_mod = (np.array(as_matrix(matrix).rows, dtype=object) % p).astype(np.int64)
     image = states @ m_mod.T
-    if offset is not None:
-        image += np.array([int(c) % p for c in offset], dtype=np.int64)
     reduced = image % p
     # Dropping image before the codes are allocated keeps a state-sized
     # block out of the process's peak: with it held, a mixing sweep over
@@ -208,6 +201,13 @@ def _check_cap(count: int, what: str, per_state: int = 1) -> None:
         raise StateSpaceTooLarge(f"{what} = {count} exceeds {times}the state cap {cap}")
 
 
+def _translate(cube: np.ndarray, shift: Sequence[int]) -> np.ndarray:
+    """The law cube moved by x -> x + shift (mod p), as a new cube; left unreshaped
+    so that numpy reuses its buffer for the product in w * _translate(...)."""
+    # axis j of the cube holds component x_{k-1-j}, hence the reversal
+    return np.roll(cube, shift=shift[::-1], axis=tuple(range(cube.ndim)))
+
+
 def step_exact(dist: StateDistribution, chain: ChainSpec) -> StateDistribution:
     """One exact step: P'(x) = sum_y P(y) * mu_p(x - A y mod p)."""
     if (dist.p, dist.k) != (chain.p, chain.k):
@@ -218,8 +218,7 @@ def step_exact(dist: StateDistribution, chain: ChainSpec) -> StateDistribution:
     cube = pushed.reshape((p,) * k)
     out = np.zeros_like(cube)
     for shift, w in chain._shifts:
-        # axis j of the cube holds component x_{k-1-j}, hence the reversal
-        out += w * np.roll(cube, shift=shift[::-1], axis=tuple(range(k)))
+        out += w * _translate(cube, shift)
     return StateDistribution(p, k, out.reshape(-1))
 
 
@@ -235,8 +234,14 @@ def evolve_iter(chain: ChainSpec, n: int) -> Iterator[tuple[int, StateDistributi
         yield i, dist
 
 
+def _check_work(chain: ChainSpec, n: int) -> None:
+    """Refuse n dense steps, before the first, when (n + 1) p**k exceeds 64 state caps."""
+    _check_cap((n + 1) * chain.n_states, "(n + 1) * p**k", per_state=64)
+
+
 def evolve(chain: ChainSpec, n: int) -> StateDistribution:
     """The law P_n of X_n, by n exact steps from the point mass at x0."""
+    _check_work(chain, n)
     return deque(evolve_iter(chain, n), maxlen=1)[0][1]
 
 
@@ -274,9 +279,7 @@ def shift_by(dist: StateDistribution, chain: ChainSpec, n: int) -> StateDistribu
     """Push dist through x -> A**n x0 + x (mod p), the start-shift map."""
     p, k = chain.p, chain.k
     offset = mat_pow_mod(chain.a, n, p).apply(chain.x0)
-    out = np.zeros_like(dist.values)
-    out[index_map(IntMatrix.identity(k), p, k, offset)] = dist.values
-    return StateDistribution(p, k, out)
+    return StateDistribution(p, k, _translate(dist.values.reshape((p,) * k), offset).reshape(-1))
 
 
 def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int]:

@@ -17,7 +17,6 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -36,6 +35,7 @@ from .evolution import (
     ChainSpec,
     StateDistribution,
     _check_cap,
+    _check_work,
     _mu_hat_table,
     decode_state,
     evolve_iter,
@@ -264,8 +264,8 @@ def _rho_bounds(rho: float, norm_t: int, p: int) -> Iterator[float]:
             factor = 1.0 - rho * growth / p**2
         except OverflowError:
             # growth no longer fits a float: decide the sign exactly
-            scaled = Fraction(rho) * growth / p**2
-            factor = 1.0 - float(scaled) if scaled < 1 else -math.inf
+            num, den = rho.as_integer_ratio()
+            factor = 1.0 - num * growth / (den * p**2) if num * growth < den * p**2 else -math.inf
         if factor <= 0.0:
             raise FactorNonpositive(
                 f"factor 1 - rho*||T||**(2j)/p**2 is {factor:.3e} at j={j}"
@@ -347,6 +347,7 @@ def bounds_table(
     chosen certificate stops applying.
     """
     _check_cap(chain.n_states, "p**k")
+    _check_work(chain, n_max)
     try:
         gamma_params: Optional[GammaCertificate] = certificate_gamma(chain, l_max, 0)
     except (NoTorsion, GammaTooLarge, ZeroFrequency):

@@ -14,7 +14,16 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import IntMatrix, as_matrix, det_int, exact_int, int_rank, json_float, minimal_poly
+from .algebra import (
+    IntMatrix,
+    as_matrix,
+    det_int,
+    exact_int,
+    independent_indices,
+    json_float,
+    mat_pow,
+    minimal_poly,
+)
 from .errors import InvariantSubspace
 
 PROB_SUM_TOL = 1e-12
@@ -90,14 +99,20 @@ class SupportBasis:
         return self.matrix.transpose().rows
 
 
+def _first_pairs(mu: IncrementDistribution) -> dict[tuple[int, ...], tuple]:
+    """Each pairwise difference of support vectors, mapped to the first
+    pair (u, v) in sorted support order with u - v equal to it."""
+    support = sorted(mu.support)
+    pairs: dict[tuple[int, ...], tuple] = {}
+    for u in support:
+        for v in support:
+            pairs.setdefault(tuple(a - b for a, b in zip(u, v)), (u, v))
+    return pairs
+
+
 def difference_set(mu: IncrementDistribution) -> list[tuple[int, ...]]:
     """All pairwise differences of support vectors, deduplicated, sorted."""
-    out = {
-        tuple(a - b for a, b in zip(u, v))
-        for u in mu.support
-        for v in mu.support
-    }
-    return sorted(out)
+    return sorted(_first_pairs(mu))
 
 
 def extended_difference_set(
@@ -123,54 +138,29 @@ def support_basis(
     Scans powers z = 0..d-1 in ascending order and, within each power, the
     difference vectors in reverse lexicographic order (so of a +/- pair the
     positive representative is met first), keeping each image vector that
-    enlarges the exact rational span.  Raises InvariantSubspace when the
-    scan cannot reach full rank, which is exactly the case of a support
-    parallel to a proper A-invariant subspace.
+    enlarges the exact rational span: the pivot columns of one elimination.
+    Raises InvariantSubspace when they fall short of full rank, which is
+    exactly the case of a support parallel to a proper A-invariant subspace.
     """
     a = as_matrix(a)
     k = a.k
     if mu.k != k:
         raise ValueError("dimension mismatch between mu and A")
-    d = minimal_poly(a).degree
-    diffs = sorted(difference_set(mu), reverse=True)
-    sorted_support = sorted(mu.support)
-
-    def first_pair(x: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        for u in sorted_support:
-            for v in sorted_support:
-                if tuple(ui - vi for ui, vi in zip(u, v)) == x:
-                    return u, v
-        raise AssertionError("difference vector lost its provenance")
-
-    columns: list[tuple[int, ...]] = []
-    provenance: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
-    power = IntMatrix.identity(k)
-    for z in range(d):
-        if z > 0:
-            power = power @ a
-        for x in diffs:
-            if len(columns) == k:
-                break
-            y = power.apply(x)
-            if int_rank(columns + [y]) > len(columns):
-                u, v = first_pair(x)
-                columns.append(y)
-                provenance.append((u, v, z))
-        if len(columns) == k:
-            break
-    if len(columns) < k:
+    pairs = _first_pairs(mu)
+    diffs = sorted(pairs, reverse=True)
+    powers = [mat_pow(a, z) for z in range(minimal_poly(a).degree)]
+    scan = [(z, x) for z in range(len(powers)) for x in diffs]
+    images = [powers[z].apply(x) for z, x in scan]
+    kept = independent_indices(images)
+    if len(kept) < k:
         raise InvariantSubspace(
-            f"extended difference set spans only {len(columns)} of {k} dimensions"
+            f"extended difference set spans only {len(kept)} of {k} dimensions"
         )
-    matrix = IntMatrix.from_rows(list(zip(*columns)))
+    matrix = IntMatrix.from_rows(list(zip(*(images[i] for i in kept))))
     det = det_int(matrix)
     assert det != 0
-    return SupportBasis(
-        matrix=matrix,
-        provenance=tuple(provenance),
-        z=max(pr[2] for pr in provenance),
-        det=det,
-    )
+    provenance = tuple(pairs[scan[i][1]] + (scan[i][0],) for i in kept)
+    return SupportBasis(matrix, provenance, z=max(pr[2] for pr in provenance), det=det)
 
 
 def admissible_modulus(

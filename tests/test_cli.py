@@ -439,6 +439,73 @@ def test_algebra_reports_match_pinned_bytes(tmp_path, name):
     assert digests == PINNED_SHA256[name]
 
 
+FAIR_1D = {"k": 1, "support": [[0], [1]], "probs": [0.5, 0.5]}
+FAIR_2D = {"k": 2, "support": [[0, 0], [1, 0]], "probs": [0.5, 0.5]}
+# Configs and sha256 of the bounds and sweep reports: A = 2 on the rho
+# certificate, whose column goes empty at n = 7; the quarter turn on the
+# gamma certificate; and an A = I sweep with support {0, 2}, so p = 4 is
+# inadmissible by det(B), p = 13 is unmixed at n_cap = 30, and four rows
+# feed the fits.  Any change that moves a byte of these reports (a column,
+# its order, how a frequency, a flag or an empty cell is written) fails here.
+PINNED_REPORTS = {
+    "bounds-rho": (
+        {"task": "bounds", "matrix": [[2]], "increments": FAIR_1D, "p": 101, "n": 30},
+        {
+            "bounds.csv": "3d44161b59e998625ba3d980068fc541f2bc07b1607948d59b1cd3daf63879af",
+            "bounds.json": "a0c0db5348b67f3e4402017db5ca547d06a2b59f9076837bbc3ebee6f5c7a196",
+        },
+    ),
+    "bounds-gamma": (
+        {"task": "bounds", "matrix": [[0, -1], [1, 0]], "increments": FAIR_2D, "p": 101, "n": 20},
+        {
+            "bounds.csv": "02ab1ea3b662ac2a7d18d0c8af988d3364a5773bfea0a048f65dc910f6533e9e",
+            "bounds.json": "d1a9ba6cb8ee7ecb8438273700b249a587498097f65735d9271d3a47c7a83158",
+        },
+    ),
+    "sweep": (
+        {
+            "task": "mixing-sweep",
+            "matrix": [[1]],
+            "increments": {"k": 1, "support": [[0], [2]], "probs": [0.5, 0.5]},
+            "p_list": [4, 5, 7, 9, 11, 13],
+            "n_cap": 30,
+        },
+        {
+            "sweep.csv": "9077e1de92cb9ebf701f571206e808eb327011e0f7bb78455df2686a48b80929",
+            "sweep.json": "9bd81f00ad3fb6fcb897dde679fbff86c948c633644a386d4d92f88de5c7a4be",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_bounds_and_sweep_reports_match_pinned_bytes(tmp_path, name):
+    obj, expected = PINNED_REPORTS[name]
+    digests = {}
+    for path in run(ExperimentConfig.from_json(obj), str(tmp_path)):
+        with open(path, "rb") as handle:
+            digests[os.path.basename(path)] = hashlib.sha256(handle.read()).hexdigest()
+    assert digests == expected
+
+
+def test_main_sweep_records_a_modulus_over_the_state_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(STATE_CAP_ENV, "1000")
+    obj = {"matrix": [[2]], "increments": FAIR_1D, "p_list": [101, 1009, 103, 107]}
+    code, record = run_main_on_text(tmp_path, capsys, "mixing-sweep", json.dumps(obj))
+    assert (code, record) == (0, None)
+    with open(tmp_path / "out" / "sweep.csv") as handle:
+        rows = {row["p"]: row for row in csv.DictReader(handle)}
+    over = rows.pop("1009")
+    assert (over["admissible"], over["n_mix"], over["reason"]) == (
+        "1",
+        "",
+        "error: StateSpaceTooLarge",
+    )
+    assert all(row["n_mix"] and not row["reason"] for row in rows.values())
+    fits = json.loads((tmp_path / "out" / "sweep.json").read_text())["fits"]
+    assert [fit["points"] for fit in fits] == [3, 3, 3]
+
+
 def test_replay_is_byte_identical(tmp_path):
     cfgs = [
         sweep_config([[1]], [5, 7, 9, 11, 13]),
@@ -658,6 +725,46 @@ def test_main_enforces_documented_ranges(tmp_path, capsys, override):
     code, record = run_main_on_text(tmp_path, capsys, obj["task"], json.dumps(obj))
     assert code == 1
     assert record["error"]["kind"] == "ConfigInvalid"
+
+
+@pytest.mark.parametrize("task", ["classify", "bounds"])
+@pytest.mark.parametrize("l_max", [257, 10**9])
+def test_main_rejects_l_max_above_the_maximum(tmp_path, capsys, task, l_max):
+    obj = {**EVOLVE_BASE, "task": task, "l_max": l_max}
+    code, record = run_main_on_text(tmp_path, capsys, task, json.dumps(obj))
+    assert code == 1
+    assert record["error"]["kind"] == "ConfigInvalid"
+    assert "256" in record["error"]["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_l_max_maximum_is_accepted(tmp_path, capsys):
+    obj = {**EVOLVE_BASE, "task": "classify", "l_max": 256}
+    assert run_main_on_text(tmp_path, capsys, "classify", json.dumps(obj)) == (0, None)
+
+
+@pytest.mark.parametrize("task", ["evolve", "bounds"])
+def test_main_refuses_dense_work_over_the_cap(tmp_path, capsys, task):
+    # (10**9 + 1) * 3 states to step is about 12 h of dense work at p = 3;
+    # the refusal comes before the first step
+    obj = {**EVOLVE_BASE, "task": task, "n": 10**9}
+    code, record = run_main_on_text(tmp_path, capsys, task, json.dumps(obj))
+    assert code == 1
+    assert record["error"]["kind"] == "StateSpaceTooLarge"
+    assert "(n + 1) * p**k = 3000000003" in record["error"]["message"]
+    assert os.listdir(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("task", ["evolve", "bounds"])
+def test_main_dense_work_cap_boundary(tmp_path, capsys, monkeypatch, task):
+    # with a state cap of 10, (n + 1) * 3 may reach 64 * 10 = 640: n = 212
+    monkeypatch.setenv(STATE_CAP_ENV, "10")
+    for n, expected in ((212, 0), (213, 1)):
+        obj = {**EVOLVE_BASE, "task": task, "n": n}
+        (tmp_path / str(n)).mkdir()
+        code, record = run_main_on_text(tmp_path / str(n), capsys, task, json.dumps(obj))
+        assert code == expected
+    assert record["error"]["kind"] == "StateSpaceTooLarge"
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])

@@ -34,6 +34,7 @@ from affine_mixer.evolution import (
     _fourier_search,
     _mixing_time_dense,
     _NearTie,
+    _translate,
     decode_state,
     encode_state,
     index_map,
@@ -73,13 +74,31 @@ def test_encode_decode_roundtrip():
 
 def test_index_map_matches_apply():
     a = IntMatrix.from_rows([[2, -1], [3, 5]])
-    for offset in (None, (4, -2)):
-        codes = index_map(a, 7, 2, offset)
+    codes = index_map(a, 7, 2)
+    for code in range(49):
+        assert codes[code] == encode_state(a.apply(decode_state(code, 7, 2)), 7)
+
+
+def test_translation_matches_apply_plus_offset():
+    # the mass at x lands on A x + offset (mod p): pushed through index_map,
+    # then moved by _translate, and by shift_by with offset A**n x0
+    a = IntMatrix.from_rows([[2, -1], [3, 5]])
+    values = np.arange(1.0, 50.0) / np.arange(1.0, 50.0).sum()  # distinct masses
+    pushed = np.empty_like(values)
+    pushed[index_map(a, 7, 2)] = values
+    moved = _translate(pushed.reshape(7, 7), (4, -2)).reshape(-1)
+    for code in range(49):
+        image = tuple(c + o for c, o in zip(a.apply(decode_state(code, 7, 2)), (4, -2)))
+        assert moved[encode_state(image, 7)] == values[code]
+    chain = ChainSpec(a, fair_two_point(2), 7, x0=(4, -2))
+    dist = StateDistribution(7, 2, values)
+    offset = chain.x0
+    for n in range(4):
+        shifted = shift_by(dist, chain, n)
         for code in range(49):
-            image = a.apply(decode_state(code, 7, 2))
-            if offset is not None:
-                image = tuple(c + o for c, o in zip(image, offset))
-            assert codes[code] == encode_state(image, 7)
+            image = tuple(c + o for c, o in zip(decode_state(code, 7, 2), offset))
+            assert shifted.values[encode_state(image, 7)] == values[code]
+        offset = a.apply(offset)
 
 
 def test_state_table_matches_decode():
@@ -408,6 +427,24 @@ def test_mixing_time_escalates_on_a_tie(monkeypatch):
     monkeypatch.setattr(evolution, "_mixing_time_dense", counted)
     assert mixing_time(chain, eps, 5000) == original(chain, eps, 5000) == m
     assert calls[-1] == 5000  # the full dense search ran after the prefix
+
+
+def test_mixing_time_falls_back_when_the_crossing_does_not_recompute(monkeypatch):
+    # the recomputed state for n_mix - 1 steps comes back one step long, so
+    # it is already mixed and the crossing check hands the search to dense
+    # stepping
+    chain = slow_chain(101)
+    n_mix, prefix = 1936, _dense_prefix(chain.n_states, 2)
+    assert prefix == 16
+    original = evolution._power
+
+    def long_by_one(one, n):
+        return original(one, n + 1 if n == n_mix - 1 else n)
+
+    monkeypatch.setattr(evolution, "_power", long_by_one)
+    with pytest.raises(_NearTie, match=f"crossing at n = {n_mix} did not recompute"):
+        _fourier_search(chain, 0.25, evolution.DEFAULT_N_CAP, prefix)
+    assert mixing_time(chain, 0.25) == _mixing_time_dense(chain, 0.25, 10**4) == n_mix
 
 
 def folded_binomial_tv(n, p):
