@@ -22,6 +22,7 @@ from .errors import NonConvergence, OrderMismatch, SingularMatrix
 
 TOL_UNIT = 1e-9
 ROOT_RESIDUAL_TOL = 1e-9
+PAIR_TOL = 1e-9
 IDENTITY_RESIDUAL_TOL = 1e-8
 DEFAULT_L_MAX = 24
 
@@ -451,7 +452,8 @@ def _split_quartic(f: IntPolynomial) -> Optional[tuple[IntPolynomial, IntPolynom
     If x^4 + b x^3 + c x^2 + d x + e = (x^2 + u x + v)(x^2 + w x + s), then
     y = v + s is an integer root of the resolvent cubic
     y^3 - c y^2 + (bd - 4e) y - (b^2 e - 4ce + d^2), and v, s are the roots
-    of z^2 - y z + e; u and w then follow from the x and x^2 coefficients.
+    of z^2 - y z + e; u = (d - v b) / (s - v), an integer, when v != s, else a
+    root of z^2 - b z + c - 2v.  One exact product check accepts the split.
     """
     e, d, c, b = f.coeffs[0], f.coeffs[1], f.coeffs[2], f.coeffs[3]
     if e == 0:
@@ -466,17 +468,8 @@ def _split_quartic(f: IntPolynomial) -> Optional[tuple[IntPolynomial, IntPolynom
             continue
         v, s = (y - root) // 2, (y + root) // 2
         if s != v:
-            num = d - v * b
-            den = s - v
-            if num % den != 0:
-                continue
-            u = num // den
-            w = b - u
-            if v + s + u * w == c and u * s + v * w == d:
-                return IntPolynomial((v, u, 1)), IntPolynomial((s, w, 1))
+            u = (d - v * b) // (s - v)
         else:
-            if v * b != d:
-                continue
             disc = b * b - 4 * (c - 2 * v)
             if disc < 0:
                 continue
@@ -484,8 +477,9 @@ def _split_quartic(f: IntPolynomial) -> Optional[tuple[IntPolynomial, IntPolynom
             if root * root != disc or (b + root) % 2 != 0:
                 continue
             u = (b + root) // 2
-            w = b - u
-            return IntPolynomial((v, u, 1)), IntPolynomial((v, w, 1))
+        split = IntPolynomial((v, u, 1)), IntPolynomial((s, b - u, 1))
+        if poly_mul(*split) == f:
+            return split
     return None
 
 
@@ -538,42 +532,23 @@ def _polish_root(f: IntPolynomial, z: complex) -> complex:
     return z
 
 
-def _pair_conjugates(roots: list[complex], tol: float) -> list[complex]:
-    """Snap a numeric root list of a real polynomial into exact conjugate pairs."""
-    out: list[complex] = []
-    pending = sorted(roots, key=lambda z: (z.real, abs(z.imag), z.imag))
-    used = [False] * len(pending)
-    for i, z in enumerate(pending):
-        if used[i]:
-            continue
-        used[i] = True
-        if abs(z.imag) <= tol:
-            out.append(complex(z.real, 0.0))
-            continue
-        best = None
-        best_dist = None
-        for j in range(len(pending)):
-            if used[j]:
-                continue
-            dist = abs(pending[j] - z.conjugate())
-            if best_dist is None or dist < best_dist:
-                best, best_dist = j, dist
-        if best is None:
-            out.append(z)
-            continue
-        used[best] = True
-        mid = (z + pending[best].conjugate()) / 2
-        im = abs(mid.imag)
-        out.append(complex(mid.real, im))
-        out.append(complex(mid.real, -im))
-    return out
+def _pair_conjugates(roots: list[complex]) -> list[complex]:
+    """Snap numeric roots of a real polynomial onto the axis and into conjugate
+    pairs.  A real eigensolver returns exact pairs and Newton polishing keeps
+    them exact, so each root above the axis is emitted with its conjugate
+    (+ 0.0 turns a real part of -0.0 into 0.0)."""
+    reals = [complex(z.real, 0.0) for z in roots if abs(z.imag) <= PAIR_TOL]
+    upper = [complex(z.real + 0.0, z.imag) for z in roots if z.imag > PAIR_TOL]
+    if 2 * len(upper) + len(reals) != len(roots):
+        raise NonConvergence(f"numeric roots {roots} are not closed under conjugation")
+    return reals + [w for z in upper for w in (z, z.conjugate())]
 
 
 def _roots_numeric(f: IntPolynomial) -> list[complex]:
     arr = np.array(list(reversed(f.coeffs)), dtype=float)
     raw = [complex(z) for z in np.roots(arr)]
     polished = [_polish_root(f, z) for z in raw]
-    return _pair_conjugates(polished, 1e-9)
+    return _pair_conjugates(polished)
 
 
 def _roots_of_irreducible(f: IntPolynomial) -> list[complex]:
@@ -591,22 +566,20 @@ def _roots_of_irreducible(f: IntPolynomial) -> list[complex]:
     return _roots_numeric(f)
 
 
-def eigenvalues(f: IntPolynomial, tol: float = ROOT_RESIDUAL_TOL) -> tuple[complex, ...]:
+def eigenvalues(f: IntPolynomial) -> tuple[complex, ...]:
     """All roots of an integer polynomial, with multiplicity.
 
-    Roots of a real polynomial come back in exact conjugate pairs.  Every
-    root must satisfy |f(root)| <= tol * scale or NonConvergence is raised.
+    Roots of a real polynomial come back in exact conjugate pairs.  A root
+    with |f(root)| > ROOT_RESIDUAL_TOL * scale raises NonConvergence.
     """
     if f.is_zero:
         raise ValueError("zero polynomial has no defined root list")
     if f.degree == 0:
         return ()
-    return _checked_roots(f, factor_int_poly(f) if f.is_monic else None, tol)
+    return _checked_roots(f, factor_int_poly(f) if f.is_monic else None)
 
 
-def _checked_roots(
-    f: IntPolynomial, factorization: Optional[tuple], tol: float = ROOT_RESIDUAL_TOL
-) -> tuple[complex, ...]:
+def _checked_roots(f: IntPolynomial, factorization: Optional[tuple]) -> tuple[complex, ...]:
     """The roots of f, taken from factorization (factor_int_poly(f)) when
     given and numerically otherwise, sorted and residual-checked against f."""
     if factorization is None:
@@ -621,7 +594,7 @@ def _checked_roots(
     roots.sort(key=lambda z: (z.real, z.imag))
     for z in roots:
         residual = abs(complex(f.evaluate(z)))
-        if residual > tol * _residual_scale(f, z):
+        if residual > ROOT_RESIDUAL_TOL * _residual_scale(f, z):
             raise NonConvergence(
                 f"root {z} of {f} has residual {residual:.3e} above tolerance"
             )

@@ -1,6 +1,6 @@
 """Batch experiment driver.
 
-Usage:
+Usage (or python -m affine_mixer <task> ...):
     affine-mixer <task> --config cfg.json [--out DIR] [--seed N] [--eps F] [--n-cap N]
 
 Tasks: classify, evolve, bounds, mixing-sweep, digit-census,
@@ -504,7 +504,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for path in written:
         print(path)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -137,8 +137,9 @@ class ChainSpec:
 
     @cached_property
     def _perm_t(self) -> np.ndarray:
-        """Index permutation of alpha -> T alpha mod p, T = transpose(A)."""
-        return index_map(self.a.transpose(), self.p, self.k)
+        """Index permutation of alpha -> T alpha mod p, T = transpose(A); _perm if A = T."""
+        t = self.a.transpose()
+        return self._perm if t == self.a else index_map(t, self.p, self.k)
 
     @cached_property
     def _shifts(self) -> tuple[tuple[tuple[int, ...], float], ...]:
@@ -259,6 +260,8 @@ def simulate(chain: ChainSpec, n: int, trials: int, seed: int) -> StateDistribut
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_cap(chain.n_states, "p**k")
+    _check_cap(trials, "trials")
+    _check_cap(trials * (n + 1), "trials * (n + 1)", per_state=64)
     p, k = chain.p, chain.k
     rng = np.random.default_rng(seed)
     a_mod = (np.array(chain.a.rows, dtype=object) % p).astype(np.int64)

@@ -160,25 +160,26 @@ def product_scan(chain: ChainSpec, n: int) -> Iterator[tuple[int, np.ndarray]]:
 
     Products that fall below FREEZE_THRESHOLD are frozen (kept, no longer
     multiplied); frozen values only overstate the true product, so sums
-    stay valid upper bounds.  The yielded array is a live buffer.  Step j
-    multiplies in |mu_hat(T**(j-1) alpha)|**2, a factor table gathered
-    through alpha -> T alpha after every step.
+    stay valid upper bounds.  Factors lie in [0, 1], so a product never
+    rises: the active ones are exactly those above the threshold.  The
+    yielded array is a live buffer.  Step j multiplies in
+    |mu_hat(T**(j-1) alpha)|**2, a factor table gathered through
+    alpha -> T alpha after every step.
     """
     factor = np.abs(_mu_hat_table(chain.mu, chain.p)) ** 2
     np.clip(factor, 0.0, 1.0, out=factor)  # |mu_hat| <= 1 exactly; clip float spill
     prods = np.ones(len(factor))
-    active = np.ones(len(factor), dtype=bool)
     yield 0, prods
     for j in range(1, n + 1):
-        np.multiply(prods, factor, out=prods, where=active)
+        np.multiply(prods, factor, out=prods, where=prods > FREEZE_THRESHOLD)
         factor = factor[chain._perm_t]
-        np.logical_and(active, prods > FREEZE_THRESHOLD, out=active)
         yield j, prods
 
 
 def _products_at(chain: ChainSpec, n: int) -> np.ndarray:
     """pn_hat_sq at every frequency index after n steps of product_scan."""
     _check_cap(chain.n_states, "p**k")
+    _check_work(chain, n)
     return deque(product_scan(chain, n), maxlen=1)[0][1]
 
 
@@ -302,23 +303,25 @@ def certificate_gamma(chain: ChainSpec, l_max: int, n: int) -> GammaCertificate:
         raise ValueError("step count must be >= 0")
     l, alpha = find_torsion(chain.a, l_max)
     k, p = chain.k, chain.p
-    witness = FrequencyVector(alpha, p)
-    if witness.is_zero:
-        raise ZeroFrequency("kernel vector reduced to 0 mod p")
+    witness = FrequencyVector(alpha, p)  # alpha is primitive, so not 0 mod p
     alpha_norm = max(abs(c) for c in alpha)
     if alpha_norm >= p:
         raise GammaTooLarge(
             f"kernel vector norm {alpha_norm} >= p = {p}; certificate not applicable"
         )
-    norm_t = inf_norm(chain.a.transpose())
-    growth = max(norm_t ** (2 * i) for i in range(l))
+    # A is nonsingular, so ||T|| >= 1 and the largest ||T||**(2i), i < l, is the last
+    growth = inf_norm(chain.a.transpose()) ** (2 * (l - 1))
     gamma = 2 * math.pi**2 * k**2 * alpha_norm**2 * growth * _pair_spread(chain.mu)
     if gamma >= p * p:
         raise GammaTooLarge(f"gamma = {gamma:.6g} >= p**2 = {p * p}")
-    bound = 0.5 * (1.0 - gamma / (p * p)) ** (n / 2)
     return GammaCertificate(
-        bound=bound, gamma=gamma, l=l, alpha=alpha, witness=witness, n=n
+        bound=_gamma_bound(gamma, p, n), gamma=gamma, l=l, alpha=alpha, witness=witness, n=n
     )
+
+
+def _gamma_bound(gamma: float, p: int, n: int) -> float:
+    """The gamma certificate's bound at step n: half of (1 - gamma/p**2)**(n/2)."""
+    return 0.5 * (1.0 - gamma / (p * p)) ** (n / 2)
 
 
 def xi_fractional(
@@ -350,7 +353,7 @@ def bounds_table(
     _check_work(chain, n_max)
     try:
         gamma_params: Optional[GammaCertificate] = certificate_gamma(chain, l_max, 0)
-    except (NoTorsion, GammaTooLarge, ZeroFrequency):
+    except (NoTorsion, GammaTooLarge):
         gamma_params = None
     e1 = FrequencyVector((1,) + (0,) * (chain.k - 1), chain.p)
     rho_params = certificate_rho(chain, e1, 0)
@@ -363,7 +366,7 @@ def bounds_table(
         lower, witness = _best_witness(prods, chain.p, chain.k)
         certificate: Optional[float] = None
         if gamma_params is not None:
-            certificate = 0.5 * (1.0 - gamma_params.gamma / chain.p**2) ** (n / 2)
+            certificate = _gamma_bound(gamma_params.gamma, chain.p, n)
         elif rho_bounds is not None:
             try:
                 certificate = next(rho_bounds)

@@ -8,6 +8,7 @@ the minimal polynomial, and direct evaluation for polynomial identities.
 
 from __future__ import annotations
 
+import math
 import random
 import signal
 from contextlib import contextmanager
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from affine_mixer import (
     IntMatrix,
     IntPolynomial,
+    NonConvergence,
     OrderMismatch,
     Regime,
     SingularMatrix,
@@ -37,10 +39,14 @@ from affine_mixer import (
     minimal_poly,
     root_of_integer_order,
 )
+from affine_mixer import algebra
 from affine_mixer.algebra import (
     _fraction_free,
     _integer_roots,
     _minimal_poly,
+    _pair_conjugates,
+    _polish_root,
+    _residual_scale,
     _split_quartic,
     int_rank,
     integer_kernel_vector,
@@ -926,3 +932,140 @@ def test_property_powers_match_repeated_products(rows, e, p):
         expected = expected @ a
     assert mat_pow(a, e) == expected
     assert mat_pow_mod(a, e, p).rows == tuple(tuple(x % p for x in row) for row in expected.rows)
+
+
+def test_polishing_moves_a_root_onto_the_residual_floor():
+    # x^4 + 525 x^3 + 282 x^2 + 629 x - 70 has no rational root; np.roots
+    # leaves its small real root about 1.2e-14 * scale off
+    f = IntPolynomial((-70, 629, 282, 525, 1))
+    raw = [complex(z) for z in np.roots([1.0, 525.0, 282.0, 629.0, -70.0])]
+    polished = [_polish_root(f, z) for z in raw]
+    assert sum(a != b for a, b in zip(raw, polished)) == 1
+    floor = [1e-14 * _residual_scale(f, z) for z in polished]
+    assert all(abs(complex(f.evaluate(z))) <= t for z, t in zip(polished, floor))
+    assert any(abs(complex(f.evaluate(z))) > 1e-14 * _residual_scale(f, z) for z in raw)
+
+
+def test_eigenvalues_of_a_non_monic_polynomial():
+    lams = eigenvalues(IntPolynomial((-3, 0, 2)))  # 2x^2 - 3
+    assert [z.imag for z in lams] == [0.0, 0.0]
+    assert lams[0].real == pytest.approx(-math.sqrt(1.5), abs=1e-15)
+    assert lams[1].real == pytest.approx(math.sqrt(1.5), abs=1e-15)
+
+
+def test_nonconvergence_names_the_polynomial(monkeypatch):
+    monkeypatch.setattr(algebra, "_roots_numeric", lambda f: [complex(-1.0), complex(1.0)])
+    with pytest.raises(NonConvergence, match=r"of 2x\^2-3 has residual"):
+        eigenvalues(IntPolynomial((-3, 0, 2)))
+
+
+def test_pair_conjugates_rejects_an_unpaired_root():
+    with pytest.raises(NonConvergence, match="not closed under conjugation"):
+        _pair_conjugates([complex(1.0, 2.0), complex(3.0, 0.0)])
+    with pytest.raises(NonConvergence):
+        _pair_conjugates([complex(1.0, 2.0), complex(1.0, 2.0)])
+
+
+def nearest_partner_pairing(roots, tol):
+    """The former pairing, kept as an oracle: sort, then pair each root off
+    the axis with the unused root nearest its conjugate and emit the mean."""
+    out = []
+    pending = sorted(roots, key=lambda z: (z.real, abs(z.imag), z.imag))
+    used = [False] * len(pending)
+    for i, z in enumerate(pending):
+        if used[i]:
+            continue
+        used[i] = True
+        if abs(z.imag) <= tol:
+            out.append(complex(z.real, 0.0))
+            continue
+        best, best_dist = None, None
+        for j in range(len(pending)):
+            if not used[j]:
+                dist = abs(pending[j] - z.conjugate())
+                if best_dist is None or dist < best_dist:
+                    best, best_dist = j, dist
+        if best is None:
+            out.append(z)
+            continue
+        used[best] = True
+        mid = (z + pending[best].conjugate()) / 2
+        out += [complex(mid.real, abs(mid.imag)), complex(mid.real, -abs(mid.imag))]
+    return out
+
+
+def bits(roots):
+    """The roots in the order _checked_roots sorts them, as raw float bits;
+    the sign of a zero real part breaks ties, so it cannot hide."""
+    ordered = sorted(roots, key=lambda z: (z.real, z.imag, math.copysign(1.0, z.real)))
+    return np.array(ordered, dtype=complex).view(np.int64).tolist()
+
+
+def random_real_polynomial(rng):
+    """Random integer polynomials of degree 2 to 12: dense, products with
+    squared factors, even polynomials f(x^2) and x^2 + c factors, some non-monic."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        deg = rng.randint(2, 12)
+        lead = rng.choice([1, 1, 2, -3])
+        return IntPolynomial(tuple(rng.randint(-9, 9) for _ in range(deg)) + (lead,))
+    if kind == 1:
+        g = IntPolynomial(tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 3))) + (1,))
+        h = IntPolynomial(tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 4))) + (1,))
+        return poly_mul(poly_mul(g, g), h)
+    if kind == 2:
+        g = [rng.randint(-6, 6) for _ in range(rng.randint(1, 5))] + [1]
+        return IntPolynomial(tuple(c for a in g for c in (a, 0))[:-1])
+    f = IntPolynomial((rng.randint(1, 9), 0, 1))
+    for _ in range(rng.randint(0, 3)):
+        f = poly_mul(f, IntPolynomial((rng.randint(-4, 9), rng.randint(-3, 3), 1)))
+    return f
+
+
+def test_pair_conjugates_matches_nearest_partner_oracle():
+    rng = random.Random(1729)
+    for _ in range(2000):
+        f = random_real_polynomial(rng)
+        raw = np.roots(np.array(list(reversed(f.coeffs)), dtype=float))
+        polished = [_polish_root(f, complex(z)) for z in raw]
+        assert bits(_pair_conjugates(polished)) == bits(nearest_partner_pairing(polished, 1e-9)), f
+
+
+def partial_check_split_quartic(f):
+    """The former quartic split, kept as an oracle: it checks the x and x^2
+    coefficients, and the divisibility of d - v b, instead of the product."""
+    e, d, c, b = f.coeffs[0], f.coeffs[1], f.coeffs[2], f.coeffs[3]
+    if e == 0:
+        return None
+    resolvent = IntPolynomial((-(b * b * e - 4 * c * e + d * d), b * d - 4 * e, -c, 1))
+    for y in sorted(set(_integer_roots(resolvent))):
+        disc = y * y - 4 * e
+        root = isqrt(disc) if disc >= 0 else -1
+        if root < 0 or root * root != disc or (y + root) % 2 != 0:
+            continue
+        v, s = (y - root) // 2, (y + root) // 2
+        if s != v:
+            if (d - v * b) % (s - v) != 0:
+                continue
+            u = (d - v * b) // (s - v)
+            w = b - u
+            if v + s + u * w == c and u * s + v * w == d:
+                return IntPolynomial((v, u, 1)), IntPolynomial((s, w, 1))
+        elif v * b == d:
+            disc = b * b - 4 * (c - 2 * v)
+            root = isqrt(disc) if disc >= 0 else -1
+            if root >= 0 and root * root == disc and (b + root) % 2 == 0:
+                u = (b + root) // 2
+                return IntPolynomial((v, u, 1)), IntPolynomial((v, b - u, 1))
+    return None
+
+
+def test_split_quartic_matches_partial_check_oracle():
+    rng = random.Random(4242)
+    split_count = 0
+    for _ in range(5000):
+        f = random_quartic(rng)
+        split = _split_quartic(f)
+        assert split == partial_check_split_quartic(f), f.coeffs
+        split_count += split is not None
+    assert split_count > 1000

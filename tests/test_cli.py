@@ -9,6 +9,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -767,6 +769,21 @@ def test_main_dense_work_cap_boundary(tmp_path, capsys, monkeypatch, task):
     assert record["error"]["kind"] == "StateSpaceTooLarge"
 
 
+@pytest.mark.parametrize(
+    "trials, n, message",
+    [(10**9, 2, "trials = 1000000000 exceeds"), (10**6, 10**3, "trials * (n + 1) = 1001000000")],
+)
+def test_main_refuses_trials_over_the_cap(tmp_path, capsys, trials, n, message):
+    # 10**9 trajectories at p = 3, n = 2 would ask for an 8 GB state array;
+    # the refusal comes before the first draw
+    obj = {**EVOLVE_BASE, "n": n, "trials": trials}
+    code, record = run_main_on_text(tmp_path, capsys, "evolve", json.dumps(obj))
+    assert code == 1
+    assert record["error"]["kind"] == "StateSpaceTooLarge"
+    assert message in record["error"]["message"]
+    assert os.listdir(tmp_path / "out") == []
+
+
 @pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
 def test_main_rejects_malformed_state_cap(tmp_path, capsys, monkeypatch, raw):
     monkeypatch.setenv(STATE_CAP_ENV, raw)
@@ -909,8 +926,8 @@ def _break(draw, obj, key):
     """Drop obj[key], give it a wrong value, or make a list one longer or shorter."""
     action = draw(st.sampled_from(["drop", "wrong", "resize"]))
     if action == "drop":
-        del obj[key]
-    elif action == "resize" and isinstance(obj[key], list):
+        obj.pop(key, None)
+    elif action == "resize" and isinstance(obj.get(key), list):
         obj[key] = obj[key][:-1] if draw(st.booleans()) else obj[key] + obj[key][:1]
     else:
         obj[key] = draw(WRONG)
@@ -931,3 +948,29 @@ def test_property_random_configs_end_in_result_or_typed_error(case):
         assert code == 1
         record = json.loads(err.getvalue())
         assert record["error"]["kind"] in ERROR_KINDS, (obj, record)
+
+
+def run_module(tmp_path, obj):
+    """python -m affine_mixer classify on obj in a fresh interpreter."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(obj))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path_list = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_list))}
+    argv = ["classify", "--config", str(path), "--out", str(tmp_path / "out")]
+    return subprocess.run(
+        [sys.executable, "-m", "affine_mixer", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_module_entry_runs_the_cli(tmp_path):
+    done = run_module(tmp_path, {"task": "classify", "matrix": [[2, 1], [1, 1]]})
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout == str(tmp_path / "out" / "classify.json") + "\n"
+
+
+def test_module_entry_failure_is_one_json_record(tmp_path):
+    done = run_module(tmp_path, {"task": "classify", "matrix": [[1, 1], [1, 1]]})
+    assert done.returncode == 1 and done.stdout == ""
+    assert json.loads(done.stderr)["error"]["kind"] == "SingularMatrix"
+    assert done.stderr.count("\n") == 1

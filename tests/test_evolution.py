@@ -121,6 +121,17 @@ def test_chain_spec_validation():
         ChainSpec(IntMatrix.from_rows([[2]]), fair_two_point(1), 3, x0=(0, 0))
 
 
+@pytest.mark.parametrize(
+    "rows, symmetric",
+    [([[2]], True), ([[2, 1], [1, 1]], True), ([[1, 1], [0, 2]], False), ([[0, 1], [-1, 0]], False)],
+)
+def test_symmetric_chain_shares_one_permutation_table(rows, symmetric):
+    k = len(rows)
+    chain = ChainSpec(IntMatrix.from_rows(rows), fair_two_point(k), 7)
+    assert (chain._perm_t is chain._perm) == symmetric
+    assert np.array_equal(chain._perm_t, index_map(chain.a.transpose(), 7, k))
+
+
 def test_chain_spec_reduces_x0():
     chain = ChainSpec(IntMatrix.from_rows([[2]]), fair_two_point(1), 3, x0=(-1,))
     assert chain.x0 == (2,)
@@ -299,6 +310,16 @@ def test_simulate_concentrates_on_exact_law():
 def test_simulate_validation():
     with pytest.raises(ValueError):
         simulate(hand_chain(), 1, trials=0, seed=1)
+
+
+def test_simulate_refuses_trials_over_the_cap(monkeypatch):
+    # 10**9 trials would be an 8 GB state array; refused before any draw
+    with pytest.raises(StateSpaceTooLarge, match="trials = 1000000000"):
+        simulate(hand_chain(), 2, trials=10**9, seed=1)
+    monkeypatch.setenv(STATE_CAP_ENV, "10")
+    simulate(hand_chain(), 63, trials=10, seed=1)
+    with pytest.raises(StateSpaceTooLarge, match=r"trials \* \(n \+ 1\) = 650"):
+        simulate(hand_chain(), 64, trials=10, seed=1)
 
 
 def test_mixing_time_hand_chain():

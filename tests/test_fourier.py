@@ -276,6 +276,13 @@ def test_upper_bound_nonincreasing():
             assert b <= a + 1e-15
 
 
+@pytest.mark.parametrize("bound", [upper_bound, lower_bound_best])
+def test_library_bounds_refuse_dense_work_over_the_cap(bound):
+    # 10**9 product_scan steps at p = 3 would take about 80 min
+    with pytest.raises(StateSpaceTooLarge, match=r"\(n \+ 1\) \* p\*\*k = 3000000003"):
+        bound(hand_chain(), 10**9)
+
+
 def test_lower_bound_at_hand_value():
     chain = hand_chain()
     assert lower_bound_at(chain, (1,), 2) == pytest.approx(1 / 8, abs=1e-12)
