@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -347,13 +347,9 @@ def minimal_poly(a: IntMatrix | Sequence[Sequence[int]]) -> IntPolynomial:
 
     The first power A**e that is a rational combination of lower powers
     yields the polynomial; annihilation is re-verified exactly before
-    returning.  Cached per matrix.
+    returning.
     """
-    return _minimal_poly(as_matrix(a))
-
-
-@lru_cache(maxsize=16)
-def _minimal_poly(a: IntMatrix) -> IntPolynomial:
+    a = as_matrix(a)
     m = _array(a)
     powers = [np.identity(a.k, dtype=object)]
     for _ in range(a.k):
@@ -689,13 +685,9 @@ def canonical_eigenvalue_order(a: IntMatrix | Sequence[Sequence[int]]) -> tuple[
     those of char_poly / min_poly.
 
     All values are exact where the factorization allows and residual-checked
-    otherwise.  Cached per matrix.
+    otherwise.
     """
-    return _canonical_eigenvalue_order(as_matrix(a))
-
-
-@lru_cache(maxsize=16)
-def _canonical_eigenvalue_order(a: IntMatrix) -> tuple[complex, ...]:
+    a = as_matrix(a)
     cp = char_poly(a)
     mp = minimal_poly(a)
     head = list(eigenvalues(mp))
@@ -714,6 +706,59 @@ def _complete_homogeneous(s: int, lams: Sequence[complex]):
         for t in range(1, s + 1):
             h[t] += v * h[t - 1]
     return h[s]
+
+
+class _IdentityChecker:
+    """What every (e, j) check of verify_spectral_identities shares for one
+    matrix, the degree d of its minimal polynomial and one eigenvalue order:
+    the ordered eigenvalues, T, the prefix products P_e, the suffix products
+    prod_{n=h+1..d} (T - lam_n I), and the powers of T, grown on demand."""
+
+    def __init__(
+        self, a: IntMatrix, d: int, eigenvalue_order: Optional[Sequence[int]] = None
+    ) -> None:
+        lams = list(canonical_eigenvalue_order(a))
+        if eigenvalue_order is not None:
+            if sorted(eigenvalue_order) != list(range(a.k)):
+                raise OrderMismatch(f"eigenvalue_order must be a permutation of range({a.k})")
+            lams = [lams[i] for i in eigenvalue_order]
+        exact = all(z.imag == 0 and float(z.real).is_integer() for z in lams)
+        one = 1 if exact else complex(1)
+        self.d, self.lams = d, [int(z.real) if exact else complex(z) for z in lams]
+        # object arrays keep the entries Python ints (exact) or complex
+        eye = np.identity(a.k, dtype=object) * one
+        self.t = _array(a).T * one
+        shifts = [self.t - lam * eye for lam in self.lams[:d]]
+        self.prods = [eye]
+        for shift in shifts:
+            self.prods.append(self.prods[-1] @ shift)
+        # Each suffix is a left fold and T**n one running product, not
+        # squaring: in complex arithmetic the grouping of the products sets
+        # the rounding, and so the reported residual, once entries pass 2**53.
+        self.suffixes = {h: reduce(np.matmul, shifts[h:], eye) for h in range(2, d + 1)}
+        self.powers = [eye]
+
+    def check(self, e: int, js: Sequence[int]) -> list[tuple[bool, float]]:
+        """(ok, max residual) at e for each j in js; 1 <= e <= d, each j >= 0."""
+        while len(self.powers) <= max(e, *js):
+            self.powers.append(self.powers[-1] @ self.t)
+        d, lams, prods, powers = self.d, self.lams, self.prods, self.powers
+        lhs1 = powers[e]
+        rhs1 = sum((lams[s] * (powers[e - s - 1] @ prods[s]) for s in range(e)), prods[e])
+        diff1, top1 = np.abs(lhs1 - rhs1).max(), np.abs(lhs1).max()
+        tails = {h: self.suffixes[h] @ prods[e] for h in range(e + 1, d + 1)}
+        results = []
+        for j in js:
+            lhs2 = powers[j] @ prods[e]
+            rhs2 = 0
+            for h in range(e + 1, d + 1):
+                coeff = _complete_homogeneous(j - d + h, lams[h - 1 : d])
+                if coeff != 0:
+                    rhs2 = rhs2 + coeff * tails[h]
+            residual = float(max(diff1, np.abs(lhs2 - rhs2).max()))
+            scale = max(1.0, float(max(top1, np.abs(lhs2).max())))
+            results.append((residual <= IDENTITY_RESIDUAL_TOL * scale, residual))
+        return results
 
 
 def verify_spectral_identities(
@@ -740,43 +785,9 @@ def verify_spectral_identities(
     when every eigenvalue is an integer.
     """
     a = as_matrix(a)
-    k = a.k
-    mp = minimal_poly(a)
-    d = mp.degree
+    d = minimal_poly(a).degree
     if not 1 <= e <= d:
         raise ValueError(f"e must satisfy 1 <= e <= d = {d}")
     if j < 0:
         raise ValueError("j must be >= 0")
-    lams = list(canonical_eigenvalue_order(a))
-    if eigenvalue_order is not None:
-        if sorted(eigenvalue_order) != list(range(k)):
-            raise OrderMismatch(f"eigenvalue_order must be a permutation of range({k})")
-        lams = [lams[i] for i in eigenvalue_order]
-    exact = all(z.imag == 0 and float(z.real).is_integer() for z in lams)
-    one = 1 if exact else complex(1)
-    lam_vals = [int(z.real) if exact else complex(z) for z in lams]
-    # object arrays keep the entries Python ints (exact) or complex
-    eye = np.identity(k, dtype=object) * one
-    t = _array(a).T * one
-    shifts = [t - lam * eye for lam in lam_vals[:d]]
-    prods = [eye]
-    for shift in shifts:
-        prods.append(prods[-1] @ shift)
-
-    # T**n by one running product, not by squaring: in complex arithmetic
-    # the order of the products sets the rounding, and so the reported
-    # residual, once the entries of T**n pass 2**53
-    powers = [eye]
-    for _ in range(max(e, j)):
-        powers.append(powers[-1] @ t)
-    lhs1 = powers[e]
-    rhs1 = sum((lam_vals[s] * (powers[e - s - 1] @ prods[s]) for s in range(e)), prods[e])
-    lhs2 = powers[j] @ prods[e]
-    rhs2 = 0
-    for h in range(e + 1, d + 1):
-        coeff = _complete_homogeneous(j - d + h, lam_vals[h - 1 : d])
-        if coeff != 0:
-            rhs2 = rhs2 + coeff * (reduce(np.matmul, shifts[h:], eye) @ prods[e])
-    residual = float(max(np.abs(lhs1 - rhs1).max(), np.abs(lhs2 - rhs2).max()))
-    scale = max(1.0, float(max(np.abs(lhs1).max(), np.abs(lhs2).max())))
-    return residual <= IDENTITY_RESIDUAL_TOL * scale, residual
+    return _IdentityChecker(a, d, eigenvalue_order).check(e, (j,))[0]

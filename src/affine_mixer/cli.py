@@ -28,12 +28,12 @@ import numpy as np
 from .algebra import (
     DEFAULT_L_MAX,
     IntMatrix,
+    _IdentityChecker,
     classify_regime,
     det_int,
     exact_int,
     json_float,
     minimal_poly,
-    verify_spectral_identities,
 )
 from .digitlab import block_census
 from .errors import AffineMixerError, ConfigInvalid, InsufficientData, StateSpaceTooLarge
@@ -436,10 +436,10 @@ def _run_digit_census(config: ExperimentConfig, out_dir: str) -> list[str]:
 
 def _run_verify_identities(config: ExperimentConfig, out_dir: str) -> list[str]:
     d = minimal_poly(config.matrix).degree
+    checker = _IdentityChecker(config.matrix, d)
     rows = []
     for e in range(1, d + 1):
-        for j in range(IDENTITY_J_MAX + 1):
-            ok, residual = verify_spectral_identities(config.matrix, e, j)
+        for j, (ok, residual) in enumerate(checker.check(e, range(IDENTITY_J_MAX + 1))):
             rows.append((e, j, int(ok), residual))
     return _write_report(
         out_dir,
@@ -504,3 +504,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for path in written:
         print(path)
     return 0
+
+
+if __name__ == "__main__":
+    # run this way the module is a second copy beside the one the package
+    # imported, and would define main without calling it
+    sys.exit("run the CLI as python -m affine_mixer <task> (or affine-mixer <task>)")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
@@ -117,6 +117,12 @@ class ChainSpec:
             raise ModulusNotCoprime(
                 f"gcd(det(A), {self.p}) != 1; the step map is not a bijection"
             )
+        # the law's accepted sum may miss 1 by up to 1e-12, and each dense
+        # step would multiply the total by it; an exact 1.0 keeps every bit
+        total = math.fsum(self.mu.probs)
+        if total != 1.0:
+            probs = tuple(w / total for w in self.mu.probs)
+            object.__setattr__(self, "mu", replace(self.mu, probs=probs))
         x0 = self.x0 if self.x0 is not None else (0,) * self.a.k
         if len(x0) != self.a.k:
             raise ValueError("x0 must have length k")
@@ -235,9 +241,20 @@ def evolve_iter(chain: ChainSpec, n: int) -> Iterator[tuple[int, StateDistributi
         yield i, dist
 
 
+def _step_price(states: int) -> int:
+    """What one dense step over `states` states or trajectories costs, in
+    states: those plus cap // 1024 for the step's fixed overhead (about
+    50 us, some 3,000 states at 16 ns each; 3,906 at the default cap), so
+    that 64 state caps buy at most about 65,500 steps whatever p**k is."""
+    return states + state_cap() // 1024
+
+
 def _check_work(chain: ChainSpec, n: int) -> None:
-    """Refuse n dense steps, before the first, when (n + 1) p**k exceeds 64 state caps."""
-    _check_cap((n + 1) * chain.n_states, "(n + 1) * p**k", per_state=64)
+    """Refuse n dense steps, before the first, when n + 1 steps at
+    _step_price(p**k) exceed 64 state caps."""
+    _check_cap(
+        (n + 1) * _step_price(chain.n_states), "(n + 1) * (p**k + cap // 1024)", per_state=64
+    )
 
 
 def evolve(chain: ChainSpec, n: int) -> StateDistribution:
@@ -261,7 +278,7 @@ def simulate(chain: ChainSpec, n: int, trials: int, seed: int) -> StateDistribut
         raise ValueError("trials must be >= 1")
     _check_cap(chain.n_states, "p**k")
     _check_cap(trials, "trials")
-    _check_cap(trials * (n + 1), "trials * (n + 1)", per_state=64)
+    _check_cap(_step_price(trials) * (n + 1), "(trials + cap // 1024) * (n + 1)", per_state=64)
     p, k = chain.p, chain.k
     rng = np.random.default_rng(seed)
     a_mod = (np.array(chain.a.rows, dtype=object) % p).astype(np.int64)
@@ -452,8 +469,10 @@ def mixing_time(
     pointwise products and one FFT, so raising n_cap is cheap.  A Fourier
     value within the round-off margin of eps, or a crossing that does not
     recompute, hands the whole search to dense stepping, so the answer is
-    always the one incremental dense stepping gives.  None means unmixed
-    at the cap.
+    always the one incremental dense stepping gives.  That stepping stays
+    within the budget of _check_work; a chain still unmixed at the budget's
+    last step, with n_cap past it, raises StateSpaceTooLarge.  None means
+    unmixed at the cap.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
@@ -464,4 +483,11 @@ def mixing_time(
     try:
         return _fourier_search(chain, eps, n_cap, prefix)
     except _NearTie:
-        return _mixing_time_dense(chain, eps, n_cap)
+        reach = 64 * state_cap() // _step_price(chain.n_states) - 1
+        found = _mixing_time_dense(chain, eps, min(n_cap, reach))
+        if found is None and n_cap > reach:
+            raise StateSpaceTooLarge(
+                f"unmixed after {reach} dense steps, the most the state cap "
+                f"{state_cap()} allows at p**k = {chain.n_states}; n_cap = {n_cap}"
+            )
+        return found

@@ -1,6 +1,10 @@
-"""Shared fixtures: the matrix suite and its fair two-point increments."""
+"""Shared fixtures: the matrix suite, its fair two-point increments, and a
+wall-clock limit for tests of work that must end quickly."""
 
 from __future__ import annotations
+
+import signal
+from contextlib import contextmanager
 
 from affine_mixer import ChainSpec, IncrementDistribution, IntMatrix
 
@@ -35,3 +39,17 @@ def suite_chains(primes=SUITE_PRIMES) -> list[ChainSpec]:
         for p in primes:
             chains.append(ChainSpec(a, mu, p))
     return chains
+
+
+@contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"exceeded {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

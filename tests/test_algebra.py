@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 import random
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
+from functools import reduce
 from math import gcd, isqrt, lcm
 
 import numpy as np
@@ -43,7 +42,6 @@ from affine_mixer import algebra
 from affine_mixer.algebra import (
     _fraction_free,
     _integer_roots,
-    _minimal_poly,
     _pair_conjugates,
     _polish_root,
     _residual_scale,
@@ -54,7 +52,7 @@ from affine_mixer.algebra import (
     poly_eval_matrix,
     poly_mul,
 )
-from common import SUITE_ROWS, suite_matrices
+from common import SUITE_ROWS, suite_matrices, time_limit
 
 
 def laplace_det(rows):
@@ -621,20 +619,6 @@ def test_split_quartic_matches_divisor_oracle():
             assert {g.coeffs for g in split} == {g.coeffs for g in oracle}, f.coeffs
 
 
-@contextmanager
-def time_limit(seconds):
-    def expire(signum, frame):
-        raise TimeoutError(f"exceeded {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_classify_regime_large_diagonal_is_fast():
     with time_limit(2.0):
         profile = classify_regime([[10**9 + 7, 0], [0, 10**9 + 9]])
@@ -651,19 +635,26 @@ def test_factor_int_poly_large_quartic_is_fast():
     assert factors == ((qa, 1), (qb, 1))
 
 
-def test_spectral_data_computed_once_per_matrix():
-    from affine_mixer import verify_spectral_identities
+def test_identities_report_computes_spectral_data_once(tmp_path, monkeypatch):
+    from affine_mixer import cli
 
-    rows = [[2, 1, 0], [0, 3, 0], [1, 0, -1]]
-    _minimal_poly.cache_clear()
-    for e in range(1, 4):
-        for j in range(5):
-            assert verify_spectral_identities(rows, e, j)[0]
-    assert _minimal_poly.cache_info().misses == 1
-    # plain lists and IntMatrix share one cache entry
-    assert canonical_eigenvalue_order(rows) is canonical_eigenvalue_order(
-        IntMatrix.from_rows(rows)
-    )
+    calls = {"canonical_eigenvalue_order": 0, "minimal_poly": 0}
+    for name in calls:
+        original = getattr(algebra, name)
+
+        def counted(a, name=name, original=original):
+            calls[name] += 1
+            return original(a)
+
+        monkeypatch.setattr(algebra, name, counted)
+    path = tmp_path / "cfg.json"
+    path.write_text('{"matrix": [[2, 1, 0], [0, 3, 0], [1, 0, -1]]}')
+    argv = ["verify-identities", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    with open(tmp_path / "out" / "identities.csv") as handle:
+        assert len(handle.readlines()) == 1 + 3 * 11  # d = 3, j = 0..10
+    assert calls["canonical_eigenvalue_order"] == 1
+    assert calls["minimal_poly"] <= 2
 
 
 BIG = 10**9
@@ -1069,3 +1060,114 @@ def test_split_quartic_matches_partial_check_oracle():
         assert split == partial_check_split_quartic(f), f.coeffs
         split_count += split is not None
     assert split_count > 1000
+
+
+def verify_identities_oracle(a, e, j, eigenvalue_order=None):
+    """The former per-call verify_spectral_identities, kept as an oracle: it
+    rebuilds every shift, product and power for each (e, j)."""
+    a = algebra.as_matrix(a)
+    k = a.k
+    mp = minimal_poly(a)
+    d = mp.degree
+    if not 1 <= e <= d:
+        raise ValueError(f"e must satisfy 1 <= e <= d = {d}")
+    if j < 0:
+        raise ValueError("j must be >= 0")
+    lams = list(canonical_eigenvalue_order(a))
+    if eigenvalue_order is not None:
+        if sorted(eigenvalue_order) != list(range(k)):
+            raise OrderMismatch(f"eigenvalue_order must be a permutation of range({k})")
+        lams = [lams[i] for i in eigenvalue_order]
+    exact = all(z.imag == 0 and float(z.real).is_integer() for z in lams)
+    one = 1 if exact else complex(1)
+    lam_vals = [int(z.real) if exact else complex(z) for z in lams]
+    eye = np.identity(k, dtype=object) * one
+    t = algebra._array(a).T * one
+    shifts = [t - lam * eye for lam in lam_vals[:d]]
+    prods = [eye]
+    for shift in shifts:
+        prods.append(prods[-1] @ shift)
+    powers = [eye]
+    for _ in range(max(e, j)):
+        powers.append(powers[-1] @ t)
+    lhs1 = powers[e]
+    rhs1 = sum((lam_vals[s] * (powers[e - s - 1] @ prods[s]) for s in range(e)), prods[e])
+    lhs2 = powers[j] @ prods[e]
+    rhs2 = 0
+    for h in range(e + 1, d + 1):
+        coeff = algebra._complete_homogeneous(j - d + h, lam_vals[h - 1 : d])
+        if coeff != 0:
+            rhs2 = rhs2 + coeff * (reduce(np.matmul, shifts[h:], eye) @ prods[e])
+    residual = float(max(np.abs(lhs1 - rhs1).max(), np.abs(lhs2 - rhs2).max()))
+    scale = max(1.0, float(max(np.abs(lhs1).max(), np.abs(lhs2).max())))
+    return residual <= algebra.IDENTITY_RESIDUAL_TOL * scale, residual
+
+
+def outcome(check, *args):
+    """repr of check(*args), or the type and message of what it raises."""
+    try:
+        return repr(check(*args))
+    except Exception as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def assert_identities_match_oracle(a, order):
+    d = minimal_poly(a).degree
+    for eigenvalue_order in (None, order):
+        for e in range(1, d + 1):
+            for j in range(13):
+                args = (a, e, j, eigenvalue_order)
+                assert outcome(algebra.verify_spectral_identities, *args) == outcome(
+                    verify_identities_oracle, *args
+                ), (a.rows, e, j, eigenvalue_order)
+
+
+IDENTITY_MATRICES = SUITE_ROWS + (
+    ((2, 1, 0), (0, 2, 1), (0, 0, 2)),  # one Jordan block: d = 3, one root
+    ((1, 1), (0, 1)),
+    ((3, 0, 0), (0, 3, 0), (0, 0, 3)),  # d = 1 < k
+    ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0)),  # +-i twice
+    ((0, 0, 0, 0, 1), (1, 0, 0, 0, 1), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0)),
+    ((1000003, 999983), (-999979, 1000033)),
+    ((1, 2, 3), (0, 1, 4), (5, 6, 0)),
+)
+
+
+@pytest.mark.parametrize("rows", IDENTITY_MATRICES)
+def test_spectral_identities_match_per_call_oracle(rows):
+    a = IntMatrix.from_rows(rows)
+    assert_identities_match_oracle(a, tuple(reversed(range(a.k))))
+    # argument errors, and which of two comes first
+    k, d = a.k, minimal_poly(a).degree
+    for e in (0, 1, d, d + 1):
+        for j in (-1, 0):
+            for order in (None, tuple(range(k)), (0,) * k, tuple(range(k + 1))):
+                args = (a, e, j, order)
+                assert outcome(algebra.verify_spectral_identities, *args) == outcome(
+                    verify_identities_oracle, *args
+                ), (rows, e, j, order)
+
+
+@st.composite
+def identity_matrices(draw):
+    """Integer matrices of dimension 1-4: uniform small entries (irrational
+    and complex spectra), or a triangular core on few diagonal values
+    (repeated, possibly defective, eigenvalues) conjugated by a unimodular
+    matrix."""
+    k = draw(st.integers(1, 4))
+    entry = st.integers(-4, 4)
+    if draw(st.booleans()):
+        return IntMatrix.from_rows([[draw(entry) for _ in range(k)] for _ in range(k)])
+    diag = st.sampled_from((-2, 1, 3))
+    core = [
+        [draw(diag) if i == j else draw(st.integers(0, 1)) if i < j else 0 for j in range(k)]
+        for i in range(k)
+    ]
+    return conjugate_by_unimodular(draw, core)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_property_spectral_identities_match_per_call_oracle(data):
+    a = data.draw(identity_matrices())
+    assert_identities_match_oracle(a, tuple(data.draw(st.permutations(range(a.k)))))

@@ -30,6 +30,7 @@ from affine_mixer import (
 from affine_mixer.cli import TASKS, _write_report, main
 from affine_mixer.digitlab import block_census
 from affine_mixer.evolution import STATE_CAP_ENV
+from common import time_limit
 
 
 def cfg_evolve(tmp_path, **overrides):
@@ -747,14 +748,16 @@ def test_l_max_maximum_is_accepted(tmp_path, capsys):
 
 @pytest.mark.parametrize("task", ["evolve", "bounds"])
 def test_main_refuses_dense_work_over_the_cap(tmp_path, capsys, task):
-    # (10**9 + 1) * 3 states to step is about 12 h of dense work at p = 3;
+    # at p = 3 a dense step costs about 57 us, nearly all of it fixed
+    # overhead: 10**6 steps are about a minute of work, 10**9 about 16 h;
     # the refusal comes before the first step
-    obj = {**EVOLVE_BASE, "task": task, "n": 10**9}
-    code, record = run_main_on_text(tmp_path, capsys, task, json.dumps(obj))
-    assert code == 1
-    assert record["error"]["kind"] == "StateSpaceTooLarge"
-    assert "(n + 1) * p**k = 3000000003" in record["error"]["message"]
-    assert os.listdir(tmp_path / "out") == []
+    for n, count in ((10**9, 3909000003909), (10**6, 3909003909)):
+        obj = {**EVOLVE_BASE, "task": task, "n": n}
+        code, record = run_main_on_text(tmp_path, capsys, task, json.dumps(obj))
+        assert code == 1
+        assert record["error"]["kind"] == "StateSpaceTooLarge"
+        assert f"(n + 1) * (p**k + cap // 1024) = {count}" in record["error"]["message"]
+        assert os.listdir(tmp_path / "out") == []
 
 
 @pytest.mark.parametrize("task", ["evolve", "bounds"])
@@ -769,9 +772,42 @@ def test_main_dense_work_cap_boundary(tmp_path, capsys, monkeypatch, task):
     assert record["error"]["kind"] == "StateSpaceTooLarge"
 
 
+@pytest.mark.parametrize("task", ["evolve", "bounds"])
+def test_main_runs_a_law_whose_weights_miss_one_by_a_rounding(tmp_path, capsys, task):
+    # the weights sum to 1 - 9e-13, which the schema accepts; unnormalised,
+    # 200 dense steps would drift the law's total past the 1e-10 check
+    increments = {"k": 1, "support": [[0], [1]], "probs": [0.5, 0.4999999999991]}
+    obj = {**EVOLVE_BASE, "task": task, "increments": increments, "n": 200}
+    assert run_main_on_text(tmp_path, capsys, task, json.dumps(obj)) == (0, None)
+
+
+def test_main_sweep_dense_fallback_stays_within_the_budget(tmp_path, capsys, monkeypatch):
+    # eps = 1e-300 lies within round-off of every Fourier tv, so each
+    # modulus falls back to dense stepping; a cap of 300 allows about 1,700
+    # such steps at p <= 17, far short of n_cap
+    monkeypatch.setenv(STATE_CAP_ENV, "300")
+    obj = {
+        **EVOLVE_BASE,
+        "task": "mixing-sweep",
+        "matrix": [[1]],
+        "p_list": [11, 13, 17],
+        "eps": 1e-300,
+        "n_cap": 10**9,
+    }
+    with time_limit(10.0):
+        code, record = run_main_on_text(tmp_path, capsys, "mixing-sweep", json.dumps(obj))
+    assert (code, record) == (0, None)
+    with open(tmp_path / "out" / "sweep.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["reason"] for row in rows] == ["error: StateSpaceTooLarge"] * 3
+
+
 @pytest.mark.parametrize(
     "trials, n, message",
-    [(10**9, 2, "trials = 1000000000 exceeds"), (10**6, 10**3, "trials * (n + 1) = 1001000000")],
+    [
+        (10**9, 2, "trials = 1000000000 exceeds"),
+        (10**6, 10**3, "* (n + 1) = 1004909906 exceeds"),
+    ],
 )
 def test_main_refuses_trials_over_the_cap(tmp_path, capsys, trials, n, message):
     # 10**9 trajectories at p = 3, n = 2 would ask for an 8 GB state array;
@@ -950,8 +986,8 @@ def test_property_random_configs_end_in_result_or_typed_error(case):
         assert record["error"]["kind"] in ERROR_KINDS, (obj, record)
 
 
-def run_module(tmp_path, obj):
-    """python -m affine_mixer classify on obj in a fresh interpreter."""
+def run_module(tmp_path, obj, module="affine_mixer"):
+    """python -m module classify on obj in a fresh interpreter."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(obj))
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -959,7 +995,7 @@ def run_module(tmp_path, obj):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_list))}
     argv = ["classify", "--config", str(path), "--out", str(tmp_path / "out")]
     return subprocess.run(
-        [sys.executable, "-m", "affine_mixer", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
     )
 
 
@@ -974,3 +1010,13 @@ def test_module_entry_failure_is_one_json_record(tmp_path):
     assert done.returncode == 1 and done.stdout == ""
     assert json.loads(done.stderr)["error"]["kind"] == "SingularMatrix"
     assert done.stderr.count("\n") == 1
+
+
+def test_cli_module_run_as_a_script_fails_loudly(tmp_path):
+    # runpy executes cli.py as __main__, where nothing else calls main: the
+    # run must fail rather than exit 0 with no report
+    obj = {"task": "classify", "matrix": [[2, 1], [1, 1]]}
+    done = run_module(tmp_path, obj, "affine_mixer.cli")
+    assert done.returncode != 0
+    assert "python -m affine_mixer <task>" in done.stderr
+    assert not (tmp_path / "out").exists()

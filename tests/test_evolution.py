@@ -132,6 +132,17 @@ def test_symmetric_chain_shares_one_permutation_table(rows, symmetric):
     assert np.array_equal(chain._perm_t, index_map(chain.a.transpose(), 7, k))
 
 
+def test_chain_spec_divides_the_weights_by_their_sum():
+    fair = fair_two_point(1)
+    assert ChainSpec(IntMatrix.from_rows([[2]]), fair, 3).mu is fair
+    drift = IncrementDistribution(1, ((0,), (1,)), (0.5, 0.4999999999991))
+    chain = ChainSpec(IntMatrix.from_rows([[2]]), drift, 3)
+    total = math.fsum(drift.probs)
+    assert chain.mu.probs == (0.5 / total, 0.4999999999991 / total)
+    assert chain.mu.support == drift.support
+    assert abs(tv_distance(evolve(chain, 200)) - tv_distance(evolve(hand_chain(), 200))) < 1e-9
+
+
 def test_chain_spec_reduces_x0():
     chain = ChainSpec(IntMatrix.from_rows([[2]]), fair_two_point(1), 3, x0=(-1,))
     assert chain.x0 == (2,)
@@ -318,7 +329,8 @@ def test_simulate_refuses_trials_over_the_cap(monkeypatch):
         simulate(hand_chain(), 2, trials=10**9, seed=1)
     monkeypatch.setenv(STATE_CAP_ENV, "10")
     simulate(hand_chain(), 63, trials=10, seed=1)
-    with pytest.raises(StateSpaceTooLarge, match=r"trials \* \(n \+ 1\) = 650"):
+    message = r"\(trials \+ cap // 1024\) \* \(n \+ 1\) = 650"
+    with pytest.raises(StateSpaceTooLarge, match=message):
         simulate(hand_chain(), 64, trials=10, seed=1)
 
 
@@ -466,6 +478,17 @@ def test_mixing_time_falls_back_when_the_crossing_does_not_recompute(monkeypatch
     with pytest.raises(_NearTie, match=f"crossing at n = {n_mix} did not recompute"):
         _fourier_search(chain, 0.25, evolution.DEFAULT_N_CAP, prefix)
     assert mixing_time(chain, 0.25) == _mixing_time_dense(chain, 0.25, 10**4) == n_mix
+
+
+def test_mixing_time_dense_fallback_stays_within_the_budget(monkeypatch):
+    # every Fourier tv lies within round-off of eps = 1e-300, so the search
+    # falls back to dense stepping, which a cap of 300 limits to
+    # 64 * 300 // 11 - 1 = 1744 steps at p = 11
+    monkeypatch.setenv(STATE_CAP_ENV, "300")
+    chain = slow_chain(11)
+    assert mixing_time(chain, 1e-300, 1744) is None
+    with pytest.raises(StateSpaceTooLarge, match="unmixed after 1744 dense steps"):
+        mixing_time(chain, 1e-300, 1745)
 
 
 def folded_binomial_tv(n, p):

@@ -279,7 +279,8 @@ def test_upper_bound_nonincreasing():
 @pytest.mark.parametrize("bound", [upper_bound, lower_bound_best])
 def test_library_bounds_refuse_dense_work_over_the_cap(bound):
     # 10**9 product_scan steps at p = 3 would take about 80 min
-    with pytest.raises(StateSpaceTooLarge, match=r"\(n \+ 1\) \* p\*\*k = 3000000003"):
+    message = r"\(n \+ 1\) \* \(p\*\*k \+ cap // 1024\) = 3909000003909"
+    with pytest.raises(StateSpaceTooLarge, match=message):
         bound(hand_chain(), 10**9)
 
 
