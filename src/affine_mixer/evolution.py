@@ -4,9 +4,13 @@ States are indexed little-endian: x maps to sum_i x_i * p**i.  One step of
 X' = A X + B (mod p) is a push-forward through the bijection y -> A y
 (gcd(det A, p) = 1 makes it one) followed by a cyclic convolution with the
 reduced increment law, so a step costs O(p^k * |supp mu|) and stays exact
-up to float addition.  Mixing times past a short dense prefix are found in
-the Fourier domain, where the law after n steps costs O(log n) pointwise
-products instead of n steps.
+up to float addition.  The mixing search skips the work that the paper's
+necessary-steps count already decides: P_n lives on at most |supp mu|**n
+states, so while that is small against p^k its early steps run on the
+support alone, at O(|supp| |supp mu|) each, and tv is computed only once
+the count no longer rules out mixing.  Mixing times past a short
+prefix are found in the Fourier domain, where the law after n steps costs
+O(log n) pointwise products instead of n steps.
 """
 
 from __future__ import annotations
@@ -63,13 +67,22 @@ def decode_state(code: int, p: int, k: int) -> tuple[int, ...]:
 
 def state_table(p: int, k: int) -> np.ndarray:
     """All states as an (p**k, k) int64 array; row i decodes index i."""
-    idx = np.arange(p**k, dtype=np.int64)
-    return np.stack([(idx // p**i) % p for i in range(k)], axis=1)
+    return _decode(np.arange(p**k, dtype=np.int64), p, k)
+
+
+def _decode(codes: np.ndarray, p: int, k: int) -> np.ndarray:
+    """The (m, k) array of states whose little-endian indices are codes."""
+    return np.stack([(codes // p**i) % p for i in range(k)], axis=1)
 
 
 def _encode(states: np.ndarray, p: int) -> np.ndarray:
     """Little-endian indices of the rows of an (m, k) array of reduced states."""
     return states @ np.array([p**i for i in range(states.shape[1])], dtype=np.int64)
+
+
+def _mod_rows(matrix: IntMatrix, p: int) -> np.ndarray:
+    """The entries of a matrix reduced mod p, as int64, whatever their size."""
+    return (np.array(matrix.rows, dtype=object) % p).astype(np.int64)
 
 
 def index_map(matrix: IntMatrix | Sequence[Sequence[int]], p: int, k: int) -> np.ndarray:
@@ -78,7 +91,7 @@ def index_map(matrix: IntMatrix | Sequence[Sequence[int]], p: int, k: int) -> np
     A permutation of the state indices whenever gcd(det M, p) = 1.
     """
     states = state_table(p, k)
-    m_mod = (np.array(as_matrix(matrix).rows, dtype=object) % p).astype(np.int64)
+    m_mod = _mod_rows(as_matrix(matrix), p)
     image = states @ m_mod.T
     reduced = image % p
     # Dropping image before the codes are allocated keeps a state-sized
@@ -281,7 +294,7 @@ def simulate(chain: ChainSpec, n: int, trials: int, seed: int) -> StateDistribut
     _check_cap(_step_price(trials) * (n + 1), "(trials + cap // 1024) * (n + 1)", per_state=64)
     p, k = chain.p, chain.k
     rng = np.random.default_rng(seed)
-    a_mod = (np.array(chain.a.rows, dtype=object) % p).astype(np.int64)
+    a_mod = _mod_rows(chain.a, p)
     supp = np.array(
         [[int(c) % p for c in pt] for pt in chain.mu.support], dtype=np.int64
     )
@@ -302,17 +315,91 @@ def shift_by(dist: StateDistribution, chain: ChainSpec, n: int) -> StateDistribu
     return StateDistribution(p, k, _translate(dist.values.reshape((p,) * k), offset).reshape(-1))
 
 
+def _step_support(
+    codes: np.ndarray, values: np.ndarray, chain: ChainSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """One exact step of a law held as its support: sorted state indices and
+    their values.  Costs O(|supp| s log(|supp| s)) with s = |supp mu|, not
+    O(p**k), and builds no permutation table.
+
+    Each target gathers w * P(y) over the pairs (y, shift) with
+    A y + shift = x, added in the order of chain._shifts starting from 0,
+    as the translates are added in step_exact; so the law is bit-identical
+    to step_exact's on the same support.
+    """
+    p, k = chain.p, chain.k
+    pushed = _decode(codes, p, k) @ _mod_rows(chain.a, p).T
+    shifts = np.array([shift for shift, _ in chain._shifts], dtype=np.int64)
+    weights = np.array([w for _, w in chain._shifts])
+    # shift-major rows: bincount adds each target's terms in shift order
+    targets = _encode(((pushed[None] + shifts[:, None]) % p).reshape(-1, k), p)
+    codes, inverse = np.unique(targets, return_inverse=True)
+    terms = (weights[:, None] * values[None]).reshape(-1)
+    return codes, np.bincount(inverse, weights=terms, minlength=len(codes))
+
+
 def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int]:
     """Smallest n <= n_cap with tv_distance(P_n) <= eps, by incremental
-    dense stepping; None when unmixed at the cap.  The reference search."""
-    for n, dist in evolve_iter(chain, n_cap):
-        if tv_distance(dist) <= eps:
-            return n
-    return None
+    exact stepping; None when unmixed at the cap.
+
+    The paper's necessary-steps argument is a count: P_n lives on at most
+    b_n = min(s**n, N) states (s = |supp mu| folded mod p, N = p**k), so
+    tv(P_n) >= 1 - b_n / N.  While that bound certifies tv > eps, no tv is
+    computed, and while the support is small against N the law is stepped
+    on its support (_step_support), so those early steps cost O(|supp| s),
+    not O(N).  Then it is scattered into one dense law and stepped by
+    step_exact, with tv_distance called only where the bound no longer
+    decides.  The certificate asks (1 - eps) N > 2 b: the float law is
+    exactly 0 off its b counted states, so its exact tv is above eps by
+    more than b / N >= 1 / N, less its drift from total 1, and that drift
+    plus the float error of tv_distance (a few u (n s + log2 N) with
+    u = 2**-53) stays far below 1 / N for every N a dense law can have.
+    Every law is the one evolve gives, bit for bit, so the answer is the
+    one tv_distance at every n gives.
+    """
+    if n_cap < 0:
+        raise ValueError("step count must be >= 0")
+    _check_cap(chain.n_states, "p**k")
+    size, s = chain.n_states, len(chain._shifts)
+
+    def unmixed(support: int) -> bool:
+        return (1.0 - eps) * size > 2 * support
+
+    def on_support(targets: int) -> bool:
+        # below about 2**10 states a dense step costs no more than a support
+        # step's fixed overhead, and past about N / 32 targets it costs less
+        # than a sort of them
+        return 2**10 <= size and 32 * targets < size and unmixed(targets)
+
+    n = 0
+    codes = np.array([encode_state(chain.x0, chain.p)], dtype=np.int64)
+    values = np.ones(1)
+    while n < n_cap and on_support(len(codes) * s):
+        codes, values = _step_support(codes, values, chain)
+        n += 1
+    law = np.zeros(size)
+    law[codes] = values
+    dist = StateDistribution(chain.p, chain.k, law)
+    bound = len(codes)
+    # held through the dense steps, the support (1 MB at p = 3e6) raised the
+    # peak resident memory of a mixing sweep up to that p by 4 MB
+    del law, codes, values
+    while unmixed(bound) or tv_distance(dist) > eps:
+        if n == n_cap:
+            return None
+        dist = step_exact(dist, chain)
+        n += 1
+        bound = min(bound * s, size)
+    return n
 
 
 def _dense_prefix(n_states: int, support_size: int) -> int:
-    """Dense steps to try before the Fourier search.
+    """Steps to try by _mixing_time_dense before the Fourier search.
+
+    The early steps of that prefix, which run on the support of P_n and
+    cost O(|supp| |supp mu|) rather than O(N), are priced here as dense
+    steps: the prefix is set for a search that steps densely throughout,
+    and changing it would change which path answers.
 
     Costs in passes over a length-N array (N = p**k): a dense step makes
     about |supp mu| + 4 of them (the rolls, their sum and the
@@ -464,9 +551,12 @@ def mixing_time(
 ) -> Optional[int]:
     """Smallest n <= n_cap with tv_distance(P_n) <= eps, else None.
 
-    Steps densely for a short prefix (see _dense_prefix), then gallops and
+    Steps exactly for a short prefix (see _dense_prefix), then gallops and
     bisects on n in the Fourier domain, where each candidate costs O(log n)
-    pointwise products and one FFT, so raising n_cap is cheap.  A Fourier
+    pointwise products and one FFT, so raising n_cap is cheap.  While the
+    counting bound tv(P_n) >= 1 - |supp P_n| / p**k rules out mixing, the
+    prefix computes no tv, and its early steps run on the support of P_n
+    at O(|supp| |supp mu|) each (see _mixing_time_dense).  A Fourier
     value within the round-off margin of eps, or a crossing that does not
     recompute, hands the whole search to dense stepping, so the answer is
     always the one incremental dense stepping gives.  That stepping stays

@@ -1,12 +1,13 @@
-"""Shared fixtures: the matrix suite, its fair two-point increments, and a
-wall-clock limit for tests of work that must end quickly."""
+"""Shared fixtures: the matrix suite, its fair two-point increments, the
+reference mixing-time search, and a wall-clock limit for tests of work
+that must end quickly."""
 
 from __future__ import annotations
 
 import signal
 from contextlib import contextmanager
 
-from affine_mixer import ChainSpec, IncrementDistribution, IntMatrix
+from affine_mixer import ChainSpec, IncrementDistribution, IntMatrix, evolve_iter, tv_distance
 
 SUITE_ROWS = (
     ((2,),),
@@ -39,6 +40,15 @@ def suite_chains(primes=SUITE_PRIMES) -> list[ChainSpec]:
         for p in primes:
             chains.append(ChainSpec(a, mu, p))
     return chains
+
+
+def dense_mixing_time(chain, eps, n_cap):
+    """Smallest n <= n_cap with tv_distance(P_n) <= eps, None when unmixed
+    at the cap: tv at every n of evolve_iter, the reference search."""
+    for n, dist in evolve_iter(chain, n_cap):
+        if tv_distance(dist) <= eps:
+            return n
+    return None
 
 
 @contextmanager

@@ -33,6 +33,7 @@ from affine_mixer.evolution import (
     _dense_prefix,
     _fourier_search,
     _mixing_time_dense,
+    _step_support,
     _NearTie,
     _translate,
     decode_state,
@@ -42,7 +43,7 @@ from affine_mixer.evolution import (
     state_cap,
     state_table,
 )
-from common import fair_two_point, suite_chains
+from common import dense_mixing_time, fair_two_point, suite_chains
 
 
 def hand_chain(p=3):
@@ -339,6 +340,8 @@ def test_mixing_time_hand_chain():
     assert mixing_time(chain, 0.25) == 2
     assert mixing_time(chain, 0.1) == 3
     assert mixing_time(chain, 0.5, n_cap=0) is None
+    with pytest.raises(ValueError, match="step count"):
+        mixing_time(chain, 0.5, n_cap=-1)
     with pytest.raises(ValueError):
         mixing_time(chain, 0.0)
     with pytest.raises(ValueError):
@@ -411,7 +414,7 @@ def test_property_simulate_lies_near_the_exact_law(chain, n, seed):
 @given(chain=small_chains(), eps=st.floats(0.01, 0.9), cap_shift=st.integers(-3, 3))
 def test_mixing_time_matches_dense_search(chain, eps, cap_shift):
     reach = 600
-    dense = _mixing_time_dense(chain, eps, reach)
+    dense = dense_mixing_time(chain, eps, reach)
     assert mixing_time(chain, eps, reach) == dense
     # a cap just below or above the dense answer
     cap = max(0, min(reach, (reach if dense is None else dense) + cap_shift))
@@ -440,7 +443,7 @@ def test_fourier_search_decides_without_fallback(rows, p, eps):
     # away from ties the Fourier search answers by itself, from n = 1
     a = IntMatrix.from_rows(rows)
     chain = ChainSpec(a, fair_two_point(a.k), p, x0=(1,) * a.k)
-    dense = _mixing_time_dense(chain, eps, 10**4)
+    dense = dense_mixing_time(chain, eps, 10**4)
     assert dense is not None and dense > 1
     assert _fourier_search(chain, eps, 10**4, 1) == dense
 
@@ -477,7 +480,7 @@ def test_mixing_time_falls_back_when_the_crossing_does_not_recompute(monkeypatch
     monkeypatch.setattr(evolution, "_power", long_by_one)
     with pytest.raises(_NearTie, match=f"crossing at n = {n_mix} did not recompute"):
         _fourier_search(chain, 0.25, evolution.DEFAULT_N_CAP, prefix)
-    assert mixing_time(chain, 0.25) == _mixing_time_dense(chain, 0.25, 10**4) == n_mix
+    assert mixing_time(chain, 0.25) == dense_mixing_time(chain, 0.25, 10**4) == n_mix
 
 
 def test_mixing_time_dense_fallback_stays_within_the_budget(monkeypatch):
@@ -489,6 +492,93 @@ def test_mixing_time_dense_fallback_stays_within_the_budget(monkeypatch):
     assert mixing_time(chain, 1e-300, 1744) is None
     with pytest.raises(StateSpaceTooLarge, match="unmixed after 1744 dense steps"):
         mixing_time(chain, 1e-300, 1745)
+
+
+@st.composite
+def support_chains(draw, dims=(1, 2, 3)):
+    """Chains with gcd(det A, p) = 1, a random x0 and 1 to 4 increments, two
+    of them congruent mod p when a twin is drawn, on moduli large enough
+    for the support phase of the mixing search to run."""
+    k = draw(st.sampled_from(dims))
+    moduli = {1: [2, 3, 5, 31, 101, 2003], 2: [2, 3, 5, 11, 37], 3: [2, 3, 5, 7, 11]}
+    p = draw(st.sampled_from(moduli[k]))
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
+    if math.gcd(det_int(IntMatrix.from_rows(rows)), p) != 1:
+        # keep the upper triangle over a unit diagonal: det = 1
+        rows = [[int(i == j) if i >= j else c for j, c in enumerate(r)] for i, r in enumerate(rows)]
+    points = draw(st.lists(st.tuples(*[entry] * k), min_size=1, max_size=4, unique=True))
+    if len(points) < 4 and draw(st.booleans()):
+        twin = draw(st.sampled_from(points))
+        lift = draw(st.tuples(*[st.integers(-2, 2)] * k).filter(any))
+        lifted = tuple(c + p * m for c, m in zip(twin, lift))
+        if lifted not in points:
+            points.append(lifted)
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(points), max_size=len(points)))
+    total = sum(weights)
+    mu = IncrementDistribution(k, tuple(points), tuple(w / total for w in weights))
+    x0 = draw(st.tuples(*[st.integers(0, p - 1)] * k))
+    return ChainSpec(IntMatrix.from_rows(rows), mu, p, x0=x0)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(chain=support_chains(), n=st.integers(0, 10))
+def test_property_support_steps_match_evolve_bitwise(chain, n):
+    # the law stepped on its support, scattered at any n, is evolve's law
+    codes, values = np.array([encode_state(chain.x0, chain.p)]), np.ones(1)
+    for i, dist in evolve_iter(chain, n):
+        if i:
+            codes, values = _step_support(codes, values, chain)
+        assert np.all(np.diff(codes) > 0)
+        law = np.zeros(chain.n_states)
+        law[codes] = values
+        assert np.array_equal(law, dist.values), i
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    chain=support_chains(dims=(1, 2)),
+    eps=st.one_of(st.floats(0.01, 0.999), st.sampled_from([0.99, 1 - 1e-9, None])),
+    above=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_property_mixing_time_matches_dense_search_near_one(chain, eps, above):
+    # eps None stands for one in [1 - 1/N, 1), where P_0 may already be mixed;
+    # the counting certificate must never skip a tv that would decide
+    size = chain.n_states
+    if eps is None:
+        eps = min(1 - (1 - above) / size, math.nextafter(1.0, 0.0))
+    dense = dense_mixing_time(chain, eps, 600)
+    assert mixing_time(chain, eps, 600) == dense
+    if eps >= tv_distance(StateDistribution.point_mass(chain.p, chain.k, chain.x0)):
+        assert dense == 0
+
+
+def test_mixing_time_skips_dense_work_the_counting_bound_decides(monkeypatch):
+    # A = 2 with fair {0, 1}: P_n has at most 2**n states, so tv > 0.25 is
+    # certain while 2**n < 0.375 p; the support phase and the certificate
+    # leave 6 dense steps and 2 tv sums of the 17 and 18 a plain search makes
+    chain = ChainSpec(IntMatrix.from_rows([[2]]), fair_two_point(1), 100_003)
+    calls = {"step_exact": 0, "tv_distance": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(evolution, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(evolution, name, counted)
+    assert mixing_time(chain, 0.25) == 17
+    assert calls["step_exact"] < 17 / 2 and calls["tv_distance"] <= 2, calls
+
+
+def test_mixing_time_dense_point_mass_increments_stay_on_the_support(monkeypatch):
+    # s = 1 never grows the support: the search stays in the support phase
+    # up to n_cap, steps no dense law, and still refuses p**k over the cap
+    mu = IncrementDistribution.fair([(1,)])
+    chain = ChainSpec(IntMatrix.from_rows([[2]]), mu, 100_003)
+    monkeypatch.setattr(evolution, "step_exact", None)
+    assert _mixing_time_dense(chain, 0.5, 5000) is None
+    monkeypatch.setenv(STATE_CAP_ENV, "100000")
+    with pytest.raises(StateSpaceTooLarge, match="p\\*\\*k = 100003"):
+        _mixing_time_dense(chain, 0.5, 5000)
 
 
 def folded_binomial_tv(n, p):
