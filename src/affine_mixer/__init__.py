@@ -53,7 +53,6 @@ from .evolution import (
     evolve,
     evolve_iter,
     mixing_time,
-    reduce_increments,
     simulate,
     state_cap,
     step_exact,
@@ -75,14 +74,11 @@ from .fourier import (
     product_scan,
     transform_of_distribution,
     upper_bound,
-    xi_fractional,
 )
 from .increments import (
     IncrementDistribution,
     SupportBasis,
     admissible_modulus,
-    difference_set,
-    extended_difference_set,
     support_basis,
 )
 from .cli import ExperimentConfig, FitResult, SweepRow, fit_exponent, mixing_sweep, run

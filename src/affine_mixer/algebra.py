@@ -192,11 +192,6 @@ def independent_indices(vectors: Sequence[Sequence[int]]) -> list[int]:
     return _fraction_free(m.T)[0] if m.size else []
 
 
-def int_rank(vectors: Sequence[Sequence[int]]) -> int:
-    """Rank of a list of integer vectors."""
-    return len(independent_indices(vectors))
-
-
 def _kernel_vector(rows: Sequence[Sequence[int]] | np.ndarray) -> list[int]:
     """A nonzero integer vector x with rows @ x = 0.
 

@@ -10,8 +10,7 @@ repeated carry can produce).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -21,16 +20,12 @@ from .evolution import _check_cap
 
 @dataclass(frozen=True)
 class DigitBlock:
-    """A run of consecutive digits of a/p in base sigma.
-
-    offset is the 0-based position of the first digit within the expansion.
-    """
+    """A run of consecutive digits of a/p in base sigma."""
 
     sigma: int
     digits: tuple[int, ...]
     a: int
     p: int
-    offset: int = 0
 
     def __post_init__(self) -> None:
         if self.sigma < 2:
@@ -40,7 +35,9 @@ class DigitBlock:
 
 
 def base_digits(a: int, p: int, sigma: int, t: int) -> DigitBlock:
-    """First t digits of a/p in base sigma, by exact long division."""
+    """First t digits of a/p in base sigma: one row of the census's long
+    division.  t above 8 times the state cap raises StateSpaceTooLarge
+    before anything is allocated."""
     if p < 2:
         raise ValueError("modulus must be >= 2")
     if sigma < 2:
@@ -49,31 +46,15 @@ def base_digits(a: int, p: int, sigma: int, t: int) -> DigitBlock:
         raise ValueError("digit count must be >= 1")
     if not 0 < a < p:
         raise OutOfRange(f"numerator {a} outside (0, {p})")
-    digits = []
-    state = a
-    for _ in range(t):
-        state *= sigma
-        digits.append(state // p)
-        state %= p
-    return DigitBlock(sigma=sigma, digits=tuple(digits), a=a, p=p, offset=0)
+    _check_cap(t, "t digits", per_state=8)
+    digits = _long_division([a], p, sigma, t)[0]
+    return DigitBlock(sigma=sigma, digits=tuple(digits.tolist()), a=a, p=p)
 
 
 def generalized_alternations(block: DigitBlock) -> int:
     """Count of consecutive pairs that alternate in the generalized sense."""
-    edge = {0, block.sigma - 1}
-    count = 0
-    for x, y in zip(block.digits, block.digits[1:]):
-        if x != y or x not in edge:
-            count += 1
-    return count
-
-
-@dataclass(frozen=True)
-class CensusRow:
-    a: int
-    block_index: int
-    block: DigitBlock
-    alternations: int
+    digits = np.array(block.digits, dtype=np.min_scalar_type(block.sigma - 1))
+    return int(_alternations(digits, block.sigma))
 
 
 @dataclass(frozen=True)
@@ -94,20 +75,6 @@ class BlockCensus:
     digits: np.ndarray = field(compare=False, repr=False)
     alternations: np.ndarray = field(compare=False, repr=False)
 
-    @cached_property
-    def rows(self) -> tuple[CensusRow, ...]:
-        """One CensusRow per (a, block index), a-major, built on first access."""
-        rows = []
-        for a, (blocks, alts) in enumerate(
-            zip(self.digits.tolist(), self.alternations.tolist()), start=1
-        ):
-            for i, (chunk, alt) in enumerate(zip(blocks, alts)):
-                block = DigitBlock(
-                    sigma=self.sigma, digits=tuple(chunk), a=a, p=self.p, offset=i * self.t
-                )
-                rows.append(CensusRow(a=a, block_index=i, block=block, alternations=alt))
-        return tuple(rows)
-
 
 def default_block_length(p: int, sigma: int) -> int:
     """Smallest t with sigma**t >= p, the natural block length for p."""
@@ -119,23 +86,29 @@ def default_block_length(p: int, sigma: int) -> int:
     return t
 
 
-def _long_division(p: int, sigma: int, n_digits: int) -> np.ndarray:
-    """The first n_digits base-sigma digits of a/p for every a in 1..p-1,
-    as a (p - 1, n_digits) array in the smallest dtype that holds sigma - 1.
+def _long_division(
+    numerators: Sequence[int] | np.ndarray, p: int, sigma: int, n_digits: int
+) -> np.ndarray:
+    """The first n_digits base-sigma digits of a/p for every a in numerators
+    (each in 1..p-1), as a (len(numerators), n_digits) array in the smallest
+    dtype that holds sigma - 1.
 
     All numerators are divided at once; the remainders stay in int64 while
     (p - 1) * sigma fits, and are Python ints in an object array otherwise.
     """
-    if (p - 1) * sigma < 2**63:
-        state = np.arange(1, p, dtype=np.int64)
-    else:
-        state = np.arange(1, p, dtype=object)
-    digits = np.empty((p - 1, n_digits), dtype=np.min_scalar_type(sigma - 1))
+    state = np.array(numerators, dtype=np.int64 if (p - 1) * sigma < 2**63 else object)
+    digits = np.empty((len(state), n_digits), dtype=np.min_scalar_type(sigma - 1))
     for j in range(n_digits):
         state *= sigma
         digits[:, j] = state // p
         state %= p
     return digits
+
+
+def _alternations(digits: np.ndarray, sigma: int) -> np.ndarray:
+    """Generalized alternation counts of the digit blocks along the last axis."""
+    left, right = digits[..., :-1], digits[..., 1:]
+    return ((left != right) | ((left != 0) & (left != sigma - 1))).sum(axis=-1)
 
 
 def _distinct(blocks: np.ndarray, sigma: int) -> bool:
@@ -170,9 +143,8 @@ def block_census(p: int, sigma: int, t: Optional[int] = None, r: int = 1) -> Blo
         raise ValueError("digit count must be >= 1")
     _check_cap((p - 1) * r, "(p - 1) * r census rows")
     _check_cap((p - 1) * r * t, "(p - 1) * r * t census digits", per_state=8)
-    digits = _long_division(p, sigma, r * t).reshape(p - 1, r, t)
-    left, right = digits[..., :-1], digits[..., 1:]
-    alternations = ((left != right) | ((left != 0) & (left != sigma - 1))).sum(axis=2)
+    digits = _long_division(np.arange(1, p), p, sigma, r * t).reshape(p - 1, r, t)
+    alternations = _alternations(digits, sigma)
     counts = np.bincount(alternations.ravel())
     digits.flags.writeable = False
     alternations.flags.writeable = False

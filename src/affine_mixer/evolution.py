@@ -65,6 +65,13 @@ def decode_state(code: int, p: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _state_index(x: Sequence[int], p: int, k: int) -> int:
+    """encode_state of a state that must have k components."""
+    if len(x) != k:
+        raise ValueError(f"state {tuple(x)} has {len(x)} components, expected {k}")
+    return encode_state(x, p)
+
+
 def state_table(p: int, k: int) -> np.ndarray:
     """All states as an (p**k, k) int64 array; row i decodes index i."""
     return _decode(np.arange(p**k, dtype=np.int64), p, k)
@@ -193,7 +200,7 @@ class StateDistribution:
     @classmethod
     def point_mass(cls, p: int, k: int, x: Sequence[int]) -> "StateDistribution":
         arr = np.zeros(p**k)
-        arr[encode_state(x, p)] = 1.0
+        arr[_state_index(x, p, k)] = 1.0
         return cls(p, k, arr)
 
     @classmethod
@@ -201,15 +208,7 @@ class StateDistribution:
         return cls(p, k, np.full(p**k, 1.0 / p**k))
 
     def prob(self, x: Sequence[int]) -> float:
-        return float(self.values[encode_state(x, self.p)])
-
-
-def reduce_increments(mu: IncrementDistribution, p: int) -> StateDistribution:
-    """Fold mu into Z_p^k: mu_p(r) = sum of mu(b) over b congruent to r."""
-    arr = np.zeros(p**mu.k)
-    for pt, w in zip(mu.support, mu.probs):
-        arr[encode_state(pt, p)] += w
-    return StateDistribution(p, mu.k, arr)
+        return float(self.values[_state_index(x, self.p, self.k)])
 
 
 def _check_cap(count: int, what: str, per_state: int = 1) -> None:

@@ -28,7 +28,6 @@ from .algebra import (
     det_int,
     inf_norm,
     integer_kernel_vector,
-    mat_pow_mod,
 )
 from .errors import FactorNonpositive, GammaTooLarge, NoTorsion, ZeroFrequency
 from .evolution import (
@@ -68,12 +67,16 @@ class FrequencyVector:
         return ";".join(str(c) for c in self.alpha)
 
 
-def as_frequency(alpha: FrequencyVector | Sequence[int], p: int) -> FrequencyVector:
-    if isinstance(alpha, FrequencyVector):
-        if alpha.p != p:
-            raise ValueError(f"frequency modulus {alpha.p} differs from {p}")
-        return alpha
-    return FrequencyVector(tuple(alpha), p)
+def as_frequency(alpha: FrequencyVector | Sequence[int], p: int, k: int) -> FrequencyVector:
+    """alpha as a frequency in Z_p^k; a modulus other than p or a length
+    other than k raises ValueError."""
+    if not isinstance(alpha, FrequencyVector):
+        alpha = FrequencyVector(tuple(alpha), p)
+    elif alpha.p != p:
+        raise ValueError(f"frequency modulus {alpha.p} differs from {p}")
+    if len(alpha.alpha) != k:
+        raise ValueError(f"frequency {alpha} has {len(alpha.alpha)} components, expected {k}")
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -121,8 +124,10 @@ class GammaCertificate:
 def mu_hat(mu: IncrementDistribution, alpha: FrequencyVector) -> complex:
     """Transform of mu at alpha: sum of mu(h) * exp(2 pi i <h, alpha> / p).
 
-    Phases come from exact integer inner products reduced mod p.
+    Phases come from exact integer inner products reduced mod p.  alpha
+    must have mu.k components.
     """
+    as_frequency(alpha, alpha.p, mu.k)
     p = alpha.p
     acc = complex(0.0)
     for pt, w in zip(mu.support, mu.probs):
@@ -143,7 +148,7 @@ def pn_hat_sq(
     """
     if n < 0:
         raise ValueError("step count must be >= 0")
-    fv = as_frequency(alpha, chain.p)
+    fv = as_frequency(alpha, chain.p, chain.k)
     p = chain.p
     at = chain.a.transpose()
     cur = fv.alpha
@@ -193,7 +198,7 @@ def lower_bound_at(
     chain: ChainSpec, alpha: FrequencyVector | Sequence[int], n: int
 ) -> float:
     """Single-frequency lower bound for tv: half the transform modulus."""
-    fv = as_frequency(alpha, chain.p)
+    fv = as_frequency(alpha, chain.p, chain.k)
     if fv.is_zero:
         raise ZeroFrequency("the lower bound needs a nonzero frequency")
     return 0.5 * math.sqrt(pn_hat_sq(chain, fv, n))
@@ -242,7 +247,7 @@ def certificate_rho(
     """
     if n < 0:
         raise ValueError("step count must be >= 0")
-    fv = as_frequency(alpha, chain.p)
+    fv = as_frequency(alpha, chain.p, chain.k)
     if fv.is_zero:
         raise ZeroFrequency("the certificate needs a nonzero frequency")
     k, p = chain.k, chain.p
@@ -322,21 +327,6 @@ def certificate_gamma(chain: ChainSpec, l_max: int, n: int) -> GammaCertificate:
 def _gamma_bound(gamma: float, p: int, n: int) -> float:
     """The gamma certificate's bound at step n: half of (1 - gamma/p**2)**(n/2)."""
     return 0.5 * (1.0 - gamma / (p * p)) ** (n / 2)
-
-
-def xi_fractional(
-    a: IntMatrix | Sequence[Sequence[int]], alpha: FrequencyVector, j: int
-) -> tuple[float, ...]:
-    """Componentwise fractional parts of T**j alpha / p, T = transpose(A).
-
-    The integer vector T**j alpha is exact; each component is reduced mod
-    p and divided by p, so the only rounding is the final quotient.
-    """
-    if j < 0:
-        raise ValueError("power must be >= 0")
-    a = as_matrix(a)
-    v = mat_pow_mod(a.transpose(), j, alpha.p).apply(alpha.alpha)
-    return tuple((c % alpha.p) / alpha.p for c in v)
 
 
 def bounds_table(

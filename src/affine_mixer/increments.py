@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .algebra import (
     IntMatrix,
@@ -61,6 +61,8 @@ class IncrementDistribution:
     def fair(cls, points: Sequence[Sequence[int]]) -> "IncrementDistribution":
         """Uniform weights over the given support points."""
         pts = [tuple(int(c) for c in pt) for pt in points]
+        if not pts:
+            raise ValueError("support must be nonempty")
         k = len(pts[0])
         return cls(k, tuple(pts), tuple(1.0 / len(pts) for _ in pts))
 
@@ -108,26 +110,6 @@ def _first_pairs(mu: IncrementDistribution) -> dict[tuple[int, ...], tuple]:
         for v in support:
             pairs.setdefault(tuple(a - b for a, b in zip(u, v)), (u, v))
     return pairs
-
-
-def difference_set(mu: IncrementDistribution) -> list[tuple[int, ...]]:
-    """All pairwise differences of support vectors, deduplicated, sorted."""
-    return sorted(_first_pairs(mu))
-
-
-def extended_difference_set(
-    v: Sequence[Sequence[int]], a: IntMatrix | Sequence[Sequence[int]], d: int
-) -> list[tuple[int, ...]]:
-    """All A**m @ x for x in V and 0 <= m < d, deduplicated, scan order."""
-    a = as_matrix(a)
-    seen: dict[tuple[int, ...], None] = {}
-    power = IntMatrix.identity(a.k)
-    for m in range(d):
-        if m > 0:
-            power = power @ a
-        for x in v:
-            seen.setdefault(power.apply(x))
-    return list(seen)
 
 
 def support_basis(

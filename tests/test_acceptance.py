@@ -351,7 +351,8 @@ def test_criterion_10_digit_blocks():
     ok = True
     for p in range(3, 1001, 2):
         census = block_census(p, 2, default_block_length(p, 2), 1)
-        blocks += len(census.rows)
+        n_a, r, _ = census.digits.shape
+        blocks += n_a * r
         if census.distinct_per_index != (True,) or census.min_alternations < 1:
             ok = False
             worst_p = p

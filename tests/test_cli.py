@@ -307,20 +307,21 @@ def test_run_census_wide_base_separator(tmp_path):
 
 
 def reference_census_files(p, sigma, t, r):
-    """census.csv and census.json text written one CensusRow at a time."""
+    """census.csv and census.json text written one (a, block) row at a time."""
     census = block_census(p, sigma, t, r)
     sep = "" if sigma <= 10 else "-"
     lines = ["a,block_index,digits,alternations"]
-    for row in census.rows:
-        digits = sep.join(str(d) for d in row.block.digits)
-        lines.append(f"{row.a},{row.block_index},{digits},{row.alternations}")
+    rows = zip(census.digits.tolist(), census.alternations.tolist())
+    for a, (blocks, alts) in enumerate(rows, start=1):
+        for i, (block, alt) in enumerate(zip(blocks, alts)):
+            lines.append(f"{a},{i},{sep.join(str(d) for d in block)},{alt}")
     summary = {
         "p": census.p,
         "sigma": census.sigma,
         "t": census.t,
         "r": census.r,
         "distinct_per_index": list(census.distinct_per_index),
-        "min_alternations": min(row.alternations for row in census.rows),
+        "min_alternations": min(map(min, census.alternations.tolist())),
         "histogram": {str(key): val for key, val in census.histogram.items()},
     }
     return "\n".join(lines) + "\n", json.dumps(summary, indent=2, sort_keys=True) + "\n"

@@ -22,7 +22,6 @@ from affine_mixer import (
     evolve,
     evolve_iter,
     mixing_time,
-    reduce_increments,
     simulate,
     step_exact,
     tv_distance,
@@ -175,13 +174,28 @@ def test_point_mass_and_prob():
     assert dist.values.sum() == 1.0
 
 
+def test_states_of_the_wrong_length_are_refused():
+    # (3,) used to read P(3, 0) and (3, 0, 1) to raise a bare IndexError
+    dist = StateDistribution.point_mass(5, 2, (3, 0))
+    for x in ((3,), (3, 0, 1), ()):
+        with pytest.raises(ValueError):
+            dist.prob(x)
+        with pytest.raises(ValueError):
+            StateDistribution.point_mass(5, 2, x)
+
+
 def test_reduce_increments_folds_congruent_points():
+    # mu folded mod p is the chain's shift table, and P_1 from x0 = 0
     mu = IncrementDistribution.fair([(0,), (1,), (5,)])
-    dist = reduce_increments(mu, 5)
+    chain = ChainSpec(IntMatrix.from_rows([[1]]), mu, 5)
+    assert [shift for shift, _ in chain._shifts] == [(0,), (1,)]
+    assert [w for _, w in chain._shifts] == pytest.approx([2 / 3, 1 / 3])
+    dist = evolve(chain, 1)
     assert dist.prob((0,)) == pytest.approx(2 / 3)
     assert dist.prob((1,)) == pytest.approx(1 / 3)
-    neg = IncrementDistribution.fair([(-1,), (0,)])
-    assert reduce_increments(neg, 7).prob((6,)) == 0.5
+    neg = ChainSpec(IntMatrix.from_rows([[3]]), IncrementDistribution.fair([(-1,), (0,)]), 7)
+    assert neg._shifts == (((0,), 0.5), ((6,), 0.5))
+    assert evolve(neg, 1).prob((6,)) == 0.5
 
 
 def test_step_exact_matches_brute_force():

@@ -32,7 +32,7 @@ from affine_mixer import (
     find_torsion,
     lower_bound_at,
     lower_bound_best,
-    mat_pow,
+    mat_pow_mod,
     mixing_time,
     mu_hat,
     pn_hat_sq,
@@ -40,7 +40,6 @@ from affine_mixer import (
     transform_of_distribution,
     tv_distance,
     upper_bound,
-    xi_fractional,
 )
 from affine_mixer.evolution import (
     STATE_CAP_ENV,
@@ -88,9 +87,32 @@ def test_as_frequency_modulus_guard():
     from affine_mixer.fourier import as_frequency
 
     fv = FrequencyVector((1,), 5)
-    assert as_frequency(fv, 5) is fv
+    assert as_frequency(fv, 5, 1) is fv
+    assert as_frequency([6], 5, 1) == fv
     with pytest.raises(ValueError):
-        as_frequency(fv, 7)
+        as_frequency(fv, 7, 1)
+    for k in (0, 2):
+        with pytest.raises(ValueError):
+            as_frequency(fv, 5, k)
+        with pytest.raises(ValueError):
+            as_frequency([1], 5, k)
+
+
+def test_wrong_length_frequencies_are_refused():
+    # a frequency of another length used to be truncated or padded by zip:
+    # (1,) and (1, 0, 5) both gave pn_hat_sq of (1, 0), and
+    # certificate_rho at (1, 0, 5) used ||alpha|| = 5
+    cat = ChainSpec(IntMatrix.from_rows([[2, 1], [1, 1]]), fair_two_point(2), 11)
+    assert pn_hat_sq(cat, (1, 0), 3) == pytest.approx(0.013196, abs=1e-6)
+    for alpha in ((1,), (1, 0, 5)):
+        with pytest.raises(ValueError):
+            pn_hat_sq(cat, alpha, 3)
+        with pytest.raises(ValueError):
+            lower_bound_at(cat, alpha, 3)
+        with pytest.raises(ValueError):
+            certificate_rho(cat, alpha, 3)
+        with pytest.raises(ValueError):
+            mu_hat(cat.mu, FrequencyVector(alpha, 11))
 
 
 def test_mu_hat_hand_value():
@@ -409,31 +431,6 @@ def test_certificate_gamma_dominated_by_tv():
         assert tv_distance(dist) >= cert.bound - 1e-9
 
 
-def test_xi_fractional_hand_values():
-    a = IntMatrix.from_rows([[2]])
-    assert xi_fractional(a, FrequencyVector((3,), 5), 0) == (0.6,)
-    assert xi_fractional(a, FrequencyVector((3,), 5), 1) == (0.2,)
-    rot = IntMatrix.from_rows([[0, -1], [1, 0]])
-    assert xi_fractional(rot, FrequencyVector((1, 0), 3), 1) == (0.0, 2 / 3)
-    with pytest.raises(ValueError):
-        xi_fractional(a, FrequencyVector((1,), 5), -1)
-
-
-def test_xi_fractional_is_exact_reduction():
-    rng = random.Random(29)
-    for _ in range(40):
-        k = rng.randint(1, 2)
-        a = IntMatrix.from_rows(
-            [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
-        )
-        p = rng.choice([3, 5, 7])
-        alpha = FrequencyVector(tuple(rng.randint(0, p - 1) for _ in range(k)), p)
-        j = rng.randint(0, 6)
-        got = xi_fractional(a, alpha, j)
-        exact = mat_pow(a.transpose(), j).apply(alpha.alpha)
-        assert got == tuple((c % p) / p for c in exact)
-
-
 def test_xi_orbit_enters_central_band_for_expanding_matrices():
     # the digit-style lower bound machinery needs the scaled orbit of a
     # frequency to reach [delta, 1 - delta] within O(ln p) steps when the
@@ -447,10 +444,11 @@ def test_xi_orbit_enters_central_band_for_expanding_matrices():
     for a in expanding:
         e1 = (1,) + (0,) * (a.k - 1)
         for p in (5, 7, 11, 13, 101):
-            alpha = FrequencyVector(e1, p)
             hit = None
             for j in range(65):
-                if any(0.1 <= c <= 0.9 for c in xi_fractional(a, alpha, j)):
+                # the fractional parts of T**j e1 / p, T = transpose(A)
+                orbit = mat_pow_mod(a.transpose(), j, p).apply(e1)
+                if any(0.1 <= (c % p) / p <= 0.9 for c in orbit):
                     hit = j
                     break
             assert hit is not None, (a.rows, p)

@@ -12,11 +12,10 @@ from affine_mixer import (
     IntMatrix,
     InvariantSubspace,
     admissible_modulus,
-    difference_set,
-    extended_difference_set,
     mat_pow,
     support_basis,
 )
+from affine_mixer.increments import _first_pairs
 from common import fair_two_point, suite_matrices
 
 
@@ -35,6 +34,11 @@ def test_increment_distribution_validation():
         IncrementDistribution(1, (), ())  # empty support
 
 
+def test_fair_rejects_empty_support():
+    with pytest.raises(ValueError, match="support must be nonempty"):
+        IncrementDistribution.fair([])
+
+
 def test_fair_weights():
     mu = IncrementDistribution.fair([(0, 0), (1, 0), (0, 1)])
     assert mu.k == 2
@@ -44,6 +48,12 @@ def test_fair_weights():
 def test_json_roundtrip():
     mu = IncrementDistribution(2, ((0, 0), (2, -1)), (0.25, 0.75))
     assert IncrementDistribution.from_json(mu.to_json()) == mu
+
+
+def difference_set(mu):
+    """All pairwise differences of support vectors, deduplicated, sorted:
+    the candidates support_basis draws its columns from."""
+    return sorted(_first_pairs(mu))
 
 
 def test_difference_set_examples():
@@ -66,20 +76,6 @@ def test_difference_set_symmetric_and_contains_zero():
         for v in diffs:
             assert tuple(-c for c in v) in diffs
         assert len(diffs) == len(set(diffs))
-
-
-def test_extended_difference_set_scan_order():
-    a = IntMatrix.from_rows([[0, 1], [2, 0]])
-    v = [(1, 0), (0, 0), (-1, 0)]
-    out = extended_difference_set(v, a, 2)
-    # z = 0 images first in input order, then the new z = 1 images
-    assert out == [(1, 0), (0, 0), (-1, 0), (0, 2), (0, -2)]
-
-
-def test_extended_difference_set_dedup_keeps_first():
-    a = IntMatrix.from_rows([[1]])
-    out = extended_difference_set([(1,), (-1,)], a, 3)
-    assert out == [(1,), (-1,)]
 
 
 def test_support_basis_scalar_doubling():
