@@ -4,11 +4,11 @@ States are indexed little-endian: x maps to sum_i x_i * p**i.  One step of
 X' = A X + B (mod p) is a push-forward through the bijection y -> A y
 (gcd(det A, p) = 1 makes it one) followed by a cyclic convolution with the
 reduced increment law, so a step costs O(p^k * |supp mu|) and stays exact
-up to float addition.  The mixing search skips the work that the paper's
-necessary-steps count already decides: P_n lives on at most |supp mu|**n
-states, so while that is small against p^k its early steps run on the
-support alone, at O(|supp| |supp mu|) each, and tv is computed only once
-the count no longer rules out mixing.  Mixing times past a short
+up to float addition.  The paper's necessary-steps count says where that
+work is wasted: P_n lives on at most |supp mu|**n states, so while that is
+small against p^k the early steps run on the support alone, at
+O(|supp| |supp mu|) each, and the mixing search computes tv only once the
+count no longer rules out mixing.  Mixing times past a short
 prefix are found in the Fourier domain, where the law after n steps costs
 O(log n) pointwise products instead of n steps.
 """
@@ -20,7 +20,7 @@ import os
 from collections import defaultdict, deque
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -100,12 +100,13 @@ def index_map(matrix: IntMatrix | Sequence[Sequence[int]], p: int, k: int) -> np
     states = state_table(p, k)
     m_mod = _mod_rows(as_matrix(matrix), p)
     image = states @ m_mod.T
-    reduced = image % p
-    # Dropping image before the codes are allocated keeps a state-sized
-    # block out of the process's peak: with it held, a mixing sweep over
-    # p up to 3e6 peaked 14% higher in resident memory.
-    del image
-    return _encode(reduced, p)
+    # Reducing in place keeps a state-sized block out of the process's
+    # peak: holding image beside its reduction made a mixing sweep over p
+    # up to 3e6 peak 14% higher in resident memory, and the cat map's
+    # bounds table at p = 705 peak 11% higher once its first steps ran on
+    # the support.
+    np.remainder(image, p, out=image)
+    return _encode(image, p)
 
 
 def _mu_hat_table(mu: IncrementDistribution, p: int) -> np.ndarray:
@@ -242,13 +243,19 @@ def step_exact(dist: StateDistribution, chain: ChainSpec) -> StateDistribution:
 
 
 def evolve_iter(chain: ChainSpec, n: int) -> Iterator[tuple[int, StateDistribution]]:
-    """Yield (i, P_i) for i = 0..n starting from the point mass at x0."""
+    """Yield (i, P_i) for i = 0..n starting from the point mass at x0.
+
+    While P_i lives on few states against p**k (see _support_laws), the
+    law is stepped on its support and each P_i scattered into a dense law;
+    then it goes on by step_exact.  Every P_i is step_exact's, bit for bit.
+    """
     if n < 0:
         raise ValueError("step count must be >= 0")
     _check_cap(chain.n_states, "p**k")
-    dist = StateDistribution.point_mass(chain.p, chain.k, chain.x0)
-    yield 0, dist
-    for i in range(1, n + 1):
+    for i, (codes, values) in enumerate(_support_laws(chain, n)):
+        dist = _scatter(codes, values, chain)
+        yield i, dist
+    for i in range(i + 1, n + 1):
         dist = step_exact(dist, chain)
         yield i, dist
 
@@ -337,6 +344,37 @@ def _step_support(
     return codes, np.bincount(inverse, weights=terms, minlength=len(codes))
 
 
+def _support_laws(
+    chain: ChainSpec, n: int, keep: Callable[[int], bool] = lambda targets: True
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """P_0, P_1, ... as (sorted state indices, values) of their supports, by
+    _step_support, for at most n steps and while the next step pays on the
+    support and keep(targets) holds, targets being |supp P_i| * s with
+    s = |supp mu| folded mod p: the bound on |supp P_{i+1}|.
+
+    Below about 2**10 states a dense step costs no more than a support
+    step's fixed overhead, and past about p**k / 32 targets it costs less
+    than a sort of them, so a support step is taken only between the two.
+    """
+    size, s = chain.n_states, len(chain._shifts)
+    codes = np.array([encode_state(chain.x0, chain.p)], dtype=np.int64)
+    values = np.ones(1)
+    yield codes, values
+    for _ in range(n):
+        targets = len(codes) * s
+        if not (2**10 <= size and 32 * targets < size and keep(targets)):
+            return
+        codes, values = _step_support(codes, values, chain)
+        yield codes, values
+
+
+def _scatter(codes: np.ndarray, values: np.ndarray, chain: ChainSpec) -> StateDistribution:
+    """The dense law that is values at the state indices codes and 0 elsewhere."""
+    law = np.zeros(chain.n_states)
+    law[codes] = values
+    return StateDistribution(chain.p, chain.k, law)
+
+
 def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int]:
     """Smallest n <= n_cap with tv_distance(P_n) <= eps, by incremental
     exact stepping; None when unmixed at the cap.
@@ -344,15 +382,16 @@ def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int
     The paper's necessary-steps argument is a count: P_n lives on at most
     b_n = min(s**n, N) states (s = |supp mu| folded mod p, N = p**k), so
     tv(P_n) >= 1 - b_n / N.  While that bound certifies tv > eps, no tv is
-    computed, and while the support is small against N the law is stepped
-    on its support (_step_support), so those early steps cost O(|supp| s),
-    not O(N).  Then it is scattered into one dense law and stepped by
-    step_exact, with tv_distance called only where the bound no longer
-    decides.  The certificate asks (1 - eps) N > 2 b: the float law is
-    exactly 0 off its b counted states, so its exact tv is above eps by
-    more than b / N >= 1 / N, less its drift from total 1, and that drift
-    plus the float error of tv_distance (a few u (n s + log2 N) with
-    u = 2**-53) stays far below 1 / N for every N a dense law can have.
+    computed.  The early steps run on the support (_support_laws, the
+    stepping evolve_iter also takes, here stopped too where the count no
+    longer certifies tv > eps), so they cost O(|supp| s), not O(N).  Then
+    the law is scattered into one dense law and stepped by step_exact,
+    with tv_distance called only where the bound no longer decides.  The
+    certificate asks (1 - eps) N > 2 b: the float law is exactly 0 off its
+    b counted states, so its exact tv is above eps by more than
+    b / N >= 1 / N, less its drift from total 1, and that drift plus the
+    float error of tv_distance (a few u (n s + log2 N) with u = 2**-53)
+    stays far below 1 / N for every N a dense law can have.
     Every law is the one evolve gives, bit for bit, so the answer is the
     one tv_distance at every n gives.
     """
@@ -364,25 +403,12 @@ def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int
     def unmixed(support: int) -> bool:
         return (1.0 - eps) * size > 2 * support
 
-    def on_support(targets: int) -> bool:
-        # below about 2**10 states a dense step costs no more than a support
-        # step's fixed overhead, and past about N / 32 targets it costs less
-        # than a sort of them
-        return 2**10 <= size and 32 * targets < size and unmixed(targets)
-
-    n = 0
-    codes = np.array([encode_state(chain.x0, chain.p)], dtype=np.int64)
-    values = np.ones(1)
-    while n < n_cap and on_support(len(codes) * s):
-        codes, values = _step_support(codes, values, chain)
-        n += 1
-    law = np.zeros(size)
-    law[codes] = values
-    dist = StateDistribution(chain.p, chain.k, law)
+    n, (codes, values) = deque(enumerate(_support_laws(chain, n_cap, unmixed)), maxlen=1)[0]
+    dist = _scatter(codes, values, chain)
     bound = len(codes)
     # held through the dense steps, the support (1 MB at p = 3e6) raised the
     # peak resident memory of a mixing sweep up to that p by 4 MB
-    del law, codes, values
+    del codes, values
     while unmixed(bound) or tv_distance(dist) > eps:
         if n == n_cap:
             return None

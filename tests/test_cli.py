@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,8 @@ from affine_mixer import (
     mixing_sweep,
     run,
 )
-from affine_mixer.cli import TASKS, _write_report, main
+from affine_mixer import cli
+from affine_mixer.cli import _LAW_BLOCK, TASKS, _write_law, _write_report, main
 from affine_mixer.digitlab import block_census
 from affine_mixer.evolution import STATE_CAP_ENV
 from common import time_limit
@@ -369,6 +371,69 @@ def test_report_left_absent_when_rows_fail(tmp_path):
     assert os.listdir(tmp_path) == []  # neither evolve.csv nor evolve.csv.tmp
 
 
+def csv_law(values: np.ndarray) -> bytes:
+    """evolve.csv as csv.writer writes it, row by row: the oracle of the
+    block writer _write_law."""
+    handle = io.StringIO(newline="")
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(("index", "probability"))
+    writer.writerows(enumerate(values.tolist()))
+    return handle.getvalue().encode()
+
+
+def written_law(directory, values: np.ndarray) -> bytes:
+    path = os.path.join(str(directory), "evolve.csv")
+    assert _write_law(path, values) == path
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+# 0.0 and -0.0 have equal values but different bits; 5e-324 is the least
+# subnormal; repr switches to exponent form between 1e-4 and 9.999e-05
+# and from 1e16 on
+AWKWARD_FLOATS = [0.0, -0.0, 5e-324, 9.999e-05, 1e-4, 1e16, 0.1, 1 / 3, 2.5e-7, 1.0]
+
+
+@pytest.mark.parametrize("length", [_LAW_BLOCK - 1, _LAW_BLOCK, _LAW_BLOCK + 1])
+def test_law_writer_matches_csv_writer(tmp_path, length):
+    rng = np.random.default_rng(length)
+    values = rng.choice(np.array(AWKWARD_FLOATS + list(rng.random(500))), size=length)
+    # one value on both sides of the block boundary, and every awkward value
+    # in the last (possibly one-row) block too
+    values[_LAW_BLOCK - 2 : _LAW_BLOCK] = -0.0
+    values[-len(AWKWARD_FLOATS) :] = AWKWARD_FLOATS
+    assert written_law(tmp_path, values) == csv_law(values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(st.floats(allow_nan=False), max_size=40).map(np.array),
+    block=st.integers(1, 8),
+)
+def test_property_law_writer_matches_csv_writer_at_any_block(values, block):
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_LAW_BLOCK", block)
+        assert written_law(directory, values) == csv_law(values)
+
+
+def test_law_left_absent_when_a_block_fails(tmp_path, monkeypatch):
+    # the block writer streams into evolve.csv.tmp; a failure after its
+    # first block removes that and leaves no evolve.csv
+    calls = []
+
+    def unique(*args, _original=np.unique, **kwargs):
+        calls.append(os.listdir(tmp_path))
+        if len(calls) == 2:
+            raise RuntimeError("block failed")
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(cli.np, "unique", unique)
+    with pytest.raises(RuntimeError, match="block failed"):
+        _write_law(str(tmp_path / "evolve.csv"), np.full(_LAW_BLOCK + 1, 0.5))
+    assert calls == [["evolve.csv.tmp"]] * 2
+    assert os.listdir(tmp_path) == []  # neither evolve.csv nor evolve.csv.tmp
+
+
 def test_run_identities_reports(tmp_path):
     cfg = ExperimentConfig.from_json(
         {"task": "verify-identities", "matrix": [[2, 1], [1, 1]]}
@@ -445,12 +510,15 @@ def test_algebra_reports_match_pinned_bytes(tmp_path, name):
 
 FAIR_1D = {"k": 1, "support": [[0], [1]], "probs": [0.5, 0.5]}
 FAIR_2D = {"k": 2, "support": [[0, 0], [1, 0]], "probs": [0.5, 0.5]}
-# Configs and sha256 of the bounds and sweep reports: A = 2 on the rho
-# certificate, whose column goes empty at n = 7; the quarter turn on the
-# gamma certificate; and an A = I sweep with support {0, 2}, so p = 4 is
+# Configs and sha256 of the bounds, sweep and evolve reports: A = 2 on the
+# rho certificate, whose column goes empty at n = 7; the quarter turn on the
+# gamma certificate; an A = I sweep with support {0, 2}, so p = 4 is
 # inadmissible by det(B), p = 13 is unmixed at n_cap = 30, and four rows
-# feed the fits.  Any change that moves a byte of these reports (a column,
-# its order, how a frequency, a flag or an empty cell is written) fails here.
+# feed the fits; and two evolve runs on p**k >= 2**10, where the early steps
+# run on the support: the cat map with an empirical law, and A = 3 with
+# three unequal increments from x0 = 7.  Any change that moves a byte of
+# these reports (a column, its order, how a probability, a frequency, a
+# flag or an empty cell is written) fails here.
 PINNED_REPORTS = {
     "bounds-rho": (
         {"task": "bounds", "matrix": [[2]], "increments": FAIR_1D, "p": 101, "n": 30},
@@ -477,6 +545,35 @@ PINNED_REPORTS = {
         {
             "sweep.csv": "9077e1de92cb9ebf701f571206e808eb327011e0f7bb78455df2686a48b80929",
             "sweep.json": "9bd81f00ad3fb6fcb897dde679fbff86c948c633644a386d4d92f88de5c7a4be",
+        },
+    ),
+    "evolve-cat": (
+        {
+            "task": "evolve",
+            "matrix": [[2, 1], [1, 1]],
+            "increments": FAIR_2D,
+            "p": 101,
+            "n": 30,
+            "trials": 200,
+            "seed": 7,
+        },
+        {
+            "evolve.csv": "51f1490e8af7a72d09b7486f326752319f5ab73069f022180d78cca1a4911a08",
+            "evolve.json": "e680795e28853de8b3f613a21824a3b4115d1dfda4e083638be150cab62ea1e5",
+        },
+    ),
+    "evolve-three-point": (
+        {
+            "task": "evolve",
+            "matrix": [[3]],
+            "increments": {"k": 1, "support": [[0], [1], [5]], "probs": [0.2, 0.3, 0.5]},
+            "x0": [7],
+            "p": 1031,
+            "n": 40,
+        },
+        {
+            "evolve.csv": "e8a4619793ae451b91da7a3658bbd3b5344a652d6c5c750b7770b61feb3f7a5f",
+            "evolve.json": "1186b35bdada3ecbb60c5250008924c1b0d8495087925b95eec78744b719a83b",
         },
     ),
 }

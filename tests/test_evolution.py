@@ -18,6 +18,7 @@ from affine_mixer import (
     ModulusNotCoprime,
     StateDistribution,
     StateSpaceTooLarge,
+    bounds_table,
     det_int,
     evolve,
     evolve_iter,
@@ -42,7 +43,7 @@ from affine_mixer.evolution import (
     state_cap,
     state_table,
 )
-from common import dense_mixing_time, fair_two_point, suite_chains
+from common import dense_laws, dense_mixing_time, fair_two_point, suite_chains
 
 
 def hand_chain(p=3):
@@ -508,13 +509,18 @@ def test_mixing_time_dense_fallback_stays_within_the_budget(monkeypatch):
         mixing_time(chain, 1e-300, 1745)
 
 
+# per k, moduli on both sides of the support phase's floor p**k >= 2**10
+SMALL_AND_LARGE_MODULI = {1: [2, 3, 5, 31, 101, 2003], 2: [2, 3, 5, 11, 37], 3: [2, 3, 5, 7, 11]}
+# per k, moduli with p**k >= 2**10 only, so every chain has a support phase
+LARGE_MODULI = {1: [1031, 2003, 4099], 2: [33, 37, 53], 3: [11, 13]}
+
+
 @st.composite
-def support_chains(draw, dims=(1, 2, 3)):
+def support_chains(draw, dims=(1, 2, 3), moduli=SMALL_AND_LARGE_MODULI):
     """Chains with gcd(det A, p) = 1, a random x0 and 1 to 4 increments, two
-    of them congruent mod p when a twin is drawn, on moduli large enough
-    for the support phase of the mixing search to run."""
+    of them congruent mod p when a twin is drawn, on moduli drawn from
+    moduli[k]."""
     k = draw(st.sampled_from(dims))
-    moduli = {1: [2, 3, 5, 31, 101, 2003], 2: [2, 3, 5, 11, 37], 3: [2, 3, 5, 7, 11]}
     p = draw(st.sampled_from(moduli[k]))
     entry = st.integers(-3, 3)
     rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
@@ -538,15 +544,27 @@ def support_chains(draw, dims=(1, 2, 3)):
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(chain=support_chains(), n=st.integers(0, 10))
 def test_property_support_steps_match_evolve_bitwise(chain, n):
-    # the law stepped on its support, scattered at any n, is evolve's law
+    # the law stepped on its support, scattered at any n, is step_exact's law
     codes, values = np.array([encode_state(chain.x0, chain.p)]), np.ones(1)
-    for i, dist in evolve_iter(chain, n):
+    for i, dist in dense_laws(chain, n):
         if i:
             codes, values = _step_support(codes, values, chain)
         assert np.all(np.diff(codes) > 0)
         law = np.zeros(chain.n_states)
         law[codes] = values
         assert np.array_equal(law, dist.values), i
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(chain=support_chains(moduli=LARGE_MODULI), n=st.integers(0, 12))
+def test_property_evolve_iter_matches_dense_laws_bitwise(chain, n):
+    # past the support phase's floor evolve_iter takes its early steps on
+    # the support; every law it yields is still step_exact's, bit for bit
+    laws = zip(evolve_iter(chain, n), dense_laws(chain, n), strict=True)
+    for (i, dist), (j, dense) in laws:
+        assert i == j
+        assert np.array_equal(dist.values, dense.values), i
+        assert not dist.values.flags.writeable
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -581,6 +599,31 @@ def test_mixing_time_skips_dense_work_the_counting_bound_decides(monkeypatch):
         monkeypatch.setattr(evolution, name, counted)
     assert mixing_time(chain, 0.25) == 17
     assert calls["step_exact"] < 17 / 2 and calls["tv_distance"] <= 2, calls
+
+
+@pytest.mark.parametrize(
+    "p, evolve_steps, bounds_steps",
+    [(705, 17, 27), (11, 30, 40)],
+)
+def test_evolve_and_bounds_skip_the_dense_steps_of_a_small_support(
+    monkeypatch, p, evolve_steps, bounds_steps
+):
+    # the cat map with fair {0, e1}: P_n has at most 2**n states, so at
+    # p = 705 (497,025 states) the first 13 steps run on the support, and
+    # at p = 11 (121 states, below the floor 2**10) every step is dense
+    chain = ChainSpec(IntMatrix.from_rows([[2, 1], [1, 1]]), fair_two_point(2), p)
+    calls = {"step_exact": 0}
+
+    def counted(*args, _original=evolution.step_exact):
+        calls["step_exact"] += 1
+        return _original(*args)
+
+    monkeypatch.setattr(evolution, "step_exact", counted)
+    evolve(chain, 30)
+    assert calls["step_exact"] == evolve_steps
+    calls["step_exact"] = 0
+    bounds_table(chain, 40)
+    assert calls["step_exact"] == bounds_steps
 
 
 def test_mixing_time_dense_point_mass_increments_stay_on_the_support(monkeypatch):
