@@ -191,7 +191,8 @@ class StateDistribution:
             raise ValueError(f"negative probability {low} below tolerance")
         np.clip(arr, 0.0, None, out=arr)
         total = float(arr.sum())
-        if abs(total - 1.0) > SUM_TOL:
+        # a NaN entry makes min and sum NaN, which fails every comparison
+        if not abs(total - 1.0) <= SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1 within {SUM_TOL}")
         arr.flags.writeable = False
         self.p = p
@@ -245,19 +246,11 @@ def step_exact(dist: StateDistribution, chain: ChainSpec) -> StateDistribution:
 def evolve_iter(chain: ChainSpec, n: int) -> Iterator[tuple[int, StateDistribution]]:
     """Yield (i, P_i) for i = 0..n starting from the point mass at x0.
 
-    While P_i lives on few states against p**k (see _support_laws), the
-    law is stepped on its support and each P_i scattered into a dense law;
-    then it goes on by step_exact.  Every P_i is step_exact's, bit for bit.
+    The laws are _walk's, each one it holds as its support scattered into
+    a dense law here; every P_i is step_exact's, bit for bit.
     """
-    if n < 0:
-        raise ValueError("step count must be >= 0")
-    _check_cap(chain.n_states, "p**k")
-    for i, (codes, values) in enumerate(_support_laws(chain, n)):
-        dist = _scatter(codes, values, chain)
-        yield i, dist
-    for i in range(i + 1, n + 1):
-        dist = step_exact(dist, chain)
-        yield i, dist
+    for i, law, _ in _walk(chain, n):
+        yield i, law if isinstance(law, StateDistribution) else _scatter(*law, chain)
 
 
 def _step_price(states: int) -> int:
@@ -279,7 +272,7 @@ def _check_work(chain: ChainSpec, n: int) -> None:
 def evolve(chain: ChainSpec, n: int) -> StateDistribution:
     """The law P_n of X_n, by n exact steps from the point mass at x0."""
     _check_work(chain, n)
-    return deque(evolve_iter(chain, n), maxlen=1)[0][1]
+    return deque(_walk(chain, n), maxlen=1)[0][1]
 
 
 def tv_distance(dist: StateDistribution) -> float:
@@ -321,9 +314,11 @@ def shift_by(dist: StateDistribution, chain: ChainSpec, n: int) -> StateDistribu
     return StateDistribution(p, k, _translate(dist.values.reshape((p,) * k), offset).reshape(-1))
 
 
-def _step_support(
-    codes: np.ndarray, values: np.ndarray, chain: ChainSpec
-) -> tuple[np.ndarray, np.ndarray]:
+# A law held as its support: sorted state indices and their values.
+_Support = tuple[np.ndarray, np.ndarray]
+
+
+def _step_support(codes: np.ndarray, values: np.ndarray, chain: ChainSpec) -> _Support:
     """One exact step of a law held as its support: sorted state indices and
     their values.  Costs O(|supp| s log(|supp| s)) with s = |supp mu|, not
     O(p**k), and builds no permutation table.
@@ -344,28 +339,43 @@ def _step_support(
     return codes, np.bincount(inverse, weights=terms, minlength=len(codes))
 
 
-def _support_laws(
+def _walk(
     chain: ChainSpec, n: int, keep: Callable[[int], bool] = lambda targets: True
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """P_0, P_1, ... as (sorted state indices, values) of their supports, by
-    _step_support, for at most n steps and while the next step pays on the
-    support and keep(targets) holds, targets being |supp P_i| * s with
-    s = |supp mu| folded mod p: the bound on |supp P_{i+1}|.
+) -> Iterator[tuple[int, StateDistribution | _Support, int]]:
+    """Yield (i, P_i, b_i) for i = 0..n from the point mass at x0, with
+    b_i >= |supp P_i|.
 
-    Below about 2**10 states a dense step costs no more than a support
-    step's fixed overhead, and past about p**k / 32 targets it costs less
-    than a sort of them, so a support step is taken only between the two.
+    P_i is held as its support, and stepped by _step_support, while i < n,
+    the next step pays on the support and keep(targets) holds, targets
+    being |supp P_i| * s with s = |supp mu| folded mod p: the bound on
+    |supp P_{i+1}|.  Below about 2**10 states a dense step costs no more
+    than a support step's fixed overhead, and past about p**k / 32 targets
+    it costs less than a sort of them, so a support step is taken only
+    between the two.  The first P_i no support step follows, P_n at the
+    latest, is scattered once into a dense StateDistribution, and the laws
+    after it are step_exact's.  b_i is |supp P_i| up to that law and
+    min(b_{i-1} s, p**k) after it.  Every law is step_exact's, bit for bit.
     """
+    if n < 0:
+        raise ValueError("step count must be >= 0")
+    _check_cap(chain.n_states, "p**k")
     size, s = chain.n_states, len(chain._shifts)
     codes = np.array([encode_state(chain.x0, chain.p)], dtype=np.int64)
     values = np.ones(1)
-    yield codes, values
-    for _ in range(n):
-        targets = len(codes) * s
-        if not (2**10 <= size and 32 * targets < size and keep(targets)):
-            return
+    i = 0
+    while i < n and 2**10 <= size and 32 * len(codes) * s < size and keep(len(codes) * s):
+        yield i, (codes, values), len(codes)
         codes, values = _step_support(codes, values, chain)
-        yield codes, values
+        i += 1
+    law, bound = _scatter(codes, values, chain), len(codes)
+    # held through the dense steps, the support (1 MB at p = 3e6) raised the
+    # peak resident memory of a mixing sweep up to that p by 4 MB
+    del codes, values
+    yield i, law, bound
+    for i in range(i + 1, n + 1):
+        law = step_exact(law, chain)
+        bound = min(bound * s, size)
+        yield i, law, bound
 
 
 def _scatter(codes: np.ndarray, values: np.ndarray, chain: ChainSpec) -> StateDistribution:
@@ -380,42 +390,28 @@ def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int
     exact stepping; None when unmixed at the cap.
 
     The paper's necessary-steps argument is a count: P_n lives on at most
-    b_n = min(s**n, N) states (s = |supp mu| folded mod p, N = p**k), so
-    tv(P_n) >= 1 - b_n / N.  While that bound certifies tv > eps, no tv is
-    computed.  The early steps run on the support (_support_laws, the
-    stepping evolve_iter also takes, here stopped too where the count no
-    longer certifies tv > eps), so they cost O(|supp| s), not O(N).  Then
-    the law is scattered into one dense law and stepped by step_exact,
-    with tv_distance called only where the bound no longer decides.  The
-    certificate asks (1 - eps) N > 2 b: the float law is exactly 0 off its
-    b counted states, so its exact tv is above eps by more than
-    b / N >= 1 / N, less its drift from total 1, and that drift plus the
-    float error of tv_distance (a few u (n s + log2 N) with u = 2**-53)
-    stays far below 1 / N for every N a dense law can have.
+    b_n states (_walk's bound), so tv(P_n) >= 1 - b_n / N with N = p**k.
+    While that bound certifies tv > eps, no tv is computed.  The early
+    steps run on the support (_walk's support phase, here stopped too
+    where the count no longer certifies tv > eps for the next law), so
+    they cost O(|supp| s), not O(N), and every law held as its support is
+    certified.  The certificate asks (1 - eps) N > 2 b: the float law is
+    exactly 0 off its b counted states, so its exact tv is above eps by
+    more than b / N >= 1 / N, less its drift from total 1, and that drift
+    plus the float error of tv_distance (a few u (n s + log2 N) with
+    u = 2**-53) stays far below 1 / N for every N a dense law can have.
     Every law is the one evolve gives, bit for bit, so the answer is the
     one tv_distance at every n gives.
     """
-    if n_cap < 0:
-        raise ValueError("step count must be >= 0")
-    _check_cap(chain.n_states, "p**k")
-    size, s = chain.n_states, len(chain._shifts)
+    size = chain.n_states
 
     def unmixed(support: int) -> bool:
         return (1.0 - eps) * size > 2 * support
 
-    n, (codes, values) = deque(enumerate(_support_laws(chain, n_cap, unmixed)), maxlen=1)[0]
-    dist = _scatter(codes, values, chain)
-    bound = len(codes)
-    # held through the dense steps, the support (1 MB at p = 3e6) raised the
-    # peak resident memory of a mixing sweep up to that p by 4 MB
-    del codes, values
-    while unmixed(bound) or tv_distance(dist) > eps:
-        if n == n_cap:
-            return None
-        dist = step_exact(dist, chain)
-        n += 1
-        bound = min(bound * s, size)
-    return n
+    for n, law, bound in _walk(chain, n_cap, unmixed):
+        if not unmixed(bound) and tv_distance(law) <= eps:
+            return n
+    return None
 
 
 def _dense_prefix(n_states: int, support_size: int) -> int:
@@ -591,6 +587,8 @@ def mixing_time(
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
+    # before _dense_prefix prices p**k in floats, which overflow past 2**1024
+    _check_cap(chain.n_states, "p**k")
     prefix = min(n_cap, _dense_prefix(chain.n_states, len(chain.mu.support)))
     found = _mixing_time_dense(chain, eps, prefix)
     if found is not None or prefix == n_cap:

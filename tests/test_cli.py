@@ -516,7 +516,9 @@ FAIR_2D = {"k": 2, "support": [[0, 0], [1, 0]], "probs": [0.5, 0.5]}
 # inadmissible by det(B), p = 13 is unmixed at n_cap = 30, and four rows
 # feed the fits; and two evolve runs on p**k >= 2**10, where the early steps
 # run on the support: the cat map with an empirical law, and A = 3 with
-# three unequal increments from x0 = 7.  Any change that moves a byte of
+# three unequal increments from x0 = 7; and an A = 2 sweep on p from 1e4 to
+# 1e5, whose early steps run on the support and whose first tv sums the
+# counting certificate skips.  Any change that moves a byte of
 # these reports (a column, its order, how a probability, a frequency, a
 # flag or an empty cell is written) fails here.
 PINNED_REPORTS = {
@@ -576,6 +578,18 @@ PINNED_REPORTS = {
             "evolve.json": "1186b35bdada3ecbb60c5250008924c1b0d8495087925b95eec78744b719a83b",
         },
     ),
+    "sweep-support": (
+        {
+            "task": "mixing-sweep",
+            "matrix": [[2]],
+            "increments": FAIR_1D,
+            "p_list": [10007, 30011, 65537, 99991],
+        },
+        {
+            "sweep.csv": "7ed95e5cc1944fe81f650644bf573edecc06380ec44be2e6e6f344c8a9380f59",
+            "sweep.json": "66fa70514b66a12b5ce8c60335647875f64d146372f4dd864ed3815827dbe231",
+        },
+    ),
 }
 
 
@@ -605,6 +619,20 @@ def test_main_sweep_records_a_modulus_over_the_state_cap(tmp_path, capsys, monke
     assert all(row["n_mix"] and not row["reason"] for row in rows.values())
     fits = json.loads((tmp_path / "out" / "sweep.json").read_text())["fits"]
     assert [fit["points"] for fit in fits] == [3, 3, 3]
+
+
+def test_main_sweep_records_a_modulus_past_float_range(tmp_path, capsys):
+    # p**k = 10**400 + 1 is refused by the state cap before anything prices
+    # it in floats, so that row is a typed error and the others are written
+    big = 10**400 + 1
+    obj = {"matrix": [[2]], "increments": FAIR_1D, "p_list": [101, big, 103, 107]}
+    code, record = run_main_on_text(tmp_path, capsys, "mixing-sweep", json.dumps(obj))
+    assert (code, record) == (0, None)
+    with open(tmp_path / "out" / "sweep.csv") as handle:
+        rows = {row["p"]: row for row in csv.DictReader(handle)}
+    over = rows.pop(str(big))
+    assert (over["n_mix"], over["reason"]) == ("", "error: StateSpaceTooLarge")
+    assert [row["n_mix"] for row in rows.values()] == ["7", "7", "7"]
 
 
 def test_replay_is_byte_identical(tmp_path):

@@ -159,6 +159,9 @@ def test_state_distribution_validation():
         StateDistribution(3, 1, [0.5, 0.25, 0.25 + 1e-8])
     with pytest.raises(ValueError):
         StateDistribution(3, 1, [1.0, 0.0])
+    for values in ([math.nan, 1.0], [0.5, math.nan, 0.5]):
+        with pytest.raises(ValueError, match="sum to nan"):
+            StateDistribution(len(values), 1, values)
 
 
 def test_state_distribution_read_only():
@@ -565,6 +568,7 @@ def test_property_evolve_iter_matches_dense_laws_bitwise(chain, n):
         assert i == j
         assert np.array_equal(dist.values, dense.values), i
         assert not dist.values.flags.writeable
+    assert np.array_equal(evolve(chain, n).values, dense.values)
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -610,20 +614,35 @@ def test_evolve_and_bounds_skip_the_dense_steps_of_a_small_support(
 ):
     # the cat map with fair {0, e1}: P_n has at most 2**n states, so at
     # p = 705 (497,025 states) the first 13 steps run on the support, and
-    # at p = 11 (121 states, below the floor 2**10) every step is dense
+    # at p = 11 (121 states, below the floor 2**10) every step is dense;
+    # evolve builds one dense law per dense step plus the one scattered:
+    # 18 at p = 705, where scattering every support law built 31
     chain = ChainSpec(IntMatrix.from_rows([[2, 1], [1, 1]]), fair_two_point(2), p)
-    calls = {"step_exact": 0}
+    calls = {"step_exact": 0, "laws": 0}
 
     def counted(*args, _original=evolution.step_exact):
         calls["step_exact"] += 1
         return _original(*args)
 
+    class CountedLaw(StateDistribution):
+        def __init__(self, *args):
+            calls["laws"] += 1
+            super().__init__(*args)
+
     monkeypatch.setattr(evolution, "step_exact", counted)
+    monkeypatch.setattr(evolution, "StateDistribution", CountedLaw)
     evolve(chain, 30)
-    assert calls["step_exact"] == evolve_steps
+    assert (calls["step_exact"], calls["laws"]) == (evolve_steps, evolve_steps + 1)
     calls["step_exact"] = 0
     bounds_table(chain, 40)
     assert calls["step_exact"] == bounds_steps
+
+
+def test_mixing_time_refuses_a_modulus_past_float_range():
+    # the state cap refuses p**k before _dense_prefix prices it in floats
+    chain = ChainSpec(IntMatrix.from_rows([[2]]), fair_two_point(1), 10**400 + 1)
+    with pytest.raises(StateSpaceTooLarge, match="p\\*\\*k = 10{399}1 exceeds"):
+        mixing_time(chain, 0.25)
 
 
 def test_mixing_time_dense_point_mass_increments_stay_on_the_support(monkeypatch):
