@@ -494,6 +494,15 @@ def run(config: ExperimentConfig, out_dir: Optional[str] = None) -> list[str]:
     return _RUNNERS[config.task](config, target)
 
 
+def _json_int(literal: str) -> int:
+    """A JSON integer literal's value; one longer than Python's int digit
+    limit (4300 by default) is a ConfigInvalid, not a bare ValueError."""
+    try:
+        return int(literal)
+    except ValueError as err:
+        raise ConfigInvalid(f"integer of {len(literal)} characters: {err}") from err
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="affine-mixer",
@@ -510,7 +519,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         with open(args.config) as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, parse_int=_json_int)
         config = ExperimentConfig.from_json(raw, task=args.task)
         for name in ("seed", "eps", "n_cap"):
             if getattr(args, name) is not None:

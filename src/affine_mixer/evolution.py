@@ -3,14 +3,16 @@
 States are indexed little-endian: x maps to sum_i x_i * p**i.  One step of
 X' = A X + B (mod p) is a push-forward through the bijection y -> A y
 (gcd(det A, p) = 1 makes it one) followed by a cyclic convolution with the
-reduced increment law, so a step costs O(p^k * |supp mu|) and stays exact
-up to float addition.  The paper's necessary-steps count says where that
-work is wasted: P_n lives on at most |supp mu|**n states, so while that is
-small against p^k the early steps run on the support alone, at
-O(|supp| |supp mu|) each, and the mixing search computes tv only once the
-count no longer rules out mixing.  Mixing times past a short
-prefix are found in the Fourier domain, where the law after n steps costs
-O(log n) pointwise products instead of n steps.
+reduced increment law, so a step costs 2 |supp mu| + 3 passes over the p^k
+states (one scatter, a multiply and an add per translate but the first,
+which only multiplies, and the min, clip and sum that check the law) and
+stays exact up to float addition.  The paper's necessary-steps count says
+where that work is wasted: P_n lives on at most |supp mu|**n states, so
+while that is small against p^k the early steps run on the support alone,
+at O(|supp| |supp mu|) each, and the mixing search computes tv only once
+the count no longer rules out mixing.  Mixing times past a short prefix are
+found in the Fourier domain, where the law after n steps costs O(log n)
+pointwise products instead of n steps.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import os
 from collections import defaultdict, deque
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import product
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -95,18 +98,22 @@ def _mod_rows(matrix: IntMatrix, p: int) -> np.ndarray:
 def index_map(matrix: IntMatrix | Sequence[Sequence[int]], p: int, k: int) -> np.ndarray:
     """Index of M x mod p for every state index x.
 
-    A permutation of the state indices whenever gcd(det M, p) = 1.
+    A permutation of the state indices whenever gcd(det M, p) = 1.  Each
+    component of M x is a broadcast sum of m_ij x_j reduced in place, and
+    Horner's rule gathers them, so two state-sized arrays are live at most.
     """
-    states = state_table(p, k)
-    m_mod = _mod_rows(as_matrix(matrix), p)
-    image = states @ m_mod.T
-    # Reducing in place keeps a state-sized block out of the process's
-    # peak: holding image beside its reduction made a mixing sweep over p
-    # up to 3e6 peak 14% higher in resident memory, and the cat map's
-    # bounds table at p = 705 peak 11% higher once its first steps ran on
-    # the support.
-    np.remainder(image, p, out=image)
-    return _encode(image, p)
+    coords = np.arange(p, dtype=np.int64)
+    codes = None
+    for row in _mod_rows(as_matrix(matrix), p)[::-1]:
+        # axis k-1-j of the cube holds x_j, so x_j's vector gets j unit axes
+        terms = [(w * coords).reshape((p,) + (1,) * j) for j, w in enumerate(row)]
+        image = sum(terms[1:], terms[0])
+        image %= p
+        if codes is not None:
+            codes *= p
+            image += codes
+        codes = image
+    return codes.reshape(-1)
 
 
 def _mu_hat_table(mu: IncrementDistribution, p: int) -> np.ndarray:
@@ -177,13 +184,17 @@ class ChainSpec:
         return tuple(sorted(shifts.items()))
 
 
+class _Fresh(np.ndarray):
+    """A new float64 law buffer, which StateDistribution takes without a copy."""
+
+
 class StateDistribution:
     """Dense law on Z_p^k, little-endian indexed, values read-only."""
 
     __slots__ = ("p", "k", "values")
 
     def __init__(self, p: int, k: int, values: np.ndarray | Sequence[float]):
-        arr = np.array(values, dtype=np.float64)
+        arr = values.view(np.ndarray) if isinstance(values, _Fresh) else np.array(values, float)
         if arr.shape != (p**k,):
             raise ValueError(f"expected {p**k} entries, got {arr.shape}")
         low = float(arr.min())
@@ -222,25 +233,43 @@ def _check_cap(count: int, what: str, per_state: int = 1) -> None:
         raise StateSpaceTooLarge(f"{what} = {count} exceeds {times}the state cap {cap}")
 
 
-def _translate(cube: np.ndarray, shift: Sequence[int]) -> np.ndarray:
-    """The law cube moved by x -> x + shift (mod p), as a new cube; left unreshaped
-    so that numpy reuses its buffer for the product in w * _translate(...)."""
+def _slabs(shift: Sequence[int], p: int) -> Iterator[tuple[tuple, tuple]]:
+    """Pairs (dst, src) of basic slices, at most 2**k with disjoint dst, such that
+    moved[dst] = cube[src] for each moves the law cube by x -> x + shift (mod p)."""
     # axis j of the cube holds component x_{k-1-j}, hence the reversal
-    return np.roll(cube, shift=shift[::-1], axis=tuple(range(cube.ndim)))
+    cuts = [int(c) % p for c in reversed(shift)]
+    whole = [(slice(None), slice(None))]
+    axes = [
+        [(slice(c, None), slice(p - c)), (slice(c), slice(p - c, None))] if c else whole
+        for c in cuts
+    ]
+    for pairs in product(*axes):
+        yield tuple(zip(*pairs))
 
 
 def step_exact(dist: StateDistribution, chain: ChainSpec) -> StateDistribution:
-    """One exact step: P'(x) = sum_y P(y) * mu_p(x - A y mod p)."""
+    """One exact step: P'(x) = sum_y P(y) * mu_p(x - A y mod p), the translates
+    of the pushed law P added slab by slab in the order of chain._shifts; the
+    first is written as w * P (which is 0 + w * P for P >= 0) and the last
+    scales P in place, so no translate is copied."""
     if (dist.p, dist.k) != (chain.p, chain.k):
         raise ValueError("distribution and chain dimensions disagree")
     p, k = chain.p, chain.k
+    shifts = chain._shifts
     pushed = np.empty_like(dist.values)
     pushed[chain._perm] = dist.values
     cube = pushed.reshape((p,) * k)
-    out = np.zeros_like(cube)
-    for shift, w in chain._shifts:
-        out += w * _translate(cube, shift)
-    return StateDistribution(p, k, out.reshape(-1))
+    out = np.empty_like(cube)
+    for dst, src in _slabs(shifts[0][0], p):
+        np.multiply(cube[src], shifts[0][1], out=out[dst])
+    for shift, w in shifts[1:-1]:
+        for dst, src in _slabs(shift, p):
+            out[dst] += w * cube[src]
+    if len(shifts) > 1:
+        cube *= shifts[-1][1]
+        for dst, src in _slabs(shifts[-1][0], p):
+            out[dst] += cube[src]
+    return StateDistribution(p, k, out.reshape(-1).view(_Fresh))
 
 
 def evolve_iter(chain: ChainSpec, n: int) -> Iterator[tuple[int, StateDistribution]]:
@@ -277,7 +306,8 @@ def evolve(chain: ChainSpec, n: int) -> StateDistribution:
 
 def tv_distance(dist: StateDistribution) -> float:
     """Total variation distance to the uniform law on Z_p^k."""
-    return 0.5 * float(np.abs(dist.values - 1.0 / len(dist.values)).sum())
+    dev = dist.values - 1.0 / len(dist.values)
+    return 0.5 * float(np.abs(dev, out=dev).sum())
 
 
 def simulate(chain: ChainSpec, n: int, trials: int, seed: int) -> StateDistribution:
@@ -311,7 +341,11 @@ def shift_by(dist: StateDistribution, chain: ChainSpec, n: int) -> StateDistribu
     """Push dist through x -> A**n x0 + x (mod p), the start-shift map."""
     p, k = chain.p, chain.k
     offset = mat_pow_mod(chain.a, n, p).apply(chain.x0)
-    return StateDistribution(p, k, _translate(dist.values.reshape((p,) * k), offset).reshape(-1))
+    cube = dist.values.reshape((p,) * k)
+    moved = np.empty_like(cube)
+    for dst, src in _slabs(offset, p):
+        moved[dst] = cube[src]
+    return StateDistribution(p, k, moved.reshape(-1).view(_Fresh))
 
 
 # A law held as its support: sorted state indices and their values.
@@ -382,7 +416,7 @@ def _scatter(codes: np.ndarray, values: np.ndarray, chain: ChainSpec) -> StateDi
     """The dense law that is values at the state indices codes and 0 elsewhere."""
     law = np.zeros(chain.n_states)
     law[codes] = values
-    return StateDistribution(chain.p, chain.k, law)
+    return StateDistribution(chain.p, chain.k, law.view(_Fresh))
 
 
 def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int]:
@@ -422,18 +456,19 @@ def _dense_prefix(n_states: int, support_size: int) -> int:
     steps: the prefix is set for a search that steps densely throughout,
     and changing it would change which path answers.
 
-    Costs in passes over a length-N array (N = p**k): a dense step makes
-    about |supp mu| + 4 of them (the rolls, their sum and the
-    StateDistribution checks) plus a fixed Python overhead worth about
-    2**14; a candidate n in the Fourier search (an FFT of a complex
-    array and the tv sum) makes about 8 log2 N, plus an overhead of about
-    2**13.  A search takes about 20 transforms (2 log2 n plus the crossing
-    check, for the n in reach of a short prefix).  The prefix is that
-    search's cost counted in dense steps: a chain that mixes within it
-    never pays for a transform, and one that does not has spent at most
-    what the search costs, so neither path costs more than about twice
-    the cheaper one.  Only N and |supp mu| enter; the chain's regime is
-    not known before it has been run.
+    Costs in passes over a length-N array (N = p**k): a dense step is
+    priced at |supp mu| + 4 of them plus a fixed Python overhead worth about
+    2**14.  It makes 2 |supp mu| + 3 (see the module docstring); the price
+    is left as it is on purpose, since changing it would change which path
+    answers.  A candidate n in the Fourier search (an FFT of a complex array and the tv
+    sum) makes about 8 log2 N, plus an overhead of about 2**13.  A search
+    takes about 20 transforms (2 log2 n plus the crossing check, for the n
+    in reach of a short prefix).  The prefix is that search's cost counted
+    in dense steps: a chain that mixes within it never pays for a
+    transform, and one that does not has spent at most what the search
+    costs, so neither path costs more than about twice the cheaper one.
+    Only N and |supp mu| enter; the chain's regime is not known before it
+    has been run.
     """
     transform = 8 * n_states * math.log2(max(n_states, 2)) + 2**13
     step = (support_size + 4) * n_states + 2**14

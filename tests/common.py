@@ -1,11 +1,13 @@
 """Shared fixtures: the matrix suite, its fair two-point increments, the
-reference laws and mixing-time search, and a wall-clock limit for tests of
-work that must end quickly."""
+reference step, index map, laws and mixing-time search, and a wall-clock
+limit for tests of work that must end quickly."""
 
 from __future__ import annotations
 
 import signal
 from contextlib import contextmanager
+
+import numpy as np
 
 from affine_mixer import (
     ChainSpec,
@@ -15,6 +17,7 @@ from affine_mixer import (
     step_exact,
     tv_distance,
 )
+from affine_mixer.evolution import state_table
 
 SUITE_ROWS = (
     ((2,),),
@@ -47,6 +50,30 @@ def suite_chains(primes=SUITE_PRIMES) -> list[ChainSpec]:
         for p in primes:
             chains.append(ChainSpec(a, mu, p))
     return chains
+
+
+def roll_step(dist, chain):
+    """One exact step the plain way: the pushed law, then for each folded
+    shift in order w * np.roll of it added into a zeroed law.  The oracle
+    for step_exact, which must give the same law bit for bit."""
+    p, k = chain.p, chain.k
+    pushed = np.empty_like(dist.values)
+    pushed[chain._perm] = dist.values
+    cube = pushed.reshape((p,) * k)
+    out = np.zeros_like(cube)
+    for shift, w in chain._shifts:
+        # axis j of the cube holds component x_{k-1-j}, hence the reversal
+        out += w * np.roll(cube, shift=shift[::-1], axis=tuple(range(k)))
+    return StateDistribution(p, k, out.reshape(-1))
+
+
+def matmul_index_map(matrix, p, k):
+    """Index of M x mod p for every state index x, from the table of all
+    states, an integer matrix product and the little-endian place values:
+    the oracle for index_map."""
+    m_mod = (np.array(matrix.rows, dtype=object) % p).astype(np.int64)
+    image = (state_table(p, k) @ m_mod.T) % p
+    return image @ np.array([p**i for i in range(k)], dtype=np.int64)
 
 
 def dense_laws(chain, n):

@@ -516,9 +516,12 @@ FAIR_2D = {"k": 2, "support": [[0, 0], [1, 0]], "probs": [0.5, 0.5]}
 # inadmissible by det(B), p = 13 is unmixed at n_cap = 30, and four rows
 # feed the fits; and two evolve runs on p**k >= 2**10, where the early steps
 # run on the support: the cat map with an empirical law, and A = 3 with
-# three unequal increments from x0 = 7; and an A = 2 sweep on p from 1e4 to
+# three unequal increments from x0 = 7; an A = 2 sweep on p from 1e4 to
 # 1e5, whose early steps run on the support and whose first tv sums the
-# counting certificate skips.  Any change that moves a byte of
+# counting certificate skips; and an evolve in k = 3 from a nonzero x0 whose
+# folded shifts (0, 0, 0), (1, 12, 0) and (3, 1, 4) have zero, two and three
+# nonzero components, so each dense step splits a translate into slabs on
+# two and on three axes.  Any change that moves a byte of
 # these reports (a column, its order, how a probability, a frequency, a
 # flag or an empty cell is written) fails here.
 PINNED_REPORTS = {
@@ -590,6 +593,24 @@ PINNED_REPORTS = {
             "sweep.json": "66fa70514b66a12b5ce8c60335647875f64d146372f4dd864ed3815827dbe231",
         },
     ),
+    "evolve-slabs": (
+        {
+            "task": "evolve",
+            "matrix": [[1, 1, 0], [0, 1, 1], [1, 0, 2]],
+            "increments": {
+                "k": 3,
+                "support": [[0, 0, 0], [1, -1, 0], [3, 1, 4]],
+                "probs": [0.25, 0.35, 0.4],
+            },
+            "x0": [2, 5, 7],
+            "p": 13,
+            "n": 25,
+        },
+        {
+            "evolve.csv": "1ee1c2f4ff374a21843bfc0c794ee79ef8aa786ca1453dfafa552d78e3077a5e",
+            "evolve.json": "0dfaad7bdf261f60cb46d60d0b42ad77fdcc486622dcbe700ca68bf0a39af673",
+        },
+    ),
 }
 
 
@@ -633,6 +654,18 @@ def test_main_sweep_records_a_modulus_past_float_range(tmp_path, capsys):
     over = rows.pop(str(big))
     assert (over["n_mix"], over["reason"]) == ("", "error: StateSpaceTooLarge")
     assert [row["n_mix"] for row in rows.values()] == ["7", "7", "7"]
+
+
+def test_main_config_with_an_integer_past_the_digit_limit_is_config_invalid(tmp_path, capsys):
+    # Python refuses to read an int of more than 4300 digits from text; that
+    # refusal, raised inside json.load, ends in a ConfigInvalid record
+    obj = {"matrix": [[2]], "increments": FAIR_1D, "p_list": [101, "BIG"]}
+    text = json.dumps(obj).replace('"BIG"', "7" * 5002)
+    code, record = run_main_on_text(tmp_path, capsys, "mixing-sweep", text)
+    assert code == 1
+    assert record["error"]["kind"] == "ConfigInvalid"
+    assert "5002" in record["error"]["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_replay_is_byte_identical(tmp_path):

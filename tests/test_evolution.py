@@ -35,7 +35,7 @@ from affine_mixer.evolution import (
     _mixing_time_dense,
     _step_support,
     _NearTie,
-    _translate,
+    _slabs,
     decode_state,
     encode_state,
     index_map,
@@ -43,7 +43,14 @@ from affine_mixer.evolution import (
     state_cap,
     state_table,
 )
-from common import dense_laws, dense_mixing_time, fair_two_point, suite_chains
+from common import (
+    dense_laws,
+    dense_mixing_time,
+    fair_two_point,
+    matmul_index_map,
+    roll_step,
+    suite_chains,
+)
 
 
 def hand_chain(p=3):
@@ -82,12 +89,17 @@ def test_index_map_matches_apply():
 
 def test_translation_matches_apply_plus_offset():
     # the mass at x lands on A x + offset (mod p): pushed through index_map,
-    # then moved by _translate, and by shift_by with offset A**n x0
+    # then moved by the slab pairs of _slabs, and by shift_by with offset
+    # A**n x0
     a = IntMatrix.from_rows([[2, -1], [3, 5]])
     values = np.arange(1.0, 50.0) / np.arange(1.0, 50.0).sum()  # distinct masses
     pushed = np.empty_like(values)
     pushed[index_map(a, 7, 2)] = values
-    moved = _translate(pushed.reshape(7, 7), (4, -2)).reshape(-1)
+    moved = np.full((7, 7), np.nan)
+    for dst, src in _slabs((4, -2), 7):
+        assert np.isnan(moved[dst]).all()  # the slabs are disjoint
+        moved[dst] = pushed.reshape(7, 7)[src]
+    moved = moved.reshape(-1)
     for code in range(49):
         image = tuple(c + o for c, o in zip(a.apply(decode_state(code, 7, 2)), (4, -2)))
         assert moved[encode_state(image, 7)] == values[code]
@@ -518,6 +530,16 @@ SMALL_AND_LARGE_MODULI = {1: [2, 3, 5, 31, 101, 2003], 2: [2, 3, 5, 11, 37], 3: 
 LARGE_MODULI = {1: [1031, 2003, 4099], 2: [33, 37, 53], 3: [11, 13]}
 
 
+def coprime_rows(draw, k, p):
+    """Rows of a k x k matrix with entries in -3..3 and gcd(det A, p) = 1."""
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
+    if math.gcd(det_int(IntMatrix.from_rows(rows)), p) != 1:
+        # keep the upper triangle over a unit diagonal: det = 1
+        rows = [[int(i == j) if i >= j else c for j, c in enumerate(r)] for i, r in enumerate(rows)]
+    return rows
+
+
 @st.composite
 def support_chains(draw, dims=(1, 2, 3), moduli=SMALL_AND_LARGE_MODULI):
     """Chains with gcd(det A, p) = 1, a random x0 and 1 to 4 increments, two
@@ -526,10 +548,7 @@ def support_chains(draw, dims=(1, 2, 3), moduli=SMALL_AND_LARGE_MODULI):
     k = draw(st.sampled_from(dims))
     p = draw(st.sampled_from(moduli[k]))
     entry = st.integers(-3, 3)
-    rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
-    if math.gcd(det_int(IntMatrix.from_rows(rows)), p) != 1:
-        # keep the upper triangle over a unit diagonal: det = 1
-        rows = [[int(i == j) if i >= j else c for j, c in enumerate(r)] for i, r in enumerate(rows)]
+    rows = coprime_rows(draw, k, p)
     points = draw(st.lists(st.tuples(*[entry] * k), min_size=1, max_size=4, unique=True))
     if len(points) < 4 and draw(st.booleans()):
         twin = draw(st.sampled_from(points))
@@ -569,6 +588,80 @@ def test_property_evolve_iter_matches_dense_laws_bitwise(chain, n):
         assert np.array_equal(dist.values, dense.values), i
         assert not dist.values.flags.writeable
     assert np.array_equal(evolve(chain, n).values, dense.values)
+
+
+@st.composite
+def slab_chains(draw):
+    """Chains for the slab translations of step_exact: k = 1..3, A coprime
+    to p, a random x0, and 1 to 4 increments with entries 0, 1, 2, -1 and
+    p - 1, so that the folded shifts have zero components, one or several
+    nonzero ones, the entry p - 1, and twins when -1 and p - 1 meet."""
+    k = draw(st.integers(1, 3))
+    p = draw(st.sampled_from(SMALL_AND_LARGE_MODULI[k]))
+    entry = st.sampled_from([0, 1, 2, -1, p - 1])
+    points = draw(st.lists(st.tuples(*[entry] * k), min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(points), max_size=len(points)))
+    total = sum(weights)
+    mu = IncrementDistribution(k, tuple(points), tuple(w / total for w in weights))
+    x0 = draw(st.tuples(*[st.integers(0, p - 1)] * k))
+    return ChainSpec(IntMatrix.from_rows(coprime_rows(draw, k, p)), mu, p, x0=x0)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(chain=slab_chains(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
+def test_property_step_exact_matches_roll_step_bitwise(chain, seed, n):
+    # from the point mass at x0 and from a random law with exact zeros,
+    # each slab-added step is the roll-added step, bit for bit
+    rng = np.random.default_rng(seed)
+    raw = rng.random(chain.n_states)
+    raw[rng.random(chain.n_states) < 0.3] = 0.0
+    raw[0] += 1.0  # never all zero
+    starts = [StateDistribution.point_mass(chain.p, chain.k, chain.x0)]
+    starts.append(StateDistribution(chain.p, chain.k, raw / raw.sum()))
+    for dist in starts:
+        expected = dist
+        for i in range(n):
+            dist, expected = step_exact(dist, chain), roll_step(expected, chain)
+            assert np.array_equal(dist.values, expected.values), i
+            assert not np.signbit(dist.values).any()
+            assert not dist.values.flags.writeable
+
+
+@settings(max_examples=120, deadline=None)
+@given(k=st.integers(1, 3), data=st.data())
+def test_property_index_map_matches_matmul_oracle(k, data):
+    # the broadcast build equals the state table times M mod p, for any
+    # integer entries: negative, past int64, and M singular mod p too
+    p = data.draw(st.sampled_from(SMALL_AND_LARGE_MODULI[k]))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+    rows = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
+    matrix = IntMatrix.from_rows(rows)
+    codes = index_map(matrix, p, k)
+    assert codes.dtype == np.int64
+    assert np.array_equal(codes, matmul_index_map(matrix, p, k))
+
+
+@pytest.mark.parametrize(
+    "rows, p, step_ratio, perm_ratio",
+    [([[2]], 100_003, 2.1, 3.0), ([[2, 1], [1, 1]], 705, 2.1, 5.0)],
+)
+def test_step_exact_and_its_table_stay_within_their_memory(rows, p, step_ratio, perm_ratio):
+    # tracemalloc peaks in units of one law (8 bytes a state): the
+    # permutation table's build, and one step beyond its input law with a
+    # two-point support (the pushed law and the result; no translate copy)
+    chain = ChainSpec(IntMatrix.from_rows(rows), fair_two_point(len(rows)), p)
+    law_bytes = 8 * chain.n_states
+    dist = StateDistribution.uniform(p, chain.k)
+    peaks = {}
+    work = {"perm": lambda: chain._perm, "step": lambda: step_exact(dist, chain)}
+    for name, run in work.items():
+        tracemalloc.start()
+        try:
+            run()
+            peaks[name] = tracemalloc.get_traced_memory()[1] / law_bytes
+        finally:
+            tracemalloc.stop()
+    assert peaks["perm"] <= perm_ratio and peaks["step"] <= step_ratio, peaks
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
