@@ -4,7 +4,12 @@ For a chain started at 0 the transform of P_n factors over the transpose
 orbit of the frequency, P_n_hat(alpha) = prod_j mu_hat(T**j alpha) with
 T = transpose(A).  Squared moduli of those products give an upper bound
 on tv**2 (summed over nonzero frequencies, quarter weight) and a lower
-bound on tv at every single frequency (half the modulus).  Two closed-form
+bound on tv at every single frequency (half the modulus).  At one n the
+products of all frequencies are joined from the factor table |mu_hat|**2
+in O(log n) pointwise products and index gathers, the orbit-product
+engine of the mixing search, so upper_bound and lower_bound_best cost the
+same at every n; the bounds table walks consecutive n with product_scan,
+one product per step, freezing products too small to matter.  Two closed-form
 certificates bound tv from below without evolving anything: a product form
 driven by the constant rho, and a torsion form driven by gamma at a
 frequency fixed by some power of T.
@@ -15,7 +20,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -34,8 +38,10 @@ from .evolution import (
     ChainSpec,
     StateDistribution,
     _check_cap,
+    _check_steps,
     _check_work,
     _mu_hat_table,
+    _power,
     decode_state,
     evolve_iter,
     tv_distance,
@@ -146,8 +152,7 @@ def pn_hat_sq(
     gcd(det A, p) = 1 is what makes the product formula exact.  n = 0
     gives 1.
     """
-    if n < 0:
-        raise ValueError("step count must be >= 0")
+    _check_steps(n)
     fv = as_frequency(alpha, chain.p, chain.k)
     p = chain.p
     at = chain.a.transpose()
@@ -157,6 +162,13 @@ def pn_hat_sq(
         prod *= abs(mu_hat(chain.mu, FrequencyVector(cur, p))) ** 2
         cur = tuple(c % p for c in at.apply(cur))
     return prod
+
+
+def _factors(chain: ChainSpec) -> np.ndarray:
+    """|mu_hat|**2 at every frequency index, clipped into [0, 1]."""
+    factor = np.abs(_mu_hat_table(chain.mu, chain.p)) ** 2
+    np.clip(factor, 0.0, 1.0, out=factor)  # |mu_hat| <= 1 exactly; clip float spill
+    return factor
 
 
 def product_scan(chain: ChainSpec, n: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -171,8 +183,7 @@ def product_scan(chain: ChainSpec, n: int) -> Iterator[tuple[int, np.ndarray]]:
     |mu_hat(T**(j-1) alpha)|**2, a factor table gathered through
     alpha -> T alpha after every step.
     """
-    factor = np.abs(_mu_hat_table(chain.mu, chain.p)) ** 2
-    np.clip(factor, 0.0, 1.0, out=factor)  # |mu_hat| <= 1 exactly; clip float spill
+    factor = _factors(chain)
     prods = np.ones(len(factor))
     yield 0, prods
     for j in range(1, n + 1):
@@ -182,10 +193,12 @@ def product_scan(chain: ChainSpec, n: int) -> Iterator[tuple[int, np.ndarray]]:
 
 
 def _products_at(chain: ChainSpec, n: int) -> np.ndarray:
-    """pn_hat_sq at every frequency index after n steps of product_scan."""
+    """pn_hat_sq at every frequency index, joined from _factors in
+    O(log n) orbit products; none is frozen, so a product too small for a
+    float becomes 0."""
+    _check_steps(n)
     _check_cap(chain.n_states, "p**k")
-    _check_work(chain, n)
-    return deque(product_scan(chain, n), maxlen=1)[0][1]
+    return _power((_factors(chain), chain._perm_t), n)[0]
 
 
 def upper_bound(chain: ChainSpec, n: int) -> float:
@@ -245,8 +258,7 @@ def certificate_rho(
     FactorNonpositive, meaning n is too large for this certificate at
     this modulus.
     """
-    if n < 0:
-        raise ValueError("step count must be >= 0")
+    _check_steps(n)
     fv = as_frequency(alpha, chain.p, chain.k)
     if fv.is_zero:
         raise ZeroFrequency("the certificate needs a nonzero frequency")
@@ -304,8 +316,7 @@ def certificate_gamma(chain: ChainSpec, l_max: int, n: int) -> GammaCertificate:
     first nonzero entry positive); its reduction mod p is the witness.
     Requires gamma < p**2 and ||alpha||_inf < p.
     """
-    if n < 0:
-        raise ValueError("step count must be >= 0")
+    _check_steps(n)
     l, alpha = find_torsion(chain.a, l_max)
     k, p = chain.k, chain.p
     witness = FrequencyVector(alpha, p)  # alpha is primitive, so not 0 mod p

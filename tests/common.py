@@ -1,6 +1,6 @@
 """Shared fixtures: the matrix suite, its fair two-point increments, the
-reference step, index map, laws and mixing-time search, and a wall-clock
-limit for tests of work that must end quickly."""
+table of all states, the reference step, index map, laws and mixing-time
+search, and a wall-clock limit for tests of work that must end quickly."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from affine_mixer import (
     step_exact,
     tv_distance,
 )
-from affine_mixer.evolution import state_table
 
 SUITE_ROWS = (
     ((2,),),
@@ -50,6 +49,12 @@ def suite_chains(primes=SUITE_PRIMES) -> list[ChainSpec]:
         for p in primes:
             chains.append(ChainSpec(a, mu, p))
     return chains
+
+
+def state_table(p, k):
+    """All states as a (p**k, k) int64 array; row i decodes index i."""
+    codes = np.arange(p**k, dtype=np.int64)
+    return np.stack([(codes // p**i) % p for i in range(k)], axis=1)
 
 
 def roll_step(dist, chain):

@@ -521,7 +521,11 @@ FAIR_2D = {"k": 2, "support": [[0, 0], [1, 0]], "probs": [0.5, 0.5]}
 # counting certificate skips; and an evolve in k = 3 from a nonzero x0 whose
 # folded shifts (0, 0, 0), (1, 12, 0) and (3, 1, 4) have zero, two and three
 # nonzero components, so each dense step splits a translate into slabs on
-# two and on three axes.  Any change that moves a byte of
+# two and on three axes; and a sweep in the paper's general case,
+# |lambda_1| = 1 < |lambda_2| (A = [[1, 1], [0, 2]], three fair
+# increments), where p = 31 mixes within the dense prefix and p = 61 and
+# 101 are answered by the Fourier search with a frequency permutation of
+# its own (A is not symmetric).  Any change that moves a byte of
 # these reports (a column, its order, how a probability, a frequency, a
 # flag or an empty cell is written) fails here.
 PINNED_REPORTS = {
@@ -609,6 +613,20 @@ PINNED_REPORTS = {
         {
             "evolve.csv": "1ee1c2f4ff374a21843bfc0c794ee79ef8aa786ca1453dfafa552d78e3077a5e",
             "evolve.json": "0dfaad7bdf261f60cb46d60d0b42ad77fdcc486622dcbe700ca68bf0a39af673",
+        },
+    ),
+    "sweep-general": (
+        {
+            "task": "mixing-sweep",
+            "matrix": [[1, 1], [0, 2]],
+            "increments": {"k": 2, "support": [[0, 0], [1, 0], [0, 1]], "probs": [1 / 3] * 3},
+            "p_list": [31, 61, 101],
+            "eps": 0.25,
+            "n_cap": 10000,
+        },
+        {
+            "sweep.csv": "0da99c8dbc084ecc65b0d3b5c26577ae6b034b29c99e8807c5114025bddc2d56",
+            "sweep.json": "af02026d31ff07b21aa8ca1b71bd8c716da0207bcdf088b6bb69effc822edf51",
         },
     ),
 }

@@ -41,7 +41,6 @@ from affine_mixer.evolution import (
     index_map,
     shift_by,
     state_cap,
-    state_table,
 )
 from common import (
     dense_laws,
@@ -49,6 +48,7 @@ from common import (
     fair_two_point,
     matmul_index_map,
     roll_step,
+    state_table,
     suite_chains,
 )
 
@@ -352,6 +352,12 @@ def test_simulate_concentrates_on_exact_law():
 def test_simulate_validation():
     with pytest.raises(ValueError):
         simulate(hand_chain(), 1, trials=0, seed=1)
+
+
+def test_simulate_refuses_a_negative_step_count():
+    # it used to return the point mass at x0, the law at n = 0
+    with pytest.raises(ValueError, match="step count must be >= 0"):
+        simulate(hand_chain(), -1, trials=10, seed=0)
 
 
 def test_simulate_refuses_trials_over_the_cap(monkeypatch):

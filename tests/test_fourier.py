@@ -47,10 +47,9 @@ from affine_mixer.evolution import (
     decode_state,
     encode_state,
     index_map,
-    state_table,
 )
-from affine_mixer.fourier import FREEZE_THRESHOLD, _best_witness
-from common import fair_two_point, suite_chains
+from affine_mixer.fourier import FREEZE_THRESHOLD, _best_witness, _products_at
+from common import fair_two_point, state_table, suite_chains, time_limit
 
 
 def hand_chain(p=3):
@@ -299,11 +298,65 @@ def test_upper_bound_nonincreasing():
 
 
 @pytest.mark.parametrize("bound", [upper_bound, lower_bound_best])
-def test_library_bounds_refuse_dense_work_over_the_cap(bound):
-    # 10**9 product_scan steps at p = 3 would take about 80 min
-    message = r"\(n \+ 1\) \* \(p\*\*k \+ cap // 1024\) = 3909000003909"
-    with pytest.raises(StateSpaceTooLarge, match=message):
-        bound(hand_chain(), 10**9)
+def test_library_bounds_answer_a_billion_steps_at_once(bound):
+    # 10**9 product_scan steps at p = 3 would take about 80 min; joined
+    # orbit products take about 60 pointwise products.  A = I with a lazy
+    # law keeps the products away from 0: each is f**n, with
+    # f = |mu_hat(alpha)|**2 = 1 - 3 w (1 - w) at alpha = 1, 2
+    w = 1e-10
+    lazy = ChainSpec(IntMatrix.identity(1), IncrementDistribution(1, ((0,), (1,)), (1 - w, w)), 3)
+    product = math.exp(10**9 * math.log1p(-3 * w * (1 - w)))
+    with time_limit(1):
+        got = bound(lazy, 10**9)
+        vanished = bound(hand_chain(), 10**9)  # 0.25**(10**9) is 0 in floats
+    if bound is upper_bound:
+        assert got == pytest.approx(0.5 * product, rel=1e-6)
+        assert vanished == 0.0
+    else:
+        assert got[0] == pytest.approx(0.5 * math.sqrt(product), rel=1e-6)
+        assert got[1].alpha in ((1,), (2,))
+        assert vanished == (0.0, FrequencyVector((1,), 3))
+
+
+@pytest.mark.parametrize("bound", [upper_bound, lower_bound_best])
+def test_library_bounds_refuse_a_negative_step_count(bound):
+    with pytest.raises(ValueError, match="step count must be >= 0"):
+        bound(hand_chain(), -1)
+
+
+def frozen_scan(chain, n):
+    """product_scan's products after n steps, and a mask of those that
+    were not frozen before its last step, so are the plain product."""
+    history = [prods.copy() for _, prods in product_scan(chain, n)]  # live buffer
+    live = history[-2] > FREEZE_THRESHOLD if n else np.ones(len(history[-1]), dtype=bool)
+    return history[-1], live
+
+
+def within(got, expected, rel):
+    return abs(got - expected) <= rel * abs(expected)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(chain=scan_chains(), n=st.integers(0, 150))
+@example(chain=hand_chain(), n=80)  # freezes at frequencies 1 and 2
+def test_library_bounds_match_the_scan(chain, n):
+    # the joined products never exceed the scan's, whose frozen ones only
+    # overstate, and agree with it wherever the scan multiplied throughout
+    scan, live = frozen_scan(chain, n)
+    joined = _products_at(chain, n)
+    assert np.all(joined <= scan * (1 + 1e-12))
+    assert np.all(within(joined[live], scan[live], 1e-9))
+    upper, scan_upper = upper_bound(chain, n), 0.25 * float(scan[1:].sum())
+    assert upper <= scan_upper * (1 + 1e-12)
+    if live[1:].all():
+        assert within(upper, scan_upper, 1e-9)
+    lower, witness = lower_bound_best(chain, n)
+    scan_lower, scan_witness = _best_witness(scan, chain.p, chain.k)
+    assert lower <= scan_lower * (1 + 1e-12)
+    best = encode_state(scan_witness.alpha, chain.p)
+    if live[best]:
+        assert within(lower, scan_lower, 1e-9)
+        assert within(scan[encode_state(witness.alpha, chain.p)], scan[best], 1e-9)
 
 
 def test_lower_bound_at_hand_value():
