@@ -4,15 +4,20 @@ States are indexed little-endian: x maps to sum_i x_i * p**i.  One step of
 X' = A X + B (mod p) is a push-forward through the bijection y -> A y
 (gcd(det A, p) = 1 makes it one) followed by a cyclic convolution with the
 reduced increment law, so a step costs 2 |supp mu| + 3 passes over the p^k
-states (one scatter, a multiply and an add per translate but the first,
-which only multiplies, and the min, clip and sum that check the law) and
-stays exact up to float addition.  The paper's necessary-steps count says
-where that work is wasted: P_n lives on at most |supp mu|**n states, so
-while that is small against p^k the early steps run on the support alone,
-at O(|supp| |supp mu|) each, and the mixing search computes tv only once
-the count no longer rules out mixing.  Mixing times past a short prefix are
-found in the Fourier domain, where the law after n steps costs O(log n)
-pointwise products instead of n steps.
+states (one scatter through the permutation table of y -> A y, a multiply
+and an add per translate but the first, which only multiplies, and the
+min, clip and sum that check the law) and stays exact up to float
+addition.  For k = 1 with a small multiplier the push needs no table and
+no scatter: each translate y -> a y + c is at most |a| + 1 strided slices
+read straight from the law, so a step costs 2 |supp mu| + 2 passes.
+
+The paper's necessary-steps count says where that work is wasted: P_n
+lives on at most |supp mu|**n states, so while that is small against p^k
+the early steps run on the support alone, at O(|supp| |supp mu|) each, and
+the mixing search computes tv only once the count no longer rules out
+mixing.  Mixing times past a short prefix are found in the Fourier domain,
+where the law after n steps costs O(log n) pointwise products instead of
+n steps.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import math
 import os
 from collections import defaultdict, deque
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -36,6 +41,9 @@ STATE_CAP_ENV = "AFFINE_MIXER_STATE_CAP"
 DEFAULT_N_CAP = 100_000
 SUM_TOL = 1e-10
 NEG_TOL = -1e-15
+# largest |a| for which a k = 1 step moves the law by strided slices, not
+# through the permutation table (see step_exact)
+LINE_CUTOFF = 8
 
 
 def state_cap() -> int:
@@ -88,6 +96,12 @@ def _encode(states: np.ndarray, p: int) -> np.ndarray:
 def _mod_rows(matrix: IntMatrix, p: int) -> np.ndarray:
     """The entries of a matrix reduced mod p, as int64, whatever their size."""
     return (np.array(matrix.rows, dtype=object) % p).astype(np.int64)
+
+
+def _least_residue(x: int, p: int) -> int:
+    """The residue of x mod p in (-p/2, p/2]."""
+    r = x % p
+    return r - p if 2 * r > p else r
 
 
 def _form(row: Sequence[int], p: int) -> np.ndarray:
@@ -173,7 +187,9 @@ class ChainSpec:
 
     @cached_property
     def _perm(self) -> np.ndarray:
-        """Index permutation of the push-forward y -> A y mod p."""
+        """Index permutation of the push-forward y -> A y mod p.  Read by
+        step_exact for k >= 2 and for k = 1 past LINE_CUTOFF, and, as
+        _perm_t when A is symmetric, by product_scan and _fourier_search."""
         return index_map(self.a, self.p, self.k)
 
     @cached_property
@@ -260,28 +276,59 @@ def _slabs(shift: Sequence[int], p: int) -> Iterator[tuple[tuple, tuple]]:
         yield tuple(zip(*pairs))
 
 
+def _lines(a: int, shift: Sequence[int], p: int) -> Iterator[tuple[slice, slice]]:
+    """Pairs (dst, src) of basic slices, at most |a| + 1 with disjoint dst, such
+    that moved[dst] = law[src] for every pair moves a law on Z_p by
+    y -> a y + c (mod p), c = shift[0]: src is a run of consecutive y and dst
+    their images at stride a.  a is coprime to p, with 0 < |a| < p; the
+    counterpart of _slabs for a k = 1 push and translation at once."""
+    c, y = int(shift[0]) % p, 0
+    while y < p:
+        t = (a * y + c) % p
+        # the run goes on while a y + c stays in one period: up to p - 1 for
+        # a > 0, down to 0 for a < 0
+        run = min(p - y, (p - t + a - 1) // a if a > 0 else t // -a + 1)
+        stop = t + a * run
+        yield slice(t, stop if stop >= 0 else None, a), slice(y, y + run)
+        y += run
+
+
 def step_exact(dist: StateDistribution, chain: ChainSpec) -> StateDistribution:
-    """One exact step: P'(x) = sum_y P(y) * mu_p(x - A y mod p), the translates
-    of the pushed law P added slab by slab in the order of chain._shifts; the
-    first is written as w * P (which is 0 + w * P for P >= 0) and the last
-    scales P in place, so no translate is copied."""
+    """One exact step: P'(x) = sum_y P(y) * mu_p(x - A y mod p), the terms of
+    each target added in the order of chain._shifts, the first written as
+    w * P(y) (which is 0 + w * P(y) for P >= 0).
+
+    For k = 1 with a least residue a of A mod p (-p/2 < a <= p/2) of at most
+    LINE_CUTOFF in absolute value, each translate y -> a y + c goes from P
+    straight into the new law as the |a| or |a| + 1 strided slice pairs of
+    _lines, with no table and no pushed copy.  Otherwise P is scattered
+    through chain._perm into a pushed law, whose translates are added slab
+    by slab (_slabs); the last scales the pushed law in place, so no
+    translate is copied.  Both give the same products and sums in the same
+    order, so the law is the same bit for bit.
+    """
     if (dist.p, dist.k) != (chain.p, chain.k):
         raise ValueError("distribution and chain dimensions disagree")
     p, k = chain.p, chain.k
-    shifts = chain._shifts
-    pushed = np.empty_like(dist.values)
-    pushed[chain._perm] = dist.values
-    cube = pushed.reshape((p,) * k)
-    out = np.empty_like(cube)
-    for dst, src in _slabs(shifts[0][0], p):
-        np.multiply(cube[src], shifts[0][1], out=out[dst])
-    for shift, w in shifts[1:-1]:
-        for dst, src in _slabs(shift, p):
-            out[dst] += w * cube[src]
-    if len(shifts) > 1:
-        cube *= shifts[-1][1]
-        for dst, src in _slabs(shifts[-1][0], p):
-            out[dst] += cube[src]
+    if k == 1 and abs(a := _least_residue(chain.a.rows[0][0], p)) <= LINE_CUTOFF:
+        law, pairs, owned = dist.values, partial(_lines, a), False
+    else:
+        pushed = np.empty_like(dist.values)
+        pushed[chain._perm] = dist.values
+        law, pairs, owned = pushed.reshape((p,) * k), _slabs, True
+    (shift, w), *rest = chain._shifts
+    out = np.empty_like(law)
+    for dst, src in pairs(shift, p):
+        np.multiply(law[src], w, out=out[dst])
+    # the pushed law is the step's own, so its last translate is scaled in place
+    last = rest.pop() if owned and rest else None
+    for shift, w in rest:
+        for dst, src in pairs(shift, p):
+            out[dst] += w * law[src]
+    if last is not None:
+        law *= last[1]
+        for dst, src in pairs(last[0], p):
+            out[dst] += law[src]
     return StateDistribution(p, k, out.reshape(-1).view(_Fresh))
 
 
@@ -471,9 +518,9 @@ def _dense_prefix(n_states: int, support_size: int) -> int:
 
     Costs in passes over a length-N array (N = p**k): a dense step is
     priced at |supp mu| + 4 of them plus a fixed Python overhead worth about
-    2**14.  It makes 2 |supp mu| + 3 (see the module docstring); the price
-    is left as it is on purpose, since changing it would change which path
-    answers.  A candidate n in the Fourier search (an FFT of a complex array and the tv
+    2**14.  It makes at most 2 |supp mu| + 3 (see the module docstring);
+    the price is left as it is on purpose, since changing it would change
+    which path answers.  A candidate n in the Fourier search (an FFT of a complex array and the tv
     sum) makes about 8 log2 N, plus an overhead of about 2**13.  A search
     takes about 20 transforms (2 log2 n plus the crossing check, for the n
     in reach of a short prefix).  The prefix is that search's cost counted

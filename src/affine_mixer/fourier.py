@@ -149,19 +149,30 @@ def pn_hat_sq(
 
     Equals prod_{j<n} |mu_hat(T**j alpha)|**2 with T = transpose(A); the
     orbit is computed in exact integers mod p.  The ChainSpec invariant
-    gcd(det A, p) = 1 is what makes the product formula exact.  n = 0
-    gives 1.
+    gcd(det A, p) = 1 is what makes the product formula exact, and makes
+    T a bijection, so the orbit is a cycle of some length L <= p**k.  It
+    is walked once, up to n steps; past L the product is (cycle
+    product)**(n // L) times the product of the first n % L factors.
+    n = 0 gives 1.
     """
     _check_steps(n)
     fv = as_frequency(alpha, chain.p, chain.k)
     p = chain.p
+    _check_cap(min(n, chain.n_states), "min(n, p**k) orbit steps")
     at = chain.a.transpose()
     cur = fv.alpha
-    prod = 1.0
-    for _ in range(n):
-        prod *= abs(mu_hat(chain.mu, FrequencyVector(cur, p))) ** 2
+    factors = []
+    while len(factors) < n:
+        factors.append(abs(mu_hat(chain.mu, FrequencyVector(cur, p))) ** 2)
         cur = tuple(c % p for c in at.apply(cur))
-    return prod
+        if cur == fv.alpha:
+            break
+    whole = math.prod(factors, start=1.0)
+    if len(factors) == n:
+        return whole
+    cycles, rest = divmod(n, len(factors))
+    # |mu_hat| <= 1 exactly; the clip keeps a float spill from growing
+    return min(whole, 1.0) ** cycles * math.prod(factors[:rest], start=1.0)
 
 
 def _factors(chain: ChainSpec) -> np.ndarray:
@@ -345,6 +356,11 @@ def bounds_table(
 ) -> list[BoundsReport]:
     """Evolve the chain and the frequency products side by side.
 
+    lower_best and its witness come from the scan's products while the
+    best of them is above FREEZE_THRESHOLD.  A frozen product only
+    overstates, so from the first row whose best froze they come from
+    unfrozen products: lower_bound_best's at that n, then multiplied by
+    one factor per row as the scan multiplies its own.
     The certificate column is gamma-based when some power of the transpose
     has torsion (and the certificate applies at this p), else rho-based at
     the first nonzero frequency; entries are empty from the first step the
@@ -363,8 +379,24 @@ def bounds_table(
         rho_params.rho, rho_params.norm_t, chain.p
     )
     rows: list[BoundsReport] = []
+    # from the first row whose best product froze: the unfrozen products at
+    # n, and the factor |mu_hat(T**n alpha)|**2 that the next row multiplies in
+    exact: Optional[np.ndarray] = None
     for (n, dist), (_, prods) in zip(evolve_iter(chain, n_max), product_scan(chain, n_max)):
-        lower, witness = _best_witness(prods, chain.p, chain.k)
+        if exact is None:
+            lower, witness = _best_witness(prods, chain.p, chain.k)
+            # 2 lower is the rounded root of the best product, so the first
+            # test, which makes no pass over the products, holds if the second does
+            if 2 * lower <= math.sqrt(FREEZE_THRESHOLD) and prods[1:].max() <= FREEZE_THRESHOLD:
+                factors = _factors(chain)
+                exact, orbit = _power((factors, chain._perm_t), n)
+                factor = factors[orbit]
+                del factors, orbit
+        else:
+            exact *= factor
+            factor = factor[chain._perm_t]
+        if exact is not None:
+            lower, witness = _best_witness(exact, chain.p, chain.k)
         certificate: Optional[float] = None
         if gamma_params is not None:
             certificate = _gamma_bound(gamma_params.gamma, chain.p, n)

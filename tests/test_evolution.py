@@ -29,6 +29,7 @@ from affine_mixer import (
 )
 from affine_mixer import evolution
 from affine_mixer.evolution import (
+    LINE_CUTOFF,
     STATE_CAP_ENV,
     _dense_prefix,
     _fourier_search,
@@ -546,15 +547,10 @@ def coprime_rows(draw, k, p):
     return rows
 
 
-@st.composite
-def support_chains(draw, dims=(1, 2, 3), moduli=SMALL_AND_LARGE_MODULI):
-    """Chains with gcd(det A, p) = 1, a random x0 and 1 to 4 increments, two
-    of them congruent mod p when a twin is drawn, on moduli drawn from
-    moduli[k]."""
-    k = draw(st.sampled_from(dims))
-    p = draw(st.sampled_from(moduli[k]))
+def twinned_increments(draw, k, p):
+    """1 to 4 increments in Z^k with entries in -3..3 and random weights, two
+    of them congruent mod p when a twin is drawn."""
     entry = st.integers(-3, 3)
-    rows = coprime_rows(draw, k, p)
     points = draw(st.lists(st.tuples(*[entry] * k), min_size=1, max_size=4, unique=True))
     if len(points) < 4 and draw(st.booleans()):
         twin = draw(st.sampled_from(points))
@@ -564,7 +560,18 @@ def support_chains(draw, dims=(1, 2, 3), moduli=SMALL_AND_LARGE_MODULI):
             points.append(lifted)
     weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(points), max_size=len(points)))
     total = sum(weights)
-    mu = IncrementDistribution(k, tuple(points), tuple(w / total for w in weights))
+    return IncrementDistribution(k, tuple(points), tuple(w / total for w in weights))
+
+
+@st.composite
+def support_chains(draw, dims=(1, 2, 3), moduli=SMALL_AND_LARGE_MODULI):
+    """Chains with gcd(det A, p) = 1, a random x0 and 1 to 4 increments, two
+    of them congruent mod p when a twin is drawn, on moduli drawn from
+    moduli[k]."""
+    k = draw(st.sampled_from(dims))
+    p = draw(st.sampled_from(moduli[k]))
+    rows = coprime_rows(draw, k, p)
+    mu = twinned_increments(draw, k, p)
     x0 = draw(st.tuples(*[st.integers(0, p - 1)] * k))
     return ChainSpec(IntMatrix.from_rows(rows), mu, p, x0=x0)
 
@@ -596,6 +603,15 @@ def test_property_evolve_iter_matches_dense_laws_bitwise(chain, n):
     assert np.array_equal(evolve(chain, n).values, dense.values)
 
 
+def random_law(chain, seed):
+    """A random law on the chain's states with about 30% exact zeros."""
+    rng = np.random.default_rng(seed)
+    raw = rng.random(chain.n_states)
+    raw[rng.random(chain.n_states) < 0.3] = 0.0
+    raw[0] += 1.0  # never all zero
+    return StateDistribution(chain.p, chain.k, raw / raw.sum())
+
+
 @st.composite
 def slab_chains(draw):
     """Chains for the slab translations of step_exact: k = 1..3, A coprime
@@ -618,12 +634,7 @@ def slab_chains(draw):
 def test_property_step_exact_matches_roll_step_bitwise(chain, seed, n):
     # from the point mass at x0 and from a random law with exact zeros,
     # each slab-added step is the roll-added step, bit for bit
-    rng = np.random.default_rng(seed)
-    raw = rng.random(chain.n_states)
-    raw[rng.random(chain.n_states) < 0.3] = 0.0
-    raw[0] += 1.0  # never all zero
-    starts = [StateDistribution.point_mass(chain.p, chain.k, chain.x0)]
-    starts.append(StateDistribution(chain.p, chain.k, raw / raw.sum()))
+    starts = [StateDistribution.point_mass(chain.p, chain.k, chain.x0), random_law(chain, seed)]
     for dist in starts:
         expected = dist
         for i in range(n):
@@ -631,6 +642,54 @@ def test_property_step_exact_matches_roll_step_bitwise(chain, seed, n):
             assert np.array_equal(dist.values, expected.values), i
             assert not np.signbit(dist.values).any()
             assert not dist.values.flags.writeable
+
+
+@st.composite
+def line_chains(draw):
+    """k = 1 chains whose multiplier has a least residue mod p on either
+    side of LINE_CUTOFF, negative ones too, lifted by a multiple of p past
+    int64 when drawn; a random x0 and twinned increments."""
+    p = draw(st.sampled_from(SMALL_AND_LARGE_MODULI[1]))
+    near = st.integers(-LINE_CUTOFF - 4, LINE_CUTOFF + 4)
+    residue = draw(st.one_of(near, st.integers(-(p // 2), p // 2)))
+    residue += residue % p == 0  # p is prime: coprime now
+    lift = draw(st.one_of(st.just(0), st.integers(-(2**70), 2**70)))
+    mu = twinned_increments(draw, 1, p)
+    x0 = draw(st.integers(0, p - 1))
+    return ChainSpec(IntMatrix.from_rows([[residue + p * lift]]), mu, p, x0=(x0,))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    chain=line_chains(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), dense=st.booleans()
+)
+def test_property_k1_step_matches_roll_step_bitwise(chain, seed, n, dense):
+    # within the cutoff a k = 1 step writes each translate from the law by
+    # strided slices and builds no table; past it the step scatters
+    # through the table; either way each law is roll_step's, bit for bit
+    start = StateDistribution.point_mass(chain.p, 1, chain.x0)
+    if dense:
+        start = random_law(chain, seed)
+    laws = [start]
+    for _ in range(n):
+        laws.append(step_exact(laws[-1], chain))
+    residue = chain.a.rows[0][0] % chain.p
+    strided = min(residue, chain.p - residue) <= LINE_CUTOFF
+    assert ("_perm" in vars(chain)) != strided
+    expected = start
+    for i, dist in enumerate(laws[1:]):
+        expected = roll_step(expected, chain)
+        assert np.array_equal(dist.values, expected.values), i
+        assert not np.signbit(dist.values).any()
+        assert not dist.values.flags.writeable
+
+
+@pytest.mark.parametrize("a, strided", [(2, True), (-8, True), (8, True), (9, False), (-9, False)])
+def test_k1_chain_within_the_cutoff_builds_no_table(a, strided):
+    # evolve's last seven steps at p = 2003 are dense ones
+    chain = ChainSpec(IntMatrix.from_rows([[a + 2003]]), fair_two_point(1), 2003)
+    evolve(chain, 12)
+    assert ("_perm" not in vars(chain)) == strided
 
 
 @settings(max_examples=120, deadline=None)
@@ -648,18 +707,32 @@ def test_property_index_map_matches_matmul_oracle(k, data):
 
 
 @pytest.mark.parametrize(
-    "rows, p, step_ratio, perm_ratio",
-    [([[2]], 100_003, 2.1, 3.0), ([[2, 1], [1, 1]], 705, 2.1, 5.0)],
+    "rows, support, p, step_ratio, perm_ratio",
+    [
+        ([[2]], [(0,), (1,)], 100_003, 1.6, 3.0),
+        ([[2]], [(0,), (1,), (2,)], 100_003, 1.6, 3.0),
+        ([[2, 1], [1, 1]], [(0, 0), (1, 0)], 705, 2.1, 5.0),
+    ],
 )
-def test_step_exact_and_its_table_stay_within_their_memory(rows, p, step_ratio, perm_ratio):
+def test_step_exact_and_its_table_stay_within_their_memory(
+    rows, support, p, step_ratio, perm_ratio
+):
     # tracemalloc peaks in units of one law (8 bytes a state): the
-    # permutation table's build, and one step beyond its input law with a
-    # two-point support (the pushed law and the result; no translate copy)
-    chain = ChainSpec(IntMatrix.from_rows(rows), fair_two_point(len(rows)), p)
+    # permutation table's build, and one step beyond its input law.  A
+    # k = 1 step with a small multiplier builds no table and holds the
+    # result and one strided block's product (about half a law at a = 2);
+    # the k = 2 step, its table built, holds the pushed law and the result
+    # with a two-point support (no translate copy)
+    chain = ChainSpec(IntMatrix.from_rows(rows), IncrementDistribution.fair(support), p)
     law_bytes = 8 * chain.n_states
     dist = StateDistribution.uniform(p, chain.k)
     peaks = {}
-    work = {"perm": lambda: chain._perm, "step": lambda: step_exact(dist, chain)}
+    work = {
+        "perm": lambda: ChainSpec(chain.a, chain.mu, p)._perm,
+        "step": lambda: step_exact(dist, chain),
+    }
+    if chain.k > 1:
+        chain._perm
     for name, run in work.items():
         tracemalloc.start()
         try:
@@ -668,6 +741,7 @@ def test_step_exact_and_its_table_stay_within_their_memory(rows, p, step_ratio, 
         finally:
             tracemalloc.stop()
     assert peaks["perm"] <= perm_ratio and peaks["step"] <= step_ratio, peaks
+    assert ("_perm" in vars(chain)) == (chain.k > 1)
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import gc
+import itertools
 import math
 import random
 import weakref
@@ -171,6 +172,61 @@ def test_pn_hat_sq_equals_dft_of_evolution():
                 alpha = decode_state(code, chain.p, chain.k)
                 got = pn_hat_sq(chain, alpha, n)
                 assert abs(got - ref[code]) < 1e-9, (chain.a.rows, n, alpha)
+
+
+def plain_pn_hat_sq(chain, alpha, n):
+    """The orbit product by n steps of the orbit, the walk pn_hat_sq
+    replaces past the period."""
+    p, at, cur, prod = chain.p, chain.a.transpose(), tuple(alpha), 1.0
+    for _ in range(n):
+        prod *= abs(mu_hat(chain.mu, FrequencyVector(cur, p))) ** 2
+        cur = tuple(c % p for c in at.apply(cur))
+    return prod
+
+
+def orbit_period(chain, alpha):
+    p, at, cur = chain.p, chain.a.transpose(), tuple(alpha)
+    for length in itertools.count(1):
+        cur = tuple(c % p for c in at.apply(cur))
+        if cur == tuple(alpha):
+            return length
+
+
+@pytest.mark.parametrize(
+    "rows, support, p, alpha",
+    [
+        ([[2]], [(0,), (1,)], 11, (1,)),
+        ([[3]], [(0,), (1,), (2,)], 7, (3,)),
+        ([[2, 1], [1, 1]], [(0, 0), (1, 0)], 13, (1, 2)),
+        ([[1, 1], [0, 2]], [(0, 0), (1, 0)], 5, (2, 1)),
+    ],
+)
+def test_pn_hat_sq_joins_whole_periods(rows, support, p, alpha):
+    # up to the period the walk is the plain one, float for float; past it
+    # the cycle's product is raised to the number of whole periods
+    chain = ChainSpec(IntMatrix.from_rows(rows), IncrementDistribution.fair(support), p)
+    period = orbit_period(chain, alpha)
+    assert period > 1
+    for n in range(3 * period + 1):
+        got, plain = pn_hat_sq(chain, alpha, n), plain_pn_hat_sq(chain, alpha, n)
+        if n <= period:
+            assert got == plain, n
+        assert abs(got - plain) <= 1e-12 * plain, n
+
+
+def test_pn_hat_sq_answers_a_billion_steps_at_once(monkeypatch):
+    # the cat map's orbits mod 701 close after at most 2 (p + 1) steps,
+    # where 10**9 steps of the plain walk would take about 3 h
+    chain = ChainSpec(IntMatrix.from_rows([[2, 1], [1, 1]]), fair_two_point(2), 701)
+    with time_limit(1):
+        assert pn_hat_sq(chain, (1, 0), 10**9) == 0.0
+        assert lower_bound_at(chain, (1, 3), 10**9) == 0.0
+        assert pn_hat_sq(chain, (0, 0), 10**9) == pytest.approx(1.0)
+    # the walk is refused, before it starts, past the state cap
+    monkeypatch.setenv(STATE_CAP_ENV, "100")
+    with pytest.raises(StateSpaceTooLarge, match="orbit steps"):
+        pn_hat_sq(chain, (1, 0), 101)
+    assert pn_hat_sq(chain, (1, 0), 100) == plain_pn_hat_sq(chain, (1, 0), 100)
 
 
 def test_product_scan_matches_pointwise_products():
@@ -526,6 +582,24 @@ def test_bounds_table_rho_chain():
             )
         else:
             assert row.certificate is None
+
+
+def test_bounds_table_lower_best_stays_below_tv_once_products_freeze():
+    # at p = 3 the best scan product freezes from n = 50 on, and a frozen
+    # product only overstates; those rows take lower_bound_best's, the
+    # first one bit for bit and the later ones joined a step at a time
+    chain = hand_chain()
+    rows = bounds_table(chain, 80)
+    scans = [float(prods[1:].max()) for _, prods in product_scan(chain, 80)]
+    frozen = [row for row, best in zip(rows, scans) if best <= FREEZE_THRESHOLD]
+    assert [row.n for row in frozen] == list(range(50, 81))
+    for row in rows:
+        assert row.lower_best <= row.tv, row.n
+    assert (frozen[0].lower_best, frozen[0].alpha_witness) == lower_bound_best(chain, 50)
+    for row in frozen:
+        lower, witness = lower_bound_best(chain, row.n)
+        assert row.lower_best == pytest.approx(lower, rel=1e-12) and row.alpha_witness == witness
+    assert rows[80].lower_best == pytest.approx(0.5 * 0.25**40, rel=1e-9)
 
 
 def test_bounds_table_carries_rho_certificate_exactly():
