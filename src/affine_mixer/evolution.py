@@ -15,9 +15,15 @@ The paper's necessary-steps count says where that work is wasted: P_n
 lives on at most |supp mu|**n states, so while that is small against p^k
 the early steps run on the support alone, at O(|supp| |supp mu|) each, and
 the mixing search computes tv only once the count no longer rules out
-mixing.  Mixing times past a short prefix are found in the Fourier domain,
-where the law after n steps costs O(log n) pointwise products instead of
-n steps.
+mixing.  For k = 1 the law then lies on an arc of Z_p, and in the fast
+regime (|a| > 1, with a the least residue of A mod p) the arc of P_n is
+about |a|**n times the spread of mu long, so the law fills Z_p only in
+the last few steps.  Those before are taken on the arc, at O(arc) each,
+until its image would wrap or the count stops ruling out mixing; for
+A = 2 a mixing search then makes about one dense step, not O(log p).
+Mixing times past a short prefix are found in the Fourier domain, where
+the law after n steps costs O(log n) pointwise products instead of n
+steps.
 """
 
 from __future__ import annotations
@@ -44,6 +50,9 @@ NEG_TOL = -1e-15
 # largest |a| for which a k = 1 step moves the law by strided slices, not
 # through the permutation table (see step_exact)
 LINE_CUTOFF = 8
+# states in the block through which a translate's products pass on their
+# way into the new law (_add_scaled): 256 KB, so a block stays in L2
+SCRATCH_STATES = 2**15
 
 
 def state_cap() -> int:
@@ -199,6 +208,17 @@ class ChainSpec:
         return self._perm if t == self.a else index_map(t, self.p, self.k)
 
     @cached_property
+    def _factors(self) -> np.ndarray:
+        """|mu_hat|**2 at every frequency index, clipped into [0, 1]: the
+        factor table of fourier's orbit products.  Built by the first
+        product_scan or bound that needs it, so a bounds table reuses the
+        one its scan built."""
+        factor = np.abs(_mu_hat_table(self.mu, self.p)) ** 2
+        np.clip(factor, 0.0, 1.0, out=factor)  # |mu_hat| <= 1 exactly; clip float spill
+        factor.flags.writeable = False
+        return factor
+
+    @cached_property
     def _shifts(self) -> tuple[tuple[tuple[int, ...], float], ...]:
         """mu folded mod p, as sorted (shift, weight) pairs."""
         shifts: defaultdict[tuple[int, ...], float] = defaultdict(float)
@@ -211,8 +231,25 @@ class _Fresh(np.ndarray):
     """A new float64 law buffer, which StateDistribution takes without a copy."""
 
 
+def _check_law(arr: np.ndarray) -> None:
+    """Check a float64 law in place: no entry below NEG_TOL, and a sum
+    within SUM_TOL of 1.  Entries from NEG_TOL up to 0.0, -0.0 among them,
+    are clipped to +0.0; a law whose min is above 0 is left as it is,
+    which is what the clip would leave."""
+    low = float(arr.min())
+    if low < NEG_TOL:
+        raise ValueError(f"negative probability {low} below tolerance")
+    if low <= 0.0:
+        np.clip(arr, 0.0, None, out=arr)
+    total = float(arr.sum())
+    # a NaN entry makes min and sum NaN, which fails every comparison
+    if not abs(total - 1.0) <= SUM_TOL:
+        raise ValueError(f"probabilities sum to {total}, not 1 within {SUM_TOL}")
+
+
 class StateDistribution:
-    """Dense law on Z_p^k, little-endian indexed, values read-only."""
+    """Dense law on Z_p^k, little-endian indexed, values read-only; every
+    law passes _check_law."""
 
     __slots__ = ("p", "k", "values")
 
@@ -220,14 +257,7 @@ class StateDistribution:
         arr = values.view(np.ndarray) if isinstance(values, _Fresh) else np.array(values, float)
         if arr.shape != (p**k,):
             raise ValueError(f"expected {p**k} entries, got {arr.shape}")
-        low = float(arr.min())
-        if low < NEG_TOL:
-            raise ValueError(f"negative probability {low} below tolerance")
-        np.clip(arr, 0.0, None, out=arr)
-        total = float(arr.sum())
-        # a NaN entry makes min and sum NaN, which fails every comparison
-        if not abs(total - 1.0) <= SUM_TOL:
-            raise ValueError(f"probabilities sum to {total}, not 1 within {SUM_TOL}")
+        _check_law(arr)
         arr.flags.writeable = False
         self.p = p
         self.k = k
@@ -293,6 +323,22 @@ def _lines(a: int, shift: Sequence[int], p: int) -> Iterator[tuple[slice, slice]
         y += run
 
 
+def _add_scaled(dst: np.ndarray, src: np.ndarray, w: float, scratch: np.ndarray) -> None:
+    """dst += w * src through scratch, which is at least one leading-axis
+    row of src long: at once when src fits, else a block of rows at a
+    time, so no product as large as src is allocated.  Every entry gets
+    the same product and sum as from the one expression."""
+    if src.size <= len(scratch):
+        dst += np.multiply(src, w, out=scratch[: src.size].reshape(src.shape))
+        return
+    rows = len(scratch) // math.prod(src.shape[1:])
+    for r in range(0, len(src), rows):
+        block = src[r : r + rows]
+        part = scratch[: block.size].reshape(block.shape)
+        np.multiply(block, w, out=part)
+        dst[r : r + rows] += part
+
+
 def step_exact(dist: StateDistribution, chain: ChainSpec) -> StateDistribution:
     """One exact step: P'(x) = sum_y P(y) * mu_p(x - A y mod p), the terms of
     each target added in the order of chain._shifts, the first written as
@@ -304,8 +350,10 @@ def step_exact(dist: StateDistribution, chain: ChainSpec) -> StateDistribution:
     _lines, with no table and no pushed copy.  Otherwise P is scattered
     through chain._perm into a pushed law, whose translates are added slab
     by slab (_slabs); the last scales the pushed law in place, so no
-    translate is copied.  Both give the same products and sums in the same
-    order, so the law is the same bit for bit.
+    translate is copied.  The translates between the first and the last
+    pass their products through one SCRATCH_STATES block (_add_scaled).
+    Both paths give the same products and sums in the same order, so the
+    law is the same bit for bit.
     """
     if (dist.p, dist.k) != (chain.p, chain.k):
         raise ValueError("distribution and chain dimensions disagree")
@@ -322,9 +370,11 @@ def step_exact(dist: StateDistribution, chain: ChainSpec) -> StateDistribution:
         np.multiply(law[src], w, out=out[dst])
     # the pushed law is the step's own, so its last translate is scaled in place
     last = rest.pop() if owned and rest else None
+    if rest:
+        scratch = np.empty(min(law.size, max(SCRATCH_STATES, p ** (k - 1))))
     for shift, w in rest:
         for dst, src in pairs(shift, p):
-            out[dst] += w * law[src]
+            _add_scaled(out[dst], law[src], w, scratch)
     if last is not None:
         law *= last[1]
         for dst, src in pairs(last[0], p):
@@ -335,11 +385,11 @@ def step_exact(dist: StateDistribution, chain: ChainSpec) -> StateDistribution:
 def evolve_iter(chain: ChainSpec, n: int) -> Iterator[tuple[int, StateDistribution]]:
     """Yield (i, P_i) for i = 0..n starting from the point mass at x0.
 
-    The laws are _walk's, each one it holds as its support scattered into
-    a dense law here; every P_i is step_exact's, bit for bit.
+    The laws are _walk's, each one it holds as its support or on an arc
+    made dense here (_dense); every P_i is step_exact's, bit for bit.
     """
     for i, law, _ in _walk(chain, n):
-        yield i, law if isinstance(law, StateDistribution) else _scatter(*law, chain)
+        yield i, _dense(law, chain)
 
 
 def _step_price(states: int) -> int:
@@ -411,6 +461,9 @@ def shift_by(dist: StateDistribution, chain: ChainSpec, n: int) -> StateDistribu
 
 # A law held as its support: sorted state indices and their values.
 _Support = tuple[np.ndarray, np.ndarray]
+# A k = 1 law held on an arc: its first state lo and its values at lo,
+# lo + 1, ... (mod p); the law is 0 off the arc.
+_Arc = tuple[int, np.ndarray]
 
 
 def _step_support(codes: np.ndarray, values: np.ndarray, chain: ChainSpec) -> _Support:
@@ -434,9 +487,48 @@ def _step_support(codes: np.ndarray, values: np.ndarray, chain: ChainSpec) -> _S
     return codes, np.bincount(inverse, weights=terms, minlength=len(codes))
 
 
+def _shortest_arc(codes: np.ndarray, values: np.ndarray, p: int) -> _Arc:
+    """A k = 1 law held as its support, moved onto its shortest arc: the
+    complement of the largest circular gap between its sorted codes."""
+    gaps = np.diff(codes, append=codes[0] + p)
+    cut = int(gaps.argmax())
+    lo = int(codes[(cut + 1) % len(codes)])
+    arc = np.zeros(p + 1 - int(gaps[cut]))
+    arc[(codes - lo) % p] = values
+    _check_law(arc)
+    return lo, arc
+
+
+def _step_arc(arc: _Arc, a: int, shifts: Sequence[tuple[int, float]], p: int) -> _Arc:
+    """One exact step of a k = 1 law held on an arc, onto the arc of its
+    image: a is the least residue of A mod p, shifts the (least residue,
+    weight) pairs of chain._shifts in their order, and the image arc,
+    |a| (L - 1) + max c - min c + 1 states for an arc of L, must not wrap.
+
+    Each translate y -> a y + c is written at offset c - min c with
+    stride |a| (from the reversed arc for a < 0): the first by a multiply,
+    the later ones added through one scratch block, in shifts order.  Off
+    the arc step_exact only multiplies and adds exact zeros, so the law is
+    step_exact's, bit for bit.
+    """
+    lo, values = arc
+    low = min(c for c, _ in shifts)
+    span = abs(a) * (len(values) - 1) + 1
+    out = np.zeros(span + max(c for c, _ in shifts) - low)
+    src = values if a > 0 else values[::-1]
+    (c, w), *rest = shifts
+    np.multiply(src, w, out=out[c - low : c - low + span : abs(a)])
+    scratch = np.empty(min(len(src), SCRATCH_STATES))
+    for c, w in rest:
+        _add_scaled(out[c - low : c - low + span : abs(a)], src, w, scratch)
+    _check_law(out)
+    # the image of the arc's first state for a > 0, of its last for a < 0
+    return (a * (lo if a > 0 else lo + len(values) - 1) + low) % p, out
+
+
 def _walk(
     chain: ChainSpec, n: int, keep: Callable[[int], bool] = lambda targets: True
-) -> Iterator[tuple[int, StateDistribution | _Support, int]]:
+) -> Iterator[tuple[int, StateDistribution | _Support | _Arc, int]]:
     """Yield (i, P_i, b_i) for i = 0..n from the point mass at x0, with
     b_i >= |supp P_i|.
 
@@ -446,25 +538,48 @@ def _walk(
     |supp P_{i+1}|.  Below about 2**10 states a dense step costs no more
     than a support step's fixed overhead, and past about p**k / 32 targets
     it costs less than a sort of them, so a support step is taken only
-    between the two.  The first P_i no support step follows, P_n at the
-    latest, is scattered once into a dense StateDistribution, and the laws
-    after it are step_exact's.  b_i is |supp P_i| up to that law and
+    between the two.
+
+    For k = 1 past the same floor the law then moves onto its shortest arc
+    and is stepped there by _step_arc, at O((|a| + s) L) for an arc of L,
+    while i < n, keep(b_i) holds and the image arc does not wrap.  With
+    |a| > 1 (the fast regime) the arc grows about |a|-fold a step, so the
+    law fills Z_p only in the last few steps, and all those before are
+    paid on the arc.
+
+    The first P_i neither phase steps, P_n at the latest, is made dense
+    once (_dense), and the laws after it are step_exact's.  b_i is
+    |supp P_i| in the support phase, min(b_{i-1} s, L) on the arc and
     min(b_{i-1} s, p**k) after it.  Every law is step_exact's, bit for bit.
     """
     _check_steps(n)
     _check_cap(chain.n_states, "p**k")
-    size, s = chain.n_states, len(chain._shifts)
-    codes = np.array([encode_state(chain.x0, chain.p)], dtype=np.int64)
+    p, size, s = chain.p, chain.n_states, len(chain._shifts)
+    codes = np.array([encode_state(chain.x0, p)], dtype=np.int64)
     values = np.ones(1)
     i = 0
     while i < n and 2**10 <= size and 32 * len(codes) * s < size and keep(len(codes) * s):
         yield i, (codes, values), len(codes)
         codes, values = _step_support(codes, values, chain)
         i += 1
-    law, bound = _scatter(codes, values, chain), len(codes)
-    # held through the dense steps, the support (1 MB at p = 3e6) raised the
-    # peak resident memory of a mixing sweep up to that p by 4 MB
+    held: _Support | _Arc = (codes, values)
+    bound = len(codes)
     del codes, values
+    if chain.k == 1 and 2**10 <= size:
+        a = _least_residue(chain.a.rows[0][0], p)
+        shifts = [(_least_residue(c, p), w) for (c,), w in chain._shifts]
+        spread = max(c for c, _ in shifts) - min(c for c, _ in shifts)
+        held = _shortest_arc(*held, p)
+        while i < n and keep(bound) and abs(a) * (len(held[1]) - 1) + spread < p:
+            yield i, held, bound
+            held = _step_arc(held, a, shifts, p)
+            bound = min(bound * s, len(held[1]))
+            i += 1
+    law = _dense(held, chain)
+    # held through the dense steps, the support (1 MB at p = 3e6) raised the
+    # peak resident memory of a mixing sweep up to that p by 4 MB; an arc
+    # may hold up to p floats
+    del held
     yield i, law, bound
     for i in range(i + 1, n + 1):
         law = step_exact(law, chain)
@@ -472,11 +587,20 @@ def _walk(
         yield i, law, bound
 
 
-def _scatter(codes: np.ndarray, values: np.ndarray, chain: ChainSpec) -> StateDistribution:
-    """The dense law that is values at the state indices codes and 0 elsewhere."""
-    law = np.zeros(chain.n_states)
-    law[codes] = values
-    return StateDistribution(chain.p, chain.k, law.view(_Fresh))
+def _dense(law: StateDistribution | _Support | _Arc, chain: ChainSpec) -> StateDistribution:
+    """law as a StateDistribution: a support law scattered into zeros, an
+    arc law copied in as the one or two slices it covers mod p."""
+    if isinstance(law, StateDistribution):
+        return law
+    where, values = law
+    dense = np.zeros(chain.n_states)
+    if isinstance(where, int):
+        head = min(len(values), chain.p - where)
+        dense[where : where + head] = values[:head]
+        dense[: len(values) - head] = values[head:]
+    else:
+        dense[where] = values
+    return StateDistribution(chain.p, chain.k, dense.view(_Fresh))
 
 
 def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int]:
@@ -489,11 +613,15 @@ def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int
     steps run on the support (_walk's support phase, here stopped too
     where the count no longer certifies tv > eps for the next law), so
     they cost O(|supp| s), not O(N), and every law held as its support is
-    certified.  The certificate asks (1 - eps) N > 2 b: the float law is
-    exactly 0 off its b counted states, so its exact tv is above eps by
-    more than b / N >= 1 / N, less its drift from total 1, and that drift
-    plus the float error of tv_distance (a few u (n s + log2 N) with
-    u = 2**-53) stays far below 1 / N for every N a dense law can have.
+    certified.  For k = 1 the steps after them run on the arc that holds
+    the law (_walk's arc phase), at O(arc) each, up to the first law the
+    count does not certify, which is the first made dense; in the fast
+    regime that leaves about one dense step.  The certificate asks
+    (1 - eps) N > 2 b: the float law is exactly 0 off its b counted
+    states, so its exact tv is above eps by more than b / N >= 1 / N,
+    less its drift from total 1, and that drift plus the float error of
+    tv_distance (a few u (n s + log2 N) with u = 2**-53) stays far below
+    1 / N for every N a dense law can have.
     Every law is the one evolve gives, bit for bit, so the answer is the
     one tv_distance at every n gives.
     """
@@ -672,13 +800,14 @@ def mixing_time(
     pointwise products and one FFT, so raising n_cap is cheap.  While the
     counting bound tv(P_n) >= 1 - |supp P_n| / p**k rules out mixing, the
     prefix computes no tv, and its early steps run on the support of P_n
-    at O(|supp| |supp mu|) each (see _mixing_time_dense).  A Fourier
-    value within the round-off margin of eps, or a crossing that does not
-    recompute, hands the whole search to dense stepping, so the answer is
-    always the one incremental dense stepping gives.  That stepping stays
-    within the budget of _check_work; a chain still unmixed at the budget's
-    last step, with n_cap past it, raises StateSpaceTooLarge.  None means
-    unmixed at the cap.
+    at O(|supp| |supp mu|) each, and for k = 1 the steps after them on
+    the arc that holds P_n, at O(arc) each (see _mixing_time_dense).  A
+    Fourier value within the round-off margin of eps, or a crossing that
+    does not recompute, hands the whole search to dense stepping, so the
+    answer is always the one incremental dense stepping gives.  That
+    stepping stays within the budget of _check_work; a chain still
+    unmixed at the budget's last step, with n_cap past it, raises
+    StateSpaceTooLarge.  None means unmixed at the cap.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")

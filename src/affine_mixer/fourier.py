@@ -40,7 +40,6 @@ from .evolution import (
     _check_cap,
     _check_steps,
     _check_work,
-    _mu_hat_table,
     _power,
     decode_state,
     evolve_iter,
@@ -175,13 +174,6 @@ def pn_hat_sq(
     return min(whole, 1.0) ** cycles * math.prod(factors[:rest], start=1.0)
 
 
-def _factors(chain: ChainSpec) -> np.ndarray:
-    """|mu_hat|**2 at every frequency index, clipped into [0, 1]."""
-    factor = np.abs(_mu_hat_table(chain.mu, chain.p)) ** 2
-    np.clip(factor, 0.0, 1.0, out=factor)  # |mu_hat| <= 1 exactly; clip float spill
-    return factor
-
-
 def product_scan(chain: ChainSpec, n: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (j, products) for j = 0..n where products[i] is the running
     pn_hat_sq of the frequency with index i.
@@ -192,9 +184,10 @@ def product_scan(chain: ChainSpec, n: int) -> Iterator[tuple[int, np.ndarray]]:
     rises: the active ones are exactly those above the threshold.  The
     yielded array is a live buffer.  Step j multiplies in
     |mu_hat(T**(j-1) alpha)|**2, a factor table gathered through
-    alpha -> T alpha after every step.
+    alpha -> T alpha after every step from chain._factors, which the scan
+    builds on first use and leaves with the chain.
     """
-    factor = _factors(chain)
+    factor = chain._factors
     prods = np.ones(len(factor))
     yield 0, prods
     for j in range(1, n + 1):
@@ -204,12 +197,12 @@ def product_scan(chain: ChainSpec, n: int) -> Iterator[tuple[int, np.ndarray]]:
 
 
 def _products_at(chain: ChainSpec, n: int) -> np.ndarray:
-    """pn_hat_sq at every frequency index, joined from _factors in
+    """pn_hat_sq at every frequency index, joined from chain._factors in
     O(log n) orbit products; none is frozen, so a product too small for a
     float becomes 0."""
     _check_steps(n)
     _check_cap(chain.n_states, "p**k")
-    return _power((_factors(chain), chain._perm_t), n)[0]
+    return _power((chain._factors, chain._perm_t), n)[0]
 
 
 def upper_bound(chain: ChainSpec, n: int) -> float:
@@ -359,8 +352,9 @@ def bounds_table(
     lower_best and its witness come from the scan's products while the
     best of them is above FREEZE_THRESHOLD.  A frozen product only
     overstates, so from the first row whose best froze they come from
-    unfrozen products: lower_bound_best's at that n, then multiplied by
-    one factor per row as the scan multiplies its own.
+    unfrozen products: lower_bound_best's at that n, joined from the
+    factor table the scan built (chain._factors), then multiplied by one
+    factor per row as the scan multiplies its own.
     The certificate column is gamma-based when some power of the transpose
     has torsion (and the certificate applies at this p), else rho-based at
     the first nonzero frequency; entries are empty from the first step the
@@ -388,10 +382,9 @@ def bounds_table(
             # 2 lower is the rounded root of the best product, so the first
             # test, which makes no pass over the products, holds if the second does
             if 2 * lower <= math.sqrt(FREEZE_THRESHOLD) and prods[1:].max() <= FREEZE_THRESHOLD:
-                factors = _factors(chain)
-                exact, orbit = _power((factors, chain._perm_t), n)
-                factor = factors[orbit]
-                del factors, orbit
+                exact, orbit = _power((chain._factors, chain._perm_t), n)
+                factor = chain._factors[orbit]
+                del orbit
         else:
             exact *= factor
             factor = factor[chain._perm_t]

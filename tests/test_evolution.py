@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from affine_mixer import (
@@ -175,6 +175,16 @@ def test_state_distribution_validation():
     for values in ([math.nan, 1.0], [0.5, math.nan, 0.5]):
         with pytest.raises(ValueError, match="sum to nan"):
             StateDistribution(len(values), 1, values)
+
+
+def test_state_distribution_clips_only_a_law_with_a_nonpositive_entry():
+    # -0.0 and tiny negatives become +0.0, also where -0.0 is the least
+    # entry; a positive law keeps its bytes
+    for values in ([-0.0, -1e-16, 1.0 + 1e-16], [0.5, -0.0, 0.5]):
+        dist = StateDistribution(3, 1, values)
+        assert not np.signbit(dist.values).any() and dist.values.min() == 0.0
+    positive = np.array([0.25, 0.5, 0.25])
+    assert StateDistribution(3, 1, positive).values.tobytes() == positive.tobytes()
 
 
 def test_state_distribution_read_only():
@@ -645,13 +655,13 @@ def test_property_step_exact_matches_roll_step_bitwise(chain, seed, n):
 
 
 @st.composite
-def line_chains(draw):
-    """k = 1 chains whose multiplier has a least residue mod p on either
-    side of LINE_CUTOFF, negative ones too, lifted by a multiple of p past
-    int64 when drawn; a random x0 and twinned increments."""
-    p = draw(st.sampled_from(SMALL_AND_LARGE_MODULI[1]))
-    near = st.integers(-LINE_CUTOFF - 4, LINE_CUTOFF + 4)
-    residue = draw(st.one_of(near, st.integers(-(p // 2), p // 2)))
+def line_chains(draw, moduli=SMALL_AND_LARGE_MODULI[1], near=LINE_CUTOFF + 4):
+    """k = 1 chains on a modulus drawn from moduli, whose multiplier has a
+    least residue mod p within near of 0 (+-1 and negative ones too) or
+    anywhere, lifted by a multiple of p past int64 when drawn; a random x0
+    and twinned increments, whose least residues may be negative."""
+    p = draw(st.sampled_from(moduli))
+    residue = draw(st.one_of(st.integers(-near, near), st.integers(-(p // 2), p // 2)))
     residue += residue % p == 0  # p is prime: coprime now
     lift = draw(st.one_of(st.just(0), st.integers(-(2**70), 2**70)))
     mu = twinned_increments(draw, 1, p)
@@ -686,10 +696,56 @@ def test_property_k1_step_matches_roll_step_bitwise(chain, seed, n, dense):
 
 @pytest.mark.parametrize("a, strided", [(2, True), (-8, True), (8, True), (9, False), (-9, False)])
 def test_k1_chain_within_the_cutoff_builds_no_table(a, strided):
-    # evolve's last seven steps at p = 2003 are dense ones
+    # evolve's last steps at p = 2003 are dense ones: two at a = 2, whose
+    # arc wraps at n = 11, and seven at the others, whose arcs wrap at once
     chain = ChainSpec(IntMatrix.from_rows([[a + 2003]]), fair_two_point(1), 2003)
     evolve(chain, 12)
     assert ("_perm" not in vars(chain)) == strided
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    chain=line_chains(moduli=LARGE_MODULI[1] + [1021], near=3),
+    n=st.integers(8, 64),
+    eps=st.floats(0.05, 0.95),
+)
+def test_property_arc_phase_matches_dense_laws_bitwise(chain, n, eps):
+    # past the support phase a k = 1 law is stepped on its shortest arc,
+    # which may straddle 0, until the image wraps or i = n: for a few
+    # steps at |a| >= 2, and up to the whole circle at |a| = 1 (1021 lies
+    # just below the floor 2**10, so it has no arc phase); every law
+    # evolve_iter yields is still step_exact's, bit for bit, and the
+    # mixing search finds the same n.  One folded increment never leaves
+    # the support phase (see the point-mass test below).
+    assume(len(chain._shifts) > 1)
+    laws = zip(evolve_iter(chain, n), dense_laws(chain, n), strict=True)
+    for (i, dist), (j, dense) in laws:
+        assert i == j
+        assert np.array_equal(dist.values, dense.values), i
+        assert not np.signbit(dist.values).any()
+        assert not dist.values.flags.writeable
+    assert np.array_equal(evolve(chain, n).values, dense.values)
+    assert mixing_time(chain, eps, 200) == dense_mixing_time(chain, eps, 200)
+
+
+def test_arc_phase_leaves_a_fast_chain_one_dense_step(monkeypatch):
+    # A = 2 with fair {0, 1} at p = 999,983: P_n lies on an arc of 2**n
+    # states, and the count certifies tv > 0.25 up to n = 18; the law at
+    # n = 19 is the first made dense, and one dense step reaches the mixed
+    # law at n = 20 (six, had the law gone dense where the support phase
+    # ends, at n = 14)
+    chain = ChainSpec(IntMatrix.from_rows([[2]]), fair_two_point(1), 999_983)
+    calls = 0
+
+    def counted(*args, _original=evolution.step_exact):
+        nonlocal calls
+        calls += 1
+        return _original(*args)
+
+    monkeypatch.setattr(evolution, "step_exact", counted)
+    assert mixing_time(chain, 0.25) == 20
+    assert calls <= 2
+    assert "_perm" not in vars(chain)
 
 
 @settings(max_examples=120, deadline=None)
@@ -709,9 +765,10 @@ def test_property_index_map_matches_matmul_oracle(k, data):
 @pytest.mark.parametrize(
     "rows, support, p, step_ratio, perm_ratio",
     [
-        ([[2]], [(0,), (1,)], 100_003, 1.6, 3.0),
-        ([[2]], [(0,), (1,), (2,)], 100_003, 1.6, 3.0),
-        ([[2, 1], [1, 1]], [(0, 0), (1, 0)], 705, 2.1, 5.0),
+        ([[2]], [(0,), (1,)], 100_003, 1.4, 2.1),
+        ([[2]], [(0,), (1,), (2,)], 100_003, 1.4, 2.1),
+        ([[2, 1], [1, 1]], [(0, 0), (1, 0)], 705, 2.1, 2.1),
+        ([[2, 1], [1, 1]], [(0, 0), (1, 0), (0, 1)], 705, 2.2, 2.1),
     ],
 )
 def test_step_exact_and_its_table_stay_within_their_memory(
@@ -720,9 +777,10 @@ def test_step_exact_and_its_table_stay_within_their_memory(
     # tracemalloc peaks in units of one law (8 bytes a state): the
     # permutation table's build, and one step beyond its input law.  A
     # k = 1 step with a small multiplier builds no table and holds the
-    # result and one strided block's product (about half a law at a = 2);
-    # the k = 2 step, its table built, holds the pushed law and the result
-    # with a two-point support (no translate copy)
+    # result and the scratch block its later translates pass through (a
+    # third of a law at p = 100,003); the k = 2 step, its table built,
+    # holds the pushed law and the result with a two-point support (no
+    # translate copy), and the scratch block too with a three-point one
     chain = ChainSpec(IntMatrix.from_rows(rows), IncrementDistribution.fair(support), p)
     law_bytes = 8 * chain.n_states
     dist = StateDistribution.uniform(p, chain.k)
@@ -742,6 +800,64 @@ def test_step_exact_and_its_table_stay_within_their_memory(
             tracemalloc.stop()
     assert peaks["perm"] <= perm_ratio and peaks["step"] <= step_ratio, peaks
     assert ("_perm" in vars(chain)) == (chain.k > 1)
+
+
+def test_every_arc_law_is_checked(monkeypatch):
+    # A = 2 with fair {0, 1} at p = 100,003: the support phase ends at
+    # P_11 on 2**11 states, the arcs double up to P_16, whose image would
+    # wrap, and P_16 is made dense; each arc and the dense law go through
+    # the one check StateDistribution runs
+    chain = ChainSpec(IntMatrix.from_rows([[2]]), fair_two_point(1), 100_003)
+    checked = []
+
+    def recorded(arr, _original=evolution._check_law):
+        checked.append(len(arr))
+        _original(arr)
+
+    monkeypatch.setattr(evolution, "_check_law", recorded)
+    evolve(chain, 16)
+    assert checked == [2**i for i in range(11, 17)] + [100_003]
+
+
+@pytest.mark.parametrize("a", [1, -1])
+def test_arc_phase_runs_up_to_the_whole_circle(a):
+    # with |a| = 1 and fair {0, 1} the arc grows one state a step, so it
+    # reaches exactly p states before its image would wrap: the last arc
+    # _walk yields has p - 1, and the law on all p is the first made dense;
+    # every law is still step_exact's, bit for bit
+    p = 1031
+    chain = ChainSpec(IntMatrix.from_rows([[a]]), fair_two_point(1), p, x0=(500,))
+    lengths = [len(law[1]) for _, law, _ in evolution._walk(chain, 1100) if isinstance(law, tuple)]
+    assert max(lengths) == p - 1
+    laws = zip(evolve_iter(chain, 1100), dense_laws(chain, 1100), strict=True)
+    for (i, dist), (_, dense) in laws:
+        assert np.array_equal(dist.values, dense.values), i
+
+
+@pytest.mark.parametrize(
+    "rows, p",
+    [
+        ([[2]], 300_007),
+        ([[-3]], 300_007),
+        ([[9]], 300_007),
+        ([[2, 1], [1, 1]], 705),
+        ([[1, 1, 0], [0, 1, 1], [1, 0, 2]], 79),
+    ],
+)
+def test_translates_past_the_scratch_block_stay_bitwise(rows, p):
+    # with three increments the middle translate's slabs, and for A = 2
+    # the arcs of P_15 and P_16, hold more than SCRATCH_STATES states, so
+    # their products pass through the scratch block a block of rows at a
+    # time; each law is still roll_step's and step_exact's, bit for bit
+    k = len(rows)
+    e1 = (1,) + (0,) * (k - 1)
+    mu = IncrementDistribution(k, ((0,) * k, e1, tuple(-c for c in e1)), (0.25, 0.5, 0.25))
+    chain = ChainSpec(IntMatrix.from_rows(rows), mu, p, x0=(p - 3,) + (0,) * (k - 1))
+    dist = random_law(chain, 11)
+    assert np.array_equal(step_exact(dist, chain).values, roll_step(dist, chain).values)
+    if k == 1:
+        *_, (_, dense) = dense_laws(chain, 17)
+        assert np.array_equal(evolve(chain, 17).values, dense.values)
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -764,8 +880,9 @@ def test_property_mixing_time_matches_dense_search_near_one(chain, eps, above):
 
 def test_mixing_time_skips_dense_work_the_counting_bound_decides(monkeypatch):
     # A = 2 with fair {0, 1}: P_n has at most 2**n states, so tv > 0.25 is
-    # certain while 2**n < 0.375 p; the support phase and the certificate
-    # leave 6 dense steps and 2 tv sums of the 17 and 18 a plain search makes
+    # certain while 2**n < 0.375 p; the support and arc phases and the
+    # certificate leave 1 dense step and 2 tv sums of the 17 and 18 a plain
+    # search makes
     chain = ChainSpec(IntMatrix.from_rows([[2]]), fair_two_point(1), 100_003)
     calls = {"step_exact": 0, "tv_distance": 0}
     for name in calls:

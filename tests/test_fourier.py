@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import gc
+import hashlib
 import itertools
 import math
 import random
@@ -42,6 +43,7 @@ from affine_mixer import (
     tv_distance,
     upper_bound,
 )
+from affine_mixer import evolution
 from affine_mixer.evolution import (
     STATE_CAP_ENV,
     _mu_hat_table,
@@ -313,7 +315,7 @@ def test_chain_tables_are_freed_with_the_chain():
     # mixes past the dense prefix, so the Fourier search reads _perm_t
     assert mixing_time(chain, 0.25) is not None
     bounds_table(chain, 5)
-    assert {"_perm", "_perm_t", "_shifts"} <= set(vars(chain))
+    assert {"_perm", "_perm_t", "_shifts", "_factors"} <= set(vars(chain))
     ref = weakref.ref(chain)
     del chain
     gc.collect()
@@ -600,6 +602,23 @@ def test_bounds_table_lower_best_stays_below_tv_once_products_freeze():
         lower, witness = lower_bound_best(chain, row.n)
         assert row.lower_best == pytest.approx(lower, rel=1e-12) and row.alpha_witness == witness
     assert rows[80].lower_best == pytest.approx(0.5 * 0.25**40, rel=1e-9)
+
+
+def test_bounds_table_builds_its_factor_table_once(monkeypatch):
+    # the rows from n = 50 on join lower_best from unfrozen products, out
+    # of the |mu_hat|**2 table the scan built; the digest is that of the
+    # rows' repr when those rows built a table of their own
+    calls = []
+
+    def counted(*args, _original=evolution._mu_hat_table):
+        calls.append(args)
+        return _original(*args)
+
+    monkeypatch.setattr(evolution, "_mu_hat_table", counted)
+    rows = bounds_table(hand_chain(), 80)
+    assert len(calls) == 1
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "18e3e14ff362166028ca2b868fe0c48d3a45c1176caeedbe9823b35356001c0d"
 
 
 def test_bounds_table_carries_rho_certificate_exactly():
