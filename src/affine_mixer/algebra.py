@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NonConvergence, OrderMismatch, SingularMatrix
+from .errors import NonConvergence, OrderMismatch, OutOfRange, SingularMatrix
 
 TOL_UNIT = 1e-9
 ROOT_RESIDUAL_TOL = 1e-9
@@ -572,23 +572,28 @@ def eigenvalues(f: IntPolynomial) -> tuple[complex, ...]:
 
 def _checked_roots(f: IntPolynomial, factorization: Optional[tuple]) -> tuple[complex, ...]:
     """The roots of f, taken from factorization (factor_int_poly(f)) when
-    given and numerically otherwise, sorted and residual-checked against f."""
-    if factorization is None:
-        roots = _roots_numeric(f)
-    else:
-        factors, remainder = factorization
-        roots = []
-        for poly, mult in factors:
-            roots.extend(_roots_of_irreducible(poly) * mult)
-        if remainder is not None:
-            roots.extend(_roots_numeric(remainder))
-    roots.sort(key=lambda z: (z.real, z.imag))
-    for z in roots:
-        residual = abs(complex(f.evaluate(z)))
-        if residual > ROOT_RESIDUAL_TOL * _residual_scale(f, z):
-            raise NonConvergence(
-                f"root {z} of {f} has residual {residual:.3e} above tolerance"
-            )
+    given and numerically otherwise, sorted and residual-checked against f.
+    A root, or a coefficient the check meets, past float range raises
+    OutOfRange."""
+    try:
+        if factorization is None:
+            roots = _roots_numeric(f)
+        else:
+            factors, remainder = factorization
+            roots = []
+            for poly, mult in factors:
+                roots.extend(_roots_of_irreducible(poly) * mult)
+            if remainder is not None:
+                roots.extend(_roots_numeric(remainder))
+        roots.sort(key=lambda z: (z.real, z.imag))
+        for z in roots:
+            residual = abs(complex(f.evaluate(z)))
+            if residual > ROOT_RESIDUAL_TOL * _residual_scale(f, z):
+                raise NonConvergence(
+                    f"root {z} of {f} has residual {residual:.3e} above tolerance"
+                )
+    except OverflowError as err:
+        raise OutOfRange("a root or coefficient of the polynomial is past float range") from err
     return tuple(roots)
 
 

@@ -68,13 +68,14 @@ class NoTorsion(AffineMixerError):
 
 
 class GammaTooLarge(AffineMixerError):
-    """The torsion certificate constant gamma is >= p**2."""
+    """The torsion certificate constant gamma is not below p**2."""
 
     kind = "GammaTooLarge"
 
 
 class OutOfRange(AffineMixerError):
-    """A numerator or modulus is outside the documented domain."""
+    """A numerator or modulus is outside the documented domain, or a root
+    or coefficient of a matrix's polynomial is past float range."""
 
     kind = "OutOfRange"
 

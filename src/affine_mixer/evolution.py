@@ -295,13 +295,9 @@ def _check_steps(n: int) -> None:
 def _slabs(shift: Sequence[int], p: int) -> Iterator[tuple[tuple, tuple]]:
     """Pairs (dst, src) of basic slices, at most 2**k with disjoint dst, such that
     moved[dst] = cube[src] for each moves the law cube by x -> x + shift (mod p)."""
-    # axis j of the cube holds component x_{k-1-j}, hence the reversal
-    cuts = [int(c) % p for c in reversed(shift)]
-    whole = [(slice(None), slice(None))]
-    axes = [
-        [(slice(c, None), slice(p - c)), (slice(c), slice(p - c, None))] if c else whole
-        for c in cuts
-    ]
+    # axis j of the cube holds component x_{k-1-j}, hence the reversal; on
+    # each axis the cut pairs are those of the line y -> y + c
+    axes = [list(_lines(1, (c,), p)) for c in reversed(shift)]
     for pairs in product(*axes):
         yield tuple(zip(*pairs))
 

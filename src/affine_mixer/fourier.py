@@ -8,8 +8,9 @@ bound on tv at every single frequency (half the modulus).  At one n the
 products of all frequencies are joined from the factor table |mu_hat|**2
 in O(log n) pointwise products and index gathers, the orbit-product
 engine of the mixing search, so upper_bound and lower_bound_best cost the
-same at every n; the bounds table walks consecutive n with product_scan,
-one product per step, freezing products too small to matter.  Two closed-form
+same at every n.  The bounds table walks consecutive n with product_scan,
+one product per step, until the best nonzero product freezes; from that
+row on it joins one step per row onto the orbit state there.  Two closed-form
 certificates bound tv from below without evolving anything: a product form
 driven by the constant rho, and a torsion form driven by gamma at a
 frequency fixed by some power of T.
@@ -40,6 +41,8 @@ from .evolution import (
     _check_cap,
     _check_steps,
     _check_work,
+    _join,
+    _Orbit,
     _power,
     decode_state,
     evolve_iter,
@@ -242,12 +245,16 @@ def lower_bound_best(chain: ChainSpec, n: int) -> tuple[float, FrequencyVector]:
 
 
 def _pair_spread(mu: IncrementDistribution) -> float:
-    """sum over support pairs of mu(h) mu(i) ||h - i||_inf**2."""
+    """sum over support pairs of mu(h) mu(i) ||h - i||_inf**2; inf once a
+    gap is past float range."""
     total = 0.0
     for h, wh in zip(mu.support, mu.probs):
         for i, wi in zip(mu.support, mu.probs):
             gap = max(abs(a - b) for a, b in zip(h, i))
-            total += wh * wi * gap * gap
+            try:
+                total += wh * wi * gap * gap
+            except OverflowError:  # gap past float range
+                return math.inf
     return total
 
 
@@ -318,7 +325,8 @@ def certificate_gamma(chain: ChainSpec, l_max: int, n: int) -> GammaCertificate:
 
     alpha is the primitive integer kernel vector of T**l - I (entry gcd 1,
     first nonzero entry positive); its reduction mod p is the witness.
-    Requires gamma < p**2 and ||alpha||_inf < p.
+    Requires gamma < p**2 and ||alpha||_inf < p; a gamma past float range
+    counts as inf, so it raises GammaTooLarge.
     """
     _check_steps(n)
     l, alpha = find_torsion(chain.a, l_max)
@@ -331,9 +339,12 @@ def certificate_gamma(chain: ChainSpec, l_max: int, n: int) -> GammaCertificate:
         )
     # A is nonsingular, so ||T|| >= 1 and the largest ||T||**(2i), i < l, is the last
     growth = inf_norm(chain.a.transpose()) ** (2 * (l - 1))
-    gamma = 2 * math.pi**2 * k**2 * alpha_norm**2 * growth * _pair_spread(chain.mu)
-    if gamma >= p * p:
-        raise GammaTooLarge(f"gamma = {gamma:.6g} >= p**2 = {p * p}")
+    try:
+        gamma = 2 * math.pi**2 * k**2 * alpha_norm**2 * growth * _pair_spread(chain.mu)
+    except OverflowError:  # growth past float range
+        gamma = math.inf
+    if not gamma < p * p:  # also nan: a growth that overflowed to inf, times spread 0
+        raise GammaTooLarge(f"gamma = {gamma:.6g} is not below p**2 = {p * p}")
     return GammaCertificate(
         bound=_gamma_bound(gamma, p, n), gamma=gamma, l=l, alpha=alpha, witness=witness, n=n
     )
@@ -344,17 +355,35 @@ def _gamma_bound(gamma: float, p: int, n: int) -> float:
     return 0.5 * (1.0 - gamma / (p * p)) ** (n / 2)
 
 
+def _certificates(chain: ChainSpec, l_max: int) -> Iterator[Optional[float]]:
+    """The bounds table's certificate column at n = 0, 1, 2, ...: gamma's
+    bound when some power of the transpose has torsion and the certificate
+    applies at p, else rho's at the first nonzero frequency up to its first
+    nonpositive factor, then None."""
+    try:
+        gamma = certificate_gamma(chain, l_max, 0).gamma
+    except (NoTorsion, GammaTooLarge):
+        rho = certificate_rho(chain, (1,) + (0,) * (chain.k - 1), 0)
+        try:
+            yield from _rho_bounds(rho.rho, rho.norm_t, chain.p)
+        except FactorNonpositive:
+            yield from itertools.repeat(None)
+    else:
+        for n in itertools.count():
+            yield _gamma_bound(gamma, chain.p, n)
+
+
 def bounds_table(
     chain: ChainSpec, n_max: int, l_max: int = DEFAULT_L_MAX
 ) -> list[BoundsReport]:
-    """Evolve the chain and the frequency products side by side.
+    """Evolve the chain beside the frequency products, one row per n.
 
-    lower_best and its witness come from the scan's products while the
-    best of them is above FREEZE_THRESHOLD.  A frozen product only
-    overstates, so from the first row whose best froze they come from
-    unfrozen products: lower_bound_best's at that n, joined from the
-    factor table the scan built (chain._factors), then multiplied by one
-    factor per row as the scan multiplies its own.
+    product_scan gives upper, lower_best and its witness up to the first
+    row whose best nonzero product is at most FREEZE_THRESHOLD.  From that
+    row on every nonzero product is frozen, so upper keeps that row's value
+    and the scan is closed; a frozen product only overstates, so lower_best
+    and its witness come from unfrozen products: lower_bound_best's orbit
+    state at that n, joined with the one-step state once per later row.
     The certificate column is gamma-based when some power of the transpose
     has torsion (and the certificate applies at this p), else rho-based at
     the first nonzero frequency; entries are empty from the first step the
@@ -362,52 +391,26 @@ def bounds_table(
     """
     _check_cap(chain.n_states, "p**k")
     _check_work(chain, n_max)
-    try:
-        gamma_params: Optional[GammaCertificate] = certificate_gamma(chain, l_max, 0)
-    except (NoTorsion, GammaTooLarge):
-        gamma_params = None
-    e1 = FrequencyVector((1,) + (0,) * (chain.k - 1), chain.p)
-    rho_params = certificate_rho(chain, e1, 0)
-    # carried row to row: the certificate at n extends the one at n - 1
-    rho_bounds: Optional[Iterator[float]] = _rho_bounds(
-        rho_params.rho, rho_params.norm_t, chain.p
-    )
+    scan = product_scan(chain, n_max)
+    # from the first row whose best product froze: the orbit state at n
+    state: Optional[_Orbit] = None
     rows: list[BoundsReport] = []
-    # from the first row whose best product froze: the unfrozen products at
-    # n, and the factor |mu_hat(T**n alpha)|**2 that the next row multiplies in
-    exact: Optional[np.ndarray] = None
-    for (n, dist), (_, prods) in zip(evolve_iter(chain, n_max), product_scan(chain, n_max)):
-        if exact is None:
+    for (n, dist), certificate in zip(evolve_iter(chain, n_max), _certificates(chain, l_max)):
+        if state is None:
+            _, prods = next(scan)
+            upper = 0.25 * float(prods[1:].sum())
             lower, witness = _best_witness(prods, chain.p, chain.k)
             # 2 lower is the rounded root of the best product, so the first
             # test, which makes no pass over the products, holds if the second does
             if 2 * lower <= math.sqrt(FREEZE_THRESHOLD) and prods[1:].max() <= FREEZE_THRESHOLD:
-                exact, orbit = _power((chain._factors, chain._perm_t), n)
-                factor = chain._factors[orbit]
-                del orbit
+                del prods  # the scan's buffer, freed with the scan
+                scan.close()
+                state = _power((chain._factors, chain._perm_t), n)
         else:
-            exact *= factor
-            factor = factor[chain._perm_t]
-        if exact is not None:
-            lower, witness = _best_witness(exact, chain.p, chain.k)
-        certificate: Optional[float] = None
-        if gamma_params is not None:
-            certificate = _gamma_bound(gamma_params.gamma, chain.p, n)
-        elif rho_bounds is not None:
-            try:
-                certificate = next(rho_bounds)
-            except FactorNonpositive:
-                rho_bounds = None
-        rows.append(
-            BoundsReport(
-                n=n,
-                tv=tv_distance(dist),
-                upper=0.25 * float(prods[1:].sum()),
-                lower_best=lower,
-                alpha_witness=witness,
-                certificate=certificate,
-            )
-        )
+            state = _join(state, (chain._factors, chain._perm_t))
+        if state is not None:
+            lower, witness = _best_witness(state[0], chain.p, chain.k)
+        rows.append(BoundsReport(n, tv_distance(dist), upper, lower, witness, certificate))
     return rows
 
 

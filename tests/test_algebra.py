@@ -24,6 +24,7 @@ from affine_mixer import (
     IntPolynomial,
     NonConvergence,
     OrderMismatch,
+    OutOfRange,
     Regime,
     SingularMatrix,
     canonical_eigenvalue_order,
@@ -521,6 +522,30 @@ def test_eigenvalue_residual_guard():
     f = IntPolynomial((-2, 0, 1))
     for z in lams:
         assert abs(f.evaluate(z)) <= 1e-9 * max(1.0, abs(z)) ** 2 * 3
+
+
+# roots past float range, or roots that fit with a constant coefficient
+# (10**400) that does not
+FLOAT_RANGE_MATRICES = [
+    [[10**400, 1], [0, 10**400 + 1]],
+    [[2, 10**400], [1, 3]],
+    [[10**200, 1], [0, 10**200 + 1]],
+]
+
+
+@pytest.mark.parametrize("rows", FLOAT_RANGE_MATRICES)
+def test_roots_past_float_range_are_out_of_range(rows):
+    with pytest.raises(OutOfRange, match="past float range"):
+        classify_regime(rows)
+    with pytest.raises(OutOfRange, match="past float range"):
+        canonical_eigenvalue_order(rows)
+    with pytest.raises(OutOfRange, match="past float range"):
+        eigenvalues(char_poly(IntMatrix.from_rows(rows)))
+
+
+def test_roots_within_float_range_are_still_found():
+    lams = classify_regime([[10**150, 1], [0, 10**150 + 1]]).eigenvalues
+    assert lams == (complex(10**150), complex(10**150 + 1))
 
 
 def test_isqrt_based_quadratic_roots_exact():

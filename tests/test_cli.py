@@ -825,6 +825,45 @@ def run_main_on_text(tmp_path, capsys, task, text):
     return code, (json.loads(err) if err else None)
 
 
+@pytest.mark.parametrize(
+    "matrix, increments, certificates",
+    [
+        # a conjugate of the quarter turn: gamma carries ||T||**6, about 10**720
+        (
+            [[10**60, -(10**120) - 1], [1, -(10**60)]],
+            FAIR_2D,
+            ["0.5", "0.41040592281130683", "", ""],
+        ),
+        # rho carries the squared support gap, 10**800
+        ([[2]], {"k": 1, "support": [[0], [10**400]], "probs": [0.5, 0.5]}, ["0.5", "", "", ""]),
+    ],
+)
+def test_main_bounds_certificate_constants_past_float_range(
+    tmp_path, capsys, matrix, increments, certificates
+):
+    obj = {"matrix": matrix, "increments": increments, "p": 11, "n": 3}
+    code, record = run_main_on_text(tmp_path, capsys, "bounds", json.dumps(obj))
+    assert (code, record) == (0, None)
+    with open(tmp_path / "out" / "bounds.csv", newline="") as handle:
+        assert [row["certificate"] for row in csv.DictReader(handle)] == certificates
+
+
+@pytest.mark.parametrize(
+    "task, extra",
+    [
+        ("classify", {}),
+        ("verify-identities", {}),
+        ("mixing-sweep", {"increments": FAIR_2D, "p_list": [11, 13]}),
+    ],
+)
+def test_main_roots_past_float_range_are_out_of_range(tmp_path, capsys, task, extra):
+    obj = dict(extra, matrix=[[10**200, 1], [0, 10**200 + 1]])
+    code, record = run_main_on_text(tmp_path, capsys, task, json.dumps(obj))
+    assert code == 1
+    assert record["error"]["kind"] == "OutOfRange"
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 EVOLVE_BASE = {
     "task": "evolve",
     "matrix": [[2]],

@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -43,7 +44,7 @@ from affine_mixer import (
     tv_distance,
     upper_bound,
 )
-from affine_mixer import evolution
+from affine_mixer import evolution, fourier
 from affine_mixer.evolution import (
     STATE_CAP_ENV,
     _mu_hat_table,
@@ -619,6 +620,74 @@ def test_bounds_table_builds_its_factor_table_once(monkeypatch):
     assert len(calls) == 1
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == "18e3e14ff362166028ca2b868fe0c48d3a45c1176caeedbe9823b35356001c0d"
+
+
+def test_bounds_table_closes_its_scan_at_the_first_frozen_row(monkeypatch):
+    # the scan answers rows 0..50; from the first frozen row on (n = 50)
+    # upper cannot change and lower_best is joined a row at a time
+    resumed = []
+
+    def counted(chain, n, _original=fourier.product_scan):
+        for item in _original(chain, n):
+            resumed.append(item[0])
+            yield item
+
+    monkeypatch.setattr(fourier, "product_scan", counted)
+    rows = bounds_table(hand_chain(), 80)
+    assert resumed == list(range(51))
+    assert all(row.upper == rows[50].upper for row in rows[50:])
+
+
+def test_frozen_bounds_table_holds_one_orbit_state():
+    # A = 2 at p = 100,003 freezes at n = 64, so rows 65..120 hold one orbit
+    # state and its join, and no scan; the peak is in laws of 8 p bytes
+    chain = ChainSpec(IntMatrix.from_rows([[2]]), fair_two_point(1), 100_003)
+    tracemalloc.start()
+    try:
+        rows = bounds_table(chain, 120)
+        peak = tracemalloc.get_traced_memory()[1] / (8 * chain.n_states)
+    finally:
+        tracemalloc.stop()
+    assert rows[-1].lower_best == pytest.approx(lower_bound_best(chain, 120)[0], rel=1e-12)
+    assert peak <= 10.0, peak
+
+
+def test_bounds_table_falls_back_to_rho_when_gamma_is_too_large():
+    # T**3 = I and ||T||_inf = 2, so gamma = 8 pi**2 * 2**4 * 0.5 = 631.7 >= 23**2
+    chain = ChainSpec(IntMatrix.from_rows([[0, -1], [1, -1]]), fair_two_point(2), 23)
+    with pytest.raises(GammaTooLarge):
+        certificate_gamma(chain, 24, 0)
+    column = [row.certificate for row in bounds_table(chain, 6)]
+    assert column[:3] == [certificate_rho(chain, (1, 0), n).bound for n in range(3)]
+    assert column[3:] == [None] * 4
+    with pytest.raises(FactorNonpositive):
+        certificate_rho(chain, (1, 0), 3)
+
+
+def test_certificates_past_float_range_stop_applying():
+    # a conjugate of the quarter turn (T**4 = I) whose ||T||**6 is about
+    # 10**720, and a support gap of 10**400: both constants pass float range
+    m = 10**60
+    turn = ChainSpec(IntMatrix.from_rows([[m, -m * m - 1], [1, -m]]), fair_two_point(2), 11)
+    assert find_torsion(turn.a)[0] == 4
+    with pytest.raises(GammaTooLarge):
+        certificate_gamma(turn, 24, 0)
+    column = [row.certificate for row in bounds_table(turn, 3)]
+    assert column == [0.5, 0.41040592281130683, None, None]
+    gap = ChainSpec(IntMatrix.from_rows([[2]]), IncrementDistribution.fair([(0,), (10**400,)]), 11)
+    assert certificate_rho(gap, (1,), 0).rho == math.inf
+    with pytest.raises(FactorNonpositive):
+        certificate_rho(gap, (1,), 1)
+    assert [row.certificate for row in bounds_table(gap, 3)] == [0.5, None, None, None]
+    # ||T||**6, about 10**307, fits a float, but gamma's product overflows
+    # to inf before the spread, and inf times a spread of 0 is nan
+    m = round(10**25.6)
+    point = ChainSpec(
+        IntMatrix.from_rows([[m, -m * m - 1], [1, -m]]), IncrementDistribution.fair([(0, 0)]), 11
+    )
+    with pytest.raises(GammaTooLarge):
+        certificate_gamma(point, 24, 0)
+    assert [row.certificate for row in bounds_table(point, 3)] == [0.5] * 4
 
 
 def test_bounds_table_carries_rho_certificate_exactly():
