@@ -35,7 +35,7 @@ from .algebra import (
     json_float,
     minimal_poly,
 )
-from .digitlab import block_census
+from .digitlab import BlockCensus, block_census
 from .errors import AffineMixerError, ConfigInvalid, InsufficientData, StateSpaceTooLarge
 from .evolution import (
     DEFAULT_N_CAP,
@@ -78,10 +78,10 @@ _MINIMUMS = {
 # the largest l_max the schema accepts: the torsion search's cost grows
 # faster than linearly in it
 MAX_L_MAX = 256
-# rows of evolve.csv formatted at a time: a block's strings take a few MB,
-# and 2**18 rows raised the writer's peak resident memory by 27 MB on a
-# law of 497,025 states
-_LAW_BLOCK = 2**16
+# rows of evolve.csv and census.csv formatted at a time: a block's byte
+# matrix takes a few MB, and 2**18 rows raised the law writer's peak
+# resident memory by 27 MB on a law of 497,025 states
+_ROW_BLOCK = 2**16
 
 
 def _string(value) -> str:
@@ -283,11 +283,13 @@ def mixing_sweep(config: ExperimentConfig) -> list[SweepRow]:
 
 
 @contextlib.contextmanager
-def _atomic(path: str) -> Iterator[IO[str]]:
-    """A text handle on path + ".tmp", renamed to path on success, removed on failure."""
+def _atomic(path: str, binary: bool = False) -> Iterator[IO]:
+    """A handle on path + ".tmp", renamed to path on success, removed on
+    failure: a byte handle when binary, else a text handle that translates
+    no newlines."""
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w", newline="") as handle:
+        with open(tmp, "wb") if binary else open(tmp, "w", newline="") as handle:
             yield handle
         os.replace(tmp, path)
     finally:
@@ -314,19 +316,105 @@ def _write_report(
     return [csv_path, _write_json(os.path.join(out_dir, stem + ".json"), summary)]
 
 
+def _decimal(values: np.ndarray) -> np.ndarray:
+    """Nonnegative integers in decimal, as a (len(values), width) uint8
+    matrix of right-aligned digits, NUL-padded on the left."""
+    width = len(str(int(values.max())))
+    cells = np.zeros((len(values), width), dtype=np.uint8)
+    # from the units up, in unsigned ints, whose division by a constant
+    # numpy vectorises; a leading 0 stays NUL
+    rest = values.astype(np.uint32 if width < 10 else np.uint64)
+    for j in range(width - 1, -1, -1):
+        quotient = rest // 10
+        digit = rest - 10 * quotient + ord("0")
+        if j < width - 1:
+            digit *= rest > 0
+        cells[:, j] = digit
+        rest = quotient
+    return cells
+
+
+def _write_rows(handle: IO[bytes], columns: Sequence[np.ndarray]) -> None:
+    """Write one block of csv rows, the bytes csv.writer gives for the same
+    cells, none of which needs quoting.
+
+    Each column is a 1-D array of nonnegative integers, written in decimal,
+    or a (rows, width) uint8 matrix of NUL-padded cell bytes.  The block is
+    laid out as one fixed-width uint8 matrix, cells NUL-padded with a comma
+    after each and a newline after the last, and one boolean compress
+    drops the NULs.
+    """
+    cells = [_decimal(c) if c.ndim == 1 else c for c in columns]
+    rows = np.empty((len(cells[0]), sum(c.shape[1] + 1 for c in cells)), dtype=np.uint8)
+    at = 0
+    for cell in cells:
+        rows[:, at : at + cell.shape[1]] = cell
+        at += cell.shape[1] + 1
+        rows[:, at - 1] = ord(",")
+    rows[:, -1] = ord("\n")
+    flat = rows.reshape(-1)
+    handle.write(flat[flat != 0])
+
+
 def _write_law(path: str, values: np.ndarray) -> str:
     """Write a law as the csv rows "index,probability", the bytes csv.writer
-    gives over enumerate(values.tolist()), repr-ing each distinct value once
-    per block of _LAW_BLOCK rows.  Values are keyed by their bit pattern, so
-    0.0 and -0.0 stay apart."""
+    gives over enumerate(values.tolist()), _ROW_BLOCK rows at a time.  Each
+    distinct value of a block is found by one np.unique over its bit
+    pattern, so 0.0 and -0.0 stay apart, and repr-ed once; the reprs are
+    kept for later blocks until they number a block's worth."""
     bits = values.view(np.int64)
-    with _atomic(path) as handle:
-        handle.write("index,probability\n")
-        for start in range(0, len(bits), _LAW_BLOCK):
-            keys, inverse = np.unique(bits[start : start + _LAW_BLOCK], return_inverse=True)
-            cells = [repr(v) for v in keys.view(np.float64).tolist()]
-            rows = enumerate(inverse.tolist(), start)
-            handle.write("".join(f"{i},{cells[j]}\n" for i, j in rows))
+    reprs: dict[int, bytes] = {}
+    with _atomic(path, binary=True) as handle:
+        handle.write(b"index,probability\n")
+        for start in range(0, len(bits), _ROW_BLOCK):
+            keys, inverse = np.unique(bits[start : start + _ROW_BLOCK], return_inverse=True)
+            if len(reprs) >= _ROW_BLOCK:
+                reprs.clear()
+            texts = []
+            for key, value in zip(keys.tolist(), keys.view(np.float64).tolist()):
+                text = reprs.get(key)
+                if text is None:
+                    text = reprs[key] = repr(value).encode()
+                texts.append(text)
+            cells = np.array(texts)[inverse]
+            index = np.arange(start, start + len(cells))
+            _write_rows(handle, (index, cells.view(np.uint8).reshape(len(cells), -1)))
+    return path
+
+
+def _joined(blocks: np.ndarray) -> np.ndarray:
+    """The rows of an (m, t) digit array as a cell matrix: each row's
+    digits in decimal, joined by '-'.  Digits past 2**64 (Python ints in
+    an object array) go through str one at a time."""
+    m, t = blocks.shape
+    digits = blocks.reshape(-1)
+    if digits.dtype == object:
+        text = digits.astype(bytes)
+        cells = text.view(np.uint8).reshape(len(text), -1)
+    else:
+        cells = _decimal(digits)
+    width = cells.shape[1]
+    runs = np.zeros((m, t, width + 1), dtype=np.uint8)
+    runs[:, :, :width] = cells.reshape(m, t, width)
+    runs[:, :-1, width] = ord("-")
+    return runs.reshape(m, -1)
+
+
+def _write_census(path: str, census: BlockCensus) -> str:
+    """Write census.csv, one row "a,block_index,digits,alternations" per
+    block, _ROW_BLOCK rows at a time.  A block's digits are concatenated
+    when sigma <= 10 and joined with '-' otherwise."""
+    r = census.r
+    digits = census.digits.reshape(-1, census.t)
+    alternations = census.alternations.reshape(-1)
+    with _atomic(path, binary=True) as handle:
+        handle.write(b"a,block_index,digits,alternations\n")
+        for start in range(0, len(digits), _ROW_BLOCK):
+            stop = min(start + _ROW_BLOCK, len(digits))
+            blocks = digits[start:stop]
+            index = np.arange(start, stop)
+            cells = blocks + ord("0") if census.sigma <= 10 else _joined(blocks)
+            _write_rows(handle, (index // r + 1, index % r, cells, alternations[start:stop]))
     return path
 
 
@@ -335,15 +423,6 @@ def _dataclass_table(rows: Sequence) -> tuple[list[str], Iterator[list]]:
     names = [f.name for f in fields(rows[0])]
     values = ((getattr(row, n) for n in names) for row in rows)
     return names, ([int(v) if isinstance(v, bool) else v for v in row] for row in values)
-
-
-def _digit_strings(blocks: np.ndarray, sigma: int) -> list[str]:
-    """One string per row of a (m, t) digit array: the digits concatenated
-    when sigma <= 10, joined with '-' otherwise."""
-    if sigma <= 10:
-        chars = np.add(blocks, ord("0"), dtype=np.uint8)
-        return chars.view(f"S{blocks.shape[1]}").ravel().astype(str).tolist()
-    return ["-".join(map(str, row)) for row in blocks.tolist()]
 
 
 def _poly_json(poly) -> list[int]:
@@ -390,6 +469,7 @@ def _run_evolve(config: ExperimentConfig, out_dir: str) -> list[str]:
         summary["tv_empirical_vs_exact"] = 0.5 * float(
             np.abs(empirical.values - dist.values).sum()
         )
+        del empirical  # freed before the exact law is written
     return [
         _write_law(os.path.join(out_dir, "evolve.csv"), dist.values),
         _write_json(os.path.join(out_dir, "evolve.json"), summary),
@@ -432,27 +512,21 @@ def _run_mixing_sweep(config: ExperimentConfig, out_dir: str) -> list[str]:
 
 def _run_digit_census(config: ExperimentConfig, out_dir: str) -> list[str]:
     census = block_census(config.p, config.sigma, config.t, config.r)
-    p, r = census.p, census.r
-    return _write_report(
-        out_dir,
-        "census",
-        ("a", "block_index", "digits", "alternations"),
-        zip(
-            np.repeat(np.arange(1, p), r).tolist(),
-            np.tile(np.arange(r), p - 1).tolist(),
-            _digit_strings(census.digits.reshape(-1, census.t), census.sigma),
-            census.alternations.ravel().tolist(),
+    return [
+        _write_census(os.path.join(out_dir, "census.csv"), census),
+        _write_json(
+            os.path.join(out_dir, "census.json"),
+            {
+                "p": census.p,
+                "sigma": census.sigma,
+                "t": census.t,
+                "r": census.r,
+                "distinct_per_index": list(census.distinct_per_index),
+                "min_alternations": census.min_alternations,
+                "histogram": {str(key): val for key, val in census.histogram.items()},
+            },
         ),
-        {
-            "p": census.p,
-            "sigma": census.sigma,
-            "t": census.t,
-            "r": census.r,
-            "distinct_per_index": list(census.distinct_per_index),
-            "min_alternations": census.min_alternations,
-            "histogram": {str(key): val for key, val in census.histogram.items()},
-        },
-    )
+    ]
 
 
 def _run_verify_identities(config: ExperimentConfig, out_dir: str) -> list[str]:

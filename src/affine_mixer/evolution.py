@@ -436,10 +436,18 @@ def simulate(chain: ChainSpec, n: int, trials: int, seed: int) -> StateDistribut
     )
     probs = np.array(chain.mu.probs)
     probs = probs / probs.sum()
+    # the trials step in two (trials, k) buffers, swapped each step; each
+    # step's draws are freed before the next step draws
     x = np.tile(np.array(chain.x0, dtype=np.int64), (trials, 1))
+    y = np.empty_like(x)
     for _ in range(n):
         picks = rng.choice(len(supp), size=trials, p=probs)
-        x = (x @ a_mod.T + supp[picks]) % p
+        np.matmul(x, a_mod.T, out=y)
+        for j in range(k):
+            y[:, j] += supp[picks, j]
+        del picks
+        np.remainder(y, p, out=y)
+        x, y = y, x
     counts = np.bincount(_encode(x, p), minlength=p**k)
     return StateDistribution(p, k, counts / trials)
 

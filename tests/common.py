@@ -1,6 +1,7 @@
 """Shared fixtures: the matrix suite, its fair two-point increments, the
-table of all states, the reference step, index map, laws and mixing-time
-search, and a wall-clock limit for tests of work that must end quickly."""
+table of all states, the reference step, index map, laws, mixing-time
+search and sampler, and a wall-clock limit for tests of work that must
+end quickly."""
 
 from __future__ import annotations
 
@@ -99,6 +100,24 @@ def dense_mixing_time(chain, eps, n_cap):
         if tv_distance(dist) <= eps:
             return n
     return None
+
+
+def reference_simulate(chain, n, trials, seed):
+    """The empirical law of X_n from simulate's draws, each step written as
+    the one expression (x @ A^T + the drawn increments) % p: the oracle of
+    simulate, whose buffered steps must give the same law bit for bit."""
+    p, k = chain.p, chain.k
+    rng = np.random.default_rng(seed)
+    a_mod = (np.array(chain.a.rows, dtype=object) % p).astype(np.int64)
+    supp = np.array([[int(c) % p for c in pt] for pt in chain.mu.support], dtype=np.int64)
+    probs = np.array(chain.mu.probs)
+    probs = probs / probs.sum()
+    x = np.tile(np.array(chain.x0, dtype=np.int64), (trials, 1))
+    for _ in range(n):
+        picks = rng.choice(len(supp), size=trials, p=probs)
+        x = (x @ a_mod.T + supp[picks]) % p
+    codes = x @ np.array([p**i for i in range(k)], dtype=np.int64)
+    return np.bincount(codes, minlength=p**k) / trials
 
 
 @contextmanager

@@ -12,10 +12,11 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from affine_mixer import (
@@ -29,7 +30,7 @@ from affine_mixer import (
     run,
 )
 from affine_mixer import cli
-from affine_mixer.cli import _LAW_BLOCK, TASKS, _write_law, _write_report, main
+from affine_mixer.cli import _ROW_BLOCK, TASKS, _write_census, _write_law, _write_report, main
 from affine_mixer.digitlab import block_census
 from affine_mixer.evolution import STATE_CAP_ENV
 from common import time_limit
@@ -345,6 +346,84 @@ def test_census_files_match_per_row_writer(tmp_path, p, sigma, t, r):
         assert handle.read() == expected_json.encode()
 
 
+def census_files(directory, obj) -> tuple[bytes, bytes]:
+    csv_path, json_path = run(ExperimentConfig.from_json(obj), str(directory))
+    with open(csv_path, "rb") as csv_file, open(json_path, "rb") as json_file:
+        return csv_file.read(), json_file.read()
+
+
+# sigma up to 2**64 + 2**10: digits in uint8 up to uint64, and past 2**64 in
+# an object array of Python ints
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.integers(2, 60),
+    sigma=st.one_of(st.integers(2, 40), st.integers(2**63 - 2**10, 2**64 + 2**10)),
+    t=st.none() | st.integers(1, 6),
+    r=st.integers(1, 3),
+    block=st.integers(1, 8),
+)
+@example(p=23, sigma=10**20, t=2, r=2, block=3)
+def test_property_census_files_match_per_row_writer_at_any_block(p, sigma, t, r, block):
+    obj = {"task": "digit-census", "p": p, "sigma": sigma, "r": r}
+    if t is not None:
+        obj["t"] = t
+    expected = tuple(text.encode() for text in reference_census_files(p, sigma, t, r))
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_ROW_BLOCK", block)
+        assert census_files(directory, obj) == expected
+
+
+def test_census_left_absent_when_a_block_fails(tmp_path, monkeypatch):
+    # the census streams into census.csv.tmp a block at a time; a failure
+    # after its first block removes that and writes no census.json
+    calls = []
+
+    def write_rows(*args, _original=cli._write_rows):
+        calls.append(os.listdir(tmp_path))
+        if len(calls) == 2:
+            raise RuntimeError("block failed")
+        return _original(*args)
+
+    monkeypatch.setattr(cli, "_ROW_BLOCK", 4)
+    monkeypatch.setattr(cli, "_write_rows", write_rows)
+    cfg = ExperimentConfig.from_json({"task": "digit-census", "p": 11, "sigma": 2})
+    with pytest.raises(RuntimeError, match="block failed"):
+        run(cfg, str(tmp_path))
+    assert calls == [["census.csv.tmp"]] * 2
+    assert os.listdir(tmp_path) == []  # neither census.csv nor census.csv.tmp
+
+
+def traced_peak(work) -> int:
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("rows", [2**18, 2**21])
+def test_law_writer_memory_does_not_grow_with_the_rows(tmp_path, rows):
+    # runs of 16 equal values: a block holds 4096 distinct ones, so at 2**21
+    # rows the reprs kept for later blocks reach a block's worth and are
+    # dropped (kept, they would reach 2**17 and the peak some 24 MB); the
+    # 2**21-row file itself is about 57 MB
+    values = np.repeat(np.random.default_rng(rows).random(rows // 16), 16)
+    path = str(tmp_path / "evolve.csv")
+    assert traced_peak(lambda: _write_law(path, values)) <= 20 * 2**20
+    assert os.path.getsize(path) > rows * 20
+
+
+@pytest.mark.parametrize("p, r", [(10_007, 10), (100_003, 10)])
+def test_census_writer_memory_does_not_grow_with_the_rows(tmp_path, p, r):
+    # beyond the census's own arrays: 10**5 and 10**6 rows, written a block
+    # of _ROW_BLOCK rows at a time
+    census = block_census(p, 2, None, r)
+    path = str(tmp_path / "census.csv")
+    assert traced_peak(lambda: _write_census(path, census)) <= 10 * 2**20
+    assert os.path.getsize(path) > (p - 1) * r * 20
+
+
 def test_main_census_over_state_cap(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(STATE_CAP_ENV, "20")
     text = json.dumps({"task": "digit-census", "p": 11, "sigma": 2, "r": 3})
@@ -394,13 +473,13 @@ def written_law(directory, values: np.ndarray) -> bytes:
 AWKWARD_FLOATS = [0.0, -0.0, 5e-324, 9.999e-05, 1e-4, 1e16, 0.1, 1 / 3, 2.5e-7, 1.0]
 
 
-@pytest.mark.parametrize("length", [_LAW_BLOCK - 1, _LAW_BLOCK, _LAW_BLOCK + 1])
+@pytest.mark.parametrize("length", [_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1])
 def test_law_writer_matches_csv_writer(tmp_path, length):
     rng = np.random.default_rng(length)
     values = rng.choice(np.array(AWKWARD_FLOATS + list(rng.random(500))), size=length)
     # one value on both sides of the block boundary, and every awkward value
     # in the last (possibly one-row) block too
-    values[_LAW_BLOCK - 2 : _LAW_BLOCK] = -0.0
+    values[_ROW_BLOCK - 2 : _ROW_BLOCK] = -0.0
     values[-len(AWKWARD_FLOATS) :] = AWKWARD_FLOATS
     assert written_law(tmp_path, values) == csv_law(values)
 
@@ -412,7 +491,7 @@ def test_law_writer_matches_csv_writer(tmp_path, length):
 )
 def test_property_law_writer_matches_csv_writer_at_any_block(values, block):
     with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_LAW_BLOCK", block)
+        patch.setattr(cli, "_ROW_BLOCK", block)
         assert written_law(directory, values) == csv_law(values)
 
 
@@ -429,7 +508,7 @@ def test_law_left_absent_when_a_block_fails(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli.np, "unique", unique)
     with pytest.raises(RuntimeError, match="block failed"):
-        _write_law(str(tmp_path / "evolve.csv"), np.full(_LAW_BLOCK + 1, 0.5))
+        _write_law(str(tmp_path / "evolve.csv"), np.full(_ROW_BLOCK + 1, 0.5))
     assert calls == [["evolve.csv.tmp"]] * 2
     assert os.listdir(tmp_path) == []  # neither evolve.csv nor evolve.csv.tmp
 

@@ -48,6 +48,7 @@ from common import (
     dense_mixing_time,
     fair_two_point,
     matmul_index_map,
+    reference_simulate,
     roll_step,
     state_table,
     suite_chains,
@@ -382,6 +383,24 @@ def test_simulate_refuses_trials_over_the_cap(monkeypatch):
         simulate(hand_chain(), 64, trials=10, seed=1)
 
 
+def test_simulate_stays_within_its_memory():
+    # tracemalloc peak per trial at k = 3: the two (trials, 3) int64 step
+    # buffers (48 bytes) and one step's draws, its uniforms and picks (16
+    # bytes); the one-expression step held about 80
+    a = IntMatrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    chain = ChainSpec(a, fair_two_point(3), 11)
+    trials = 400_000
+    simulate(chain, 1, trials=10, seed=0)
+    tracemalloc.start()
+    try:
+        emp = simulate(chain, 5, trials=trials, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 68 * trials, peak / trials
+    assert np.array_equal(emp.values, reference_simulate(chain, 5, trials, 3))
+
+
 def test_mixing_time_hand_chain():
     chain = hand_chain()
     assert mixing_time(chain, 0.25) == 2
@@ -455,6 +474,13 @@ def test_property_simulate_lies_near_the_exact_law(chain, n, seed):
     exact = evolve(chain, n)
     dist = 0.5 * float(np.abs(emp.values - exact.values).sum())
     assert dist <= 0.5 * (chain.n_states / trials) ** 0.5 + 0.05
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(chain=small_chains(), n=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_property_simulate_matches_the_one_expression_step(chain, n, seed):
+    emp = simulate(chain, n, trials=300, seed=seed)
+    assert np.array_equal(emp.values, reference_simulate(chain, n, 300, seed))
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
