@@ -13,9 +13,10 @@ read straight from the law, so a step costs 2 |supp mu| + 2 passes.
 
 The paper's necessary-steps count says where that work is wasted: P_n
 lives on at most |supp mu|**n states, so while that is small against p^k
-the early steps run on the support alone, at O(|supp| |supp mu|) each, and
-the mixing search computes tv only once the count no longer rules out
-mixing.  For k = 1 the law then lies on an arc of Z_p, and in the fast
+the early steps run on a sparse form of the law, and the mixing search
+computes tv only once the count no longer rules out mixing.  For k >= 2
+that form is the support, stepped at O(|supp| |supp mu|) a step.  For
+k = 1 it is an arc of Z_p, from the point mass at x0 on: in the fast
 regime (|a| > 1, with a the least residue of A mod p) the arc of P_n is
 about |a|**n times the spread of mu long, so the law fills Z_p only in
 the last few steps.  Those before are taken on the arc, at O(arc) each,
@@ -491,18 +492,6 @@ def _step_support(codes: np.ndarray, values: np.ndarray, chain: ChainSpec) -> _S
     return codes, np.bincount(inverse, weights=terms, minlength=len(codes))
 
 
-def _shortest_arc(codes: np.ndarray, values: np.ndarray, p: int) -> _Arc:
-    """A k = 1 law held as its support, moved onto its shortest arc: the
-    complement of the largest circular gap between its sorted codes."""
-    gaps = np.diff(codes, append=codes[0] + p)
-    cut = int(gaps.argmax())
-    lo = int(codes[(cut + 1) % len(codes)])
-    arc = np.zeros(p + 1 - int(gaps[cut]))
-    arc[(codes - lo) % p] = values
-    _check_law(arc)
-    return lo, arc
-
-
 def _step_arc(arc: _Arc, a: int, shifts: Sequence[tuple[int, float]], p: int) -> _Arc:
     """One exact step of a k = 1 law held on an arc, onto the arc of its
     image: a is the least residue of A mod p, shifts the (least residue,
@@ -534,55 +523,55 @@ def _walk(
     chain: ChainSpec, n: int, keep: Callable[[int], bool] = lambda targets: True
 ) -> Iterator[tuple[int, StateDistribution | _Support | _Arc, int]]:
     """Yield (i, P_i, b_i) for i = 0..n from the point mass at x0, with
-    b_i >= |supp P_i|.
+    b_i >= |supp P_i| and b_0 = 1.
 
-    P_i is held as its support, and stepped by _step_support, while i < n,
-    the next step pays on the support and keep(targets) holds, targets
-    being |supp P_i| * s with s = |supp mu| folded mod p: the bound on
-    |supp P_{i+1}|.  Below about 2**10 states a dense step costs no more
-    than a support step's fixed overhead, and past about p**k / 32 targets
-    it costs less than a sort of them, so a support step is taken only
-    between the two.
+    Each chain takes one sparse phase, from the point mass on, and only
+    past a floor of 2**10 states: below it a dense step costs no more than
+    a sparse step's fixed overhead.  s is |supp mu| folded mod p.
 
-    For k = 1 past the same floor the law then moves onto its shortest arc
-    and is stepped there by _step_arc, at O((|a| + s) L) for an arc of L,
+    For k = 1 P_i is held on an arc, the point mass being an arc of one
+    state, and stepped by _step_arc, at O((|a| + s) L) for an arc of L,
     while i < n, keep(b_i) holds and the image arc does not wrap.  With
     |a| > 1 (the fast regime) the arc grows about |a|-fold a step, so the
     law fills Z_p only in the last few steps, and all those before are
     paid on the arc.
 
-    The first P_i neither phase steps, P_n at the latest, is made dense
-    once (_dense), and the laws after it are step_exact's.  b_i is
-    |supp P_i| in the support phase, min(b_{i-1} s, L) on the arc and
-    min(b_{i-1} s, p**k) after it.  Every law is step_exact's, bit for bit.
+    For k >= 2 P_i is held as its support, and stepped by _step_support,
+    while i < n and keep(targets) holds, targets being |supp P_i| * s: the
+    bound on |supp P_{i+1}|.  Past about p**k / 32 targets a dense step
+    costs less than a sort of them, so the phase ends there too.
+
+    The first P_i the phase does not step, P_n at the latest, is made
+    dense once (_dense), and the laws after it are step_exact's.  b_i is
+    min(b_{i-1} s, L) on the arc, |supp P_i| on the support and
+    min(b_{i-1} s, p**k) after either.  Every law is step_exact's, bit
+    for bit.
     """
     _check_steps(n)
     _check_cap(chain.n_states, "p**k")
     p, size, s = chain.p, chain.n_states, len(chain._shifts)
-    codes = np.array([encode_state(chain.x0, p)], dtype=np.int64)
-    values = np.ones(1)
-    i = 0
-    while i < n and 2**10 <= size and 32 * len(codes) * s < size and keep(len(codes) * s):
-        yield i, (codes, values), len(codes)
-        codes, values = _step_support(codes, values, chain)
-        i += 1
-    held: _Support | _Arc = (codes, values)
-    bound = len(codes)
-    del codes, values
-    if chain.k == 1 and 2**10 <= size:
+    i, bound, floor = 0, 1, 2**10 <= size
+    held: _Support | _Arc
+    if chain.k == 1:
         a = _least_residue(chain.a.rows[0][0], p)
         shifts = [(_least_residue(c, p), w) for (c,), w in chain._shifts]
         spread = max(c for c, _ in shifts) - min(c for c, _ in shifts)
-        held = _shortest_arc(*held, p)
-        while i < n and keep(bound) and abs(a) * (len(held[1]) - 1) + spread < p:
+        held = (chain.x0[0], np.ones(1))
+        while i < n and floor and keep(bound) and abs(a) * (len(held[1]) - 1) + spread < p:
             yield i, held, bound
             held = _step_arc(held, a, shifts, p)
             bound = min(bound * s, len(held[1]))
             i += 1
+    else:
+        held = (np.array([encode_state(chain.x0, p)], dtype=np.int64), np.ones(1))
+        while i < n and floor and 32 * len(held[0]) * s < size and keep(len(held[0]) * s):
+            yield i, held, len(held[0])
+            held = _step_support(*held, chain)
+            i += 1
+        bound = len(held[0])
     law = _dense(held, chain)
-    # held through the dense steps, the support (1 MB at p = 3e6) raised the
-    # peak resident memory of a mixing sweep up to that p by 4 MB; an arc
-    # may hold up to p floats
+    # dropped before the dense steps, which it would outlive: an arc may
+    # hold up to p floats, a support up to p**k / 32 states
     del held
     yield i, law, bound
     for i in range(i + 1, n + 1):
@@ -614,13 +603,13 @@ def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int
     The paper's necessary-steps argument is a count: P_n lives on at most
     b_n states (_walk's bound), so tv(P_n) >= 1 - b_n / N with N = p**k.
     While that bound certifies tv > eps, no tv is computed.  The early
-    steps run on the support (_walk's support phase, here stopped too
-    where the count no longer certifies tv > eps for the next law), so
-    they cost O(|supp| s), not O(N), and every law held as its support is
-    certified.  For k = 1 the steps after them run on the arc that holds
-    the law (_walk's arc phase), at O(arc) each, up to the first law the
-    count does not certify, which is the first made dense; in the fast
-    regime that leaves about one dense step.  The certificate asks
+    steps run in _walk's one sparse phase, here stopped too where the
+    count no longer certifies tv > eps, so every law held sparse is
+    certified.  For k = 1 they run on the arc that holds the law, at
+    O(arc) each, up to the first law the count does not certify, which is
+    the first made dense; in the fast regime that leaves about one dense
+    step.  For k >= 2 they run on the support, at O(|supp| s) each, up to
+    the last law whose successor the count certifies.  The certificate asks
     (1 - eps) N > 2 b: the float law is exactly 0 off its b counted
     states, so its exact tv is above eps by more than b / N >= 1 / N,
     less its drift from total 1, and that drift plus the float error of
@@ -643,9 +632,9 @@ def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int
 def _dense_prefix(n_states: int, support_size: int) -> int:
     """Steps to try by _mixing_time_dense before the Fourier search.
 
-    The early steps of that prefix, which run on the support of P_n and
-    cost O(|supp| |supp mu|) rather than O(N), are priced here as dense
-    steps: the prefix is set for a search that steps densely throughout,
+    The early steps of that prefix, which run on the arc or support of
+    P_n and cost O(arc) or O(|supp| |supp mu|) rather than O(N), are
+    priced here as dense steps: the prefix is set for a search that steps densely throughout,
     and changing it would change which path answers.
 
     Costs in passes over a length-N array (N = p**k): a dense step is
@@ -803,9 +792,9 @@ def mixing_time(
     bisects on n in the Fourier domain, where each candidate costs O(log n)
     pointwise products and one FFT, so raising n_cap is cheap.  While the
     counting bound tv(P_n) >= 1 - |supp P_n| / p**k rules out mixing, the
-    prefix computes no tv, and its early steps run on the support of P_n
-    at O(|supp| |supp mu|) each, and for k = 1 the steps after them on
-    the arc that holds P_n, at O(arc) each (see _mixing_time_dense).  A
+    prefix computes no tv, and its early steps run on the arc that holds
+    P_n for k = 1, at O(arc) each, and on the support of P_n for k >= 2,
+    at O(|supp| |supp mu|) each (see _mixing_time_dense).  A
     Fourier value within the round-off margin of eps, or a crossing that
     does not recompute, hands the whole search to dense stepping, so the
     answer is always the one incremental dense stepping gives.  That

@@ -567,9 +567,10 @@ def test_mixing_time_dense_fallback_stays_within_the_budget(monkeypatch):
         mixing_time(chain, 1e-300, 1745)
 
 
-# per k, moduli on both sides of the support phase's floor p**k >= 2**10
+# per k, moduli on both sides of the sparse phase's floor p**k >= 2**10
 SMALL_AND_LARGE_MODULI = {1: [2, 3, 5, 31, 101, 2003], 2: [2, 3, 5, 11, 37], 3: [2, 3, 5, 7, 11]}
-# per k, moduli with p**k >= 2**10 only, so every chain has a support phase
+# per k, moduli with p**k >= 2**10 only, so every chain has a sparse phase:
+# on arcs for k = 1, on the support for k >= 2
 LARGE_MODULI = {1: [1031, 2003, 4099], 2: [33, 37, 53], 3: [11, 13]}
 
 
@@ -629,8 +630,9 @@ def test_property_support_steps_match_evolve_bitwise(chain, n):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(chain=support_chains(moduli=LARGE_MODULI), n=st.integers(0, 12))
 def test_property_evolve_iter_matches_dense_laws_bitwise(chain, n):
-    # past the support phase's floor evolve_iter takes its early steps on
-    # the support; every law it yields is still step_exact's, bit for bit
+    # past the sparse phase's floor evolve_iter takes its early steps on
+    # arcs (k = 1) or on the support (k >= 2); every law it yields is
+    # still step_exact's, bit for bit
     laws = zip(evolve_iter(chain, n), dense_laws(chain, n), strict=True)
     for (i, dist), (j, dense) in laws:
         assert i == j
@@ -680,17 +682,35 @@ def test_property_step_exact_matches_roll_step_bitwise(chain, seed, n):
             assert not dist.values.flags.writeable
 
 
+def wide_increments(draw, k, p):
+    """For k = 1: 0 and one or two increments c with |c| up to p / 2, at
+    random weights, so the spread may be far wider than the support."""
+    far = st.one_of(st.sampled_from([p // 2, -(p // 2)]), st.integers(-(p // 2), p // 2))
+    points = [0] + draw(st.lists(far.filter(bool), min_size=1, max_size=2, unique=True))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(points), max_size=len(points)))
+    total = sum(weights)
+    return IncrementDistribution(1, tuple((c,) for c in points), tuple(w / total for w in weights))
+
+
+def arc_increments(draw, k, p):
+    """Wide or twinned increments, at even odds."""
+    return draw(st.sampled_from([wide_increments, twinned_increments]))(draw, k, p)
+
+
 @st.composite
-def line_chains(draw, moduli=SMALL_AND_LARGE_MODULI[1], near=LINE_CUTOFF + 4):
+def line_chains(
+    draw, moduli=SMALL_AND_LARGE_MODULI[1], near=LINE_CUTOFF + 4, increments=twinned_increments
+):
     """k = 1 chains on a modulus drawn from moduli, whose multiplier has a
     least residue mod p within near of 0 (+-1 and negative ones too) or
     anywhere, lifted by a multiple of p past int64 when drawn; a random x0
-    and twinned increments, whose least residues may be negative."""
+    and increments drawn by increments (twinned ones by default), whose
+    least residues may be negative."""
     p = draw(st.sampled_from(moduli))
     residue = draw(st.one_of(st.integers(-near, near), st.integers(-(p // 2), p // 2)))
     residue += residue % p == 0  # p is prime: coprime now
     lift = draw(st.one_of(st.just(0), st.integers(-(2**70), 2**70)))
-    mu = twinned_increments(draw, 1, p)
+    mu = increments(draw, 1, p)
     x0 = draw(st.integers(0, p - 1))
     return ChainSpec(IntMatrix.from_rows([[residue + p * lift]]), mu, p, x0=(x0,))
 
@@ -723,43 +743,51 @@ def test_property_k1_step_matches_roll_step_bitwise(chain, seed, n, dense):
 @pytest.mark.parametrize("a, strided", [(2, True), (-8, True), (8, True), (9, False), (-9, False)])
 def test_k1_chain_within_the_cutoff_builds_no_table(a, strided):
     # evolve's last steps at p = 2003 are dense ones: two at a = 2, whose
-    # arc wraps at n = 11, and seven at the others, whose arcs wrap at once
+    # arc wraps at n = 11, and eight at the others, whose arcs wrap at n = 4
     chain = ChainSpec(IntMatrix.from_rows([[a + 2003]]), fair_two_point(1), 2003)
     evolve(chain, 12)
     assert ("_perm" not in vars(chain)) == strided
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    chain=line_chains(moduli=LARGE_MODULI[1] + [1021], near=3),
+    chain=line_chains(moduli=LARGE_MODULI[1] + [1021], near=3, increments=arc_increments),
     n=st.integers(8, 64),
     eps=st.floats(0.05, 0.95),
 )
 def test_property_arc_phase_matches_dense_laws_bitwise(chain, n, eps):
-    # past the support phase a k = 1 law is stepped on its shortest arc,
-    # which may straddle 0, until the image wraps or i = n: for a few
-    # steps at |a| >= 2, and up to the whole circle at |a| = 1 (1021 lies
-    # just below the floor 2**10, so it has no arc phase); every law
+    # a k = 1 law is stepped on an arc from the point mass at x0 on, and
+    # the arc may straddle 0, until the image wraps or i = n: for a few
+    # steps at |a| >= 2 (one or two with a support as wide as {0, p / 2},
+    # whose arc may hold all p states when made dense), and up to the
+    # whole circle at |a| = 1 (1021 lies just below the floor 2**10, so
+    # it has no arc phase); no k = 1 chain takes a support step, every law
     # evolve_iter yields is still step_exact's, bit for bit, and the
     # mixing search finds the same n.  One folded increment never leaves
-    # the support phase (see the point-mass test below).
+    # its one-state arc (see the point-mass test below).
     assume(len(chain._shifts) > 1)
-    laws = zip(evolve_iter(chain, n), dense_laws(chain, n), strict=True)
-    for (i, dist), (j, dense) in laws:
-        assert i == j
-        assert np.array_equal(dist.values, dense.values), i
-        assert not np.signbit(dist.values).any()
-        assert not dist.values.flags.writeable
-    assert np.array_equal(evolve(chain, n).values, dense.values)
-    assert mixing_time(chain, eps, 200) == dense_mixing_time(chain, eps, 200)
+
+    def no_support_step(*args):
+        raise AssertionError("a k = 1 chain took a support step")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evolution, "_step_support", no_support_step)
+        laws = zip(evolve_iter(chain, n), dense_laws(chain, n), strict=True)
+        for (i, dist), (j, dense) in laws:
+            assert i == j
+            assert np.array_equal(dist.values, dense.values), i
+            assert not np.signbit(dist.values).any()
+            assert not dist.values.flags.writeable
+        assert np.array_equal(evolve(chain, n).values, dense.values)
+        assert mixing_time(chain, eps, 200) == dense_mixing_time(chain, eps, 200)
 
 
 def test_arc_phase_leaves_a_fast_chain_one_dense_step(monkeypatch):
     # A = 2 with fair {0, 1} at p = 999,983: P_n lies on an arc of 2**n
     # states, and the count certifies tv > 0.25 up to n = 18; the law at
     # n = 19 is the first made dense, and one dense step reaches the mixed
-    # law at n = 20 (six, had the law gone dense where the support phase
-    # ends, at n = 14)
+    # law at n = 20 (six, had the law gone dense once 64 |supp P_n| passed
+    # p, at n = 14)
     chain = ChainSpec(IntMatrix.from_rows([[2]]), fair_two_point(1), 999_983)
     calls = 0
 
@@ -829,10 +857,10 @@ def test_step_exact_and_its_table_stay_within_their_memory(
 
 
 def test_every_arc_law_is_checked(monkeypatch):
-    # A = 2 with fair {0, 1} at p = 100,003: the support phase ends at
-    # P_11 on 2**11 states, the arcs double up to P_16, whose image would
-    # wrap, and P_16 is made dense; each arc and the dense law go through
-    # the one check StateDistribution runs
+    # A = 2 with fair {0, 1} at p = 100,003: the arcs double from the
+    # point mass, which is checked by no step, up to P_16, whose image
+    # would wrap, and P_16 is made dense; each stepped arc and the dense
+    # law go through the one check StateDistribution runs
     chain = ChainSpec(IntMatrix.from_rows([[2]]), fair_two_point(1), 100_003)
     checked = []
 
@@ -842,7 +870,7 @@ def test_every_arc_law_is_checked(monkeypatch):
 
     monkeypatch.setattr(evolution, "_check_law", recorded)
     evolve(chain, 16)
-    assert checked == [2**i for i in range(11, 17)] + [100_003]
+    assert checked == [2**i for i in range(1, 17)] + [100_003]
 
 
 @pytest.mark.parametrize("a", [1, -1])
@@ -906,9 +934,9 @@ def test_property_mixing_time_matches_dense_search_near_one(chain, eps, above):
 
 def test_mixing_time_skips_dense_work_the_counting_bound_decides(monkeypatch):
     # A = 2 with fair {0, 1}: P_n has at most 2**n states, so tv > 0.25 is
-    # certain while 2**n < 0.375 p; the support and arc phases and the
-    # certificate leave 1 dense step and 2 tv sums of the 17 and 18 a plain
-    # search makes
+    # certain while 2**n < 0.375 p; the arc phase and the certificate
+    # leave 1 dense step and 2 tv sums of the 17 and 18 a plain search
+    # makes
     chain = ChainSpec(IntMatrix.from_rows([[2]]), fair_two_point(1), 100_003)
     calls = {"step_exact": 0, "tv_distance": 0}
     for name in calls:
@@ -962,8 +990,8 @@ def test_mixing_time_refuses_a_modulus_past_float_range():
 
 
 def test_mixing_time_dense_point_mass_increments_stay_on_the_support(monkeypatch):
-    # s = 1 never grows the support: the search stays in the support phase
-    # up to n_cap, steps no dense law, and still refuses p**k over the cap
+    # s = 1 never grows the law: it stays on a one-state arc up to n_cap,
+    # the search steps no dense law, and it still refuses p**k over the cap
     mu = IncrementDistribution.fair([(1,)])
     chain = ChainSpec(IntMatrix.from_rows([[2]]), mu, 100_003)
     monkeypatch.setattr(evolution, "step_exact", None)
