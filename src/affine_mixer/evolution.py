@@ -5,11 +5,12 @@ X' = A X + B (mod p) is a push-forward through the bijection y -> A y
 (gcd(det A, p) = 1 makes it one) followed by a cyclic convolution with the
 reduced increment law, so a step costs 2 |supp mu| + 3 passes over the p^k
 states (one scatter through the permutation table of y -> A y, a multiply
-and an add per translate but the first, which only multiplies, and the
-min, clip and sum that check the law) and stays exact up to float
-addition.  For k = 1 with a small multiplier the push needs no table and
-no scatter: each translate y -> a y + c is at most |a| + 1 strided slices
-read straight from the law, so a step costs 2 |supp mu| + 2 passes.
+and an add per translate but the first, which only multiplies, all
+written by _write_translates, and the min, clip and sum that check the
+law) and stays exact up to float addition.  For k = 1 with a small
+multiplier the push needs no table and no scatter: each translate
+y -> a y + c is at most |a| + 1 strided slices read straight from the
+law, so a step costs 2 |supp mu| + 2 passes.
 
 The paper's necessary-steps count says where that work is wasted: P_n
 lives on at most |supp mu|**n states, so while that is small against p^k
@@ -35,7 +36,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from itertools import product
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -322,12 +323,9 @@ def _lines(a: int, shift: Sequence[int], p: int) -> Iterator[tuple[slice, slice]
 
 def _add_scaled(dst: np.ndarray, src: np.ndarray, w: float, scratch: np.ndarray) -> None:
     """dst += w * src through scratch, which is at least one leading-axis
-    row of src long: at once when src fits, else a block of rows at a
-    time, so no product as large as src is allocated.  Every entry gets
+    row of src long, a block of rows at a time (all of src at once when it
+    fits), so no product as large as src is allocated.  Every entry gets
     the same product and sum as from the one expression."""
-    if src.size <= len(scratch):
-        dst += np.multiply(src, w, out=scratch[: src.size].reshape(src.shape))
-        return
     rows = len(scratch) // math.prod(src.shape[1:])
     for r in range(0, len(src), rows):
         block = src[r : r + rows]
@@ -336,46 +334,50 @@ def _add_scaled(dst: np.ndarray, src: np.ndarray, w: float, scratch: np.ndarray)
         dst[r : r + rows] += part
 
 
+def _write_translates(
+    out: np.ndarray, law: np.ndarray, shifts: Sequence[tuple], pairs: Callable[..., Iterable]
+) -> None:
+    """Make out, which must be 0 off the first translate's image, the sum
+    of w * (law moved by shift) over the (shift, weight) pairs in shifts,
+    the law moved by a shift being out[dst] = law[src] for the (dst, src)
+    slice pairs of pairs(shift), with disjoint dst.  The first
+    translate is written as w * law[src] (which is 0 + w * law[src] for
+    law >= 0), and each later one added through one scratch block of
+    SCRATCH_STATES states, or one leading-axis row of law if longer
+    (_add_scaled), in shifts order; so no translate is copied, and every
+    caller gets the same products and sums in the same order."""
+    (shift, w), *rest = shifts
+    for dst, src in pairs(shift):
+        np.multiply(law[src], w, out=out[dst])
+    scratch = np.empty(min(law.size, max(SCRATCH_STATES, law.size // len(law))))
+    for shift, w in rest:
+        for dst, src in pairs(shift):
+            _add_scaled(out[dst], law[src], w, scratch)
+
+
 def step_exact(dist: StateDistribution, chain: ChainSpec) -> StateDistribution:
     """One exact step: P'(x) = sum_y P(y) * mu_p(x - A y mod p), the terms of
-    each target added in the order of chain._shifts, the first written as
-    w * P(y) (which is 0 + w * P(y) for P >= 0).
+    each target added in the order of chain._shifts by _write_translates.
 
     For k = 1 with a least residue a of A mod p (-p/2 < a <= p/2) of at most
     LINE_CUTOFF in absolute value, each translate y -> a y + c goes from P
     straight into the new law as the |a| or |a| + 1 strided slice pairs of
     _lines, with no table and no pushed copy.  Otherwise P is scattered
-    through chain._perm into a pushed law, whose translates are added slab
-    by slab (_slabs); the last scales the pushed law in place, so no
-    translate is copied.  The translates between the first and the last
-    pass their products through one SCRATCH_STATES block (_add_scaled).
-    Both paths give the same products and sums in the same order, so the
-    law is the same bit for bit.
+    through chain._perm into a pushed law, whose translates are moved slab
+    by slab (_slabs).  One writer gives both paths the same products and
+    sums in the same order, so the law is the same bit for bit.
     """
     if (dist.p, dist.k) != (chain.p, chain.k):
         raise ValueError("distribution and chain dimensions disagree")
     p, k = chain.p, chain.k
     if k == 1 and abs(a := _least_residue(chain.a.rows[0][0], p)) <= LINE_CUTOFF:
-        law, pairs, owned = dist.values, partial(_lines, a), False
+        law, pairs = dist.values, partial(_lines, a, p=p)
     else:
         pushed = np.empty_like(dist.values)
         pushed[chain._perm] = dist.values
-        law, pairs, owned = pushed.reshape((p,) * k), _slabs, True
-    (shift, w), *rest = chain._shifts
+        law, pairs = pushed.reshape((p,) * k), partial(_slabs, p=p)
     out = np.empty_like(law)
-    for dst, src in pairs(shift, p):
-        np.multiply(law[src], w, out=out[dst])
-    # the pushed law is the step's own, so its last translate is scaled in place
-    last = rest.pop() if owned and rest else None
-    if rest:
-        scratch = np.empty(min(law.size, max(SCRATCH_STATES, p ** (k - 1))))
-    for shift, w in rest:
-        for dst, src in pairs(shift, p):
-            _add_scaled(out[dst], law[src], w, scratch)
-    if last is not None:
-        law *= last[1]
-        for dst, src in pairs(last[0], p):
-            out[dst] += law[src]
+    _write_translates(out, law, chain._shifts, pairs)
     return StateDistribution(p, k, out.reshape(-1).view(_Fresh))
 
 
@@ -450,7 +452,7 @@ def simulate(chain: ChainSpec, n: int, trials: int, seed: int) -> StateDistribut
         np.remainder(y, p, out=y)
         x, y = y, x
     counts = np.bincount(_encode(x, p), minlength=p**k)
-    return StateDistribution(p, k, counts / trials)
+    return StateDistribution(p, k, (counts / trials).view(_Fresh))
 
 
 def shift_by(dist: StateDistribution, chain: ChainSpec, n: int) -> StateDistribution:
@@ -498,10 +500,10 @@ def _step_arc(arc: _Arc, a: int, shifts: Sequence[tuple[int, float]], p: int) ->
     weight) pairs of chain._shifts in their order, and the image arc,
     |a| (L - 1) + max c - min c + 1 states for an arc of L, must not wrap.
 
-    Each translate y -> a y + c is written at offset c - min c with
-    stride |a| (from the reversed arc for a < 0): the first by a multiply,
-    the later ones added through one scratch block, in shifts order.  Off
-    the arc step_exact only multiplies and adds exact zeros, so the law is
+    Each translate y -> a y + c is the one slice of the image at offset
+    c - min c and stride |a|, read from the arc (reversed for a < 0), and
+    _write_translates adds them as step_exact's do.  Off the arc
+    step_exact only multiplies and adds exact zeros, so the law is
     step_exact's, bit for bit.
     """
     lo, values = arc
@@ -509,11 +511,9 @@ def _step_arc(arc: _Arc, a: int, shifts: Sequence[tuple[int, float]], p: int) ->
     span = abs(a) * (len(values) - 1) + 1
     out = np.zeros(span + max(c for c, _ in shifts) - low)
     src = values if a > 0 else values[::-1]
-    (c, w), *rest = shifts
-    np.multiply(src, w, out=out[c - low : c - low + span : abs(a)])
-    scratch = np.empty(min(len(src), SCRATCH_STATES))
-    for c, w in rest:
-        _add_scaled(out[c - low : c - low + span : abs(a)], src, w, scratch)
+    _write_translates(
+        out, src, shifts, lambda c: [(slice(c - low, c - low + span, abs(a)), slice(None))]
+    )
     _check_law(out)
     # the image of the arc's first state for a > 0, of its last for a < 0
     return (a * (lo if a > 0 else lo + len(values) - 1) + low) % p, out

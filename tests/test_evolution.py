@@ -401,6 +401,22 @@ def test_simulate_stays_within_its_memory():
     assert np.array_equal(emp.values, reference_simulate(chain, 5, trials, 3))
 
 
+def test_simulate_holds_two_laws_at_most():
+    # A = 2 at p = 100,003 with 1,000 trials: the trials are small, so the
+    # peak is the bincount's counts and the empirical law they are divided
+    # into, which StateDistribution takes without a copy
+    chain = ChainSpec(IntMatrix.from_rows([[2]]), fair_two_point(1), 100_003)
+    simulate(chain, 20, trials=1000, seed=1)
+    tracemalloc.start()
+    try:
+        emp = simulate(chain, 20, trials=1000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * 8 * chain.n_states, peak / (8 * chain.n_states)
+    assert np.array_equal(emp.values, reference_simulate(chain, 20, 1000, 1))
+
+
 def test_mixing_time_hand_chain():
     chain = hand_chain()
     assert mixing_time(chain, 0.25) == 2
@@ -833,8 +849,8 @@ def test_step_exact_and_its_table_stay_within_their_memory(
     # k = 1 step with a small multiplier builds no table and holds the
     # result and the scratch block its later translates pass through (a
     # third of a law at p = 100,003); the k = 2 step, its table built,
-    # holds the pushed law and the result with a two-point support (no
-    # translate copy), and the scratch block too with a three-point one
+    # holds the pushed law, the result and the scratch block (a fifteenth
+    # of a law at p = 705), with two increments or three
     chain = ChainSpec(IntMatrix.from_rows(rows), IncrementDistribution.fair(support), p)
     law_bytes = 8 * chain.n_states
     dist = StateDistribution.uniform(p, chain.k)
@@ -912,6 +928,24 @@ def test_translates_past_the_scratch_block_stay_bitwise(rows, p):
     if k == 1:
         *_, (_, dense) = dense_laws(chain, 17)
         assert np.array_equal(evolve(chain, 17).values, dense.values)
+
+
+@pytest.mark.parametrize(
+    "rows, support, p",
+    [
+        ([[2, 1], [1, 1]], [(0, 0), (1, 0)], 705),
+        ([[11]], [(0,), (1,)], 100_003),
+    ],
+)
+def test_second_of_two_translates_through_the_scratch_block_stays_bitwise(rows, support, p):
+    # the second and last translate of a two-point law goes through the
+    # scratch block a block of rows at a time like every later one: on the
+    # cat map its long slab is 705 rows of 704 states, and A = 11 is past
+    # LINE_CUTOFF, so its law is pushed through the table and its one
+    # long slab is 100,002 states; each law is still roll_step's, bit for bit
+    chain = ChainSpec(IntMatrix.from_rows(rows), IncrementDistribution.fair(support), p)
+    dist = random_law(chain, 11)
+    assert np.array_equal(step_exact(dist, chain).values, roll_step(dist, chain).values)
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
