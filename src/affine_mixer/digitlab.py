@@ -47,7 +47,7 @@ def base_digits(a: int, p: int, sigma: int, t: int) -> DigitBlock:
     if not 0 < a < p:
         raise OutOfRange(f"numerator {a} outside (0, {p})")
     _check_cap(t, "t digits", per_state=8)
-    digits = _long_division([a], p, sigma, t)[0]
+    digits = _long_division([a], p, sigma, t)[0][0, 0]
     return DigitBlock(sigma=sigma, digits=tuple(digits.tolist()), a=a, p=p)
 
 
@@ -87,22 +87,23 @@ def default_block_length(p: int, sigma: int) -> int:
 
 
 def _long_division(
-    numerators: Sequence[int] | np.ndarray, p: int, sigma: int, n_digits: int
-) -> np.ndarray:
-    """The first n_digits base-sigma digits of a/p for every a in numerators
-    (each in 1..p-1), as a (len(numerators), n_digits) array in the smallest
-    dtype that holds sigma - 1.
-
-    All numerators are divided at once; the remainders stay in int64 while
-    (p - 1) * sigma fits, and are Python ints in an object array otherwise.
-    """
+    numerators: Sequence[int] | np.ndarray, p: int, sigma: int, t: int, r: int = 1
+) -> tuple[np.ndarray, tuple[bool, ...]]:
+    """The first r*t base-sigma digits of a/p for every a in numerators
+    (each in 1..p-1) as a (len(numerators), r, t) array of the smallest
+    dtype that holds sigma - 1, and whether each block index is distinct.
+    Remainders are int64 while (p - 1) * sigma fits, Python ints otherwise.
+    From remainder s the next t digits are floor(s * sigma**t / p)."""
     state = np.array(numerators, dtype=np.int64 if (p - 1) * sigma < 2**63 else object)
-    digits = np.empty((len(state), n_digits), dtype=np.min_scalar_type(sigma - 1))
-    for j in range(n_digits):
-        state *= sigma
-        digits[:, j] = state // p
-        state %= p
-    return digits
+    digits = np.empty((len(state), r, t), dtype=np.min_scalar_type(sigma - 1))
+    distinct = []
+    for i in range(r):
+        distinct.append(len(state) < 2 or _distinct(state, p, sigma**t))  # one row: no sigma**t
+        for j in range(t):
+            state *= sigma
+            digits[:, i, j] = state // p
+            state %= p
+    return digits, tuple(distinct)
 
 
 def _alternations(digits: np.ndarray, sigma: int) -> np.ndarray:
@@ -111,14 +112,12 @@ def _alternations(digits: np.ndarray, sigma: int) -> np.ndarray:
     return ((left != right) | ((left != 0) & (left != sigma - 1))).sum(axis=-1)
 
 
-def _distinct(blocks: np.ndarray, sigma: int) -> bool:
-    """Whether the rows of a (m, t) digit array are pairwise distinct."""
-    t = blocks.shape[1]
-    if sigma**t <= 2**63:
-        weights = np.array([sigma ** (t - 1 - j) for j in range(t)], dtype=np.int64)
-        codes = blocks.astype(np.int64) @ weights
-        return len(np.unique(codes)) == len(blocks)
-    return len(set(map(tuple, blocks.tolist()))) == len(blocks)
+def _distinct(start: np.ndarray, p: int, scale: int) -> bool:
+    """Whether the blocks after the remainders s in start differ: sorted,
+    their codes floor(s * scale / p), scale = sigma**t, have no equal
+    neighbours.  Not np.unique, which in numpy 2.x imports numpy.ma and hashes."""
+    codes = np.sort(start.astype(np.int64 if (p - 1) * scale < 2**63 else object) * scale // p)
+    return bool((codes[1:] != codes[:-1]).all())
 
 
 def block_census(p: int, sigma: int, t: Optional[int] = None, r: int = 1) -> BlockCensus:
@@ -127,7 +126,8 @@ def block_census(p: int, sigma: int, t: Optional[int] = None, r: int = 1) -> Blo
     alternation count, and the alternation histogram.
 
     The digits come from one exact long division of all numerators at
-    once, O((p - 1) r t) array work.  (p - 1) r rows above the state cap,
+    once, O((p - 1) r t) array work, each block index checked by one sort of
+    the codes floor(s * sigma**t / p).  (p - 1) r rows above the state cap,
     or (p - 1) r t digits above 8 times it (the bytes of a dense law at the
     cap), raise StateSpaceTooLarge before anything is allocated.
     """
@@ -143,7 +143,7 @@ def block_census(p: int, sigma: int, t: Optional[int] = None, r: int = 1) -> Blo
         raise ValueError("digit count must be >= 1")
     _check_cap((p - 1) * r, "(p - 1) * r census rows")
     _check_cap((p - 1) * r * t, "(p - 1) * r * t census digits", per_state=8)
-    digits = _long_division(np.arange(1, p), p, sigma, r * t).reshape(p - 1, r, t)
+    digits, distinct = _long_division(np.arange(1, p), p, sigma, t, r)
     alternations = _alternations(digits, sigma)
     counts = np.bincount(alternations.ravel())
     digits.flags.writeable = False
@@ -153,7 +153,7 @@ def block_census(p: int, sigma: int, t: Optional[int] = None, r: int = 1) -> Blo
         sigma=sigma,
         t=t,
         r=r,
-        distinct_per_index=tuple(_distinct(digits[:, i], sigma) for i in range(r)),
+        distinct_per_index=distinct,
         min_alternations=int(alternations.min()),
         histogram={alt: int(n) for alt, n in enumerate(counts) if n},
         digits=digits,

@@ -424,6 +424,18 @@ def test_census_writer_memory_does_not_grow_with_the_rows(tmp_path, p, r):
     assert os.path.getsize(path) > (p - 1) * r * 20
 
 
+def test_block_census_memory_stays_near_its_arrays():
+    # tracemalloc peak over the bytes of the digits and alternations the
+    # census keeps: beside them only the long division's remainders, one
+    # block's codes and the alternation masks (2.6 here); an int64 copy of
+    # each block's digits for a matmul to codes, and np.unique's hash
+    # table, took it to 3.88
+    block_census(7, 2, None, 2)  # one-off first-call work stays out of the peak
+    peak = traced_peak(lambda: block_census(100_003, 2, None, 2))
+    census = block_census(100_003, 2, None, 2)
+    assert peak <= 3.25 * (census.digits.nbytes + census.alternations.nbytes)
+
+
 def test_main_census_over_state_cap(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(STATE_CAP_ENV, "20")
     text = json.dumps({"task": "digit-census", "p": 11, "sigma": 2, "r": 3})
@@ -1281,17 +1293,35 @@ def test_property_random_configs_end_in_result_or_typed_error(case):
         assert record["error"]["kind"] in ERROR_KINDS, (obj, record)
 
 
-def run_module(tmp_path, obj, module="affine_mixer"):
-    """python -m module classify on obj in a fresh interpreter."""
+def run_python(tmp_path, obj, *args, task="classify"):
+    """python *args with the task's argv on obj, in a fresh interpreter."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(obj))
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path_list = [src, os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_list))}
-    argv = ["classify", "--config", str(path), "--out", str(tmp_path / "out")]
-    return subprocess.run(
-        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
+    argv = [task, "--config", str(path), "--out", str(tmp_path / "out")]
+    return subprocess.run([sys.executable, *args, *argv], capture_output=True, text=True, env=env)
+
+
+def run_module(tmp_path, obj, module="affine_mixer"):
+    """python -m module classify on obj in a fresh interpreter."""
+    return run_python(tmp_path, obj, "-m", module)
+
+
+def test_digit_census_never_imports_numpy_ma(tmp_path):
+    # in numpy 2.x np.unique imports numpy.ma on its first call; the census
+    # decides distinctness by a sort, so its task never loads it
+    script = (
+        "import sys\n"
+        "from affine_mixer.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
     )
+    obj = {"p": 1009, "sigma": 2, "r": 2}
+    done = run_python(tmp_path, obj, "-c", script, task="digit-census")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_module_entry_runs_the_cli(tmp_path):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affine_mixer import (
@@ -268,6 +268,15 @@ def census_oracle(p, sigma, t, r):
     t=st.one_of(st.none(), st.integers(1, 40)),
     r=st.integers(1, 3),
 )
+# block codes floor(s * sigma**t / p) are int64 at (p - 1) * 2**52 = 2**62 and
+# Python ints at 2**63
+@example(p=1025, sigma=2, t=52, r=2)
+@example(p=1025, sigma=2, t=53, r=2)
+# gcd(sigma, p) > 1: remainders reach 0, and the blocks after it are all 0
+@example(p=12, sigma=6, t=None, r=3)
+@example(p=16, sigma=2, t=2, r=3)
+# block index 0 distinct, index 1 not
+@example(p=12, sigma=2, t=4, r=2)
 def test_property_block_census_matches_scalar_oracle(p, sigma, t, r):
     census = block_census(p, sigma, t, r)
     t = default_block_length(p, sigma) if t is None else t
@@ -289,10 +298,28 @@ def test_block_census_arrays_are_read_only():
             arr[0, 0] = 0
 
 
+@pytest.mark.parametrize("sigma", [2, 16, 2**64 + 1])
+@pytest.mark.parametrize("p", [7, 1009])
+def test_block_census_makes_no_np_unique_call(monkeypatch, p, sigma):
+    # distinctness is one sort of the block codes: np.unique, which in
+    # numpy 2.x imports numpy.ma and builds a hash table, is never called
+    def unique(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", unique)
+    census = block_census(p, sigma, r=2)
+    expected = census_oracle(p, sigma, census.t, 2)
+    assert census.distinct_per_index == expected["distinct_per_index"]
+    assert census.histogram == expected["histogram"]
+
+
 def test_block_census_undistinct_blocks_and_equality():
     # t = 1 in base 2 leaves two possible blocks for 10 numerators
     census = block_census(11, 2, t=1, r=3)
     assert census.distinct_per_index == (False, False, False)
+    # the four digits of a/12 after the first four follow the remainder
+    # 16 a mod 12, which is 0, 4 or 8: block index 0 is distinct, 1 is not
+    assert block_census(12, 2, t=4, r=2).distinct_per_index == (True, False)
     assert census == block_census(11, 2, t=1, r=3)
     assert census != block_census(11, 2, t=2, r=3)
 
