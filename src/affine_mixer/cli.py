@@ -2,18 +2,21 @@
 
 Usage (or python -m affine_mixer <task> ...):
     affine-mixer <task> --config cfg.json [--out DIR] [--seed N] [--eps F] [--n-cap N]
+    affine-mixer -h | --help
 
 Tasks: classify, evolve, bounds, mixing-sweep, digit-census,
 verify-identities.  The config is a JSON object (schema in the README);
-command line flags override config values.  Every run is deterministic
-given its seed: replaying a config reproduces byte-identical outputs.
-On failure a machine readable record {"error": {"kind", "message"}} goes
-to stderr and the exit status is nonzero.
+command line flags override config values.  A flag is spelled in full,
+as --flag value or --flag=value; given twice, its last value counts.
+Every run is deterministic given its seed: replaying a config reproduces
+byte-identical outputs.  On success the written paths are printed and
+the exit status is 0.  On failure, a malformed command line included, a
+machine readable record {"error": {"kind", "message"}} goes to stderr
+and the exit status is 1.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import csv
 import json
@@ -82,6 +85,9 @@ MAX_L_MAX = 256
 # matrix takes a few MB, and 2**18 rows raised the law writer's peak
 # resident memory by 27 MB on a law of 497,025 states
 _ROW_BLOCK = 2**16
+_USAGE = "affine-mixer <task> --config cfg.json [--out DIR] [--seed N] [--eps F] [--n-cap N]"
+# each command line flag and the reader of its value
+_FLAGS = {"--config": str, "--out": str, "--seed": int, "--eps": float, "--n-cap": int}
 
 
 def _string(value) -> str:
@@ -576,29 +582,49 @@ def _json_int(literal: str) -> int:
         raise ConfigInvalid(f"integer of {len(literal)} characters: {err}") from err
 
 
+def _parse_argv(argv: Sequence[str]) -> tuple[str, dict]:
+    """The task and the flag values of a command line, keyed by config name
+    (--n-cap as n_cap): one of TASKS first, then --flag value or
+    --flag=value pairs, the last value of a repeated flag kept.  A
+    malformed command line is a ConfigInvalid."""
+    if not argv or argv[0] not in TASKS:
+        raise ConfigInvalid(f"expected a task first, one of {TASKS}; got {list(argv[:1])}")
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        read = _FLAGS.get(flag)
+        if read is None:
+            raise ConfigInvalid(f"unexpected argument {token!r}; flags are {list(_FLAGS)}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise ConfigInvalid(f"flag {flag} needs a value")
+        try:
+            values[flag[2:].replace("-", "_")] = read(value)
+        except ValueError as err:
+            raise ConfigInvalid(f"flag {flag}: {err}") from err
+    if "config" not in values:
+        raise ConfigInvalid("the flag --config is required")
+    return argv[0], values
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="affine-mixer",
-        description="Experiments on affine recursions X' = AX + B (mod p).",
-    )
-    sub = parser.add_subparsers(dest="task", required=True)
-    for name in TASKS:
-        task_parser = sub.add_parser(name)
-        task_parser.add_argument("--config", required=True, help="JSON config path")
-        task_parser.add_argument("--out", help="output directory (default: reports)")
-        task_parser.add_argument("--seed", type=int, help="override config seed")
-        task_parser.add_argument("--eps", type=float, help="override config eps")
-        task_parser.add_argument("--n-cap", type=int, help="override config n_cap")
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        # python -OO strips docstrings; the usage line still prints
+        print(__doc__.strip() if __doc__ else _USAGE)
+        return 0
     try:
-        with open(args.config) as handle:
+        task, flags = _parse_argv(argv)
+        with open(flags["config"]) as handle:
             raw = json.load(handle, parse_int=_json_int)
-        config = ExperimentConfig.from_json(raw, task=args.task)
+        config = ExperimentConfig.from_json(raw, task=task)
         for name in ("seed", "eps", "n_cap"):
-            if getattr(args, name) is not None:
-                setattr(config, name, getattr(args, name))
+            if name in flags:
+                setattr(config, name, flags[name])
         config.validate()
-        written = run(config, args.out)
+        written = run(config, flags.get("out"))
     except Exception as err:  # every failure ends in one machine readable record
         kind = err.kind if isinstance(err, AffineMixerError) else type(err).__name__
         json.dump({"error": {"kind": kind, "message": str(err)}}, sys.stderr)

@@ -109,7 +109,11 @@ def _long_division(
 def _alternations(digits: np.ndarray, sigma: int) -> np.ndarray:
     """Generalized alternation counts of the digit blocks along the last axis."""
     left, right = digits[..., :-1], digits[..., 1:]
-    return ((left != right) | ((left != 0) & (left != sigma - 1))).sum(axis=-1)
+    # the mask is built in place, so two bool arrays are live at a time
+    mask = left != 0
+    mask &= left != sigma - 1
+    mask |= left != right
+    return mask.sum(axis=-1)
 
 
 def _distinct(start: np.ndarray, p: int, scale: int) -> bool:

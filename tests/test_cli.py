@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -1324,6 +1325,23 @@ def test_digit_census_never_imports_numpy_ma(tmp_path):
     assert done.stdout.splitlines()[-1] == "False"
 
 
+CLASSIFY = {"task": "classify", "matrix": [[2, 1], [1, 1]]}
+
+
+def test_cli_task_never_imports_argparse_or_gettext(tmp_path):
+    # the command line is read from a table of flags; argparse and the
+    # gettext it imports cost a cold task a few ms
+    script = (
+        "import sys\n"
+        "from affine_mixer.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
+    )
+    done = run_python(tmp_path, CLASSIFY, "-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_module_entry_runs_the_cli(tmp_path):
     done = run_module(tmp_path, {"task": "classify", "matrix": [[2, 1], [1, 1]]})
     assert done.returncode == 0 and done.stderr == ""
@@ -1345,3 +1363,120 @@ def test_cli_module_run_as_a_script_fails_loudly(tmp_path):
     assert done.returncode != 0
     assert "python -m affine_mixer <task>" in done.stderr
     assert not (tmp_path / "out").exists()
+
+# CFG and OUT stand for the config path and the out directory
+MALFORMED_ARGV = {
+    "empty": [],
+    "no task": ["--config", "CFG", "--out", "OUT"],
+    "unknown task": ["classify-all", "--config", "CFG", "--out", "OUT"],
+    "no config": ["classify", "--out", "OUT"],
+    "unknown flag": ["classify", "--config", "CFG", "--out", "OUT", "--trials", "3"],
+    "abbreviated flag": ["classify", "--conf", "CFG", "--out", "OUT"],
+    "underscored flag": ["classify", "--config", "CFG", "--out", "OUT", "--n_cap", "3"],
+    "stray argument": ["classify", "CFG", "--config", "CFG", "--out", "OUT"],
+    "flag without a value": ["classify", "--out", "OUT", "--config", "CFG", "--seed"],
+    "flag before a flag": ["classify", "--config", "CFG", "--out", "OUT", "--eps", "--seed", "1"],
+    "unreadable int": ["classify", "--config", "CFG", "--out", "OUT", "--seed", "abc"],
+    "unreadable int, = form": ["classify", "--config", "CFG", "--out", "OUT", "--n-cap=1.5"],
+    "unreadable float": ["classify", "--config", "CFG", "--out", "OUT", "--eps", "quarter"],
+}
+
+
+def argv_on(tmp_path, tokens):
+    """tokens with CFG and OUT replaced by a classify config and an out
+    directory in tmp_path."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(CLASSIFY))
+    spelled = {"CFG": str(path), "OUT": str(tmp_path / "out")}
+    return [spelled.get(token, token) for token in tokens]
+
+
+@pytest.mark.parametrize("tokens", MALFORMED_ARGV.values(), ids=MALFORMED_ARGV)
+def test_main_malformed_argv_is_one_config_invalid_record(tmp_path, capsys, monkeypatch, tokens):
+    monkeypatch.chdir(tmp_path)  # where the default out directory would go
+    assert main(argv_on(tmp_path, tokens)) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"]["kind"] == "ConfigInvalid"
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_main_reads_flag_equals_value_and_keeps_a_repeated_flags_last_value(tmp_path, capsys):
+    path = cfg_evolve(tmp_path, trials=400, seed=1)
+    argv = ["evolve", f"--config={path}", "--out=" + str(tmp_path / "out"), "--seed", "10"]
+    assert main([*argv, "--seed=11"]) == 0
+    assert json.loads((tmp_path / "out" / "evolve.json").read_text())["seed"] == 11
+    assert capsys.readouterr().out.splitlines()[0] == str(tmp_path / "out" / "evolve.csv")
+
+
+@pytest.mark.parametrize(
+    "tokens",
+    [["-h"], ["--help"], ["classify", "--help"], ["unknown", "--config", "CFG", "-h"]],
+    ids=["-h", "--help", "after a task", "after an unknown task"],
+)
+def test_main_help_prints_the_usage(tmp_path, capsys, monkeypatch, tokens):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv_on(tmp_path, tokens)) == 0
+    out, err = capsys.readouterr()
+    assert out == cli.__doc__.strip() + "\n" and err == ""
+    assert "affine-mixer <task> --config cfg.json" in out
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_module_entry_unknown_task_is_one_json_record(tmp_path):
+    done = run_python(tmp_path, CLASSIFY, "-m", "affine_mixer", task="classify-all")
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.count("\n") == 1
+    assert json.loads(done.stderr)["error"]["kind"] == "ConfigInvalid"
+    assert not (tmp_path / "out").exists()
+
+
+def test_module_entry_help_without_docstrings(tmp_path):
+    done = run_python(tmp_path, CLASSIFY, "-OO", "-m", "affine_mixer", "--help")
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.startswith("affine-mixer <task> --config cfg.json")
+
+
+# argv values of each flag's type, placeholders and junk; no '/' or '.'
+# alone, so an out directory drawn from them stays inside the working one
+ARGV_VALUES = st.one_of(
+    st.integers(-2, 10**6).map(str),
+    st.floats(0, 2).map(repr),
+    st.sampled_from(["CFG", "OUT", "nan", "inf", "abc", "", "-1", "1e-3"]),
+    st.text(alphabet="ab-=h1", max_size=6),
+)
+FLAGS = ["--config", "--out", "--seed", "--eps", "--n-cap"]
+ARGV_TOKENS = st.one_of(
+    st.sampled_from(TASKS),
+    st.sampled_from(FLAGS),
+    st.builds("{}={}".format, st.sampled_from(FLAGS), ARGV_VALUES),
+    ARGV_VALUES,
+    st.sampled_from(["-h", "--help", "--", "-", "--conf", "--n_cap", "classify-all"]),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    tokens=st.one_of(
+        st.lists(ARGV_TOKENS, max_size=8),
+        st.lists(ARGV_TOKENS, max_size=6).map(lambda t: ["classify", "--config", "CFG", *t]),
+    )
+)
+def test_property_any_argv_ends_in_a_result_or_one_record(tokens):
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            argv = argv_on(pathlib.Path(tmp), tokens)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+                code = main(argv)
+        finally:
+            os.chdir(home)
+    if "-h" in tokens or "--help" in tokens:
+        assert code == 0 and out.getvalue() == cli.__doc__.strip() + "\n"
+    elif code == 1:
+        assert err.getvalue().count("\n") == 1
+        assert set(json.loads(err.getvalue())["error"]) == {"kind", "message"}
+    else:
+        assert code == 0 and err.getvalue() == ""

@@ -8,6 +8,7 @@ base_digits and generalized_alternations are single rows of them.
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,7 @@ from affine_mixer import (
     block_census,
     generalized_alternations,
 )
-from affine_mixer.digitlab import default_block_length
+from affine_mixer.digitlab import _alternations, default_block_length
 from affine_mixer.evolution import STATE_CAP_ENV
 
 
@@ -160,6 +161,20 @@ def test_generalized_alternations_hand_values():
     assert alt(3, (1, 1, 1)) == 2  # repeats at interior digit count
     assert alt(10, (5, 5, 9, 9, 0, 0)) == 3
     assert alt(2, (0,)) == 0
+
+
+def test_alternations_hold_two_masks_at_a_time():
+    # the mask is built in place: beside the counts, at most two bool
+    # arrays the size of the digit array less one column are alive
+    digits = block_census(30011, 2, r=2).digits
+    mask_bytes = digits[..., 1:].size
+    tracemalloc.start()
+    try:
+        counts = _alternations(digits, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - counts.nbytes < 2 * mask_bytes
 
 
 def test_alternations_invariant_under_digit_flip():
