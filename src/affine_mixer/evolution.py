@@ -10,7 +10,8 @@ written by _write_translates, and the min, clip and sum that check the
 law) and stays exact up to float addition.  For k = 1 with a small
 multiplier the push needs no table and no scatter: each translate
 y -> a y + c is at most |a| + 1 strided slices read straight from the
-law, so a step costs 2 |supp mu| + 2 passes.
+law, so a step costs 2 |supp mu| + 2 passes; the same slices, restricted
+to an arc of Z_p, step a law held on that arc.
 
 The paper's necessary-steps count says where that work is wasted: P_n
 lives on at most |supp mu|**n states, so while that is small against p^k
@@ -21,8 +22,11 @@ k = 1 it is an arc of Z_p, from the point mass at x0 on: in the fast
 regime (|a| > 1, with a the least residue of A mod p) the arc of P_n is
 about |a|**n times the spread of mu long, so the law fills Z_p only in
 the last few steps.  Those before are taken on the arc, at O(arc) each,
-until its image would wrap or the count stops ruling out mixing; for
-A = 2 a mixing search then makes about one dense step, not O(log p).
+until its image would wrap or the count stops ruling out mixing, and
+the last arc the count still rules out steps straight into the dense
+law.  The count asks a margin of one state, 1/N in tv, past the float
+error; for A = 2 a mixing search then makes one dense law and sums one
+tv, not O(log p) of each.
 Mixing times past a short prefix are found in the Fourier domain, where
 the law after n steps costs O(log n) pointwise products instead of n
 steps.
@@ -299,26 +303,30 @@ def _slabs(shift: Sequence[int], p: int) -> Iterator[tuple[tuple, tuple]]:
     moved[dst] = cube[src] for each moves the law cube by x -> x + shift (mod p)."""
     # axis j of the cube holds component x_{k-1-j}, hence the reversal; on
     # each axis the cut pairs are those of the line y -> y + c
-    axes = [list(_lines(1, (c,), p)) for c in reversed(shift)]
+    axes = [list(_lines(1, (c,), p, 0, p)) for c in reversed(shift)]
     for pairs in product(*axes):
         yield tuple(zip(*pairs))
 
 
-def _lines(a: int, shift: Sequence[int], p: int) -> Iterator[tuple[slice, slice]]:
-    """Pairs (dst, src) of basic slices, at most |a| + 1 with disjoint dst, such
-    that moved[dst] = law[src] for every pair moves a law on Z_p by
-    y -> a y + c (mod p), c = shift[0]: src is a run of consecutive y and dst
-    their images at stride a.  a is coprime to p, with 0 < |a| < p; the
-    counterpart of _slabs for a k = 1 push and translation at once."""
-    c, y = int(shift[0]) % p, 0
-    while y < p:
-        t = (a * y + c) % p
-        # the run goes on while a y + c stays in one period: up to p - 1 for
-        # a > 0, down to 0 for a < 0
-        run = min(p - y, (p - t + a - 1) // a if a > 0 else t // -a + 1)
+def _lines(a: int, shift: Sequence[int], p: int, lo: int, length: int) -> Iterator[tuple]:
+    """Pairs (dst, src) of basic slices, at most |a| length / p + 2 (|a| + 1
+    for the whole of Z_p) with disjoint dst, such that moved[dst] =
+    law[src] for every pair moves a law held on the arc lo, lo + 1, ... of
+    Z_p of `length` states (all of Z_p for lo = 0, length = p) by
+    y -> a y + c (mod p), c = shift[0]: src is a run of consecutive arc
+    positions j and dst the images of y = lo + j at stride a.  a is
+    coprime to p, with 0 < |a| < p; the counterpart of _slabs for a k = 1
+    push and translation at once."""
+    # y = lo + j goes to a j + c', c' = a lo + c: a translate of the arc's positions
+    c, j = (a * lo + int(shift[0])) % p, 0
+    while j < length:
+        t = (a * j + c) % p
+        # the run goes on while a j + c' stays in one period: up to p - 1
+        # for a > 0, down to 0 for a < 0
+        run = min(length - j, (p - t + a - 1) // a if a > 0 else t // -a + 1)
         stop = t + a * run
-        yield slice(t, stop if stop >= 0 else None, a), slice(y, y + run)
-        y += run
+        yield slice(t, stop if stop >= 0 else None, a), slice(j, j + run)
+        j += run
 
 
 def _add_scaled(dst: np.ndarray, src: np.ndarray, w: float, scratch: np.ndarray) -> None:
@@ -342,14 +350,14 @@ def _write_translates(
     the law moved by a shift being out[dst] = law[src] for the (dst, src)
     slice pairs of pairs(shift), with disjoint dst.  The first
     translate is written as w * law[src] (which is 0 + w * law[src] for
-    law >= 0), and each later one added through one scratch block of
-    SCRATCH_STATES states, or one leading-axis row of law if longer
-    (_add_scaled), in shifts order; so no translate is copied, and every
-    caller gets the same products and sums in the same order."""
+    law >= 0), and each later one, if any, added through one scratch
+    block of SCRATCH_STATES states, or one leading-axis row of law if
+    longer (_add_scaled), in shifts order; so no translate is copied, and
+    every caller gets the same products and sums in the same order."""
     (shift, w), *rest = shifts
     for dst, src in pairs(shift):
         np.multiply(law[src], w, out=out[dst])
-    scratch = np.empty(min(law.size, max(SCRATCH_STATES, law.size // len(law))))
+    scratch = np.empty(min(law.size, max(SCRATCH_STATES, law.size // len(law))) if rest else 0)
     for shift, w in rest:
         for dst, src in pairs(shift):
             _add_scaled(out[dst], law[src], w, scratch)
@@ -360,24 +368,23 @@ def step_exact(dist: StateDistribution, chain: ChainSpec) -> StateDistribution:
     each target added in the order of chain._shifts by _write_translates.
 
     For k = 1 with a least residue a of A mod p (-p/2 < a <= p/2) of at most
-    LINE_CUTOFF in absolute value, each translate y -> a y + c goes from P
-    straight into the new law as the |a| or |a| + 1 strided slice pairs of
-    _lines, with no table and no pushed copy.  Otherwise P is scattered
-    through chain._perm into a pushed law, whose translates are moved slab
-    by slab (_slabs).  One writer gives both paths the same products and
-    sums in the same order, so the law is the same bit for bit.
+    LINE_CUTOFF in absolute value, P is the arc of all p states and steps
+    as _walk's last arc does (_step_lines), with no table and no pushed
+    copy.  Otherwise P is scattered through chain._perm into a pushed law,
+    whose translates are moved slab by slab (_slabs).  One writer gives
+    both paths the same products and sums in the same order, so the law is
+    the same bit for bit.
     """
     if (dist.p, dist.k) != (chain.p, chain.k):
         raise ValueError("distribution and chain dimensions disagree")
     p, k = chain.p, chain.k
     if k == 1 and abs(a := _least_residue(chain.a.rows[0][0], p)) <= LINE_CUTOFF:
-        law, pairs = dist.values, partial(_lines, a, p=p)
-    else:
-        pushed = np.empty_like(dist.values)
-        pushed[chain._perm] = dist.values
-        law, pairs = pushed.reshape((p,) * k), partial(_slabs, p=p)
+        return _step_lines(0, dist.values, a, chain._shifts, p)
+    pushed = np.empty_like(dist.values)
+    pushed[chain._perm] = dist.values
+    law = pushed.reshape((p,) * k)
     out = np.empty_like(law)
-    _write_translates(out, law, chain._shifts, pairs)
+    _write_translates(out, law, chain._shifts, partial(_slabs, p=p))
     return StateDistribution(p, k, out.reshape(-1).view(_Fresh))
 
 
@@ -494,29 +501,42 @@ def _step_support(codes: np.ndarray, values: np.ndarray, chain: ChainSpec) -> _S
     return codes, np.bincount(inverse, weights=terms, minlength=len(codes))
 
 
-def _step_arc(arc: _Arc, a: int, shifts: Sequence[tuple[int, float]], p: int) -> _Arc:
-    """One exact step of a k = 1 law held on an arc, onto the arc of its
-    image: a is the least residue of A mod p, shifts the (least residue,
-    weight) pairs of chain._shifts in their order, and the image arc,
-    |a| (L - 1) + max c - min c + 1 states for an arc of L, must not wrap.
+def _step_arc(lo: int, values: np.ndarray, a: int, shifts: Sequence[tuple], p: int) -> _Arc:
+    """One exact step of a k = 1 law held on an arc (lo, values), onto the
+    arc of its image: a is the least residue of A mod p, shifts the (least
+    residue, weight) pairs of chain._shifts in their order, and the image
+    arc, |a| (L - 1) + max c - min c + 1 states for an arc of L, must not
+    wrap.
 
-    Each translate y -> a y + c is the one slice of the image at offset
-    c - min c and stride |a|, read from the arc (reversed for a < 0), and
-    _write_translates adds them as step_exact's do.  Off the arc
-    step_exact only multiplies and adds exact zeros, so the law is
-    step_exact's, bit for bit.
+    Each translate y -> a y + c is moved by _lines, in positions from the
+    image arc's first state, and _write_translates adds them as
+    step_exact's do.  Off the arc step_exact only multiplies and adds
+    exact zeros, so the law is step_exact's, bit for bit.
     """
-    lo, values = arc
     low = min(c for c, _ in shifts)
-    span = abs(a) * (len(values) - 1) + 1
-    out = np.zeros(span + max(c for c, _ in shifts) - low)
-    src = values if a > 0 else values[::-1]
-    _write_translates(
-        out, src, shifts, lambda c: [(slice(c - low, c - low + span, abs(a)), slice(None))]
-    )
-    _check_law(out)
+    span = abs(a) * (len(values) - 1)
+    out = np.zeros(span + max(c for c, _ in shifts) - low + 1)
     # the image of the arc's first state for a > 0, of its last for a < 0
-    return (a * (lo if a > 0 else lo + len(values) - 1) + low) % p, out
+    start = (a * lo + low - (span if a < 0 else 0)) % p
+    _write_translates(out, values, shifts, lambda c: _lines(a, (c - start,), p, lo, len(values)))
+    _check_law(out)
+    return start, out
+
+
+def _step_lines(lo: int, law: np.ndarray, a: int, shifts: Sequence, p: int) -> StateDistribution:
+    """One exact k = 1 step of a law held on an arc (lo, law) into the
+    dense law on Z_p: a is the least residue of A mod p and shifts the
+    (shift, weight) pairs of chain._shifts, whose translates y -> a y + c
+    go from the arc straight into a zeroed law as the strided slice pairs
+    of _lines restricted to the arc, in their order, through
+    _write_translates.  Off the arc a step from the arc made dense only
+    multiplies and adds exact zeros, so the law is the same bit for bit.
+    step_exact's strided path is this step from the arc of all p states
+    (lo = 0, L = p), and _dense's of an arc the identity (a = 1, the one
+    shift 0 at weight 1)."""
+    out = np.zeros(p)
+    _write_translates(out, law, shifts, partial(_lines, a, p=p, lo=lo, length=len(law)))
+    return StateDistribution(p, 1, out.view(_Fresh))
 
 
 def _walk(
@@ -534,7 +554,13 @@ def _walk(
     while i < n, keep(b_i) holds and the image arc does not wrap.  With
     |a| > 1 (the fast regime) the arc grows about |a|-fold a step, so the
     law fills Z_p only in the last few steps, and all those before are
-    paid on the arc.
+    paid on the arc.  The last arc, whose image would wrap (or the point
+    mass below the floor), is yielded as an arc too while i < n, keep(b_i)
+    holds and |a| <= LINE_CUTOFF, and steps straight into the dense law
+    (_step_lines), so no reader makes it dense unless it reads it.  When
+    keep(b_i) fails the arc is made dense first, as with |a| past the
+    cutoff: a reader that sums its tv then holds the dense law beside the
+    next one, not the arc as well.
 
     For k >= 2 P_i is held as its support, and stepped by _step_support,
     while i < n and keep(targets) holds, targets being |supp P_i| * s: the
@@ -551,7 +577,7 @@ def _walk(
     _check_cap(chain.n_states, "p**k")
     p, size, s = chain.p, chain.n_states, len(chain._shifts)
     i, bound, floor = 0, 1, 2**10 <= size
-    held: _Support | _Arc
+    held: StateDistribution | _Support | _Arc
     if chain.k == 1:
         a = _least_residue(chain.a.rows[0][0], p)
         shifts = [(_least_residue(c, p), w) for (c,), w in chain._shifts]
@@ -559,8 +585,13 @@ def _walk(
         held = (chain.x0[0], np.ones(1))
         while i < n and floor and keep(bound) and abs(a) * (len(held[1]) - 1) + spread < p:
             yield i, held, bound
-            held = _step_arc(held, a, shifts, p)
+            held = _step_arc(*held, a, shifts, p)
             bound = min(bound * s, len(held[1]))
+            i += 1
+        if i < n and keep(bound) and abs(a) <= LINE_CUTOFF:
+            yield i, held, bound
+            held = _step_lines(*held, a, chain._shifts, p)
+            bound = min(bound * s, size)
             i += 1
     else:
         held = (np.array([encode_state(chain.x0, p)], dtype=np.int64), np.ones(1))
@@ -569,30 +600,26 @@ def _walk(
             held = _step_support(*held, chain)
             i += 1
         bound = len(held[0])
-    law = _dense(held, chain)
-    # dropped before the dense steps, which it would outlive: an arc may
-    # hold up to p floats, a support up to p**k / 32 states
-    del held
-    yield i, law, bound
+    # the sparse form is dropped before the dense steps, which it would
+    # outlive: an arc may hold up to p floats, a support up to p**k / 32 states
+    held = _dense(held, chain)
+    yield i, held, bound
     for i in range(i + 1, n + 1):
-        law = step_exact(law, chain)
+        held = step_exact(held, chain)
         bound = min(bound * s, size)
-        yield i, law, bound
+        yield i, held, bound
 
 
 def _dense(law: StateDistribution | _Support | _Arc, chain: ChainSpec) -> StateDistribution:
     """law as a StateDistribution: a support law scattered into zeros, an
-    arc law copied in as the one or two slices it covers mod p."""
+    arc law written in by _step_lines with the identity map, as the one or
+    two slices it covers mod p (multiplying by 1.0 changes no bit)."""
     if isinstance(law, StateDistribution):
         return law
-    where, values = law
+    if isinstance(law[0], int):
+        return _step_lines(*law, 1, [((0,), 1.0)], chain.p)
     dense = np.zeros(chain.n_states)
-    if isinstance(where, int):
-        head = min(len(values), chain.p - where)
-        dense[where : where + head] = values[:head]
-        dense[: len(values) - head] = values[head:]
-    else:
-        dense[where] = values
+    dense[law[0]] = law[1]
     return StateDistribution(chain.p, chain.k, dense.view(_Fresh))
 
 
@@ -602,30 +629,50 @@ def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int
 
     The paper's necessary-steps argument is a count: P_n lives on at most
     b_n states (_walk's bound), so tv(P_n) >= 1 - b_n / N with N = p**k.
-    While that bound certifies tv > eps, no tv is computed.  The early
-    steps run in _walk's one sparse phase, here stopped too where the
-    count no longer certifies tv > eps, so every law held sparse is
-    certified.  For k = 1 they run on the arc that holds the law, at
-    O(arc) each, up to the first law the count does not certify, which is
-    the first made dense; in the fast regime that leaves about one dense
-    step.  For k >= 2 they run on the support, at O(|supp| s) each, up to
-    the last law whose successor the count certifies.  The certificate asks
-    (1 - eps) N > 2 b: the float law is exactly 0 off its b counted
-    states, so its exact tv is above eps by more than b / N >= 1 / N,
-    less its drift from total 1, and that drift plus the float error of
-    tv_distance (a few u (n s + log2 N) with u = 2**-53) stays far below
-    1 / N for every N a dense law can have.
+    While that bound certifies tv > eps, no tv is computed, and _walk,
+    told so by keep, holds the law sparse: for k = 1 on the arc that holds
+    it, the last certified arc stepping straight into the dense law, so in
+    the fast regime the first dense law is about the mixed one; for
+    k >= 2 on its support, up to the last law whose successor the count
+    certifies.  The search reads a law, and makes it dense to sum its tv,
+    only once the count no longer certifies it.
+
+    The certificate is (1 - eps) N > b_n + 1 + D, with
+    D = N 2**-50 (n_cap r + log2 N + 8) and r = |supp mu|: one state of
+    margin past the count, and D for the float error, which it bounds in
+    states at any N, the default cap's or one AFFINE_MIXER_STATE_CAP
+    raises, where 1 / N can fall below it.  With u = 2**-53 and s <= r
+    the folded support size, a certified law has a computed tv above eps:
+
+    - The float law is >= 0, and exactly 0 off its b_n counted states (a
+      product with an exact 0 is 0), so with T its total its exact tv is
+      at least (1 + T) / 2 - b_n / N.
+    - A step rounds each entry's s products and their sums, in order, by
+      a relative s u at most, and the folded weights sum to 1 within
+      (r + 1) u; so |T - 1| <= n (2 r + 1) u to first order, and tv moves
+      by n (r + 1) u, or 4 n r u with the higher orders.  With s = 1 and
+      one unfolded point the law stays exact.  n is bounded by n_cap, not
+      by log_s N: an arc at |a| = 1 grows by the spread of mu a step, and
+      a support can stop growing, so b_n may stay below N for any n.
+    - tv_distance subtracts a rounded 1 / N and sums by pairs: it is off
+      by at most (log2 N + 24) u.
+    - The float test itself is off by at most 5 u in tv.
+
+    D / N = 8 u (n_cap r + log2 N + 8) is more than these together, so
+    the computed tv exceeds eps by 1 / N at least.  D is about 3 * 10**-6
+    with A = 2 and fair {0, 1} at 3 * 10**6 states, so there the test is
+    (1 - eps) N > b_n + 1, where a margin of b_n / N asked 2 b_n.
     Every law is the one evolve gives, bit for bit, so the answer is the
     one tv_distance at every n gives.
     """
-    size = chain.n_states
-
-    def unmixed(support: int) -> bool:
-        return (1.0 - eps) * size > 2 * support
-
-    for n, law, bound in _walk(chain, n_cap, unmixed):
-        if not unmixed(bound) and tv_distance(law) <= eps:
+    size, r = chain.n_states, len(chain.mu.support)
+    room = (1.0 - eps) * size - 1 - size * 2.0**-50 * (n_cap * r + math.log2(size) + 8)
+    for n, law, bound in _walk(chain, n_cap, lambda bound: bound < room):
+        if bound >= room and tv_distance(_dense(law, chain)) <= eps:
             return n
+        # dropped before _walk makes the next law: an arc made dense would
+        # otherwise have this one beside it as well
+        del law
     return None
 
 
@@ -791,10 +838,12 @@ def mixing_time(
     Steps exactly for a short prefix (see _dense_prefix), then gallops and
     bisects on n in the Fourier domain, where each candidate costs O(log n)
     pointwise products and one FFT, so raising n_cap is cheap.  While the
-    counting bound tv(P_n) >= 1 - |supp P_n| / p**k rules out mixing, the
-    prefix computes no tv, and its early steps run on the arc that holds
-    P_n for k = 1, at O(arc) each, and on the support of P_n for k >= 2,
-    at O(|supp| |supp mu|) each (see _mixing_time_dense).  A
+    counting bound tv(P_n) >= 1 - |supp P_n| / p**k rules out mixing, with
+    one state of margin past the float error, the prefix computes no tv,
+    and its early steps run on the arc that holds P_n for k = 1, at O(arc)
+    each, the last of them straight into the dense law, and on the support
+    of P_n for k >= 2, at O(|supp| |supp mu|) each (see
+    _mixing_time_dense).  A
     Fourier value within the round-off margin of eps, or a crossing that
     does not recompute, hands the whole search to dense stepping, so the
     answer is always the one incremental dense stepping gives.  That

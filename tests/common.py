@@ -59,12 +59,13 @@ def state_table(p, k):
 
 
 def roll_step(dist, chain):
-    """One exact step the plain way: the pushed law, then for each folded
+    """One exact step the plain way: the law pushed through its own table
+    of y -> A y (matmul_index_map, not the package's), then for each folded
     shift in order w * np.roll of it added into a zeroed law.  The oracle
     for step_exact, which must give the same law bit for bit."""
     p, k = chain.p, chain.k
     pushed = np.empty_like(dist.values)
-    pushed[chain._perm] = dist.values
+    pushed[matmul_index_map(chain.a, p, k)] = dist.values
     cube = pushed.reshape((p,) * k)
     out = np.zeros_like(cube)
     for shift, w in chain._shifts:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -758,8 +759,10 @@ def test_property_k1_step_matches_roll_step_bitwise(chain, seed, n, dense):
 
 @pytest.mark.parametrize("a, strided", [(2, True), (-8, True), (8, True), (9, False), (-9, False)])
 def test_k1_chain_within_the_cutoff_builds_no_table(a, strided):
-    # evolve's last steps at p = 2003 are dense ones: two at a = 2, whose
-    # arc wraps at n = 11, and eight at the others, whose arcs wrap at n = 4
+    # evolve's last steps at p = 2003 are dense ones: one at a = 2, whose
+    # arc of P_10 steps straight into the dense law of P_11, seven at
+    # a = +-8, whose arc of P_4 steps into P_5, and eight at a = +-9, past
+    # the cutoff, whose arc of P_4 is made dense
     chain = ChainSpec(IntMatrix.from_rows([[a + 2003]]), fair_two_point(1), 2003)
     evolve(chain, 12)
     assert ("_perm" not in vars(chain)) == strided
@@ -798,12 +801,14 @@ def test_property_arc_phase_matches_dense_laws_bitwise(chain, n, eps):
         assert mixing_time(chain, eps, 200) == dense_mixing_time(chain, eps, 200)
 
 
-def test_arc_phase_leaves_a_fast_chain_one_dense_step(monkeypatch):
+def test_arc_phase_leaves_a_fast_chain_no_dense_step(monkeypatch):
     # A = 2 with fair {0, 1} at p = 999,983: P_n lies on an arc of 2**n
-    # states, and the count certifies tv > 0.25 up to n = 18; the law at
-    # n = 19 is the first made dense, and one dense step reaches the mixed
-    # law at n = 20 (six, had the law gone dense once 64 |supp P_n| passed
-    # p, at n = 14)
+    # states, and the count certifies tv > 0.25 up to n = 19
+    # (2**19 + 1 < 0.75 p); the arc of P_19 cannot step without wrapping,
+    # so it steps straight into the dense law of P_20, the mixed one, and
+    # the search makes no step_exact (one, when the law of P_19 was the
+    # first made dense; six, had the law gone dense once 64 |supp P_n|
+    # passed p, at n = 14)
     chain = ChainSpec(IntMatrix.from_rows([[2]]), fair_two_point(1), 999_983)
     calls = 0
 
@@ -814,7 +819,7 @@ def test_arc_phase_leaves_a_fast_chain_one_dense_step(monkeypatch):
 
     monkeypatch.setattr(evolution, "step_exact", counted)
     assert mixing_time(chain, 0.25) == 20
-    assert calls <= 2
+    assert calls == 0
     assert "_perm" not in vars(chain)
 
 
@@ -892,13 +897,14 @@ def test_every_arc_law_is_checked(monkeypatch):
 @pytest.mark.parametrize("a", [1, -1])
 def test_arc_phase_runs_up_to_the_whole_circle(a):
     # with |a| = 1 and fair {0, 1} the arc grows one state a step, so it
-    # reaches exactly p states before its image would wrap: the last arc
-    # _walk yields has p - 1, and the law on all p is the first made dense;
-    # every law is still step_exact's, bit for bit
+    # reaches exactly p states before its image would wrap: _walk yields
+    # the arcs of 1 to p states, and the last, whose image would wrap,
+    # steps straight into the first dense law (_step_lines); every law is
+    # still step_exact's, bit for bit
     p = 1031
     chain = ChainSpec(IntMatrix.from_rows([[a]]), fair_two_point(1), p, x0=(500,))
     lengths = [len(law[1]) for _, law, _ in evolution._walk(chain, 1100) if isinstance(law, tuple)]
-    assert max(lengths) == p - 1
+    assert lengths == list(range(1, p + 1))
     laws = zip(evolve_iter(chain, 1100), dense_laws(chain, 1100), strict=True)
     for (i, dist), (_, dense) in laws:
         assert np.array_equal(dist.values, dense.values), i
@@ -968,9 +974,11 @@ def test_property_mixing_time_matches_dense_search_near_one(chain, eps, above):
 
 def test_mixing_time_skips_dense_work_the_counting_bound_decides(monkeypatch):
     # A = 2 with fair {0, 1}: P_n has at most 2**n states, so tv > 0.25 is
-    # certain while 2**n < 0.375 p; the arc phase and the certificate
-    # leave 1 dense step and 2 tv sums of the 17 and 18 a plain search
-    # makes
+    # certain while 2**n + 1 < 0.75 p, up to n = 16 at p = 100,003; the
+    # arc of P_16 steps straight into the dense law of P_17, the mixed
+    # one, so the arc phase and the certificate leave no dense step and
+    # 1 tv sum of the 17 and 18 a plain search makes (1 and 2 with a
+    # margin of b_n / N, which certified up to n = 15)
     chain = ChainSpec(IntMatrix.from_rows([[2]]), fair_two_point(1), 100_003)
     calls = {"step_exact": 0, "tv_distance": 0}
     for name in calls:
@@ -980,7 +988,152 @@ def test_mixing_time_skips_dense_work_the_counting_bound_decides(monkeypatch):
 
         monkeypatch.setattr(evolution, name, counted)
     assert mixing_time(chain, 0.25) == 17
-    assert calls["step_exact"] < 17 / 2 and calls["tv_distance"] <= 2, calls
+    assert calls == {"step_exact": 0, "tv_distance": 1}, calls
+
+
+@pytest.mark.parametrize("c", [0.5, 1, 1.5, 2, 3])
+@pytest.mark.parametrize(
+    "rows, support, p, n",
+    [
+        ([[2]], [(0,), (1,)], 1021, 9),
+        ([[2]], [(0,), (1,)], 1031, 9),
+        ([[2]], [(0,), (1,)], 1031, 4),
+        ([[-2]], [(0,), (1,)], 1021, 9),
+        ([[-2]], [(0,), (1,)], 1031, 9),
+        ([[-2]], [(0,), (1,)], 4099, 11),
+        ([[2, 0], [0, 2]], [(0, 0), (1, 1)], 31, 4),
+        ([[2, 0], [0, 2]], [(0, 0), (1, 1)], 37, 5),
+        ([[-2, 0], [0, -2]], [(0, 0), (1, 1)], 37, 5),
+    ],
+)
+def test_mixing_time_matches_dense_search_at_the_counting_bound(
+    monkeypatch, rows, support, p, n, c
+):
+    # A = +-2 with fair {0, 1} (k = 1) or fair {0, (1, 1)} (k = 2): before
+    # it wraps P_n is uniform on 2**n states, so its tv is the counting
+    # bound 1 - 2**n / N exactly, and eps = 1 - (2**n + c) / N puts it c / N
+    # above eps, at moduli on both sides of the floor 2**10.  The
+    # certificate (1 - eps) N > b_n + 1 (plus a float term far below one
+    # state) skips the tv of P_n for c > 1 only, and dense stepping's
+    # answer, n + 1, is found either way
+    chain = ChainSpec(IntMatrix.from_rows(rows), IncrementDistribution.fair(support), p)
+    eps = 1 - (2**n + c) / chain.n_states
+    *_, (_, law) = dense_laws(chain, n)
+    assert np.count_nonzero(law.values) == 2**n and tv_distance(law) > eps
+    sums = 0
+
+    def counted(dist, _original=evolution.tv_distance):
+        nonlocal sums
+        sums += 1
+        return _original(dist)
+
+    monkeypatch.setattr(evolution, "tv_distance", counted)
+    assert mixing_time(chain, eps, 600) == dense_mixing_time(chain, eps, 600) == n + 1
+    assert sums == (2 if c <= 1 else 1)
+
+
+def test_sweep_fast_moduli_make_one_dense_law_and_one_tv_sum_each(monkeypatch):
+    # A = 2 with fair {0, 1} and eps 0.25 at the moduli of perfbench's
+    # sweep-fast (default seed): at each, either the last arc the count
+    # certifies steps straight into the mixed law, or the first law it does
+    # not certify (an arc at p = 9997 and 299,713) is made dense once by the
+    # walk, never by the search; 6 dense laws and 6 tv sums in all, where a
+    # margin of b_n / N made 12 of each
+    moduli = [9997, 30003, 100_053, 299_713, 999_783, 3_000_959]
+    calls = {"tv_distance": 0, "step_exact": 0, "laws": 0}
+
+    def counted(name):
+        def call(*args, _original=getattr(evolution, name)):
+            calls[name] += 1
+            return _original(*args)
+
+        return call
+
+    def dense(law, chain, _original=evolution._dense):
+        if isinstance(law, tuple):
+            assert sys._getframe(1).f_code.co_name != "_mixing_time_dense"
+        return _original(law, chain)
+
+    class CountedLaw(StateDistribution):
+        def __init__(self, *args):
+            calls["laws"] += 1
+            super().__init__(*args)
+
+    for name in ("tv_distance", "step_exact"):
+        monkeypatch.setattr(evolution, name, counted(name))
+    monkeypatch.setattr(evolution, "_dense", dense)
+    monkeypatch.setattr(evolution, "StateDistribution", CountedLaw)
+    chains = [ChainSpec(IntMatrix.from_rows([[2]]), fair_two_point(1), p) for p in moduli]
+    found = [mixing_time(chain, 0.25) for chain in chains]
+    assert found == [13, 15, 17, 18, 20, 22]
+    assert calls == {"tv_distance": 6, "step_exact": 0, "laws": 6}, calls
+
+
+@pytest.mark.parametrize(
+    "a, support, p, n, x0, ratio",
+    [
+        # the search: the hand-off at 999,983 and the arc of P_18 made dense
+        # at 299,713, each with at most the mixed law and its tv beside it
+        (2, [(0,), (1,)], 999_983, None, 0, 2.05),
+        (2, [(0,), (1,)], 299_713, None, 0, 2.05),
+        (3, [(0,), (1,)], 999_983, None, 0, 2.05),
+        # evolve: up to the step from the arc (n = 20), past it, with A = 3,
+        # and with A = -2 and a three-point support from x0 = 12,345
+        (2, [(0,), (1,)], 999_983, 20, 0, 2.05),
+        (2, [(0,), (1,)], 999_983, 25, 0, 2.05),
+        (3, [(0,), (1,)], 999_983, 15, 0, 2.05),
+        (-2, [(0,), (1,), (5,)], 300_007, 14, 12_345, 1.42),
+    ],
+)
+def test_k1_search_and_evolve_stay_within_their_memory(a, support, p, n, x0, ratio):
+    # tracemalloc peaks in units of one law (8 bytes a state): the search
+    # drops each law before the walk makes the next, so an arc made dense
+    # never has the arc before it beside it (2.11 laws at 299,713 when the
+    # search held it); evolve holds the arc it steps from, the new law and
+    # the scratch block, no more than when the last arc was made dense first
+    chain = ChainSpec(IntMatrix.from_rows([[a]]), IncrementDistribution.fair(support), p, x0=(x0,))
+    tracemalloc.start()
+    try:
+        if n is None:
+            mixing_time(chain, 0.25)
+        else:
+            evolve(chain, n)
+        peak = tracemalloc.get_traced_memory()[1] / (8 * p)
+    finally:
+        tracemalloc.stop()
+    assert peak <= ratio, peak
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    chain=line_chains(moduli=[17, 101, 1031, 4099], near=LINE_CUTOFF, increments=arc_increments),
+    data=st.data(),
+)
+def test_property_arc_hand_off_matches_roll_step_bitwise(chain, data):
+    # a law held on an arc steps straight into the dense law (_step_lines)
+    # as roll_step steps the arc made dense, bit for bit: for a within
+    # LINE_CUTOFF of 0 either side, arcs of any start (near p, straddling 0
+    # too) and any length up to all of Z_p, and wide, twinned, two-, three-
+    # and four-point supports
+    p = chain.p
+    a = evolution._least_residue(chain.a.rows[0][0], p)
+    assume(abs(a) <= LINE_CUTOFF)
+    lo = data.draw(st.one_of(st.integers(0, p - 1), st.integers(p - 8, p - 1)))
+    # any length, or about that of an arc whose image would just wrap
+    wraps = st.integers(p // (2 * abs(a)), min(p, p // abs(a) + 2))
+    length = data.draw(st.one_of(st.integers(1, p), wraps))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    values = rng.random(length)
+    values[rng.random(length) < 0.3] = 0.0
+    values[0] += 1.0
+    values /= values.sum()
+    dense = np.zeros(p)
+    dense[(lo + np.arange(length)) % p] = values
+    start = StateDistribution(p, 1, dense)
+    assert np.array_equal(evolution._dense((lo, values), chain).values, start.values)
+    stepped = evolution._step_lines(lo, values, a, chain._shifts, p)
+    assert np.array_equal(stepped.values, roll_step(start, chain).values)
+    assert not np.signbit(stepped.values).any()
 
 
 @pytest.mark.parametrize(
