@@ -679,16 +679,17 @@ def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int
 def _dense_prefix(n_states: int, support_size: int) -> int:
     """Steps to try by _mixing_time_dense before the Fourier search.
 
-    The early steps of that prefix, which run on the arc or support of
-    P_n and cost O(arc) or O(|supp| |supp mu|) rather than O(N), are
-    priced here as dense steps: the prefix is set for a search that steps densely throughout,
-    and changing it would change which path answers.
+    With the round-off margin, the crossing recompute and the _NearTie
+    fallback, mixing_time returns the dense crossing whichever path
+    answers, so this price decides only the search's speed and which rows
+    end in StateSpaceTooLarge after a near tie.  The early steps of the
+    prefix, which run on the arc or support of P_n and cost O(arc) or
+    O(|supp| |supp mu|) rather than O(N), are priced as dense steps.
 
     Costs in passes over a length-N array (N = p**k): a dense step is
     priced at |supp mu| + 4 of them plus a fixed Python overhead worth about
-    2**14.  It makes at most 2 |supp mu| + 3 (see the module docstring);
-    the price is left as it is on purpose, since changing it would change
-    which path answers.  A candidate n in the Fourier search (an FFT of a complex array and the tv
+    2**14.  It makes at most 2 |supp mu| + 3 (see the module docstring).  A
+    candidate n in the Fourier search (an FFT of a complex array and the tv
     sum) makes about 8 log2 N, plus an overhead of about 2**13.  A search
     takes about 20 transforms (2 log2 n plus the crossing check, for the n
     in reach of a short prefix).  The prefix is that search's cost counted

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import hashlib
 import io
 import json
 import math
@@ -541,197 +540,8 @@ def test_run_identities_reports(tmp_path):
     assert report["max_residual"] <= 1e-8
 
 
-# sha256 of the classify and verify-identities reports of three matrices:
-# the exact-lab benchmark's classify matrix (two integer eigenvalues near
-# 1e7 beside the cat map block) and identities matrix (six distinct integer
-# eigenvalues) at seed 1, and the companion matrix of x^5 - x - 1, whose
-# characteristic polynomial stays an unfactored remainder.  Any change to
-# the exact algebra that moves a byte of these reports fails here.
-PINNED_MATRICES = {
-    "lab-classify": [
-        [30015834, 40021113, -80042224, -20010556],
-        [40016521, 50021802, -100043598, -20010554],
-        [30015831, 40021111, -80042218, -20010555],
-        [-10014450, -20019729, 40039457, 20010557],
-    ],
-    "lab-identities": [
-        [-4, 5, 0, 0, 0, 0],
-        [0, -9, 0, 0, 0, 0],
-        [17, 17, 13, 0, 0, 6],
-        [-11, -33, -11, 2, 0, 11],
-        [34, 14, 34, 10, 7, -10],
-        [0, 0, 0, 0, 0, 19],
-    ],
-    "companion-5": [
-        [0, 0, 0, 0, 1],
-        [1, 0, 0, 0, 1],
-        [0, 1, 0, 0, 0],
-        [0, 0, 1, 0, 0],
-        [0, 0, 0, 1, 0],
-    ],
-}
-PINNED_SHA256 = {
-    "lab-classify": {
-        "classify.json": "e185c7b1b63dc5bf0be3017e9f93baa1d0f5df98dc06bee61a43116d936857c8",
-        "identities.csv": "6601eaa1c973e6646cc7f8f9a392e2d3718c07ca2de538791b7d616f33a1a491",
-        "identities.json": "51cbec2200372cbb088980b232e2102ec3d346a3ebf8ce0e48dd6a53d866e650",
-    },
-    "lab-identities": {
-        "classify.json": "57d90063fd7c43067e4ac0fe1029039ed340d67ff115b01a527c1efe8af7657d",
-        "identities.csv": "1f937c36e8c02af1517f984a786b62450b7858f94ed1a0c83ebbd9864d9577b8",
-        "identities.json": "40666d29339c61862aca812053de1348c89327abbec5758350bc264c7688a3f3",
-    },
-    "companion-5": {
-        "classify.json": "bbd604552761ec9c7abab2483b350dc27c41c29e525d08623a0329e89cfa36cb",
-        "identities.csv": "477dceb6a39ff6786d3e69f3dff3f92f26148485ead8db1a2b20e5f88e71fb2c",
-        "identities.json": "621fc1c2daa4507cd11f32fcfda2f6dc2cc63021c0849654f94aa64a41d678d0",
-    },
-}
-
-
-@pytest.mark.parametrize("name", sorted(PINNED_MATRICES))
-def test_algebra_reports_match_pinned_bytes(tmp_path, name):
-    digests = {}
-    for task in ("classify", "verify-identities"):
-        cfg = ExperimentConfig.from_json({"task": task, "matrix": PINNED_MATRICES[name]})
-        for path in run(cfg, str(tmp_path / task)):
-            with open(path, "rb") as handle:
-                digests[os.path.basename(path)] = hashlib.sha256(handle.read()).hexdigest()
-    assert digests == PINNED_SHA256[name]
-
-
 FAIR_1D = {"k": 1, "support": [[0], [1]], "probs": [0.5, 0.5]}
 FAIR_2D = {"k": 2, "support": [[0, 0], [1, 0]], "probs": [0.5, 0.5]}
-# Configs and sha256 of the bounds, sweep and evolve reports: A = 2 on the
-# rho certificate, whose column goes empty at n = 7; the quarter turn on the
-# gamma certificate; an A = I sweep with support {0, 2}, so p = 4 is
-# inadmissible by det(B), p = 13 is unmixed at n_cap = 30, and four rows
-# feed the fits; and two evolve runs on p**k >= 2**10, where the early steps
-# run on the support: the cat map with an empirical law, and A = 3 with
-# three unequal increments from x0 = 7; an A = 2 sweep on p from 1e4 to
-# 1e5, whose early steps run on the support and whose first tv sums the
-# counting certificate skips; and an evolve in k = 3 from a nonzero x0 whose
-# folded shifts (0, 0, 0), (1, 12, 0) and (3, 1, 4) have zero, two and three
-# nonzero components, so each dense step splits a translate into slabs on
-# two and on three axes; and a sweep in the paper's general case,
-# |lambda_1| = 1 < |lambda_2| (A = [[1, 1], [0, 2]], three fair
-# increments), where p = 31 mixes within the dense prefix and p = 61 and
-# 101 are answered by the Fourier search with a frequency permutation of
-# its own (A is not symmetric).  Any change that moves a byte of
-# these reports (a column, its order, how a probability, a frequency, a
-# flag or an empty cell is written) fails here.
-PINNED_REPORTS = {
-    "bounds-rho": (
-        {"task": "bounds", "matrix": [[2]], "increments": FAIR_1D, "p": 101, "n": 30},
-        {
-            "bounds.csv": "3d44161b59e998625ba3d980068fc541f2bc07b1607948d59b1cd3daf63879af",
-            "bounds.json": "a0c0db5348b67f3e4402017db5ca547d06a2b59f9076837bbc3ebee6f5c7a196",
-        },
-    ),
-    "bounds-gamma": (
-        {"task": "bounds", "matrix": [[0, -1], [1, 0]], "increments": FAIR_2D, "p": 101, "n": 20},
-        {
-            "bounds.csv": "02ab1ea3b662ac2a7d18d0c8af988d3364a5773bfea0a048f65dc910f6533e9e",
-            "bounds.json": "d1a9ba6cb8ee7ecb8438273700b249a587498097f65735d9271d3a47c7a83158",
-        },
-    ),
-    "sweep": (
-        {
-            "task": "mixing-sweep",
-            "matrix": [[1]],
-            "increments": {"k": 1, "support": [[0], [2]], "probs": [0.5, 0.5]},
-            "p_list": [4, 5, 7, 9, 11, 13],
-            "n_cap": 30,
-        },
-        {
-            "sweep.csv": "9077e1de92cb9ebf701f571206e808eb327011e0f7bb78455df2686a48b80929",
-            "sweep.json": "9bd81f00ad3fb6fcb897dde679fbff86c948c633644a386d4d92f88de5c7a4be",
-        },
-    ),
-    "evolve-cat": (
-        {
-            "task": "evolve",
-            "matrix": [[2, 1], [1, 1]],
-            "increments": FAIR_2D,
-            "p": 101,
-            "n": 30,
-            "trials": 200,
-            "seed": 7,
-        },
-        {
-            "evolve.csv": "51f1490e8af7a72d09b7486f326752319f5ab73069f022180d78cca1a4911a08",
-            "evolve.json": "e680795e28853de8b3f613a21824a3b4115d1dfda4e083638be150cab62ea1e5",
-        },
-    ),
-    "evolve-three-point": (
-        {
-            "task": "evolve",
-            "matrix": [[3]],
-            "increments": {"k": 1, "support": [[0], [1], [5]], "probs": [0.2, 0.3, 0.5]},
-            "x0": [7],
-            "p": 1031,
-            "n": 40,
-        },
-        {
-            "evolve.csv": "e8a4619793ae451b91da7a3658bbd3b5344a652d6c5c750b7770b61feb3f7a5f",
-            "evolve.json": "1186b35bdada3ecbb60c5250008924c1b0d8495087925b95eec78744b719a83b",
-        },
-    ),
-    "sweep-support": (
-        {
-            "task": "mixing-sweep",
-            "matrix": [[2]],
-            "increments": FAIR_1D,
-            "p_list": [10007, 30011, 65537, 99991],
-        },
-        {
-            "sweep.csv": "7ed95e5cc1944fe81f650644bf573edecc06380ec44be2e6e6f344c8a9380f59",
-            "sweep.json": "66fa70514b66a12b5ce8c60335647875f64d146372f4dd864ed3815827dbe231",
-        },
-    ),
-    "evolve-slabs": (
-        {
-            "task": "evolve",
-            "matrix": [[1, 1, 0], [0, 1, 1], [1, 0, 2]],
-            "increments": {
-                "k": 3,
-                "support": [[0, 0, 0], [1, -1, 0], [3, 1, 4]],
-                "probs": [0.25, 0.35, 0.4],
-            },
-            "x0": [2, 5, 7],
-            "p": 13,
-            "n": 25,
-        },
-        {
-            "evolve.csv": "1ee1c2f4ff374a21843bfc0c794ee79ef8aa786ca1453dfafa552d78e3077a5e",
-            "evolve.json": "0dfaad7bdf261f60cb46d60d0b42ad77fdcc486622dcbe700ca68bf0a39af673",
-        },
-    ),
-    "sweep-general": (
-        {
-            "task": "mixing-sweep",
-            "matrix": [[1, 1], [0, 2]],
-            "increments": {"k": 2, "support": [[0, 0], [1, 0], [0, 1]], "probs": [1 / 3] * 3},
-            "p_list": [31, 61, 101],
-            "eps": 0.25,
-            "n_cap": 10000,
-        },
-        {
-            "sweep.csv": "0da99c8dbc084ecc65b0d3b5c26577ae6b034b29c99e8807c5114025bddc2d56",
-            "sweep.json": "af02026d31ff07b21aa8ca1b71bd8c716da0207bcdf088b6bb69effc822edf51",
-        },
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
-def test_bounds_and_sweep_reports_match_pinned_bytes(tmp_path, name):
-    obj, expected = PINNED_REPORTS[name]
-    digests = {}
-    for path in run(ExperimentConfig.from_json(obj), str(tmp_path)):
-        with open(path, "rb") as handle:
-            digests[os.path.basename(path)] = hashlib.sha256(handle.read()).hexdigest()
-    assert digests == expected
 
 
 def test_main_sweep_records_a_modulus_over_the_state_cap(tmp_path, capsys, monkeypatch):
