@@ -551,7 +551,9 @@ def _roots_of_irreducible(f: IntPolynomial) -> list[complex]:
         if disc >= 0:
             root = math.isqrt(disc)
             sq = float(root) if root * root == disc else math.sqrt(float(disc))
-            return [complex((-b - sq) / 2, 0.0), complex((-b + sq) / 2, 0.0)]
+            # the root of smaller modulus cancels when |b| >> 1 (x^2 - m x - 1
+            # has one near -1/m); polishing leaves a root that fits unchanged
+            return [_polish_root(f, complex((-b + sign * sq) / 2, 0.0)) for sign in (-1, 1)]
         sq = math.sqrt(float(-disc))
         return [complex(-b / 2, -sq / 2), complex(-b / 2, sq / 2)]
     return _roots_numeric(f)
@@ -676,7 +678,7 @@ def classify_regime(
     )
 
 
-def canonical_eigenvalue_order(a: IntMatrix | Sequence[Sequence[int]]) -> tuple[complex, ...]:
+def canonical_eigenvalue_order(a: IntMatrix | Sequence[Sequence[int]]) -> tuple[complex | int, ...]:
     """Eigenvalues ordered so the first d are the minimal polynomial's roots.
 
     The power expansion identities need the leading block of the ordering to
@@ -684,17 +686,30 @@ def canonical_eigenvalue_order(a: IntMatrix | Sequence[Sequence[int]]) -> tuple[
     taken with its multiplicities, guarantee that.  The remaining roots are
     those of char_poly / min_poly.
 
-    All values are exact where the factorization allows and residual-checked
-    otherwise.
+    When every irreducible factor of char_poly is linear (so of min_poly and
+    of the quotient too) the values are the factorization's Python ints,
+    exact at any size below float range, each block sorted; otherwise they
+    are eigenvalues' complex roots, residual-checked.  Either way a root
+    past float range raises OutOfRange.
     """
     a = as_matrix(a)
     cp = char_poly(a)
     mp = minimal_poly(a)
-    head = list(eigenvalues(mp))
     quotient, rem = poly_divmod(cp, mp)
     assert rem.is_zero
-    tail = list(eigenvalues(quotient)) if quotient.degree >= 1 else []
-    return tuple(head + tail)
+    return tuple(_ordered_roots(mp)) + (tuple(_ordered_roots(quotient)) if quotient.degree else ())
+
+
+def _ordered_roots(f: IntPolynomial) -> list[complex] | list[int]:
+    """eigenvalues(f) of a monic f of degree >= 1, or, when every
+    irreducible factor of f is linear, its roots as sorted Python ints;
+    the roots are residual-checked either way, so one past float range
+    raises OutOfRange."""
+    factors, remainder = factorization = factor_int_poly(f)
+    roots = _checked_roots(f, factorization)
+    if remainder is None and all(poly.degree == 1 for poly, _ in factors):
+        return sorted(-poly.coeffs[0] for poly, mult in factors for _ in range(mult))
+    return list(roots)
 
 
 def _complete_homogeneous(s: int, lams: Sequence[complex]):
@@ -708,12 +723,30 @@ def _complete_homogeneous(s: int, lams: Sequence[complex]):
     return h[s]
 
 
+def _magnitude(m: np.ndarray) -> float:
+    """The largest modulus among the entries of an object matrix, as a
+    float; an entry that is not finite, or whose modulus is past float
+    range, raises OutOfRange."""
+    try:
+        # each entry's Python abs (numpy's complex abs rounds differently),
+        # then a float max, which is nan if any entry is
+        top = float(np.abs(m).astype(float).max())
+    except OverflowError:  # an int entry past float range
+        top = math.inf
+    if not math.isfinite(top):
+        raise OutOfRange("an identity residual or scale is past float range")
+    return top
+
+
 class _IdentityChecker:
     """What every (e, j) check of verify_spectral_identities shares for one
     matrix, the degree d of its minimal polynomial and one eigenvalue order:
     the ordered eigenvalues, T, the prefix products P_e, the suffix products
     prod_{n=h+1..d} (T - lam_n I), and the powers of T, grown on demand."""
 
+    # complex products past float range become inf or nan without a
+    # warning on stderr; _magnitude turns them into OutOfRange
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(
         self, a: IntMatrix, d: int, eigenvalue_order: Optional[Sequence[int]] = None
     ) -> None:
@@ -722,9 +755,10 @@ class _IdentityChecker:
             if sorted(eigenvalue_order) != list(range(a.k)):
                 raise OrderMismatch(f"eigenvalue_order must be a permutation of range({a.k})")
             lams = [lams[i] for i in eigenvalue_order]
-        exact = all(z.imag == 0 and float(z.real).is_integer() for z in lams)
+        # ints only when the characteristic polynomial splits into linear factors
+        exact = all(isinstance(z, int) for z in lams)
         one = 1 if exact else complex(1)
-        self.d, self.lams = d, [int(z.real) if exact else complex(z) for z in lams]
+        self.d, self.lams = d, lams
         # object arrays keep the entries Python ints (exact) or complex
         eye = np.identity(a.k, dtype=object) * one
         self.t = _array(a).T * one
@@ -738,6 +772,7 @@ class _IdentityChecker:
         self.suffixes = {h: reduce(np.matmul, shifts[h:], eye) for h in range(2, d + 1)}
         self.powers = [eye]
 
+    @np.errstate(over="ignore", invalid="ignore")
     def check(self, e: int, js: Sequence[int]) -> list[tuple[bool, float]]:
         """(ok, max residual) at e for each j in js; 1 <= e <= d, each j >= 0."""
         while len(self.powers) <= max(e, *js):
@@ -745,7 +780,7 @@ class _IdentityChecker:
         d, lams, prods, powers = self.d, self.lams, self.prods, self.powers
         lhs1 = powers[e]
         rhs1 = sum((lams[s] * (powers[e - s - 1] @ prods[s]) for s in range(e)), prods[e])
-        diff1, top1 = np.abs(lhs1 - rhs1).max(), np.abs(lhs1).max()
+        diff1, top1 = _magnitude(lhs1 - rhs1), _magnitude(lhs1)
         tails = {h: self.suffixes[h] @ prods[e] for h in range(e + 1, d + 1)}
         results = []
         for j in js:
@@ -755,8 +790,8 @@ class _IdentityChecker:
                 coeff = _complete_homogeneous(j - d + h, lams[h - 1 : d])
                 if coeff != 0:
                     rhs2 = rhs2 + coeff * tails[h]
-            residual = float(max(diff1, np.abs(lhs2 - rhs2).max()))
-            scale = max(1.0, float(max(top1, np.abs(lhs2).max())))
+            residual = max(diff1, _magnitude(lhs2 - rhs2))
+            scale = max(1.0, top1, _magnitude(lhs2))
             results.append((residual <= IDENTITY_RESIDUAL_TOL * scale, residual))
         return results
 
@@ -782,7 +817,9 @@ def verify_spectral_identities(
     an optional permutation of range(k) applied to the canonical order; a
     permutation that breaks the leading-block property will simply fail the
     check.  Returns (ok, max residual); the computation is exact end to end
-    when every eigenvalue is an integer.
+    when every eigenvalue is an integer (canonical_eigenvalue_order gives
+    them as ints), and a residual or matrix entry past float range raises
+    OutOfRange.
     """
     a = as_matrix(a)
     d = minimal_poly(a).degree

@@ -14,6 +14,14 @@ row on it joins one step per row onto the orbit state there.  Two closed-form
 certificates bound tv from below without evolving anything: a product form
 driven by the constant rho, and a torsion form driven by gamma at a
 frequency fixed by some power of T.
+
+Mixing times past a short prefix are found here, in the Fourier domain,
+where the law after n steps costs O(log n) pointwise products instead of
+n steps (_fourier_search, which evolution's mixing_time calls past its
+dense prefix).  The products are joined from mu_hat itself, not from its
+squared modulus, and one FFT per candidate n gives tv; a value within
+the round-off margin of eps raises _NearTie, and mixing_time then hands
+the search to dense stepping.
 """
 
 from __future__ import annotations
@@ -41,9 +49,7 @@ from .evolution import (
     _check_cap,
     _check_steps,
     _check_work,
-    _join,
-    _Orbit,
-    _power,
+    _mu_hat_table,
     decode_state,
     evolve_iter,
     tv_distance,
@@ -197,6 +203,36 @@ def product_scan(chain: ChainSpec, n: int) -> Iterator[tuple[int, np.ndarray]]:
         np.multiply(prods, factor, out=prods, where=prods > FREEZE_THRESHOLD)
         factor = factor[chain._perm_t]
         yield j, prods
+
+
+# A Fourier-domain state (Q_n_hat, pi_n): the transform of the law Q_n of
+# S_n = sum_{j<n} A**j B_j at every frequency index, and the index map of
+# alpha -> T**n alpha (T = transpose(A)).
+_Orbit = tuple[np.ndarray, np.ndarray]
+
+
+def _join(a: _Orbit, b: _Orbit) -> _Orbit:
+    """The state of n_a + n_b steps: Q_{a+b}_hat(alpha) = Q_a_hat(alpha) *
+    Q_b_hat(T**a alpha) and T**(a+b) = T**b T**a, by exact index gathers."""
+    (qa, pa), (qb, pb) = a, b
+    q = qb[pa]
+    q *= qa
+    return q, pb[pa]
+
+
+def _power(one: _Orbit, n: int) -> _Orbit:
+    """The state of n steps from that of one, by binary powering; holds
+    at most three states besides its argument, whatever n is."""
+    acc = (np.ones_like(one[0]), np.arange(len(one[1])))
+    sq, width, done = one, 1, 0
+    while done < n:
+        if n & width:
+            acc = _join(acc, sq)
+            done += width
+        if done < n:
+            sq = _join(sq, sq)
+            width *= 2
+    return acc
 
 
 def _products_at(chain: ChainSpec, n: int) -> np.ndarray:
@@ -424,3 +460,100 @@ def transform_of_distribution(dist: StateDistribution) -> np.ndarray:
     cube = dist.values.reshape((dist.p,) * dist.k)
     flat = np.fft.fftn(cube).reshape(-1)
     return np.abs(flat) ** 2
+
+
+class _NearTie(Exception):
+    """A Fourier tv value too close to eps to decide against it."""
+
+
+def _round_off_margin(n: int, n_states: int, support_size: int, norm: float) -> float:
+    """Bound on |tv_fourier(n) - tv_dense(n)| from float round-off.
+
+    norm is ||Q_m_hat||_2 for some m <= (n - 1) // 2.  With u = 2**-53,
+    N = p**k and s = |supp mu|:
+
+    - Fourier side.  Each mu_hat entry is a sum of s unit phases, off by
+      at most e = (2s + 2) u.  Q_n_hat(alpha) is a product of n factors
+      a_j = mu_hat(T**j alpha), one complex rounding per node of the
+      product tree (relative error <= sqrt(5) u each).  To first order a
+      leaf error e_j moves it by e_j prod_{i != j} a_i, whose modulus is
+      at most that of the orbit product over the longer side of j, at
+      least (n - 1) // 2 factors; so ||dQ_n_hat||_2 <= n (4s + 7) u norm.
+      The forward FFT adds at most c u log2 N ||Q_n_hat||_2 in the same
+      2-norm.  By Parseval, sum_x |dQ_n(x)| <= ||dQ_n_hat||_2, and tv
+      moves by at most half of that.
+    - Dense side.  A step adds s weighted rolls of a nonnegative law, an
+      l1 error of at most (s + 1) u, and a stochastic step does not grow
+      earlier errors; tv_dense is off by at most n (s + 1) u / 2 plus
+      u log2 N for its sum.
+
+    Below the sum of both bounds the two searches may disagree on the
+    side of eps.  With c = 8, norm >= 1 and a factor 2 for the dropped
+    higher-order terms, the sum is at most
+    u norm ((n + 1) (5s + 8) + 10 log2 N).  A bound in n and N alone must
+    take norm = sqrt(N) (a point mass), which at p = 3001 is already wider
+    than the change of tv per step near mixing; ||Q_m_hat||_2 only falls
+    as m grows, since convolving with a law never raises a 2-norm.
+    """
+    terms = (n + 1) * (5 * support_size + 8) + 10 * math.log2(max(n_states, 2))
+    return 2.0**-53 * norm * terms
+
+
+def _fourier_search(chain: ChainSpec, eps: float, n_cap: int, lo: int) -> Optional[int]:
+    """mixing_time past a prefix lo with tv(P_lo) > eps, in the Fourier domain.
+
+    tv to uniform is invariant under translation, so tv(P_n) = tv(Q_n)
+    and x0 drops out.  The transform of Q_n is the orbit product
+    Q_n_hat(alpha) = prod_{j<n} mu_hat(T**j alpha), built from O(log n)
+    joins; one FFT per candidate n gives tv.  Gallop by doubling n, then
+    bisect; valid because tv never increases.  Raises _NearTie when a
+    value lies within the round-off margin of eps, or when the crossing
+    tv(n) <= eps < tv(n - 1), recomputed by another product grouping,
+    does not hold.
+    """
+    p, k, size = chain.p, chain.k, chain.n_states
+    support_size = len(chain.mu.support)
+    one = (_mu_hat_table(chain.mu, p), chain._perm_t)
+    # ||Q_m_hat||_2 at the step counts m held so far, for the margin
+    norms = {0: math.sqrt(size)}
+
+    def keep_norm(state: _Orbit, m: int) -> None:
+        norms[m] = float(np.linalg.norm(state[0]))
+
+    def mixed(state: _Orbit, n: int) -> bool:
+        # N Q_n(x) by the forward FFT, the transform's sign being +
+        dev = np.fft.fftn(state[0].reshape((p,) * k)).real
+        dev -= 1.0
+        np.abs(dev, out=dev)
+        tv = 0.5 * float(dev.sum()) / size
+        norm = norms[max(m for m in norms if m <= (n - 1) // 2)]
+        if abs(tv - eps) <= _round_off_margin(n, size, support_size, norm):
+            raise _NearTie(f"tv({n}) = {tv!r} is within round-off of eps = {eps!r}")
+        return tv <= eps
+
+    keep_norm(one, 1)
+    low = _power(one, lo)
+    keep_norm(low, lo)
+    while True:
+        hi = min(2 * lo, n_cap)
+        high = _join(low, low if hi == 2 * lo else _power(one, hi - lo))
+        if mixed(high, hi):
+            break
+        if hi == n_cap:
+            return None
+        lo, low = hi, high
+        keep_norm(low, lo)
+    del high
+    while hi - lo > 1:
+        width = 1 << ((hi - lo - 1).bit_length() - 1)
+        mid = _join(low, _power(one, width))
+        if mixed(mid, lo + width):
+            hi = lo + width
+        else:
+            lo, low = lo + width, mid
+        del mid
+    del low
+    prev = _power(one, hi - 1)
+    if mixed(prev, hi - 1) or not mixed(_join(prev, one), hi):
+        raise _NearTie(f"the crossing at n = {hi} did not recompute")
+    return hi

@@ -554,6 +554,29 @@ def test_isqrt_based_quadratic_roots_exact():
     assert lams[0] == complex(2.0) and lams[1] == complex(3.0)
 
 
+@pytest.mark.parametrize("m", [10**4, 10**5, 10**8, 10**41])
+def test_quadratic_small_root_survives_cancellation(m):
+    # x^2 - m x - 1 has roots near m and -1/m; (-b + sqrt(disc)) / 2 cancels
+    # the second to noise, which the residual check refuses
+    profile = classify_regime([[m, 1], [1, 0]])
+    assert profile.regime == Regime.NON_UNIT_MODULUS
+    small, large = profile.eigenvalues
+    # small (small - m) = 1 holds at the true root, near -1/m
+    assert abs(small.real * (small.real - m) - 1) <= 1e-12 and small.imag == 0
+    assert abs(large.real * small.real + 1) <= 1e-12 and large.imag == 0  # product -1
+
+
+def test_canonical_order_of_a_split_spectrum_is_exact_ints():
+    # 2**53 + 1 and 2**53 + 3 round to floats 2**53 and 2**53 + 4
+    rows = [[2**53 + 1, 1], [0, 2**53 + 3]]
+    assert canonical_eigenvalue_order(rows) == (2**53 + 1, 2**53 + 3)
+    assert all(type(z) is int for z in canonical_eigenvalue_order(rows))
+    assert canonical_eigenvalue_order([[2, 0, 0], [0, 2, 0], [0, 0, 3]]) == (2, 3, 2)
+    # one irreducible quadratic factor, (x - 2)(x^2 - 3x + 1), leaves every value complex
+    order = canonical_eigenvalue_order([[2, 0, 0], [0, 2, 1], [0, 1, 1]])
+    assert [type(z) for z in order] == [complex] * 3
+
+
 def divisor_integer_roots(f):
     """Oracle: integer roots with multiplicity, by trying every divisor of
     the constant term (exact, but O(sqrt|c0|))."""

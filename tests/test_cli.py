@@ -29,7 +29,7 @@ from affine_mixer import (
     mixing_sweep,
     run,
 )
-from affine_mixer import cli
+from affine_mixer import cli, errors
 from affine_mixer.cli import _ROW_BLOCK, TASKS, _write_census, _write_law, _write_report, main
 from affine_mixer.digitlab import block_census
 from affine_mixer.evolution import STATE_CAP_ENV
@@ -761,6 +761,52 @@ def test_main_bounds_certificate_constants_past_float_range(
 def test_main_roots_past_float_range_are_out_of_range(tmp_path, capsys, task, extra):
     obj = dict(extra, matrix=[[10**200, 1], [0, 10**200 + 1]])
     code, record = run_main_on_text(tmp_path, capsys, task, json.dumps(obj))
+    assert code == 1
+    assert record["error"]["kind"] == "OutOfRange"
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_main_classifies_a_quadratic_with_a_tiny_root(tmp_path, capsys):
+    # x^2 - 100000 x - 1: the sweep's regime column classifies A, whose small
+    # root the closed form cancels to noise that the residual check refuses
+    support = [[0, 0], [1, 0], [0, 1]]
+    increments = {"k": 2, "support": support, "probs": [1 / 3] * 3}
+    obj = {"matrix": [[100000, 1], [1, 0]], "increments": increments, "p_list": [11, 13, 17]}
+    code, record = run_main_on_text(tmp_path, capsys, "mixing-sweep", json.dumps(obj))
+    assert (code, record) == (0, None)
+    with open(tmp_path / "out" / "sweep.csv") as handle:
+        assert {row["regime"] for row in csv.DictReader(handle)} == {"NonUnitModulus"}
+
+
+def test_main_identities_of_integer_eigenvalues_past_2_53_are_exact(tmp_path, capsys):
+    # the eigenvalues 2**53 + 1 and 2**53 + 3 have no float; rounded, they
+    # fail the identities by 1e160
+    obj = {"matrix": [[2**53 + 1, 1], [0, 2**53 + 3]]}
+    code, record = run_main_on_text(tmp_path, capsys, "verify-identities", json.dumps(obj))
+    assert (code, record) == (0, None)
+    report = json.loads((tmp_path / "out" / "identities.json").read_text())
+    assert (report["all_ok"], report["max_residual"]) == (True, 0.0)
+
+
+@pytest.mark.filterwarnings("error")  # stderr holds the record alone
+def test_main_identities_of_irrational_eigenvalues_one_float_apart_are_typed(tmp_path, capsys):
+    # 10**31 +- sqrt(2) round to one float, which must not be taken for an
+    # integer eigenvalue: its exact residual is past float range
+    obj = {"matrix": [[10**31, 2], [1, 10**31]]}
+    code, record = run_main_on_text(tmp_path, capsys, "verify-identities", json.dumps(obj))
+    if code:
+        kind = getattr(errors, record["error"]["kind"], None)
+        assert isinstance(kind, type) and issubclass(kind, AffineMixerError), record
+    else:
+        assert record is None
+
+
+@pytest.mark.filterwarnings("error")  # stderr holds the record alone
+def test_main_identities_past_float_range_are_out_of_range(tmp_path, capsys):
+    # x^3 - 10**70 x - 1: T**6 already overflows, and a residual of inf or
+    # nan must not reach the report, nor pass as ok
+    obj = {"matrix": [[0, 0, 1], [1, 0, 10**70], [0, 1, 0]]}
+    code, record = run_main_on_text(tmp_path, capsys, "verify-identities", json.dumps(obj))
     assert code == 1
     assert record["error"]["kind"] == "OutOfRange"
     assert list((tmp_path / "out").iterdir()) == []

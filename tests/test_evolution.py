@@ -28,15 +28,13 @@ from affine_mixer import (
     step_exact,
     tv_distance,
 )
-from affine_mixer import evolution
+from affine_mixer import evolution, fourier
 from affine_mixer.evolution import (
     LINE_CUTOFF,
     STATE_CAP_ENV,
     _dense_prefix,
-    _fourier_search,
     _mixing_time_dense,
     _step_support,
-    _NearTie,
     _slabs,
     decode_state,
     encode_state,
@@ -44,6 +42,7 @@ from affine_mixer.evolution import (
     shift_by,
     state_cap,
 )
+from affine_mixer.fourier import _fourier_search, _NearTie
 from common import (
     dense_laws,
     dense_mixing_time,
@@ -562,12 +561,12 @@ def test_mixing_time_falls_back_when_the_crossing_does_not_recompute(monkeypatch
     chain = slow_chain(101)
     n_mix, prefix = 1936, _dense_prefix(chain.n_states, 2)
     assert prefix == 16
-    original = evolution._power
+    original = fourier._power
 
     def long_by_one(one, n):
         return original(one, n + 1 if n == n_mix - 1 else n)
 
-    monkeypatch.setattr(evolution, "_power", long_by_one)
+    monkeypatch.setattr(fourier, "_power", long_by_one)
     with pytest.raises(_NearTie, match=f"crossing at n = {n_mix} did not recompute"):
         _fourier_search(chain, 0.25, evolution.DEFAULT_N_CAP, prefix)
     assert mixing_time(chain, 0.25) == dense_mixing_time(chain, 0.25, 10**4) == n_mix

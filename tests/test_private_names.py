@@ -1,6 +1,7 @@
 """Every module-level private name in the package is read by package code
 outside its own definition, so a helper that a change leaves unused
-cannot stay behind."""
+cannot stay behind; and the orbit products and the Fourier search are
+defined in fourier alone."""
 
 from __future__ import annotations
 
@@ -47,3 +48,21 @@ def test_every_private_module_name_is_read_outside_its_definition():
         if total[name] == reads(node)[name]
     ]
     assert not orphans
+
+
+# the orbit-product engine and the Fourier search, which fourier owns
+ORBIT_AND_SEARCH = {"_NearTie", "_round_off_margin", "_Orbit", "_join", "_power", "_fourier_search"}
+
+
+def test_fourier_owns_the_orbit_products_and_the_fourier_search():
+    trees = {m: ast.parse((PACKAGE / f"{m}.py").read_text()) for m in ("evolution", "fourier")}
+    defined = {m: {name for name, _ in private_definitions(tree)} for m, tree in trees.items()}
+    assert not ORBIT_AND_SEARCH & defined["evolution"]
+    assert ORBIT_AND_SEARCH <= defined["fourier"]
+    from_evolution = {
+        alias.name
+        for node in ast.walk(trees["fourier"])
+        if isinstance(node, ast.ImportFrom) and node.module == "evolution"
+        for alias in node.names
+    }
+    assert not ORBIT_AND_SEARCH & from_evolution
