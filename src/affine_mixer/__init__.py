@@ -18,7 +18,6 @@ from .algebra import (
     factor_int_poly,
     inf_norm,
     mat_pow,
-    mat_pow_mod,
     minimal_poly,
     root_of_integer_order,
     verify_spectral_identities,

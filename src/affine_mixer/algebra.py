@@ -124,22 +124,6 @@ def mat_pow(a: IntMatrix, e: int) -> IntMatrix:
     return _matrix(np.linalg.matrix_power(_array(a), e))
 
 
-def mat_pow_mod(a: IntMatrix, e: int, p: int) -> IntMatrix:
-    """A**e with entries reduced mod p at every step."""
-    if e < 0:
-        raise ValueError("exponent must be >= 0")
-    if p < 2:
-        raise ValueError("modulus must be >= 2")
-    result = np.identity(a.k, dtype=object)
-    base = _array(a) % p
-    while e:
-        if e & 1:
-            result = result @ base % p
-        base = base @ base % p
-        e >>= 1
-    return _matrix(result)
-
-
 def inf_norm(a: IntMatrix) -> int:
     """Operator infinity norm: maximum absolute row sum."""
     return max(sum(abs(x) for x in row) for row in a.rows)
@@ -741,7 +725,8 @@ def _magnitude(m: np.ndarray) -> float:
 class _IdentityChecker:
     """What every (e, j) check of verify_spectral_identities shares for one
     matrix, the degree d of its minimal polynomial and one eigenvalue order:
-    the ordered eigenvalues, T, the prefix products P_e, the suffix products
+    the ordered eigenvalues, T, the prefix products P_e and the products of
+    their factors' magnitudes, the suffix products
     prod_{n=h+1..d} (T - lam_n I), and the powers of T, grown on demand."""
 
     # complex products past float range become inf or nan without a
@@ -764,8 +749,13 @@ class _IdentityChecker:
         self.t = _array(a).T * one
         shifts = [self.t - lam * eye for lam in self.lams[:d]]
         self.prods = [eye]
+        # |T - lam_1 I| ... |T - lam_e I|: identity 2's scale, with |T**j|.
+        # Not |T**j P_e|: P_d = mp(T) is 0, so its computed value is the
+        # rounding noise itself.
+        self.prod_scales = [1.0]
         for shift in shifts:
             self.prods.append(self.prods[-1] @ shift)
+            self.prod_scales.append(self.prod_scales[-1] * _magnitude(shift))
         # Each suffix is a left fold and T**n one running product, not
         # squaring: in complex arithmetic the grouping of the products sets
         # the rounding, and so the reported residual, once entries pass 2**53.
@@ -774,13 +764,16 @@ class _IdentityChecker:
 
     @np.errstate(over="ignore", invalid="ignore")
     def check(self, e: int, js: Sequence[int]) -> list[tuple[bool, float]]:
-        """(ok, max residual) at e for each j in js; 1 <= e <= d, each j >= 0."""
+        """(ok, max residual) at e for each j in js; 1 <= e <= d, each j >= 0.
+        Identity 1 is judged against |T**e|, identity 2 against
+        |T**j| |T - lam_1 I| ... |T - lam_e I|."""
         while len(self.powers) <= max(e, *js):
             self.powers.append(self.powers[-1] @ self.t)
         d, lams, prods, powers = self.d, self.lams, self.prods, self.powers
         lhs1 = powers[e]
         rhs1 = sum((lams[s] * (powers[e - s - 1] @ prods[s]) for s in range(e)), prods[e])
-        diff1, top1 = _magnitude(lhs1 - rhs1), _magnitude(lhs1)
+        diff1 = _magnitude(lhs1 - rhs1)
+        ok1 = diff1 <= IDENTITY_RESIDUAL_TOL * max(1.0, _magnitude(lhs1))
         tails = {h: self.suffixes[h] @ prods[e] for h in range(e + 1, d + 1)}
         results = []
         for j in js:
@@ -790,9 +783,12 @@ class _IdentityChecker:
                 coeff = _complete_homogeneous(j - d + h, lams[h - 1 : d])
                 if coeff != 0:
                     rhs2 = rhs2 + coeff * tails[h]
-            residual = max(diff1, _magnitude(lhs2 - rhs2))
-            scale = max(1.0, top1, _magnitude(lhs2))
-            results.append((residual <= IDENTITY_RESIDUAL_TOL * scale, residual))
+            diff2 = _magnitude(lhs2 - rhs2)
+            scale2 = _magnitude(powers[j]) * self.prod_scales[e]
+            if not math.isfinite(scale2):
+                raise OutOfRange("an identity scale is past float range")
+            ok2 = diff2 <= IDENTITY_RESIDUAL_TOL * max(1.0, scale2)
+            results.append((ok1 and ok2, max(diff1, diff2)))
         return results
 
 

@@ -51,16 +51,6 @@ from .evolution import (
 from .fourier import bounds_table
 from .increments import IncrementDistribution, support_basis
 
-# the config keys each task needs
-_REQUIRED = {
-    "classify": ("matrix",),
-    "evolve": ("matrix", "increments", "p", "n"),
-    "bounds": ("matrix", "increments", "p", "n"),
-    "mixing-sweep": ("matrix", "increments", "p_list"),
-    "digit-census": ("p", "sigma"),
-    "verify-identities": ("matrix",),
-}
-TASKS = tuple(_REQUIRED)
 DEFAULT_EPS = 0.25
 DEFAULT_OUT = "reports"
 FIT_MODELS = ("pow_p", "log", "loglog")
@@ -191,7 +181,7 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
-        missing = [name for name in _REQUIRED[self.task] if getattr(self, name) is None]
+        missing = [name for name in _TASKS[self.task][1] if getattr(self, name) is None]
         if missing:
             raise ConfigInvalid(f"task {self.task!r} needs config keys: {missing}")
         if self.task == "mixing-sweep" and not self.p_list:
@@ -556,21 +546,24 @@ def _run_verify_identities(config: ExperimentConfig, out_dir: str) -> list[str]:
     )
 
 
-_RUNNERS = {
-    "classify": _run_classify,
-    "evolve": _run_evolve,
-    "bounds": _run_bounds,
-    "mixing-sweep": _run_mixing_sweep,
-    "digit-census": _run_digit_census,
-    "verify-identities": _run_verify_identities,
+# task -> (runner, required config keys)
+_TASKS = {
+    "classify": (_run_classify, ("matrix",)),
+    "evolve": (_run_evolve, ("matrix", "increments", "p", "n")),
+    "bounds": (_run_bounds, ("matrix", "increments", "p", "n")),
+    "mixing-sweep": (_run_mixing_sweep, ("matrix", "increments", "p_list")),
+    "digit-census": (_run_digit_census, ("p", "sigma")),
+    "verify-identities": (_run_verify_identities, ("matrix",)),
 }
+TASKS = tuple(_TASKS)
 
 
 def run(config: ExperimentConfig, out_dir: Optional[str] = None) -> list[str]:
     """Execute one experiment; returns the list of files written."""
     target = out_dir or config.out or DEFAULT_OUT
     os.makedirs(target, exist_ok=True)
-    return _RUNNERS[config.task](config, target)
+    runner, _ = _TASKS[config.task]
+    return runner(config, target)
 
 
 def _json_int(literal: str) -> int:

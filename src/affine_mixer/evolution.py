@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .algebra import IntMatrix, as_matrix, det_int, mat_pow_mod
+from .algebra import IntMatrix, as_matrix, det_int
 from .errors import ConfigInvalid, ModulusNotCoprime, StateSpaceTooLarge
 from .increments import IncrementDistribution
 
@@ -458,17 +458,6 @@ def simulate(chain: ChainSpec, n: int, trials: int, seed: int) -> StateDistribut
         x, y = y, x
     counts = np.bincount(_encode(x, p), minlength=p**k)
     return StateDistribution(p, k, (counts / trials).view(_Fresh))
-
-
-def shift_by(dist: StateDistribution, chain: ChainSpec, n: int) -> StateDistribution:
-    """Push dist through x -> A**n x0 + x (mod p), the start-shift map."""
-    p, k = chain.p, chain.k
-    offset = mat_pow_mod(chain.a, n, p).apply(chain.x0)
-    cube = dist.values.reshape((p,) * k)
-    moved = np.empty_like(cube)
-    for dst, src in _slabs(offset, p):
-        moved[dst] = cube[src]
-    return StateDistribution(p, k, moved.reshape(-1).view(_Fresh))
 
 
 # A law held as its support: sorted state indices and their values.

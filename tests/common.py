@@ -1,7 +1,7 @@
 """Shared fixtures: the matrix suite, its fair two-point increments, the
-table of all states, the reference step, index map, laws, mixing-time
-search and sampler, and a wall-clock limit for tests of work that must
-end quickly."""
+table of all states, the reference step, index map, start shift, laws,
+mixing-time search and sampler, and a wall-clock limit for tests of work
+that must end quickly."""
 
 from __future__ import annotations
 
@@ -81,6 +81,20 @@ def matmul_index_map(matrix, p, k):
     m_mod = (np.array(matrix.rows, dtype=object) % p).astype(np.int64)
     image = (state_table(p, k) @ m_mod.T) % p
     return image @ np.array([p**i for i in range(k)], dtype=np.int64)
+
+
+def start_shifted(dist, chain, n):
+    """dist pushed through x -> A**n x0 + x (mod p): A**n x0 from Python int
+    products, then np.roll of the law cube.  The oracle for a start at x0,
+    which moves P_n by that translation alone."""
+    p, k = chain.p, chain.k
+    offset = chain.x0
+    for _ in range(n):
+        offset = tuple(sum(a * x for a, x in zip(row, offset)) % p for row in chain.a.rows)
+    cube = dist.values.reshape((p,) * k)
+    # axis j of the cube holds component x_{k-1-j}, hence the reversal
+    moved = np.roll(cube, shift=offset[::-1], axis=tuple(range(k)))
+    return StateDistribution(p, k, moved.reshape(-1))
 
 
 def dense_laws(chain, n):

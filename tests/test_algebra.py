@@ -35,7 +35,6 @@ from affine_mixer import (
     factor_int_poly,
     inf_norm,
     mat_pow,
-    mat_pow_mod,
     minimal_poly,
     root_of_integer_order,
 )
@@ -359,20 +358,6 @@ def test_root_of_integer_order_matches_power_oracle():
             assert not (r.degree == 0 and r.coeffs[0] >= 1)
 
 
-def test_mat_pow_mod_matches_exact():
-    rng = random.Random(909)
-    for _ in range(60):
-        k = rng.randint(1, 3)
-        a = random_int_matrix(rng, k)
-        n = rng.randint(0, 12)
-        p = rng.choice([2, 3, 5, 7, 11])
-        exact = mat_pow(a, n)
-        reduced = mat_pow_mod(a, n, p)
-        for i in range(k):
-            for j in range(k):
-                assert reduced.rows[i][j] == exact.rows[i][j] % p
-
-
 def test_inf_norm():
     assert inf_norm(IntMatrix.from_rows([[2]])) == 2
     assert inf_norm(IntMatrix.from_rows([[0, -1], [1, 0]])) == 1
@@ -503,6 +488,29 @@ def test_spectral_identities_detects_wrong_minimal_prefix():
     ok, residual = verify_spectral_identities(a, 1, 4, eigenvalue_order=(0, 2, 1))
     assert not ok
     assert residual > 1e-8
+
+
+def test_spectral_identities_detect_a_broken_order_of_two_cat_blocks():
+    # diag(cat, cat) has d = 2; the order (0, 2, 1, 3) puts one root twice
+    # in the leading block, so P_2 is no annihilating product
+    from affine_mixer import verify_spectral_identities
+
+    a = IntMatrix.from_rows([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]])
+    assert all(verify_spectral_identities(a, e, j)[0] for e in (1, 2) for j in range(11))
+    broken = [verify_spectral_identities(a, e, j, (0, 2, 1, 3))[0] for e in (1, 2) for j in range(11)]
+    assert not all(broken)
+
+
+def test_spectral_identities_scale_past_float_range_is_out_of_range():
+    # T**2 = 10**160 I, so P_2 = T**2 - 10**160 I = 0 and both residuals are
+    # exactly 0; but |T| |T - lam_1 I| |T - lam_2 I| is about 10**480, and a
+    # scale of inf would pass any residual
+    from affine_mixer import verify_spectral_identities
+
+    a = IntMatrix.from_rows([[10**160, -(10**160) + 1], [10**160, -(10**160)]])
+    assert verify_spectral_identities(a, 1, 0) == (True, 0.0)
+    with pytest.raises(OutOfRange):
+        verify_spectral_identities(a, 2, 1)
 
 
 def test_spectral_identities_argument_range():
@@ -970,7 +978,11 @@ def test_property_powers_match_repeated_products(rows, e, p):
     for _ in range(e):
         expected = expected @ a
     assert mat_pow(a, e) == expected
-    assert mat_pow_mod(a, e, p).rows == tuple(tuple(x % p for x in row) for row in expected.rows)
+    # reducing mod p after every product gives the exact power mod p
+    reduced = IntMatrix.identity(a.k)
+    for _ in range(e):
+        reduced = IntMatrix.from_rows([[x % p for x in row] for row in (reduced @ a).rows])
+    assert reduced.rows == tuple(tuple(x % p for x in row) for row in mat_pow(a, e).rows)
 
 
 def test_polishing_moves_a_root_onto_the_residual_floor():
@@ -1112,7 +1124,7 @@ def test_split_quartic_matches_partial_check_oracle():
 
 def verify_identities_oracle(a, e, j, eigenvalue_order=None):
     """The former per-call verify_spectral_identities, kept as an oracle: it
-    rebuilds every shift, product and power for each (e, j)."""
+    rebuilds every shift, product, power and scale for each (e, j)."""
     a = algebra.as_matrix(a)
     k = a.k
     mp = minimal_poly(a)
@@ -1146,9 +1158,17 @@ def verify_identities_oracle(a, e, j, eigenvalue_order=None):
         coeff = algebra._complete_homogeneous(j - d + h, lam_vals[h - 1 : d])
         if coeff != 0:
             rhs2 = rhs2 + coeff * (reduce(np.matmul, shifts[h:], eye) @ prods[e])
-    residual = float(max(np.abs(lhs1 - rhs1).max(), np.abs(lhs2 - rhs2).max()))
-    scale = max(1.0, float(max(np.abs(lhs1).max(), np.abs(lhs2).max())))
-    return residual <= algebra.IDENTITY_RESIDUAL_TOL * scale, residual
+    diff1 = float(np.abs(lhs1 - rhs1).max())
+    diff2 = float(np.abs(lhs2 - rhs2).max())
+    # identity 1 against |T**e|, identity 2 against the sizes of its
+    # factors, |T**j| |T - lam_1 I| ... |T - lam_e I|
+    scale2 = float(np.abs(powers[j]).max())
+    for shift in shifts[:e]:
+        scale2 *= float(np.abs(shift).max())
+    tol = algebra.IDENTITY_RESIDUAL_TOL
+    ok1 = diff1 <= tol * max(1.0, float(np.abs(lhs1).max()))
+    ok2 = diff2 <= tol * max(1.0, scale2)
+    return ok1 and ok2, max(diff1, diff2)
 
 
 def outcome(check, *args):

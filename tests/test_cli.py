@@ -788,6 +788,37 @@ def test_main_identities_of_integer_eigenvalues_past_2_53_are_exact(tmp_path, ca
     assert (report["all_ok"], report["max_residual"]) == (True, 0.0)
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        # the cat map block beside the integer eigenvalues 10000693 and
+        # 10005279, and a 4 x 4 matrix with three eigenvalues near 1e7
+        [
+            [30015834, 40021113, -80042224, -20010556],
+            [40016521, 50021802, -100043598, -20010554],
+            [30015831, 40021111, -80042218, -20010555],
+            [-10014450, -20019729, 40039457, 20010557],
+        ],
+        [
+            [10003739, 0, -1, 0],
+            [-10003737, 4, -9993711, 1],
+            [0, 0, 9993716, 0],
+            [20007475, -5, -7, -1],
+        ],
+    ],
+)
+def test_main_identities_at_e_equal_d_hold_against_their_factors(tmp_path, capsys, matrix):
+    # at e = d, T**j P_d = T**j mp(T) = 0, so the computed left side is
+    # rounding noise alone (up to 1e85 here), which the sizes of T**j and of
+    # P_d's factors bound but the noise itself does not
+    obj = {"matrix": matrix}
+    code, record = run_main_on_text(tmp_path, capsys, "verify-identities", json.dumps(obj))
+    assert (code, record) == (0, None)
+    report = json.loads((tmp_path / "out" / "identities.json").read_text())
+    assert report["d"] == 4 and report["max_residual"] > 1e80
+    assert report["all_ok"] is True
+
+
 @pytest.mark.filterwarnings("error")  # stderr holds the record alone
 def test_main_identities_of_irrational_eigenvalues_one_float_apart_are_typed(tmp_path, capsys):
     # 10**31 +- sqrt(2) round to one float, which must not be taken for an
@@ -999,7 +1030,7 @@ def test_main_maps_unexpected_exception_to_record(tmp_path, capsys, monkeypatch)
     def broken(config, out_dir):
         raise RuntimeError("runner fell over")
 
-    monkeypatch.setitem(cli._RUNNERS, "classify", broken)
+    monkeypatch.setitem(cli._TASKS, "classify", (broken, cli._TASKS["classify"][1]))
     text = json.dumps({"task": "classify", "matrix": [[2]]})
     code, record = run_main_on_text(tmp_path, capsys, "classify", text)
     assert code == 1

@@ -39,7 +39,6 @@ from affine_mixer.evolution import (
     decode_state,
     encode_state,
     index_map,
-    shift_by,
     state_cap,
 )
 from affine_mixer.fourier import _fourier_search, _NearTie
@@ -50,6 +49,7 @@ from common import (
     matmul_index_map,
     reference_simulate,
     roll_step,
+    start_shifted,
     state_table,
     suite_chains,
 )
@@ -91,8 +91,7 @@ def test_index_map_matches_apply():
 
 def test_translation_matches_apply_plus_offset():
     # the mass at x lands on A x + offset (mod p): pushed through index_map,
-    # then moved by the slab pairs of _slabs, and by shift_by with offset
-    # A**n x0
+    # then moved by the slab pairs of _slabs
     a = IntMatrix.from_rows([[2, -1], [3, 5]])
     values = np.arange(1.0, 50.0) / np.arange(1.0, 50.0).sum()  # distinct masses
     pushed = np.empty_like(values)
@@ -105,15 +104,6 @@ def test_translation_matches_apply_plus_offset():
     for code in range(49):
         image = tuple(c + o for c, o in zip(a.apply(decode_state(code, 7, 2)), (4, -2)))
         assert moved[encode_state(image, 7)] == values[code]
-    chain = ChainSpec(a, fair_two_point(2), 7, x0=(4, -2))
-    dist = StateDistribution(7, 2, values)
-    offset = chain.x0
-    for n in range(4):
-        shifted = shift_by(dist, chain, n)
-        for code in range(49):
-            image = tuple(c + o for c, o in zip(decode_state(code, 7, 2), offset))
-            assert shifted.values[encode_state(image, 7)] == values[code]
-        offset = a.apply(offset)
 
 
 def test_state_table_matches_decode():
@@ -327,7 +317,7 @@ def test_start_shift_equivariance():
         base = ChainSpec(a, mu, p)
         moved = ChainSpec(a, mu, p, x0=x0)
         for n in (0, 1, 2, 5):
-            via_shift = shift_by(evolve(base, n), moved, n)
+            via_shift = start_shifted(evolve(base, n), moved, n)
             direct = evolve(moved, n)
             assert float(np.abs(via_shift.values - direct.values).max()) < 1e-12
 

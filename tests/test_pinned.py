@@ -60,8 +60,8 @@ PINNED = {
             ],
         },
         {
-            "identities.csv": "6601eaa1c973e6646cc7f8f9a392e2d3718c07ca2de538791b7d616f33a1a491",
-            "identities.json": "51cbec2200372cbb088980b232e2102ec3d346a3ebf8ce0e48dd6a53d866e650",
+            "identities.csv": "43498ce51aeff8dd611318695f5cc52f659ed9faf4cdebcc5d0e5e3d1d78aa00",
+            "identities.json": "f4b462008c212d88364f89b9b7c8499550e86555f02910d80fa36fbb2b9005cd",
         },
     ),
     "lab-identities.classify": (

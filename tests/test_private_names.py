@@ -1,7 +1,8 @@
 """Every module-level private name in the package is read by package code
-outside its own definition, so a helper that a change leaves unused
-cannot stay behind; and the orbit products and the Fourier search are
-defined in fourier alone."""
+outside its own definition, and every public function or class is
+exported or read, so a helper that a change leaves unused cannot stay
+behind; and the orbit products and the Fourier search are defined in
+fourier alone."""
 
 from __future__ import annotations
 
@@ -46,6 +47,33 @@ def test_every_private_module_name_is_read_outside_its_definition():
         for module, tree in trees.items()
         for name, node in private_definitions(tree)
         if total[name] == reads(node)[name]
+    ]
+    assert not orphans
+
+
+def imported(node: ast.AST) -> set[str]:
+    """The names node imports from other modules."""
+    return {
+        alias.name
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Import, ast.ImportFrom))
+        for alias in n.names
+    }
+
+
+def test_every_public_definition_is_exported_or_read():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    exported = imported(trees.pop("__init__.py"))
+    total = sum((reads(tree) for tree in trees.values()), Counter())
+    imports = set().union(*map(imported, trees.values()))
+    orphans = [
+        f"{module}: {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in exported | imports
+        and total[node.name] == reads(node)[node.name]
     ]
     assert not orphans
 
