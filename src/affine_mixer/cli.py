@@ -71,10 +71,15 @@ _MINIMUMS = {
 # the largest l_max the schema accepts: the torsion search's cost grows
 # faster than linearly in it
 MAX_L_MAX = 256
-# rows of evolve.csv and census.csv formatted at a time: a block's byte
-# matrix takes a few MB, and 2**18 rows raised the law writer's peak
-# resident memory by 27 MB on a law of 497,025 states
-_ROW_BLOCK = 2**16
+# rows of evolve.csv and census.csv laid out, compressed and written at a
+# time: a block's byte matrix, its mask and its compressed copy take a few
+# hundred kB, and 2**16 rows made the census writer set the digit-census
+# task's peak resident memory
+_ROW_BLOCK = 2**13
+# values of a law keyed by one np.unique and repr-ed at a time, and the
+# reprs kept for later batches: batches of 2**13 values wrote a two-point
+# law of 497,025 states about 40% slower
+_LAW_BLOCK = 2**16
 _USAGE = "affine-mixer <task> --config cfg.json [--out DIR] [--seed N] [--eps F] [--n-cap N]"
 # each command line flag and the reader of its value
 _FLAGS = {"--config": str, "--out": str, "--seed": int, "--eps": float, "--n-cap": int}
@@ -331,40 +336,44 @@ def _decimal(values: np.ndarray) -> np.ndarray:
 
 
 def _write_rows(handle: IO[bytes], columns: Sequence[np.ndarray]) -> None:
-    """Write one block of csv rows, the bytes csv.writer gives for the same
-    cells, none of which needs quoting.
+    """Write csv rows, the bytes csv.writer gives for the same cells, none
+    of which needs quoting.
 
     Each column is a 1-D array of nonnegative integers, written in decimal,
-    or a (rows, width) uint8 matrix of NUL-padded cell bytes.  The block is
-    laid out as one fixed-width uint8 matrix, cells NUL-padded with a comma
-    after each and a newline after the last, and one boolean compress
-    drops the NULs.
+    or a (rows, width) uint8 matrix of NUL-padded cell bytes.  The rows go
+    out _ROW_BLOCK at a time, whatever the length of the columns: a block
+    is laid out as one fixed-width uint8 matrix, cells NUL-padded with a
+    comma after each and a newline after the last, and one boolean
+    compress drops the NULs.
     """
-    cells = [_decimal(c) if c.ndim == 1 else c for c in columns]
-    rows = np.empty((len(cells[0]), sum(c.shape[1] + 1 for c in cells)), dtype=np.uint8)
-    at = 0
-    for cell in cells:
-        rows[:, at : at + cell.shape[1]] = cell
-        at += cell.shape[1] + 1
-        rows[:, at - 1] = ord(",")
-    rows[:, -1] = ord("\n")
-    flat = rows.reshape(-1)
-    handle.write(flat[flat != 0])
+    for start in range(0, len(columns[0]), _ROW_BLOCK):
+        block = [c[start : start + _ROW_BLOCK] for c in columns]
+        cells = [_decimal(c) if c.ndim == 1 else c for c in block]
+        rows = np.empty((len(cells[0]), sum(c.shape[1] + 1 for c in cells)), dtype=np.uint8)
+        at = 0
+        for cell in cells:
+            rows[:, at : at + cell.shape[1]] = cell
+            at += cell.shape[1] + 1
+            rows[:, at - 1] = ord(",")
+        rows[:, -1] = ord("\n")
+        flat = rows.reshape(-1)
+        handle.write(flat[flat != 0])
 
 
 def _write_law(path: str, values: np.ndarray) -> str:
     """Write a law as the csv rows "index,probability", the bytes csv.writer
-    gives over enumerate(values.tolist()), _ROW_BLOCK rows at a time.  Each
-    distinct value of a block is found by one np.unique over its bit
+    gives over enumerate(values.tolist()), in batches of _LAW_BLOCK values.
+    Each distinct value of a batch is found by one np.unique over its bit
     pattern, so 0.0 and -0.0 stay apart, and repr-ed once; the reprs are
-    kept for later blocks until they number a block's worth."""
+    kept for later batches until they number a batch's worth.  A batch's
+    rows go out through _write_rows, _ROW_BLOCK at a time."""
     bits = values.view(np.int64)
     reprs: dict[int, bytes] = {}
     with _atomic(path, binary=True) as handle:
         handle.write(b"index,probability\n")
-        for start in range(0, len(bits), _ROW_BLOCK):
-            keys, inverse = np.unique(bits[start : start + _ROW_BLOCK], return_inverse=True)
-            if len(reprs) >= _ROW_BLOCK:
+        for start in range(0, len(bits), _LAW_BLOCK):
+            keys, inverse = np.unique(bits[start : start + _LAW_BLOCK], return_inverse=True)
+            if len(reprs) >= _LAW_BLOCK:
                 reprs.clear()
             texts = []
             for key, value in zip(keys.tolist(), keys.view(np.float64).tolist()):
@@ -398,8 +407,10 @@ def _joined(blocks: np.ndarray) -> np.ndarray:
 
 def _write_census(path: str, census: BlockCensus) -> str:
     """Write census.csv, one row "a,block_index,digits,alternations" per
-    block, _ROW_BLOCK rows at a time.  A block's digits are concatenated
-    when sigma <= 10 and joined with '-' otherwise."""
+    block.  The columns are built and written _ROW_BLOCK rows at a time,
+    so beside the census's arrays the writer holds one block's worth.  A
+    block's digits are concatenated when sigma <= 10 and joined with '-'
+    otherwise."""
     r = census.r
     digits = census.digits.reshape(-1, census.t)
     alternations = census.alternations.reshape(-1)

@@ -17,6 +17,10 @@ import numpy as np
 from .errors import OutOfRange
 from .evolution import _check_cap
 
+# census rows (blocks of t digits) whose alternations are counted at a time:
+# the masks then take _ROW_BLOCK (t - 1) bytes each, not (p - 1) r (t - 1)
+_ROW_BLOCK = 2**13
+
 
 @dataclass(frozen=True)
 class DigitBlock:
@@ -131,8 +135,11 @@ def block_census(p: int, sigma: int, t: Optional[int] = None, r: int = 1) -> Blo
 
     The digits come from one exact long division of all numerators at
     once, O((p - 1) r t) array work, each block index checked by one sort of
-    the codes floor(s * sigma**t / p).  (p - 1) r rows above the state cap,
-    or (p - 1) r t digits above 8 times it (the bytes of a dense law at the
+    the codes floor(s * sigma**t / p).  Alternations are counted _ROW_BLOCK
+    blocks at a time into the result array, so beside the kept arrays the
+    census holds its remainders, 8 bytes per numerator, and masks of
+    _ROW_BLOCK (t - 1) bytes.  (p - 1) r rows above the state cap, or
+    (p - 1) r t digits above 8 times it (the bytes of a dense law at the
     cap), raise StateSpaceTooLarge before anything is allocated.
     """
     if r < 1:
@@ -148,7 +155,12 @@ def block_census(p: int, sigma: int, t: Optional[int] = None, r: int = 1) -> Blo
     _check_cap((p - 1) * r, "(p - 1) * r census rows")
     _check_cap((p - 1) * r * t, "(p - 1) * r * t census digits", per_state=8)
     digits, distinct = _long_division(np.arange(1, p), p, sigma, t, r)
-    alternations = _alternations(digits, sigma)
+    rows = digits.reshape(-1, t)
+    alternations = np.empty(len(rows), dtype=np.int_)
+    for start in range(0, len(rows), _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        alternations[block] = _alternations(rows[block], sigma)
+    alternations = alternations.reshape(p - 1, r)
     counts = np.bincount(alternations.ravel())
     digits.flags.writeable = False
     alternations.flags.writeable = False

@@ -30,7 +30,15 @@ from affine_mixer import (
     run,
 )
 from affine_mixer import cli, errors
-from affine_mixer.cli import _ROW_BLOCK, TASKS, _write_census, _write_law, _write_report, main
+from affine_mixer.cli import (
+    _LAW_BLOCK,
+    _ROW_BLOCK,
+    TASKS,
+    _write_census,
+    _write_law,
+    _write_report,
+    main,
+)
 from affine_mixer.digitlab import block_census
 from affine_mixer.evolution import STATE_CAP_ENV
 from common import time_limit
@@ -373,6 +381,36 @@ def test_property_census_files_match_per_row_writer_at_any_block(p, sigma, t, r,
         assert census_files(directory, obj) == expected
 
 
+def csv_census(census) -> bytes:
+    """census.csv as csv.writer writes it, row by row: the oracle of the
+    block writer _write_census."""
+    handle = io.StringIO(newline="")
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(("a", "block_index", "digits", "alternations"))
+    sep = "" if census.sigma <= 10 else "-"
+    rows = zip(census.digits.tolist(), census.alternations.tolist())
+    for a, (blocks, alts) in enumerate(rows, start=1):
+        for i, (block, alt) in enumerate(zip(blocks, alts)):
+            writer.writerow((a, i, sep.join(map(str, block)), alt))
+    return handle.getvalue().encode()
+
+
+# each column's decimal width changes inside one block of _ROW_BLOCK rows:
+# a from 9,999 to 10,000 (rows 9,998 and 9,999); a from 9 to 10 and 99 to
+# 100, and the block index from 9 to 10; alternations from 9 to 10, and
+# sigma > 10 digits from 9 to 10
+@pytest.mark.parametrize(
+    "p, sigma, t, r", [(10_007, 2, None, 1), (101, 2, None, 12), (211, 2, 14, 1), (211, 16, 3, 2)]
+)
+def test_census_writer_matches_csv_writer_across_widths(tmp_path, p, sigma, t, r):
+    assert 9_998 // _ROW_BLOCK == 9_999 // _ROW_BLOCK and (p - 1) * r > 11
+    census = block_census(p, sigma, t, r)
+    path = str(tmp_path / "census.csv")
+    assert _write_census(path, census) == path
+    with open(path, "rb") as handle:
+        assert handle.read() == csv_census(census)
+
+
 def test_census_left_absent_when_a_block_fails(tmp_path, monkeypatch):
     # the census streams into census.csv.tmp a block at a time; a failure
     # after its first block removes that and writes no census.json
@@ -414,26 +452,49 @@ def test_law_writer_memory_does_not_grow_with_the_rows(tmp_path, rows):
     assert os.path.getsize(path) > rows * 20
 
 
+@pytest.mark.parametrize("rows", [2**18, 2**21])
+def test_law_writer_emits_a_block_at_a_time(tmp_path, monkeypatch, rows):
+    # each batch of _LAW_BLOCK rows goes out _ROW_BLOCK rows at a time: what
+    # _write_rows allocates beyond its input columns is one block's byte
+    # matrix, its mask and its compressed copy (about 0.75 MB), where a
+    # whole batch's took about 6 MB
+    peaks = []
+
+    def write_rows(*args, _original=cli._write_rows):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _original(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - held)
+
+    monkeypatch.setattr(cli, "_write_rows", write_rows)
+    values = np.repeat(np.random.default_rng(rows).random(rows // 16), 16)
+    traced_peak(lambda: _write_law(str(tmp_path / "evolve.csv"), values))
+    assert len(peaks) == rows // _LAW_BLOCK
+    assert max(peaks) <= 2**20
+
+
 @pytest.mark.parametrize("p, r", [(10_007, 10), (100_003, 10)])
 def test_census_writer_memory_does_not_grow_with_the_rows(tmp_path, p, r):
-    # beyond the census's own arrays: 10**5 and 10**6 rows, written a block
-    # of _ROW_BLOCK rows at a time
+    # beyond the census's own arrays: 10**5 and 10**6 rows, their columns
+    # built and written a block of _ROW_BLOCK rows at a time (about 1 MB;
+    # blocks of 2**16 rows took 7.4 and 8.5 MB)
     census = block_census(p, 2, None, r)
     path = str(tmp_path / "census.csv")
-    assert traced_peak(lambda: _write_census(path, census)) <= 10 * 2**20
+    assert traced_peak(lambda: _write_census(path, census)) <= 2 * 2**20
     assert os.path.getsize(path) > (p - 1) * r * 20
 
 
 def test_block_census_memory_stays_near_its_arrays():
     # tracemalloc peak over the bytes of the digits and alternations the
     # census keeps: beside them only the long division's remainders, one
-    # block's codes and the alternation masks (2.6 here); an int64 copy of
-    # each block's digits for a matmul to codes, and np.unique's hash
-    # table, took it to 3.88
+    # block's codes and the masks of _ROW_BLOCK rows of alternations (1.32
+    # here); masks over all rows at once took it to 1.96, and an int64 copy
+    # of each block's digits for a matmul to codes, with np.unique's hash
+    # table, to 3.88
     block_census(7, 2, None, 2)  # one-off first-call work stays out of the peak
     peak = traced_peak(lambda: block_census(100_003, 2, None, 2))
     census = block_census(100_003, 2, None, 2)
-    assert peak <= 3.25 * (census.digits.nbytes + census.alternations.nbytes)
+    assert peak <= 1.6 * (census.digits.nbytes + census.alternations.nbytes)
 
 
 def test_main_census_over_state_cap(tmp_path, capsys, monkeypatch):
@@ -485,24 +546,36 @@ def written_law(directory, values: np.ndarray) -> bytes:
 AWKWARD_FLOATS = [0.0, -0.0, 5e-324, 9.999e-05, 1e-4, 1e16, 0.1, 1 / 3, 2.5e-7, 1.0]
 
 
-@pytest.mark.parametrize("length", [_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1])
+@pytest.mark.parametrize("length", [_LAW_BLOCK - 1, _LAW_BLOCK, _LAW_BLOCK + 1])
 def test_law_writer_matches_csv_writer(tmp_path, length):
     rng = np.random.default_rng(length)
     values = rng.choice(np.array(AWKWARD_FLOATS + list(rng.random(500))), size=length)
-    # one value on both sides of the block boundary, and every awkward value
-    # in the last (possibly one-row) block too
-    values[_ROW_BLOCK - 2 : _ROW_BLOCK] = -0.0
+    # one value on both sides of the batch boundary, and every awkward value
+    # in the last (possibly one-row) batch too
+    values[_LAW_BLOCK - 2 : _LAW_BLOCK] = -0.0
     values[-len(AWKWARD_FLOATS) :] = AWKWARD_FLOATS
+    assert written_law(tmp_path, values) == csv_law(values)
+
+
+def test_law_writer_matches_csv_writer_across_widths(tmp_path):
+    # the index goes from 9,999 to 10,000 inside one block of _ROW_BLOCK
+    # rows, and the reprs of one block range from 5e-324 to 0.1
+    assert 9_999 // _ROW_BLOCK == 10_000 // _ROW_BLOCK
+    rng = np.random.default_rng(10_000)
+    values = rng.choice(np.array(AWKWARD_FLOATS + list(rng.random(500))), size=12_000)
+    values[9_990:10_010] = AWKWARD_FLOATS * 2
     assert written_law(tmp_path, values) == csv_law(values)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     values=st.lists(st.floats(allow_nan=False), max_size=40).map(np.array),
+    batch=st.integers(1, 8),
     block=st.integers(1, 8),
 )
-def test_property_law_writer_matches_csv_writer_at_any_block(values, block):
+def test_property_law_writer_matches_csv_writer_at_any_block(values, batch, block):
     with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_LAW_BLOCK", batch)
         patch.setattr(cli, "_ROW_BLOCK", block)
         assert written_law(directory, values) == csv_law(values)
 
@@ -520,7 +593,7 @@ def test_law_left_absent_when_a_block_fails(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli.np, "unique", unique)
     with pytest.raises(RuntimeError, match="block failed"):
-        _write_law(str(tmp_path / "evolve.csv"), np.full(_ROW_BLOCK + 1, 0.5))
+        _write_law(str(tmp_path / "evolve.csv"), np.full(_LAW_BLOCK + 1, 0.5))
     assert calls == [["evolve.csv.tmp"]] * 2
     assert os.listdir(tmp_path) == []  # neither evolve.csv nor evolve.csv.tmp
 

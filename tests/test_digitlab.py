@@ -24,6 +24,7 @@ from affine_mixer import (
     block_census,
     generalized_alternations,
 )
+from affine_mixer import digitlab
 from affine_mixer.digitlab import _alternations, default_block_length
 from affine_mixer.evolution import STATE_CAP_ENV
 
@@ -304,6 +305,26 @@ def test_property_block_census_matches_scalar_oracle(p, sigma, t, r):
         assert getattr(census, name) == value, name
     assert type(census.min_alternations) is int
     assert all(type(key) is int and type(n) is int for key, n in census.histogram.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(2, 60),
+    sigma=st.one_of(st.integers(2, 16), st.integers(2**62, 2**70)),
+    t=st.one_of(st.none(), st.integers(1, 12)),
+    r=st.integers(1, 3),
+    block=st.integers(1, 8),
+)
+def test_property_block_census_alternations_at_any_block(p, sigma, t, r, block):
+    # the alternations are counted a block of census rows at a time
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(digitlab, "_ROW_BLOCK", block)
+        census = block_census(p, sigma, t, r)
+    expected = census_oracle(p, sigma, census.t, r)
+    assert census.alternations.shape == (p - 1, r)
+    assert census.alternations.tolist() == expected["alternations"]
+    assert census.min_alternations == expected["min_alternations"]
+    assert census.histogram == expected["histogram"]
 
 
 def test_block_census_arrays_are_read_only():
