@@ -43,6 +43,7 @@ from .errors import AffineMixerError, ConfigInvalid, InsufficientData, StateSpac
 from .evolution import (
     DEFAULT_N_CAP,
     ChainSpec,
+    _dense_prefix,
     evolve,
     mixing_time,
     simulate,
@@ -262,6 +263,8 @@ def mixing_sweep(config: ExperimentConfig) -> list[SweepRow]:
     basis = support_basis(mu, a)
     det_a = det_int(a)
     rows: list[SweepRow] = []
+    # (ln p, p, n_mix) of the rows answered past their dense prefix
+    answered: list[tuple[float, int, int]] = []
     for p in config.p_list or ():
         ln_p = math.log(p)
         lnln = ln_p * math.log(ln_p) if p > 2 else 0.0
@@ -272,11 +275,19 @@ def mixing_sweep(config: ExperimentConfig) -> list[SweepRow]:
             reasons.append(f"gcd(det(B),p)={math.gcd(basis.det, p)}")
         n_mix, reason = None, "; ".join(reasons)
         if not reasons:
+            chain = ChainSpec(a, mu, p)
+            hint = None
+            if answered:
+                # n_mix grows as p**2 in the regimes the prefix does not answer
+                _, near, n_near = min(answered, key=lambda row: abs(row[0] - ln_p))
+                hint = n_near * p * p // (near * near)
             try:
-                n_mix = mixing_time(ChainSpec(a, mu, p), config.eps, config.n_cap)
+                n_mix = mixing_time(chain, config.eps, config.n_cap, hint=hint)
                 reason = "" if n_mix is not None else "unmixed"
             except StateSpaceTooLarge as err:
                 reason = f"error: {err.kind}"
+            if n_mix is not None and n_mix > _dense_prefix(chain.n_states, len(mu.support)):
+                answered.append((ln_p, p, n_mix))
         rows.append(SweepRow(p, regime, n_mix, ln_p, lnln, p * p, not reasons, reason))
     if not any(row.admissible for row in rows):
         raise ConfigInvalid("no admissible modulus in p_list")

@@ -96,16 +96,22 @@ def _long_division(
     """The first r*t base-sigma digits of a/p for every a in numerators
     (each in 1..p-1) as a (len(numerators), r, t) array of the smallest
     dtype that holds sigma - 1, and whether each block index is distinct.
-    Remainders are int64 while (p - 1) * sigma fits, Python ints otherwise.
-    From remainder s the next t digits are floor(s * sigma**t / p)."""
-    state = np.array(numerators, dtype=np.int64 if (p - 1) * sigma < 2**63 else object)
+    Remainders are int64 while (p - 1) * sigma fits, Python ints otherwise;
+    numerators already in that dtype are the remainders, overwritten in
+    place, so block_census's fresh arange is not copied.  From remainder s
+    the next t digits are floor(s * sigma**t / p)."""
+    state = np.asarray(numerators, dtype=np.int64 if (p - 1) * sigma < 2**63 else object)
+    # one row needs no sigma**t; the first block's codes come and go before
+    # the digits are allocated, and each digit column is divided straight
+    # into place, so no temporary of len(state) int64 meets the digits
+    distinct = [len(state) < 2 or _distinct(state, p, sigma**t)]
     digits = np.empty((len(state), r, t), dtype=np.min_scalar_type(sigma - 1))
-    distinct = []
     for i in range(r):
-        distinct.append(len(state) < 2 or _distinct(state, p, sigma**t))  # one row: no sigma**t
+        if i:
+            distinct.append(len(state) < 2 or _distinct(state, p, sigma**t))
         for j in range(t):
             state *= sigma
-            digits[:, i, j] = state // p
+            np.floor_divide(state, p, out=digits[:, i, j], casting="unsafe")
             state %= p
     return digits, tuple(distinct)
 
@@ -123,8 +129,12 @@ def _alternations(digits: np.ndarray, sigma: int) -> np.ndarray:
 def _distinct(start: np.ndarray, p: int, scale: int) -> bool:
     """Whether the blocks after the remainders s in start differ: sorted,
     their codes floor(s * scale / p), scale = sigma**t, have no equal
-    neighbours.  Not np.unique, which in numpy 2.x imports numpy.ma and hashes."""
-    codes = np.sort(start.astype(np.int64 if (p - 1) * scale < 2**63 else object) * scale // p)
+    neighbours.  Not np.unique, which in numpy 2.x imports numpy.ma and hashes.
+    The codes take one buffer, a copy of start, scaled and sorted in place."""
+    codes = start.astype(np.int64 if (p - 1) * scale < 2**63 else object)
+    codes *= scale
+    codes //= p
+    codes.sort()
     return bool((codes[1:] != codes[:-1]).all())
 
 

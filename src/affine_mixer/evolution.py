@@ -692,7 +692,7 @@ def _dense_prefix(n_states: int, support_size: int) -> int:
 
 
 def mixing_time(
-    chain: ChainSpec, eps: float, n_cap: int = DEFAULT_N_CAP
+    chain: ChainSpec, eps: float, n_cap: int = DEFAULT_N_CAP, *, hint: Optional[int] = None
 ) -> Optional[int]:
     """Smallest n <= n_cap with tv_distance(P_n) <= eps, else None.
 
@@ -711,18 +711,29 @@ def mixing_time(
     stepping stays within the budget of _check_work; a chain still
     unmixed at the budget's last step, with n_cap past it, raises
     StateSpaceTooLarge.  None means unmixed at the cap.
+
+    hint, an int, is a guess at the answer.  When the bracket around it
+    lies past twice the dense prefix, the search skips the prefix and
+    starts from that bracket (see _fourier_search); when it does not, or
+    that search cannot decide, the search above runs whole.  A hint moves
+    only the cost, never the answer.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
     # before _dense_prefix prices p**k in floats, which overflow past 2**1024
     _check_cap(chain.n_states, "p**k")
     prefix = min(n_cap, _dense_prefix(chain.n_states, len(chain.mu.support)))
-    found = _mixing_time_dense(chain, eps, prefix)
-    if found is not None or prefix == n_cap:
-        return found
     # imported here, not at the top: fourier imports this module as it loads
     from .fourier import _NearTie, _fourier_search
 
+    if hint is not None:
+        try:
+            return _fourier_search(chain, eps, n_cap, prefix, hint)
+        except _NearTie:
+            pass  # the whole unhinted search decides
+    found = _mixing_time_dense(chain, eps, prefix)
+    if found is not None or prefix == n_cap:
+        return found
     try:
         return _fourier_search(chain, eps, n_cap, prefix)
     except _NearTie:

@@ -18,7 +18,8 @@ frequency fixed by some power of T.
 Mixing times past a short prefix are found here, in the Fourier domain,
 where the law after n steps costs O(log n) pointwise products instead of
 n steps (_fourier_search, which evolution's mixing_time calls past its
-dense prefix).  The products are joined from mu_hat itself, not from its
+dense prefix, or in its place from a bracket around a hinted n).  The
+products are joined from mu_hat itself, not from its
 squared modulus, and one FFT per candidate n gives tv; a value within
 the round-off margin of eps raises _NearTie, and mixing_time then hands
 the search to dense stepping.
@@ -463,7 +464,8 @@ def transform_of_distribution(dist: StateDistribution) -> np.ndarray:
 
 
 class _NearTie(Exception):
-    """A Fourier tv value too close to eps to decide against it."""
+    """A Fourier tv value too close to eps to decide against it, a crossing
+    that does not recompute, or a hint bracketed too near the prefix."""
 
 
 def _round_off_margin(n: int, n_states: int, support_size: int, norm: float) -> float:
@@ -499,7 +501,13 @@ def _round_off_margin(n: int, n_states: int, support_size: int, norm: float) -> 
     return 2.0**-53 * norm * terms
 
 
-def _fourier_search(chain: ChainSpec, eps: float, n_cap: int, lo: int) -> Optional[int]:
+# a hinted search brackets its hint h by h -+ h // _HINT_SLACK
+_HINT_SLACK = 32
+
+
+def _fourier_search(
+    chain: ChainSpec, eps: float, n_cap: int, lo: int, hint: Optional[int] = None
+) -> Optional[int]:
     """mixing_time past a prefix lo with tv(P_lo) > eps, in the Fourier domain.
 
     tv to uniform is invariant under translation, so tv(P_n) = tv(Q_n)
@@ -510,6 +518,19 @@ def _fourier_search(chain: ChainSpec, eps: float, n_cap: int, lo: int) -> Option
     value lies within the round-off margin of eps, or when the crossing
     tv(n) <= eps < tv(n - 1), recomputed by another product grouping,
     does not hold.
+
+    With a hint, a predicted n_mix, lo is a dense prefix that was not run.
+    The hint h is clamped to n_cap and bracketed by h - w and
+    min(h + w, n_cap), w = h // _HINT_SLACK; a bottom not past 2 lo and
+    below n_cap raises _NearTie at once.  The search evaluates tv at the
+    bottom b, from the orbit state at m = (b - 1) // 2, whose norm it
+    keeps, so the round-off margin is no wider than a gallop from lo would
+    leave it, and then at the top.  A bottom already mixed halves, the old
+    bottom becoming the top, and raises _NearTie once it would reach lo;
+    a top still unmixed gallops up by doubling.  Inside the bracket it
+    bisects as above.  On _NearTie mixing_time runs the unhinted search,
+    so a bad hint costs transforms, never the answer: every bracket end
+    is decided by tv with the same margin, and the crossing is recomputed.
     """
     p, k, size = chain.p, chain.k, chain.n_states
     support_size = len(chain.mu.support)
@@ -532,18 +553,41 @@ def _fourier_search(chain: ChainSpec, eps: float, n_cap: int, lo: int) -> Option
         return tv <= eps
 
     keep_norm(one, 1)
-    low = _power(one, lo)
-    keep_norm(low, lo)
-    while True:
-        hi = min(2 * lo, n_cap)
-        high = _join(low, low if hi == 2 * lo else _power(one, hi - lo))
-        if mixed(high, hi):
-            break
-        if hi == n_cap:
-            return None
-        lo, low = hi, high
+    hi = None  # the least n found mixed, once there is one
+    if hint is None:
+        low = _power(one, lo)
         keep_norm(low, lo)
-    del high
+        top = min(2 * lo, n_cap)
+    else:
+        prefix, hint = lo, min(hint, n_cap)
+        width = hint // _HINT_SLACK
+        lo, top = hint - width, min(hint + width, n_cap)
+        if not 2 * prefix < lo < n_cap:
+            raise _NearTie(f"the bracket from {lo} is not within (2 * {prefix}, {n_cap})")
+        while True:
+            half = (lo - 1) // 2
+            low = _power(one, half)
+            keep_norm(low, half)
+            low = _join(low, low)
+            for _ in range(lo - 2 * half):
+                low = _join(low, one)
+            if not mixed(low, lo):
+                break
+            del low
+            hi, lo = lo, lo // 2
+            if lo <= prefix:
+                raise _NearTie(f"mixed at n = {hi}, within twice the prefix {prefix}")
+    while hi is None:
+        high = _join(low, low if top == 2 * lo else _power(one, top - lo))
+        if mixed(high, top):
+            hi = top
+        elif top == n_cap:
+            return None
+        else:
+            lo, low = top, high
+            keep_norm(low, lo)
+            top = min(2 * lo, n_cap)
+        del high
     while hi - lo > 1:
         width = 1 << ((hi - lo - 1).bit_length() - 1)
         mid = _join(low, _power(one, width))

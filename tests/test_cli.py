@@ -29,7 +29,7 @@ from affine_mixer import (
     mixing_sweep,
     run,
 )
-from affine_mixer import cli, errors
+from affine_mixer import cli, errors, evolution
 from affine_mixer.cli import (
     _LAW_BLOCK,
     _ROW_BLOCK,
@@ -484,17 +484,22 @@ def test_census_writer_memory_does_not_grow_with_the_rows(tmp_path, p, r):
     assert os.path.getsize(path) > (p - 1) * r * 20
 
 
-def test_block_census_memory_stays_near_its_arrays():
+@pytest.mark.parametrize("p, r", [(100_003, 2), (1_000_003, 1)])
+def test_block_census_memory_stays_near_its_arrays(p, r):
     # tracemalloc peak over the bytes of the digits and alternations the
-    # census keeps: beside them only the long division's remainders, one
-    # block's codes and the masks of _ROW_BLOCK rows of alternations (1.32
-    # here); masks over all rows at once took it to 1.96, and an int64 copy
-    # of each block's digits for a matmul to codes, with np.unique's hash
-    # table, to 3.88
+    # census keeps: beside them only the long division's remainders (the
+    # census's own arange), one block's codes and the masks of _ROW_BLOCK
+    # rows of alternations (1.06 and 1.01 here; the first block's codes are
+    # freed before the digits exist).  An int64 copy of the arange, codes
+    # formed in fresh arrays and a quotient temporary per digit column took
+    # them to 1.32 and 1.86 (52.0 MB at p = 1,000,003, where 1.2 allows
+    # 33.6); masks over all rows at once took the first to 1.96, and an
+    # int64 copy of each block's digits for a matmul to codes, with
+    # np.unique's hash table, to 3.88
     block_census(7, 2, None, 2)  # one-off first-call work stays out of the peak
-    peak = traced_peak(lambda: block_census(100_003, 2, None, 2))
-    census = block_census(100_003, 2, None, 2)
-    assert peak <= 1.6 * (census.digits.nbytes + census.alternations.nbytes)
+    peak = traced_peak(lambda: block_census(p, 2, None, r))
+    census = block_census(p, 2, None, r)
+    assert peak <= 1.2 * (census.digits.nbytes + census.alternations.nbytes)
 
 
 def test_main_census_over_state_cap(tmp_path, capsys, monkeypatch):
@@ -647,6 +652,109 @@ def test_main_sweep_records_a_modulus_past_float_range(tmp_path, capsys):
     over = rows.pop(str(big))
     assert (over["n_mix"], over["reason"]) == ("", "error: StateSpaceTooLarge")
     assert [row["n_mix"] for row in rows.values()] == ["7", "7", "7"]
+
+
+class SweepCalls:
+    """Each mixing_time call of a sweep as [p, hint, FFTs, dense steps]:
+    cli.mixing_time wrapped, and np.fft.fftn and evolution.step_exact
+    counted, for the length of one test."""
+
+    def __init__(self, monkeypatch):
+        self.calls: list[list] = []
+        self.ffts = self.steps = 0
+        mixing_time, fftn, step_exact = cli.mixing_time, np.fft.fftn, evolution.step_exact
+
+        def counted_fftn(*args, **kwargs):
+            self.ffts += 1
+            return fftn(*args, **kwargs)
+
+        def counted_step(*args, **kwargs):
+            self.steps += 1
+            return step_exact(*args, **kwargs)
+
+        def recorded(chain, eps, n_cap, *, hint=None):
+            ffts, steps = self.ffts, self.steps
+            call = [chain.p, hint, 0, 0]
+            self.calls.append(call)
+            try:
+                return mixing_time(chain, eps, n_cap, hint=hint)
+            finally:
+                call[2:] = [self.ffts - ffts, self.steps - steps]
+
+        monkeypatch.setattr(np.fft, "fftn", counted_fftn)
+        monkeypatch.setattr(evolution, "step_exact", counted_step)
+        monkeypatch.setattr(cli, "mixing_time", recorded)
+
+
+def test_main_sweep_hints_each_row_from_the_nearest_row_answered_past_its_prefix(
+    tmp_path, capsys, monkeypatch
+):
+    # A = I with fair {0, 2}: p = 4 and 6 are inadmissible, 251 and 253 are
+    # unmixed at n_cap 5000, and 10**400 + 1 is refused by the state cap, so
+    # none of them gives a hint; p = 31, 151 and the repeated 101 take theirs
+    # from the row nearest by ratio of p among 101, 31 and 151.  Every row
+    # reads as it does with no hints.
+    big = 10**400 + 1
+    obj = {
+        "matrix": [[1]],
+        "increments": {"k": 1, "support": [[0], [2]], "probs": [0.5, 0.5]},
+        "p_list": [4, 101, 31, 151, 6, 251, 253, big, 101],
+        "n_cap": 5000,
+    }
+    unhinted = tmp_path / "unhinted"
+    unhinted.mkdir()
+    with monkeypatch.context() as patch:
+        mixing_time = cli.mixing_time
+        patch.setattr(
+            cli, "mixing_time", lambda chain, eps, n_cap, hint: mixing_time(chain, eps, n_cap)
+        )
+        assert run_main_on_text(unhinted, capsys, "mixing-sweep", json.dumps(obj)) == (0, None)
+    sweep = SweepCalls(monkeypatch)
+    assert run_main_on_text(tmp_path, capsys, "mixing-sweep", json.dumps(obj)) == (0, None)
+    written = (tmp_path / "out" / "sweep.csv").read_text()
+    assert written == (unhinted / "out" / "sweep.csv").read_text()
+    rows = list(csv.DictReader(io.StringIO(written)))
+    n = {int(row["p"]): int(row["n_mix"]) for row in rows if row["n_mix"]}
+    assert sorted(n) == [31, 101, 151]
+    reasons = [row["reason"] for row in rows]
+    assert reasons[5:8] == ["unmixed", "unmixed", "error: StateSpaceTooLarge"]
+    assert [call[:2] for call in sweep.calls] == [
+        [101, None],
+        [31, n[101] * 31**2 // 101**2],
+        [151, n[101] * 151**2 // 101**2],
+        [251, n[151] * 251**2 // 151**2],
+        [253, n[151] * 253**2 // 151**2],
+        [big, n[151] * big**2 // 151**2],
+        [101, n[101]],
+    ]
+    # hints past n_cap are clamped to it: the bracket 5000 - 156 .. 5000
+    # decides each unmixed row in two transforms
+    assert [call[2] for call in sweep.calls[3:5]] == [2, 2]
+
+
+def test_sweep_slow_at_seed_1_hints_its_later_rows(tmp_path, capsys, monkeypatch):
+    # perfbench's sweep-slow workload at seed 1: the first row steps its
+    # dense prefix and searches from it; the later ones start from a hint
+    # and step nothing.  90 transforms and 84 dense steps without hints.
+    obj = {"matrix": [[1]], "increments": FAIR_1D, "p_list": [103, 153, 197, 249]}
+    sweep = SweepCalls(monkeypatch)
+    assert run_main_on_text(tmp_path, capsys, "mixing-sweep", json.dumps(obj)) == (0, None)
+    first, *later = sweep.calls
+    assert first[1] is None and first[3] > 0
+    assert all(call[1] is not None and call[3] == 0 for call in later), later
+    assert sweep.ffts <= 60
+
+
+def test_sweep_fast_at_seed_1_makes_no_transform(tmp_path, capsys, monkeypatch):
+    # perfbench's sweep-fast workload at seed 1: every row mixes within its
+    # dense prefix, so none gives a hint and no search pays an FFT over up
+    # to 3 * 10**6 states
+    p_list = [9997, 30003, 100053, 299713, 999783, 3000959]
+    obj = {"matrix": [[2]], "increments": FAIR_1D, "p_list": p_list}
+    sweep = SweepCalls(monkeypatch)
+    assert run_main_on_text(tmp_path, capsys, "mixing-sweep", json.dumps(obj)) == (0, None)
+    assert [call[:2] for call in sweep.calls] == [[p, None] for p in p_list]
+    assert sweep.ffts == 0
 
 
 def test_main_config_with_an_integer_past_the_digit_limit_is_config_invalid(tmp_path, capsys):

@@ -507,6 +507,112 @@ def test_mixing_time_matches_dense_search(chain, eps, cap_shift):
         assert found == dense
 
 
+# unit-root matrices, whose chains mix in order p**2 steps, past the prefix
+UNIT_ROOT_ROWS = (
+    [[1]],
+    [[-1]],
+    [[1, 0], [0, 1]],
+    [[1, 1], [0, 1]],
+    [[1, 1], [0, 2]],
+    [[0, -1], [1, 0]],
+)
+
+
+@st.composite
+def unit_root_chains(draw):
+    rows = draw(st.sampled_from(UNIT_ROOT_ROWS))
+    k = len(rows)
+    p = draw(st.sampled_from([5, 7, 11, 17, 23, 31] if k == 1 else [3, 5, 7, 11, 13]))
+    # {0, e_1}, which leaves A = I and the shear in k = 2 unmixed for good,
+    # or {0, e_1, ..., e_k}
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    support = [(0,) * k] + units[: 1 if draw(st.booleans()) else k]
+    return ChainSpec(IntMatrix.from_rows(rows), IncrementDistribution.fair(support), p)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(chain=unit_root_chains(), eps=st.floats(0.02, 0.5), data=st.data())
+def test_property_a_hint_moves_no_answer(chain, eps, data):
+    reach = 400
+    dense = dense_mixing_time(chain, eps, reach)
+    prefix = _dense_prefix(chain.n_states, len(chain.mu.support))
+    near = reach if dense is None else dense
+    hint = data.draw(
+        st.one_of(
+            st.sampled_from([0, 1, near - 1, near, near + 1]),
+            st.integers(2, prefix),  # at most the prefix
+            st.integers(2 * prefix, 4 * prefix),  # about where the hinted path starts
+            st.integers(0, 2 * reach),
+            st.integers(reach, reach + 40),  # at or past n_cap
+            st.integers(10 * reach, 10**9),  # far too high
+        ),
+        label="hint",
+    )
+    # a bad hint may cost transforms, never the answer, and raises nothing
+    assert mixing_time(chain, eps, reach, hint=hint) == dense
+    cap = data.draw(st.integers(max(0, near - 3), near + 3), label="n_cap")
+    expected = dense if dense is not None and dense <= cap else None
+    assert mixing_time(chain, eps, cap, hint=hint) == expected
+
+
+def dense_searches(monkeypatch):
+    """The n_cap of each _mixing_time_dense call from now on, in order."""
+    calls = []
+    original = evolution._mixing_time_dense
+
+    def counted(chain, eps, n_cap):
+        calls.append(n_cap)
+        return original(chain, eps, n_cap)
+
+    monkeypatch.setattr(evolution, "_mixing_time_dense", counted)
+    return calls
+
+
+def test_hinted_mixing_time_skips_the_dense_prefix(monkeypatch):
+    # from a hint, the answer or one that misses low, high or past n_cap,
+    # the search makes no dense step; a hint within twice the prefix leaves
+    # the search as it was, prefix first
+    chain = slow_chain(101)
+    n_mix, prefix = 1936, _dense_prefix(chain.n_states, 2)
+    assert prefix == 16
+    calls = dense_searches(monkeypatch)
+    for hint in (n_mix, n_mix - 1, 100, 3 * n_mix, 10**9):
+        assert mixing_time(chain, 0.25, hint=hint) == n_mix
+        assert calls == [], hint
+    # 33 - 33 // 32 = 32 is not past twice the prefix
+    assert mixing_time(chain, 0.25, hint=33) == n_mix
+    assert calls == [prefix]
+
+
+def test_hinted_mixing_time_past_the_answer_runs_the_whole_search(monkeypatch):
+    # p = 5 mixes within the dense prefix; the bracket's bottom halves from
+    # about the hint, mixed each time, until it would reach the prefix, and
+    # then the prefix answers
+    chain = slow_chain(5)
+    prefix = _dense_prefix(chain.n_states, 2)
+    n_mix = dense_mixing_time(chain, 0.25, prefix)
+    assert n_mix is not None
+    calls = dense_searches(monkeypatch)
+    with pytest.raises(_NearTie, match=f"within twice the prefix {prefix}"):
+        _fourier_search(chain, 0.25, 10**5, prefix, 1000)
+    assert mixing_time(chain, 0.25, hint=1000) == n_mix
+    assert calls == [prefix]
+
+
+def test_hinted_mixing_time_on_a_tie_runs_the_whole_search(monkeypatch):
+    # the hint's bisection meets the tie at m; so does the unhinted search
+    # after its prefix, and dense stepping answers
+    chain = slow_chain(31)
+    m = 100
+    prefix = _dense_prefix(chain.n_states, 2)
+    eps = tv_distance(evolve(chain, m))  # a dense tv value exactly
+    with pytest.raises(_NearTie, match=f"tv\\({m}\\)"):
+        _fourier_search(chain, eps, 5000, prefix, m)
+    calls = dense_searches(monkeypatch)
+    assert mixing_time(chain, eps, 5000, hint=m) == m
+    assert calls == [prefix, 5000]
+
+
 @pytest.mark.parametrize(
     "rows, p",
     [
@@ -1212,3 +1318,22 @@ def test_mixing_time_memory_does_not_grow_with_cap():
             tracemalloc.stop()
         assert (found is None) == (cap == 10**4)
     assert abs(peaks[10**6] - peaks[10**4]) <= 16 * chain.n_states, peaks
+
+
+def test_hinted_mixing_time_holds_no_more_orbit_states():
+    # the same chain from a hint at the answer, one that misses low (the
+    # bracket's bottom halves) and one that misses high (the top gallops):
+    # the search peaks within 16 bytes per state, less than one orbit state
+    # (24 bytes per state), of the unhinted search
+    chain = slow_chain(2001)
+    n = mixing_time(chain, 0.25, 10**6)  # warm the caches and FFT plans
+    peaks = {}
+    for hint in (None, n, 4 * n, n // 3):
+        tracemalloc.start()
+        try:
+            found = mixing_time(chain, 0.25, 10**6, hint=hint)
+            peaks[hint] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found == n
+    assert max(peaks.values()) <= peaks[None] + 16 * chain.n_states, peaks

@@ -143,7 +143,11 @@ PINNED = {
     # case, |lambda_1| = 1 < |lambda_2| (A = [[1, 1], [0, 2]], three fair
     # increments), where p = 31 mixes within the dense prefix and p = 61 and
     # 101 are answered by the Fourier search with a frequency permutation of
-    # its own (A is not symmetric).
+    # its own (A is not symmetric).  The same general case at p = 101 and
+    # 201 with n_cap 10**7, where p = 201 starts its search from a hint
+    # predicted from p = 101; and A = I in k = 2 with the same increments on
+    # an unsorted p_list with p = 101 repeated, each later row hinted from
+    # the nearest earlier one by ratio of p (the repeat from itself).
     "bounds-rho": (
         {"task": "bounds", "matrix": [[2]], "increments": FAIR_1D, "p": 101, "n": 30},
         {
@@ -242,6 +246,34 @@ PINNED = {
         {
             "sweep.csv": "0da99c8dbc084ecc65b0d3b5c26577ae6b034b29c99e8807c5114025bddc2d56",
             "sweep.json": "af02026d31ff07b21aa8ca1b71bd8c716da0207bcdf088b6bb69effc822edf51",
+        },
+    ),
+    "sweep-general-hinted": (
+        {
+            "task": "mixing-sweep",
+            "matrix": [[1, 1], [0, 2]],
+            "increments": FAIR_3,
+            "p_list": [101, 201],
+            "eps": 0.25,
+            "n_cap": 10**7,
+        },
+        {
+            "sweep.csv": "eadb3a887b0dfa315d2fc10a00c6e065760416180588e19170ba1455d0e918d8",
+            "sweep.json": "32fcc1424c17a91606671df8d3a3ce3af0280417512848170f52d05608ea6a89",
+        },
+    ),
+    "sweep-identity-2d-unsorted": (
+        {
+            "task": "mixing-sweep",
+            "matrix": [[1, 0], [0, 1]],
+            "increments": FAIR_3,
+            "p_list": [201, 101, 151, 101],
+            "eps": 0.25,
+            "n_cap": 10**7,
+        },
+        {
+            "sweep.csv": "b8b897a8bab5a5b9c4328e671d9ba84fa6f33ee08f6798b90b3fbc2861f45b23",
+            "sweep.json": "f443b32cf71dfe9d9b6b7a75fd0e944089b26bb10a20ff19fc0274c83b61cba9",
         },
     ),
     # A = 2 evolved from the point mass at p = 11.  Sweeps with A = 2, -2
