@@ -202,7 +202,8 @@ class ChainSpec:
     def _perm(self) -> np.ndarray:
         """Index permutation of the push-forward y -> A y mod p.  Read by
         step_exact for k >= 2 and for k = 1 past LINE_CUTOFF, and, as
-        _perm_t when A is symmetric, by product_scan and _fourier_search."""
+        _perm_t when A is symmetric, by product_scan and by fourier's orbit
+        products unless A = I mod p."""
         return index_map(self.a, self.p, self.k)
 
     @cached_property
@@ -712,11 +713,12 @@ def mixing_time(
     unmixed at the budget's last step, with n_cap past it, raises
     StateSpaceTooLarge.  None means unmixed at the cap.
 
-    hint, an int, is a guess at the answer.  When the bracket around it
-    lies past twice the dense prefix, the search skips the prefix and
-    starts from that bracket (see _fourier_search); when it does not, or
-    that search cannot decide, the search above runs whole.  A hint moves
-    only the cost, never the answer.
+    hint, an int, is a guess at the answer.  When it lies past twice the
+    dense prefix (after a clamp to n_cap), the search skips the prefix and
+    steps outward from it, down by 1, 2, 4, ... while mixed and up by 1, 2,
+    4, ... while unmixed, then bisects (see _fourier_search); when it does
+    not, or that search cannot decide, the search above runs whole.  A
+    hint moves only the cost, never the answer.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")

@@ -18,7 +18,7 @@ frequency fixed by some power of T.
 Mixing times past a short prefix are found here, in the Fourier domain,
 where the law after n steps costs O(log n) pointwise products instead of
 n steps (_fourier_search, which evolution's mixing_time calls past its
-dense prefix, or in its place from a bracket around a hinted n).  The
+dense prefix, or in its place outward from a hinted n).  The
 products are joined from mu_hat itself, not from its
 squared modulus, and one FFT per candidate n gives tv; a value within
 the round-off margin of eps raises _NearTie, and mixing_time then hands
@@ -208,14 +208,30 @@ def product_scan(chain: ChainSpec, n: int) -> Iterator[tuple[int, np.ndarray]]:
 
 # A Fourier-domain state (Q_n_hat, pi_n): the transform of the law Q_n of
 # S_n = sum_{j<n} A**j B_j at every frequency index, and the index map of
-# alpha -> T**n alpha (T = transpose(A)).
-_Orbit = tuple[np.ndarray, np.ndarray]
+# alpha -> T**n alpha (T = transpose(A)), or None when A = I mod p, where
+# every orbit is a fixed point and no map is held.
+_Orbit = tuple[np.ndarray, Optional[np.ndarray]]
+
+
+def _orbit_map(chain: ChainSpec) -> Optional[np.ndarray]:
+    """The index map of alpha -> T alpha for the one-step state, or None
+    when every entry of A - I is 0 mod p, decided on A's integer entries."""
+    rows, k = chain.a.rows, chain.k
+    if all((rows[i][j] - (i == j)) % chain.p == 0 for i in range(k) for j in range(k)):
+        return None
+    return chain._perm_t
 
 
 def _join(a: _Orbit, b: _Orbit) -> _Orbit:
     """The state of n_a + n_b steps: Q_{a+b}_hat(alpha) = Q_a_hat(alpha) *
-    Q_b_hat(T**a alpha) and T**(a+b) = T**b T**a, by exact index gathers."""
+    Q_b_hat(T**a alpha) and T**(a+b) = T**b T**a, by exact index gathers;
+    with no maps (A = I mod p) the product is elementwise, qb times qa in
+    place in a copy of qb, the same floats as a gather through the identity."""
     (qa, pa), (qb, pb) = a, b
+    if pa is None:
+        q = qb.copy()
+        q *= qa
+        return q, None
     q = qb[pa]
     q *= qa
     return q, pb[pa]
@@ -224,7 +240,8 @@ def _join(a: _Orbit, b: _Orbit) -> _Orbit:
 def _power(one: _Orbit, n: int) -> _Orbit:
     """The state of n steps from that of one, by binary powering; holds
     at most three states besides its argument, whatever n is."""
-    acc = (np.ones_like(one[0]), np.arange(len(one[1])))
+    q, index = one
+    acc = (np.ones_like(q), None if index is None else np.arange(len(index)))
     sq, width, done = one, 1, 0
     while done < n:
         if n & width:
@@ -242,7 +259,7 @@ def _products_at(chain: ChainSpec, n: int) -> np.ndarray:
     float becomes 0."""
     _check_steps(n)
     _check_cap(chain.n_states, "p**k")
-    return _power((chain._factors, chain._perm_t), n)[0]
+    return _power((chain._factors, _orbit_map(chain)), n)[0]
 
 
 def upper_bound(chain: ChainSpec, n: int) -> float:
@@ -442,9 +459,10 @@ def bounds_table(
             if 2 * lower <= math.sqrt(FREEZE_THRESHOLD) and prods[1:].max() <= FREEZE_THRESHOLD:
                 del prods  # the scan's buffer, freed with the scan
                 scan.close()
-                state = _power((chain._factors, chain._perm_t), n)
+                one = (chain._factors, _orbit_map(chain))
+                state = _power(one, n)
         else:
-            state = _join(state, (chain._factors, chain._perm_t))
+            state = _join(state, one)
         if state is not None:
             lower, witness = _best_witness(state[0], chain.p, chain.k)
         rows.append(BoundsReport(n, tv_distance(dist), upper, lower, witness, certificate))
@@ -465,7 +483,8 @@ def transform_of_distribution(dist: StateDistribution) -> np.ndarray:
 
 class _NearTie(Exception):
     """A Fourier tv value too close to eps to decide against it, a crossing
-    that does not recompute, or a hint bracketed too near the prefix."""
+    that does not recompute, or a hint not past twice the prefix, or whose
+    downward search is still mixed there."""
 
 
 def _round_off_margin(n: int, n_states: int, support_size: int, norm: float) -> float:
@@ -496,13 +515,14 @@ def _round_off_margin(n: int, n_states: int, support_size: int, norm: float) -> 
     take norm = sqrt(N) (a point mass), which at p = 3001 is already wider
     than the change of tv per step near mixing; ||Q_m_hat||_2 only falls
     as m grows, since convolving with a law never raises a 2-norm.
+
+    When A = I mod p every orbit is a fixed point, and _join multiplies
+    the states elementwise with no index map: Q_n_hat(alpha) =
+    mu_hat(alpha)**n by the same binary product tree, one complex rounding
+    per node, so the bound carries over unchanged.
     """
     terms = (n + 1) * (5 * support_size + 8) + 10 * math.log2(max(n_states, 2))
     return 2.0**-53 * norm * terms
-
-
-# a hinted search brackets its hint h by h -+ h // _HINT_SLACK
-_HINT_SLACK = 32
 
 
 def _fourier_search(
@@ -513,28 +533,31 @@ def _fourier_search(
     tv to uniform is invariant under translation, so tv(P_n) = tv(Q_n)
     and x0 drops out.  The transform of Q_n is the orbit product
     Q_n_hat(alpha) = prod_{j<n} mu_hat(T**j alpha), built from O(log n)
-    joins; one FFT per candidate n gives tv.  Gallop by doubling n, then
-    bisect; valid because tv never increases.  Raises _NearTie when a
-    value lies within the round-off margin of eps, or when the crossing
-    tv(n) <= eps < tv(n - 1), recomputed by another product grouping,
-    does not hold.
+    joins (elementwise when A = I mod p, with no index map, so T's table
+    is never built); one FFT per candidate n gives tv.  Gallop by doubling
+    n, then bisect; valid because tv never increases.  Raises _NearTie
+    when a value lies within the round-off margin of eps, or when the
+    crossing tv(n) <= eps < tv(n - 1), recomputed by another product
+    grouping, does not hold.
 
-    With a hint, a predicted n_mix, lo is a dense prefix that was not run.
-    The hint h is clamped to n_cap and bracketed by h - w and
-    min(h + w, n_cap), w = h // _HINT_SLACK; a bottom not past 2 lo and
-    below n_cap raises _NearTie at once.  The search evaluates tv at the
-    bottom b, from the orbit state at m = (b - 1) // 2, whose norm it
-    keeps, so the round-off margin is no wider than a gallop from lo would
-    leave it, and then at the top.  A bottom already mixed halves, the old
-    bottom becoming the top, and raises _NearTie once it would reach lo;
-    a top still unmixed gallops up by doubling.  Inside the bracket it
-    bisects as above.  On _NearTie mixing_time runs the unhinted search,
-    so a bad hint costs transforms, never the answer: every bracket end
-    is decided by tv with the same margin, and the crossing is recomputed.
+    With a hint, a predicted n_mix, lo is a dense prefix that was not run,
+    and the search starts at the hint h, clamped to n_cap; an h not past
+    2 lo raises _NearTie at once.  If P_h is mixed the search steps down
+    to h - 1, h - 2, h - 4, ... until a candidate is unmixed, trying the
+    floor 2 lo + 1 in place of any below it, and raises _NearTie if the
+    floor is still mixed.  h and each of these candidates c is built from
+    the orbit state at (c - 1) // 2, whose norm it keeps, so the round-off
+    margin is no wider than a gallop from lo would leave it.  If P_h is
+    unmixed the search steps up to h + 1, h + 2, h + 4, ..., each from
+    the last, and returns None when n_cap is unmixed.  The last gap is
+    bisected as above.  On _NearTie mixing_time runs the
+    unhinted search, so a bad hint costs transforms, never the answer:
+    every candidate is decided by tv with the same margin, and the
+    crossing is recomputed.
     """
     p, k, size = chain.p, chain.k, chain.n_states
     support_size = len(chain.mu.support)
-    one = (_mu_hat_table(chain.mu, p), chain._perm_t)
+    one = (_mu_hat_table(chain.mu, p), _orbit_map(chain))
     # ||Q_m_hat||_2 at the step counts m held so far, for the margin
     norms = {0: math.sqrt(size)}
 
@@ -552,33 +575,40 @@ def _fourier_search(
             raise _NearTie(f"tv({n}) = {tv!r} is within round-off of eps = {eps!r}")
         return tv <= eps
 
+    def doubled(n: int) -> _Orbit:
+        # the state of n steps, from that of (n - 1) // 2, whose norm is kept
+        half = (n - 1) // 2
+        state = _power(one, half)
+        keep_norm(state, half)
+        state = _join(state, state)
+        for _ in range(n - 2 * half):
+            state = _join(state, one)
+        return state
+
     keep_norm(one, 1)
     hi = None  # the least n found mixed, once there is one
     if hint is None:
         low = _power(one, lo)
         keep_norm(low, lo)
-        top = min(2 * lo, n_cap)
+        span, span_n = low, lo  # the gallop's next step and its length
     else:
-        prefix, hint = lo, min(hint, n_cap)
-        width = hint // _HINT_SLACK
-        lo, top = hint - width, min(hint + width, n_cap)
-        if not 2 * prefix < lo < n_cap:
-            raise _NearTie(f"the bracket from {lo} is not within (2 * {prefix}, {n_cap})")
-        while True:
-            half = (lo - 1) // 2
-            low = _power(one, half)
-            keep_norm(low, half)
-            low = _join(low, low)
-            for _ in range(lo - 2 * half):
-                low = _join(low, one)
-            if not mixed(low, lo):
-                break
+        prefix, start = lo, min(hint, n_cap)
+        floor = 2 * prefix + 1
+        if start < floor:
+            raise _NearTie(f"the hint {start} is not past twice the prefix {prefix}")
+        lo, low, down = start, doubled(start), 1
+        while mixed(low, lo):
+            if lo == floor:
+                raise _NearTie(f"mixed at n = {lo}, within twice the prefix {prefix}")
             del low
-            hi, lo = lo, lo // 2
-            if lo <= prefix:
-                raise _NearTie(f"mixed at n = {hi}, within twice the prefix {prefix}")
+            hi, lo = lo, max(start - down, floor)
+            low, down = doubled(lo), 2 * down
+        if hi is None and lo == n_cap:
+            return None
+        span, span_n = one, 1
     while hi is None:
-        high = _join(low, low if top == 2 * lo else _power(one, top - lo))
+        top = min(lo + span_n, n_cap)
+        high = _join(low, span if top - lo == span_n else _power(one, top - lo))
         if mixed(high, top):
             hi = top
         elif top == n_cap:
@@ -586,8 +616,12 @@ def _fourier_search(
         else:
             lo, low = top, high
             keep_norm(low, lo)
-            top = min(2 * lo, n_cap)
+            if hint is None:
+                span, span_n = low, lo
+            elif lo - start > span_n:  # the steps double from start + 2 on
+                span, span_n = _join(span, span), 2 * span_n
         del high
+    del span
     while hi - lo > 1:
         width = 1 << ((hi - lo - 1).bit_length() - 1)
         mid = _join(low, _power(one, width))

@@ -727,22 +727,24 @@ def test_main_sweep_hints_each_row_from_the_nearest_row_answered_past_its_prefix
         [big, n[151] * big**2 // 151**2],
         [101, n[101]],
     ]
-    # hints past n_cap are clamped to it: the bracket 5000 - 156 .. 5000
-    # decides each unmixed row in two transforms
-    assert [call[2] for call in sweep.calls[3:5]] == [2, 2]
+    # hints past n_cap are clamped to it, and one transform at 5000 finds
+    # each unmixed row unmixed there
+    assert [call[2] for call in sweep.calls[3:5]] == [1, 1]
 
 
 def test_sweep_slow_at_seed_1_hints_its_later_rows(tmp_path, capsys, monkeypatch):
     # perfbench's sweep-slow workload at seed 1: the first row steps its
-    # dense prefix and searches from it; the later ones start from a hint
-    # and step nothing.  90 transforms and 84 dense steps without hints.
+    # dense prefix and searches from it; the later ones search outward from
+    # a hint within one step of their answer and step nothing.  90
+    # transforms and 84 dense steps without hints.
     obj = {"matrix": [[1]], "increments": FAIR_1D, "p_list": [103, 153, 197, 249]}
     sweep = SweepCalls(monkeypatch)
     assert run_main_on_text(tmp_path, capsys, "mixing-sweep", json.dumps(obj)) == (0, None)
     first, *later = sweep.calls
     assert first[1] is None and first[3] > 0
     assert all(call[1] is not None and call[3] == 0 for call in later), later
-    assert sweep.ffts <= 60
+    assert all(call[2] <= 5 for call in later), later
+    assert sweep.ffts <= 36
 
 
 def test_sweep_fast_at_seed_1_makes_no_transform(tmp_path, capsys, monkeypatch):

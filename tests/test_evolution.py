@@ -579,15 +579,15 @@ def test_hinted_mixing_time_skips_the_dense_prefix(monkeypatch):
     for hint in (n_mix, n_mix - 1, 100, 3 * n_mix, 10**9):
         assert mixing_time(chain, 0.25, hint=hint) == n_mix
         assert calls == [], hint
-    # 33 - 33 // 32 = 32 is not past twice the prefix
-    assert mixing_time(chain, 0.25, hint=33) == n_mix
+    # 32 is the largest hint not past twice the prefix
+    assert mixing_time(chain, 0.25, hint=32) == n_mix
     assert calls == [prefix]
 
 
 def test_hinted_mixing_time_past_the_answer_runs_the_whole_search(monkeypatch):
-    # p = 5 mixes within the dense prefix; the bracket's bottom halves from
-    # about the hint, mixed each time, until it would reach the prefix, and
-    # then the prefix answers
+    # p = 5 mixes within the dense prefix; the search steps down from the
+    # hint, mixed each time, to the floor just past twice the prefix, still
+    # mixed there, and then the prefix answers
     chain = slow_chain(5)
     prefix = _dense_prefix(chain.n_states, 2)
     n_mix = dense_mixing_time(chain, 0.25, prefix)
@@ -611,6 +611,86 @@ def test_hinted_mixing_time_on_a_tie_runs_the_whole_search(monkeypatch):
     calls = dense_searches(monkeypatch)
     assert mixing_time(chain, eps, 5000, hint=m) == m
     assert calls == [prefix, 5000]
+
+
+def counted_transforms(monkeypatch):
+    """A one-item list holding the count of np.fft.fftn calls from now on."""
+    count = [0]
+    fftn = np.fft.fftn
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return fftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", counted)
+    return count
+
+
+def test_hinted_mixing_time_searches_outward_from_the_hint(monkeypatch):
+    # a hint within one step of the answer decides in at most 5 transforms:
+    # the hint, up to two steps out, and the crossing recompute's two.  One
+    # off by 2**j takes at most j + 2 steps out, then bisects a gap of at
+    # most 2**j, so it decides in at most 2 j + 6.
+    chain = slow_chain(101)
+    n_mix, prefix = 1936, _dense_prefix(chain.n_states, 2)
+    assert dense_mixing_time(chain, 0.25, 10**4) == n_mix
+    hints = [(n_mix + d, 5) for d in (-1, 0, 1)]
+    hints += [
+        (n_mix + side * 2**j, 2 * j + 6)
+        for j in range(1, 17)
+        for side in (-1, 1)
+        if n_mix + side * 2**j > 2 * prefix
+    ]
+    calls = dense_searches(monkeypatch)
+    ffts = counted_transforms(monkeypatch)
+    for hint, most in hints:
+        ffts[0] = 0
+        assert mixing_time(chain, 0.25, hint=hint) == n_mix
+        assert ffts[0] <= most, (hint, ffts[0])
+    assert calls == []
+
+
+@st.composite
+def identity_mod_p_chains(draw):
+    """A = I + p M at k <= 3, which is I mod p: M = 0, or M drawn, such as
+    [[1, 0], [0, 0]] for [[1 + p, 0], [0, 1]] or [[0, 1], [0, 0]] for
+    [[1, p], [0, 1]]; a random support of up to four points, random weights."""
+    k = draw(st.integers(1, 3))
+    p = draw(st.sampled_from({1: [2, 5, 11, 23, 31, 53], 2: [2, 3, 5, 7, 11, 13], 3: [2, 3, 5]}[k]))
+    zero = [[0] * k for _ in range(k)]
+    entries = st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+    m = draw(st.one_of(st.just(zero), st.lists(entries, min_size=k, max_size=k)), label="M")
+    rows = [[int(i == j) + p * m[i][j] for j in range(k)] for i in range(k)]
+    point = st.tuples(*[st.integers(-3, 3)] * k)
+    support = draw(st.lists(point, min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=len(support), max_size=len(support)))
+    probs = [w / math.fsum(weights) for w in weights]
+    mu = IncrementDistribution(k, tuple(support), tuple(probs))
+    return ChainSpec(IntMatrix.from_rows(rows), mu, p)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    chain=identity_mod_p_chains(),
+    eps=st.floats(0.02, 0.5),
+    n_cap=st.integers(1, 400),
+    data=st.data(),
+)
+def test_property_identity_mod_p_searches_match_dense_stepping(chain, eps, n_cap, data):
+    # the orbit states of a chain with A = I mod p carry no index map, so
+    # the table of alpha -> T alpha is never built, hinted or not
+    dense = dense_mixing_time(chain, eps, n_cap)
+    near = n_cap if dense is None else dense
+    hint = data.draw(
+        st.one_of(
+            st.none(),
+            st.sampled_from([near - 1, near, near + 1, 10**9]),
+            st.integers(0, 2 * n_cap),
+        ),
+        label="hint",
+    )
+    assert mixing_time(chain, eps, n_cap, hint=hint) == dense
+    assert "_perm_t" not in vars(chain)
 
 
 @pytest.mark.parametrize(
@@ -1321,10 +1401,10 @@ def test_mixing_time_memory_does_not_grow_with_cap():
 
 
 def test_hinted_mixing_time_holds_no_more_orbit_states():
-    # the same chain from a hint at the answer, one that misses low (the
-    # bracket's bottom halves) and one that misses high (the top gallops):
-    # the search peaks within 16 bytes per state, less than one orbit state
-    # (24 bytes per state), of the unhinted search
+    # the same chain from a hint at the answer, one far above it (the search
+    # steps down) and one far below it (the search steps up): the search
+    # peaks within 16 bytes per state, one orbit state of this A = I chain
+    # (24 bytes per state with an index map), of the unhinted search
     chain = slow_chain(2001)
     n = mixing_time(chain, 0.25, 10**6)  # warm the caches and FFT plans
     peaks = {}
@@ -1337,3 +1417,20 @@ def test_hinted_mixing_time_holds_no_more_orbit_states():
             tracemalloc.stop()
         assert found == n
     assert max(peaks.values()) <= peaks[None] + 16 * chain.n_states, peaks
+
+
+def test_identity_chain_search_holds_no_index_maps():
+    # A = I at k = 2: the search's orbit states are elementwise, with no
+    # int64 index map (8 bytes per state) beside each complex table (16).
+    # With maps the search peaks near 112 bytes per state, without near 80.
+    mu = IncrementDistribution.fair([(0, 0), (1, 0), (0, 1)])
+    chain = ChainSpec(IntMatrix.identity(2), mu, 401)
+    assert mixing_time(chain, 0.25, 1000) is None  # warm the caches and FFT plans
+    tracemalloc.start()
+    try:
+        assert mixing_time(chain, 0.25, 10**7) == 51569
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 95 * chain.n_states, peak / chain.n_states
+    assert "_perm_t" not in vars(chain)
