@@ -446,6 +446,7 @@ def bounds_table(
     _check_cap(chain.n_states, "p**k")
     _check_work(chain, n_max)
     scan = product_scan(chain, n_max)
+    one = (chain._factors, _orbit_map(chain))
     # from the first row whose best product froze: the orbit state at n
     state: Optional[_Orbit] = None
     rows: list[BoundsReport] = []
@@ -459,7 +460,6 @@ def bounds_table(
             if 2 * lower <= math.sqrt(FREEZE_THRESHOLD) and prods[1:].max() <= FREEZE_THRESHOLD:
                 del prods  # the scan's buffer, freed with the scan
                 scan.close()
-                one = (chain._factors, _orbit_map(chain))
                 state = _power(one, n)
         else:
             state = _join(state, one)
