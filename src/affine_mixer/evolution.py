@@ -23,11 +23,14 @@ regime (|a| > 1, with a the least residue of A mod p) the arc of P_n is
 about |a|**n times the spread of mu long, so the law fills Z_p only in
 the last few steps.  Those before are taken on the arc, at O(arc) each,
 until its image would wrap or the count stops ruling out mixing, and
-the last arc the count still rules out steps straight into the dense
-law.  The count asks a margin of one state, 1/N in tv, past the float
-error; for A = 2 a mixing search then makes one dense law and sums one
-tv, not O(log p) of each.  Past a short prefix mixing_time hands the
-search to fourier (_fourier_search).
+the last arc steps straight into the dense law.  The count asks a margin
+of one state, 1/N in tv, past the float error; for A = 2 a mixing search
+then makes at most one dense law and sums one tv, not O(log p) of each.
+A law the count no longer rules out has its tv summed where it is held,
+an arc as an arc, through one 256 KB scratch block in numpy's own
+pairwise order (_half_abs_sum): the float a sum over the dense law
+gives, with no law-sized temporary.  Past a short prefix mixing_time
+hands the search to fourier (_fourier_search).
 """
 
 from __future__ import annotations
@@ -419,10 +422,56 @@ def evolve(chain: ChainSpec, n: int) -> StateDistribution:
     return deque(_walk(chain, n), maxlen=1)[0][1]
 
 
+def _abs_sum(
+    fill: Callable[[np.ndarray, slice], object], scratch: np.ndarray, start: int, n: int
+) -> float:
+    """float(np.abs(d[start : start + n]).sum()) for the node of numpy's
+    pairwise tree over d at start, of n entries (see _half_abs_sum), its
+    leaves of at most len(scratch) entries filled into scratch."""
+    if n > len(scratch):
+        h = n // 2 - n // 2 % 8
+        return _abs_sum(fill, scratch, start, h) + _abs_sum(fill, scratch, start + h, n - h)
+    leaf = scratch[:n]
+    fill(leaf, slice(start, start + n))
+    return float(np.abs(leaf, out=leaf).sum())
+
+
+def _half_abs_sum(size: int, fill: Callable[[np.ndarray, slice], object]) -> float:
+    """0.5 * float(np.abs(d).sum()), bit for bit, for a length-size array d
+    that is never built: fill(out, part) writes d[part] into out, a leaf
+    of at most SCRATCH_STATES entries in one reused scratch block.
+
+    numpy sums a contiguous float64 array by one pairwise recursion, a node
+    of n > 128 entries splitting at h = n // 2 - (n // 2) % 8.  The leaves
+    are nodes of that tree (a whole d of at most one leaf is its root),
+    each summed by numpy and added back up in the tree's order, so every
+    rounding is the one sum over d would make."""
+    return 0.5 * _abs_sum(fill, np.empty(min(size, SCRATCH_STATES)), 0, size)
+
+
+def _arc_tv(lo: int, values: np.ndarray, size: int) -> float:
+    """tv_distance of the law on size states that is values on the arc lo,
+    lo + 1, ... (mod size) and 0 off it, without making it dense: off the
+    arc each |0 - 1/size| is 1/size, so every leaf holds the floats the
+    dense law's would."""
+    c = 1.0 / size
+
+    def fill(out: np.ndarray, part: slice) -> None:
+        out.fill(c)
+        # the arc's one or two segments, at positions off, off + 1, ...
+        for off in (lo, lo - size):
+            a, b = max(part.start, off), min(part.stop, off + len(values))
+            if a < b:
+                np.subtract(values[a - off : b - off], c, out=out[a - part.start : b - part.start])
+
+    return _half_abs_sum(size, fill)
+
+
 def tv_distance(dist: StateDistribution) -> float:
-    """Total variation distance to the uniform law on Z_p^k."""
-    dev = dist.values - 1.0 / len(dist.values)
-    return 0.5 * float(np.abs(dev, out=dev).sum())
+    """Total variation distance to the uniform law on Z_p^k, summed by
+    _half_abs_sum as 0.5 * sum |P(x) - 1/N| with no law-sized temporary."""
+    values, c = dist.values, 1.0 / len(dist.values)
+    return _half_abs_sum(len(values), lambda out, part: np.subtract(values[part], c, out=out))
 
 
 def simulate(chain: ChainSpec, n: int, trials: int, seed: int) -> StateDistribution:
@@ -542,13 +591,12 @@ def _walk(
     while i < n, keep(b_i) holds and the image arc does not wrap.  With
     |a| > 1 (the fast regime) the arc grows about |a|-fold a step, so the
     law fills Z_p only in the last few steps, and all those before are
-    paid on the arc.  The last arc, whose image would wrap (or the point
-    mass below the floor), is yielded as an arc too while i < n, keep(b_i)
-    holds and |a| <= LINE_CUTOFF, and steps straight into the dense law
-    (_step_lines), so no reader makes it dense unless it reads it.  When
-    keep(b_i) fails the arc is made dense first, as with |a| past the
-    cutoff: a reader that sums its tv then holds the dense law beside the
-    next one, not the arc as well.
+    paid on the arc.  The last arc, whose image would wrap or for which
+    keep(b_i) fails (or the point mass below the floor), is yielded as an
+    arc too while i < n and |a| <= LINE_CUTOFF, and steps straight into
+    the dense law (_step_lines), so no reader makes it dense: one that
+    sums its tv reads it on the arc (_arc_tv).  With |a| past the cutoff
+    it is made dense first, for step_exact to step.
 
     For k >= 2 P_i is held as its support, and stepped by _step_support,
     while i < n and keep(targets) holds, targets being |supp P_i| * s: the
@@ -576,7 +624,7 @@ def _walk(
             held = _step_arc(*held, a, shifts, p)
             bound = min(bound * s, len(held[1]))
             i += 1
-        if i < n and keep(bound) and abs(a) <= LINE_CUTOFF:
+        if i < n and abs(a) <= LINE_CUTOFF:
             yield i, held, bound
             held = _step_lines(*held, a, chain._shifts, p)
             bound = min(bound * s, size)
@@ -619,11 +667,11 @@ def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int
     b_n states (_walk's bound), so tv(P_n) >= 1 - b_n / N with N = p**k.
     While that bound certifies tv > eps, no tv is computed, and _walk,
     told so by keep, holds the law sparse: for k = 1 on the arc that holds
-    it, the last certified arc stepping straight into the dense law, so in
-    the fast regime the first dense law is about the mixed one; for
-    k >= 2 on its support, up to the last law whose successor the count
-    certifies.  The search reads a law, and makes it dense to sum its tv,
-    only once the count no longer certifies it.
+    it, the last arc stepping straight into the dense law, so in the fast
+    regime the first dense law is about the mixed one; for k >= 2 on its
+    support, up to the last law whose successor the count certifies.  The
+    search sums a law's tv only once the count no longer certifies it,
+    an arc on the arc (_arc_tv) and never made dense.
 
     The certificate is (1 - eps) N > b_n + 1 + D, with
     D = N 2**-50 (n_cap r + log2 N + 8) and r = |supp mu|: one state of
@@ -643,7 +691,10 @@ def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int
       by log_s N: an arc at |a| = 1 grows by the spread of mu a step, and
       a support can stop growing, so b_n may stay below N for any n.
     - tv_distance subtracts a rounded 1 / N and sums by pairs: it is off
-      by at most (log2 N + 24) u.
+      by at most (log2 N + 24) u.  _half_abs_sum sums leaf by leaf in
+      numpy's own pairwise order, and an arc's tv gives the floats of the
+      arc made dense, so the bound holds for both as for one sum over a
+      dense difference array.
     - The float test itself is off by at most 5 u in tv.
 
     D / N = 8 u (n_cap r + log2 N + 8) is more than these together, so
@@ -656,10 +707,13 @@ def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int
     size, r = chain.n_states, len(chain.mu.support)
     room = (1.0 - eps) * size - 1 - size * 2.0**-50 * (n_cap * r + math.log2(size) + 8)
     for n, law, bound in _walk(chain, n_cap, lambda bound: bound < room):
-        if bound >= room and tv_distance(_dense(law, chain)) <= eps:
+        # an uncertified law is dense or, for k = 1, an arc, read as it is;
+        # _walk yields a support only when the count certifies it
+        if bound >= room and (
+            tv_distance(law) if isinstance(law, StateDistribution) else _arc_tv(*law, size)
+        ) <= eps:
             return n
-        # dropped before _walk makes the next law: an arc made dense would
-        # otherwise have this one beside it as well
+        # dropped before _walk makes the next law, which it would outlive
         del law
     return None
 

@@ -194,15 +194,18 @@ def product_scan(chain: ChainSpec, n: int) -> Iterator[tuple[int, np.ndarray]]:
     rises: the active ones are exactly those above the threshold.  The
     yielded array is a live buffer.  Step j multiplies in
     |mu_hat(T**(j-1) alpha)|**2, a factor table gathered through
-    alpha -> T alpha after every step from chain._factors, which the scan
-    builds on first use and leaves with the chain.
+    alpha -> T alpha (_orbit_map) after every step from chain._factors,
+    which the scan builds on first use and leaves with the chain; when
+    A = I mod p that map is the identity, and the table is neither
+    gathered nor built.
     """
-    factor = chain._factors
+    factor, index = chain._factors, _orbit_map(chain)
     prods = np.ones(len(factor))
     yield 0, prods
     for j in range(1, n + 1):
         np.multiply(prods, factor, out=prods, where=prods > FREEZE_THRESHOLD)
-        factor = factor[chain._perm_t]
+        if index is not None:
+            factor = factor[index]
         yield j, prods
 
 

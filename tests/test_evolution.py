@@ -299,6 +299,69 @@ def test_tv_never_increases():
             prev = tv
 
 
+# lengths around one leaf of SCRATCH_STATES and across many, and field-2d's
+# 497,025 states: the leaf sums must add up in numpy's own pairwise order
+KERNEL_LENGTHS = [*range(1, 301), 2**15 - 1, 2**15, 2**15 + 1, 2**16 + 13, 497_025, 1_000_003]
+
+
+def spread_law(rng, length):
+    """A probability vector whose entries spread over 20 decades, some 0."""
+    values = rng.random(length) * 10.0 ** rng.uniform(-20, 0, length)
+    values[rng.random(length) < 0.1] = 0.0
+    values[0] += 1e-3
+    return values / values.sum()
+
+
+def test_half_abs_sum_is_numpys_pairwise_sum_bitwise():
+    # the leaf-by-leaf sum mirrors the pairwise recursion of the numpy
+    # installed: every tv and tv_empirical_vs_exact is the float one sum
+    # over a difference array gives, bit for bit
+    rng = np.random.default_rng(32)
+    for length in KERNEL_LENGTHS:
+        v, w = spread_law(rng, length), spread_law(rng, length)
+        c = 1.0 / length
+
+        def dev(out, part, v=v, c=c):
+            np.subtract(v[part], c, out=out)
+
+        def diff(out, part, v=v, w=w):
+            np.subtract(v[part], w[part], out=out)
+
+        tv = 0.5 * float(np.abs(v - c).sum())
+        assert evolution._half_abs_sum(length, dev) == tv, length
+        assert tv_distance(StateDistribution(length, 1, v)) == tv, length
+        assert evolution._half_abs_sum(length, diff) == 0.5 * float(np.abs(v - w).sum()), length
+
+
+@pytest.mark.parametrize("p", [7, 1031, 2**15 + 1, 2**16 + 13, 1_000_003])
+def test_arc_tv_is_the_tv_of_the_arc_made_dense_bitwise(p):
+    # an arc's tv, summed with 1/p off the arc, is tv_distance of the arc
+    # made dense, bit for bit: arcs of one state, of all p (from 0 and
+    # from inside), wrapping past 0, ending at p - 1, and inside Z_p
+    chain = ChainSpec(IntMatrix.from_rows([[2]]), fair_two_point(1), p)
+    rng = np.random.default_rng(p)
+    arcs = [(0, 1), (p - 1, 1), (0, p), (p // 3, p), (p - 5, p // 2 + 3), (p // 2, p - p // 2)]
+    arcs += [(p // 5, p // 3), (p - 1, 2)]
+    for lo, length in arcs:
+        values = spread_law(rng, length)
+        dense = evolution._dense((lo, values), chain)
+        assert evolution._arc_tv(lo, values, p) == tv_distance(dense), (lo, length)
+
+
+def test_tv_distance_holds_no_law_sized_temporary():
+    # the leaves pass through one 256 KB scratch block: far below the
+    # 8 N bytes of a difference array
+    n = 10**6
+    law = StateDistribution(n, 1, np.full(n, 1.0 / n))
+    tracemalloc.start()
+    try:
+        tv_distance(law)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n, peak
+
+
 def test_normalization_preserved_across_steps():
     for chain in suite_chains(primes=(5,)):
         for _, dist in evolve_iter(chain, 30):
@@ -1152,10 +1215,11 @@ def test_mixing_time_skips_dense_work_the_counting_bound_decides(monkeypatch):
     # certain while 2**n + 1 < 0.75 p, up to n = 16 at p = 100,003; the
     # arc of P_16 steps straight into the dense law of P_17, the mixed
     # one, so the arc phase and the certificate leave no dense step and
-    # 1 tv sum of the 17 and 18 a plain search makes (1 and 2 with a
-    # margin of b_n / N, which certified up to n = 15)
+    # 1 tv sum (_half_abs_sum, which every tv goes through) of the 17 and
+    # 18 a plain search makes (1 and 2 with a margin of b_n / N, which
+    # certified up to n = 15)
     chain = ChainSpec(IntMatrix.from_rows([[2]]), fair_two_point(1), 100_003)
-    calls = {"step_exact": 0, "tv_distance": 0}
+    calls = {"step_exact": 0, "_half_abs_sum": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(evolution, name)):
             calls[_name] += 1
@@ -1163,7 +1227,7 @@ def test_mixing_time_skips_dense_work_the_counting_bound_decides(monkeypatch):
 
         monkeypatch.setattr(evolution, name, counted)
     assert mixing_time(chain, 0.25) == 17
-    assert calls == {"step_exact": 0, "tv_distance": 1}, calls
+    assert calls == {"step_exact": 0, "_half_abs_sum": 1}, calls
 
 
 @pytest.mark.parametrize("c", [0.5, 1, 1.5, 2, 3])
@@ -1195,15 +1259,17 @@ def test_mixing_time_matches_dense_search_at_the_counting_bound(
     eps = 1 - (2**n + c) / chain.n_states
     *_, (_, law) = dense_laws(chain, n)
     assert np.count_nonzero(law.values) == 2**n and tv_distance(law) > eps
+    # before the count, which the dense search's own tv sums would join
+    assert dense_mixing_time(chain, eps, 600) == n + 1
     sums = 0
 
-    def counted(dist, _original=evolution.tv_distance):
+    def counted(*args, _original=evolution._half_abs_sum):
         nonlocal sums
         sums += 1
-        return _original(dist)
+        return _original(*args)
 
-    monkeypatch.setattr(evolution, "tv_distance", counted)
-    assert mixing_time(chain, eps, 600) == dense_mixing_time(chain, eps, 600) == n + 1
+    monkeypatch.setattr(evolution, "_half_abs_sum", counted)
+    assert mixing_time(chain, eps, 600) == n + 1
     assert sums == (2 if c <= 1 else 1)
 
 
@@ -1211,11 +1277,12 @@ def test_sweep_fast_moduli_make_one_dense_law_and_one_tv_sum_each(monkeypatch):
     # A = 2 with fair {0, 1} and eps 0.25 at the moduli of perfbench's
     # sweep-fast (default seed): at each, either the last arc the count
     # certifies steps straight into the mixed law, or the first law it does
-    # not certify (an arc at p = 9997 and 299,713) is made dense once by the
-    # walk, never by the search; 6 dense laws and 6 tv sums in all, where a
-    # margin of b_n / N made 12 of each
+    # not certify, the mixed one (an arc at p = 9997 and 299,713), has its
+    # tv summed on the arc and is never made dense; 4 dense laws and 6 tv
+    # sums in all, where making that arc dense made 6 laws, and a margin of
+    # b_n / N 12 laws and 12 sums
     moduli = [9997, 30003, 100_053, 299_713, 999_783, 3_000_959]
-    calls = {"tv_distance": 0, "step_exact": 0, "laws": 0}
+    calls = {"_half_abs_sum": 0, "step_exact": 0, "laws": 0}
 
     def counted(name):
         def call(*args, _original=getattr(evolution, name)):
@@ -1226,7 +1293,7 @@ def test_sweep_fast_moduli_make_one_dense_law_and_one_tv_sum_each(monkeypatch):
 
     def dense(law, chain, _original=evolution._dense):
         if isinstance(law, tuple):
-            assert sys._getframe(1).f_code.co_name != "_mixing_time_dense"
+            assert sys._getframe(1).f_code.co_name not in ("_mixing_time_dense", "_walk")
         return _original(law, chain)
 
     class CountedLaw(StateDistribution):
@@ -1234,23 +1301,27 @@ def test_sweep_fast_moduli_make_one_dense_law_and_one_tv_sum_each(monkeypatch):
             calls["laws"] += 1
             super().__init__(*args)
 
-    for name in ("tv_distance", "step_exact"):
+    for name in ("_half_abs_sum", "step_exact"):
         monkeypatch.setattr(evolution, name, counted(name))
     monkeypatch.setattr(evolution, "_dense", dense)
     monkeypatch.setattr(evolution, "StateDistribution", CountedLaw)
     chains = [ChainSpec(IntMatrix.from_rows([[2]]), fair_two_point(1), p) for p in moduli]
     found = [mixing_time(chain, 0.25) for chain in chains]
     assert found == [13, 15, 17, 18, 20, 22]
-    assert calls == {"tv_distance": 6, "step_exact": 0, "laws": 6}, calls
+    assert calls == {"_half_abs_sum": 6, "step_exact": 0, "laws": 4}, calls
 
 
 @pytest.mark.parametrize(
     "a, support, p, n, x0, ratio",
     [
-        # the search: the hand-off at 999,983 and the arc of P_18 made dense
-        # at 299,713, each with at most the mixed law and its tv beside it
-        (2, [(0,), (1,)], 999_983, None, 0, 2.05),
-        (2, [(0,), (1,)], 299_713, None, 0, 2.05),
+        # the search: the hand-off at 999,983 and 999,783 (the mixed law
+        # stepped from the arc of P_19, about 1.56 laws), and the arc of P_18
+        # at 299,713, whose tv is summed on the arc (1.42); the tv sum adds
+        # only a scratch block, where a difference array made each 2.00
+        (2, [(0,), (1,)], 999_983, None, 0, 1.75),
+        (2, [(0,), (1,)], 999_783, None, 0, 1.75),
+        (2, [(0,), (1,)], 299_713, None, 0, 1.75),
+        # A = 3 steps dense from P_13 on: a step's input, output and scratch
         (3, [(0,), (1,)], 999_983, None, 0, 2.05),
         # evolve: up to the step from the arc (n = 20), past it, with A = 3,
         # and with A = -2 and a three-point support from x0 = 12,345
@@ -1262,10 +1333,10 @@ def test_sweep_fast_moduli_make_one_dense_law_and_one_tv_sum_each(monkeypatch):
 )
 def test_k1_search_and_evolve_stay_within_their_memory(a, support, p, n, x0, ratio):
     # tracemalloc peaks in units of one law (8 bytes a state): the search
-    # drops each law before the walk makes the next, so an arc made dense
-    # never has the arc before it beside it (2.11 laws at 299,713 when the
-    # search held it); evolve holds the arc it steps from, the new law and
-    # the scratch block, no more than when the last arc was made dense first
+    # drops each law before the walk makes the next, so a law never has
+    # the one before it beside it, and sums tv through a scratch block;
+    # evolve holds the arc it steps from, the new law and the scratch
+    # block, no more than when the last arc was made dense first
     chain = ChainSpec(IntMatrix.from_rows([[a]]), IncrementDistribution.fair(support), p, x0=(x0,))
     tracemalloc.start()
     try:

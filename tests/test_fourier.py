@@ -638,6 +638,26 @@ def test_bounds_table_closes_its_scan_at_the_first_frozen_row(monkeypatch):
     assert all(row.upper == rows[50].upper for row in rows[50:])
 
 
+@pytest.mark.parametrize(
+    "rows, p",
+    [([[1]], 101), ([[1 + 101]], 101), ([[1, 0], [0, 1]], 31), ([[1 + 31, 0], [0, 1]], 31)],
+)
+def test_identity_chain_scan_gathers_no_transpose_table(monkeypatch, rows, p):
+    # when A = I mod p, alpha -> T alpha is the identity: product_scan
+    # multiplies the one factor table in every step and never builds
+    # _perm_t, and every bounds row is the one the gather through the
+    # identity table gives, bit for bit
+    k = len(rows)
+    mu = IncrementDistribution.fair([(0,) * k, (1,) * k, (2,) + (0,) * (k - 1)])
+    chain = ChainSpec(IntMatrix.from_rows(rows), mu, p)
+    table = bounds_table(chain, 40)
+    assert "_perm_t" not in vars(chain)
+    gathered = ChainSpec(IntMatrix.from_rows(rows), mu, p)
+    monkeypatch.setattr(fourier, "_orbit_map", lambda chain: chain._perm_t)
+    assert bounds_table(gathered, 40) == table
+    assert "_perm_t" in vars(gathered)
+
+
 def test_frozen_bounds_table_holds_one_orbit_state():
     # A = 2 at p = 100,003 freezes at n = 64, so rows 65..120 hold one orbit
     # state and its join, and no scan; the peak is in laws of 8 p bytes
