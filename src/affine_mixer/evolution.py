@@ -13,6 +13,13 @@ y -> a y + c is at most |a| + 1 strided slices read straight from the
 law, so a step costs 2 |supp mu| + 2 passes; the same slices, restricted
 to an arc of Z_p, step a law held on that arc.
 
+Where a step would scatter through the table, evolve, which yields only
+P_n, steps in the reversed frame V_j = A**(n-j) X_j instead.  X_n =
+A**n x0 + sum_{j<n} A**(n-1-j) B_j, so V_{j+1} = V_j + A**(n-j-1) B_j:
+each step only adds the translates of the law by A**(n-j-1) h mod p,
+2 |supp mu| + 2 passes with no table and no pushed copy, and V_n = X_n
+lands in index order.
+
 The paper's necessary-steps count says where that work is wasted: P_n
 lives on at most |supp mu|**n states, so while that is small against p^k
 the early steps run on a sparse form of the law, and the mixing search
@@ -41,7 +48,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from itertools import product
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -204,9 +211,11 @@ class ChainSpec:
     @cached_property
     def _perm(self) -> np.ndarray:
         """Index permutation of the push-forward y -> A y mod p.  Read by
-        step_exact for k >= 2 and for k = 1 past LINE_CUTOFF, and, as
-        _perm_t when A is symmetric, by product_scan and by fourier's orbit
-        products unless A = I mod p."""
+        step_exact for k >= 2 and for k = 1 past LINE_CUTOFF (the dense
+        steps of bounds_table, evolve_iter and mixing_time; evolve steps
+        in its reversed frame and never reads it), and, as _perm_t when A
+        is symmetric, by product_scan and by fourier's orbit products
+        unless A = I mod p."""
         return index_map(self.a, self.p, self.k)
 
     @cached_property
@@ -416,12 +425,6 @@ def _check_work(chain: ChainSpec, n: int) -> None:
     )
 
 
-def evolve(chain: ChainSpec, n: int) -> StateDistribution:
-    """The law P_n of X_n, by n exact steps from the point mass at x0."""
-    _check_work(chain, n)
-    return deque(_walk(chain, n), maxlen=1)[0][1]
-
-
 def _abs_sum(
     fill: Callable[[np.ndarray, slice], object], scratch: np.ndarray, start: int, n: int
 ) -> float:
@@ -467,11 +470,40 @@ def _arc_tv(lo: int, values: np.ndarray, size: int) -> float:
     return _half_abs_sum(size, fill)
 
 
+def _support_tv(codes: np.ndarray, values: np.ndarray, size: int) -> float:
+    """tv_distance of the law on size states that is values at the sorted
+    state indices codes and 0 elsewhere, without making it dense: each
+    leaf is filled with 1/size, |0 - 1/size| off the support, and the
+    support's entries are written in, the floats the dense law's would be."""
+    c = 1.0 / size
+
+    def fill(out: np.ndarray, part: slice) -> None:
+        out.fill(c)
+        a, b = np.searchsorted(codes, (part.start, part.stop))
+        out[codes[a:b] - part.start] = values[a:b] - c
+
+    return _half_abs_sum(size, fill)
+
+
 def tv_distance(dist: StateDistribution) -> float:
     """Total variation distance to the uniform law on Z_p^k, summed by
-    _half_abs_sum as 0.5 * sum |P(x) - 1/N| with no law-sized temporary."""
+    _half_abs_sum as 0.5 * sum |P(x) - 1/N| with no law-sized temporary;
+    a law of at most one leaf is that tree's root, summed at once."""
     values, c = dist.values, 1.0 / len(dist.values)
+    if len(values) <= SCRATCH_STATES:
+        return 0.5 * float(np.abs(values - c).sum())
     return _half_abs_sum(len(values), lambda out, part: np.subtract(values[part], c, out=out))
+
+
+def _law_tv(law: StateDistribution | _Support | _Arc, size: int) -> float:
+    """tv_distance of a law _walk yields, read where it is held: a dense
+    law as it is, an arc on the arc (_arc_tv) and a support on the support
+    (_support_tv), bit for bit the tv of the law made dense."""
+    if isinstance(law, StateDistribution):
+        return tv_distance(law)
+    if isinstance(law[0], int):
+        return _arc_tv(*law, size)
+    return _support_tv(*law, size)
 
 
 def simulate(chain: ChainSpec, n: int, trials: int, seed: int) -> StateDistribution:
@@ -576,66 +608,75 @@ def _step_lines(lo: int, law: np.ndarray, a: int, shifts: Sequence, p: int) -> S
     return StateDistribution(p, 1, out.view(_Fresh))
 
 
-def _walk(
-    chain: ChainSpec, n: int, keep: Callable[[int], bool] = lambda targets: True
-) -> Iterator[tuple[int, StateDistribution | _Support | _Arc, int]]:
-    """Yield (i, P_i, b_i) for i = 0..n from the point mass at x0, with
-    b_i >= |supp P_i| and b_0 = 1.
+def _sparse(
+    chain: ChainSpec, n: int, keep: Callable[[int], bool]
+) -> Generator[tuple[int, _Support | _Arc, int], None, tuple[int, _Support | _Arc, int]]:
+    """_walk's sparse phase: yield (i, P_i, b_i) for each law it steps from
+    the point mass at x0 on, and return the first it does not step, P_n at
+    the latest, with its b_i.
 
-    Each chain takes one sparse phase, from the point mass on, and only
-    past a floor of 2**10 states: below it a dense step costs no more than
-    a sparse step's fixed overhead.  s is |supp mu| folded mod p.
-
-    For k = 1 P_i is held on an arc, the point mass being an arc of one
+    It runs only past a floor of 2**10 states: below it a dense step costs
+    no more than a sparse step's fixed overhead.  s is |supp mu| folded mod
+    p.  For k = 1 P_i is held on an arc, the point mass being an arc of one
     state, and stepped by _step_arc, at O((|a| + s) L) for an arc of L,
-    while i < n, keep(b_i) holds and the image arc does not wrap.  With
-    |a| > 1 (the fast regime) the arc grows about |a|-fold a step, so the
-    law fills Z_p only in the last few steps, and all those before are
-    paid on the arc.  The last arc, whose image would wrap or for which
-    keep(b_i) fails (or the point mass below the floor), is yielded as an
-    arc too while i < n and |a| <= LINE_CUTOFF, and steps straight into
-    the dense law (_step_lines), so no reader makes it dense: one that
-    sums its tv reads it on the arc (_arc_tv).  With |a| past the cutoff
-    it is made dense first, for step_exact to step.
-
-    For k >= 2 P_i is held as its support, and stepped by _step_support,
-    while i < n and keep(targets) holds, targets being |supp P_i| * s: the
-    bound on |supp P_{i+1}|.  Past about p**k / 32 targets a dense step
-    costs less than a sort of them, so the phase ends there too.
-
-    The first P_i the phase does not step, P_n at the latest, is made
-    dense once (_dense), and the laws after it are step_exact's.  b_i is
-    min(b_{i-1} s, L) on the arc, |supp P_i| on the support and
-    min(b_{i-1} s, p**k) after either.  Every law is step_exact's, bit
-    for bit.
+    while i < n, keep(b_i) holds and the image arc does not wrap; b_i is
+    min(b_{i-1} s, L).  With |a| > 1 (the fast regime) the arc grows about
+    |a|-fold a step, so the law fills Z_p only in the last few steps, and
+    all those before are paid on the arc.  For k >= 2 P_i is held as its
+    support, and stepped by _step_support, while i < n and keep(targets)
+    holds, targets being |supp P_i| * s: the bound on |supp P_{i+1}|; b_i
+    is |supp P_i|.  Past about p**k / 32 targets a dense step costs less
+    than a sort of them, so the phase ends there too.
     """
     _check_steps(n)
     _check_cap(chain.n_states, "p**k")
     p, size, s = chain.p, chain.n_states, len(chain._shifts)
-    i, bound, floor = 0, 1, 2**10 <= size
-    held: StateDistribution | _Support | _Arc
+    i, floor = 0, 2**10 <= size
+    held: _Support | _Arc
     if chain.k == 1:
         a = _least_residue(chain.a.rows[0][0], p)
         shifts = [(_least_residue(c, p), w) for (c,), w in chain._shifts]
         spread = max(c for c, _ in shifts) - min(c for c, _ in shifts)
-        held = (chain.x0[0], np.ones(1))
+        held, bound = (chain.x0[0], np.ones(1)), 1
         while i < n and floor and keep(bound) and abs(a) * (len(held[1]) - 1) + spread < p:
             yield i, held, bound
             held = _step_arc(*held, a, shifts, p)
             bound = min(bound * s, len(held[1]))
             i += 1
-        if i < n and abs(a) <= LINE_CUTOFF:
-            yield i, held, bound
-            held = _step_lines(*held, a, chain._shifts, p)
-            bound = min(bound * s, size)
-            i += 1
-    else:
-        held = (np.array([encode_state(chain.x0, p)], dtype=np.int64), np.ones(1))
-        while i < n and floor and 32 * len(held[0]) * s < size and keep(len(held[0]) * s):
-            yield i, held, len(held[0])
-            held = _step_support(*held, chain)
-            i += 1
-        bound = len(held[0])
+        return i, held, bound
+    held = (np.array([encode_state(chain.x0, p)], dtype=np.int64), np.ones(1))
+    while i < n and floor and 32 * len(held[0]) * s < size and keep(len(held[0]) * s):
+        yield i, held, len(held[0])
+        held = _step_support(*held, chain)
+        i += 1
+    return i, held, len(held[0])
+
+
+def _walk(
+    chain: ChainSpec, n: int, keep: Callable[[int], bool] = lambda targets: True
+) -> Iterator[tuple[int, StateDistribution | _Support | _Arc, int]]:
+    """Yield (i, P_i, b_i) for i = 0..n from the point mass at x0, with
+    b_i >= |supp P_i| and b_0 = 1: first the laws of the sparse phase
+    (_sparse), on arcs for k = 1 and on the support for k >= 2.
+
+    For k = 1 the last arc, whose image would wrap or for which keep(b_i)
+    fails (or the point mass below the floor), is yielded as an arc too
+    while i < n and |a| <= LINE_CUTOFF, and steps straight into the dense
+    law (_step_lines), so no reader makes it dense: one that sums its tv
+    reads it on the arc (_law_tv).  With |a| past the cutoff it is made
+    dense first, for step_exact to step.
+
+    The first P_i the phase does not step, P_n at the latest, is made
+    dense once (_dense), and the laws after it are step_exact's, with b_i
+    = min(b_{i-1} s, p**k).  Every law is step_exact's, bit for bit.
+    """
+    i, held, bound = yield from _sparse(chain, n, keep)
+    p, size, s = chain.p, chain.n_states, len(chain._shifts)
+    if chain.k == 1 and i < n and abs(a := _least_residue(chain.a.rows[0][0], p)) <= LINE_CUTOFF:
+        yield i, held, bound
+        held = _step_lines(*held, a, chain._shifts, p)
+        bound = min(bound * s, size)
+        i += 1
     # the sparse form is dropped before the dense steps, which it would
     # outlive: an arc may hold up to p floats, a support up to p**k / 32 states
     held = _dense(held, chain)
@@ -657,6 +698,107 @@ def _dense(law: StateDistribution | _Support | _Arc, chain: ChainSpec) -> StateD
     dense = np.zeros(chain.n_states)
     dense[law[0]] = law[1]
     return StateDistribution(chain.p, chain.k, dense.view(_Fresh))
+
+
+def _power_mod(a: IntMatrix, e: int, p: int) -> np.ndarray:
+    """A**e mod p as int64 rows, by binary powering in Python ints."""
+    base, out = _mod_rows(a, p).astype(object), np.identity(a.k, dtype=int).astype(object)
+    while e:
+        if e & 1:
+            out = out @ base % p
+        base, e = base @ base % p, e >> 1
+    return out.astype(np.int64)
+
+
+def _inverse_mod(a: IntMatrix, p: int) -> np.ndarray:
+    """A**-1 mod p as int64 rows: the adjugate times the inverse of det A
+    mod p, a unit since gcd(det A, p) = 1."""
+    rows, unit = a.rows, pow(det_int(a), -1, p)
+
+    def cofactor(i: int, j: int) -> int:
+        minor = [r[:j] + r[j + 1 :] for m, r in enumerate(rows) if m != i]
+        return (-1) ** (i + j) * (det_int(minor) if minor else 1)
+
+    return np.array([[cofactor(j, i) * unit % p for j in range(a.k)] for i in range(a.k)])
+
+
+def _pushed(
+    law: _Support | _Arc, chain: ChainSpec, power: np.ndarray, shifts: Sequence[tuple]
+) -> np.ndarray:
+    """A new dense array, the sum of w * (a sparse law moved by x -> M x + t
+    mod p) over the (t, w) pairs of shifts, M the int64 rows power: the
+    first written into zeros and each later one added, in order, as
+    _write_translates adds a dense step's translates, whose products with
+    the zeros off the law are exact zeros.  Each state's image is exact
+    int64 arithmetic, SCRATCH_STATES states at a time, so no index array
+    is law-sized."""
+    p, k = chain.p, chain.k
+    out, values = np.zeros(chain.n_states), law[1]
+    for t, (shift, w) in enumerate(shifts):
+        for start in range(0, len(values), SCRATCH_STATES):
+            part = slice(start, start + SCRATCH_STATES)
+            if isinstance(law[0], int):  # an arc: m (lo + j) + t mod p, in place
+                index = np.arange(start, min(start + SCRATCH_STATES, len(values)))
+                index += law[0]
+                index %= p
+                index *= power[0, 0]
+                index += shift[0]
+                index %= p
+            else:
+                index = _encode((_decode(law[0][part], p, k) @ power.T + shift) % p, p)
+            if t:
+                out[index] += values[part] * w
+            else:
+                out[index] = values[part] * w
+            del index  # before the next block's is made
+    return out
+
+
+def evolve(chain: ChainSpec, n: int) -> StateDistribution:
+    """The law P_n of X_n, by n exact steps from the point mass at x0.
+
+    A k = 1 chain within LINE_CUTOFF takes _walk's steps, whose strided
+    dense steps need no table.  Any other takes _walk's sparse phase
+    (_sparse), and a phase that reaches n ends in _dense.  From the first
+    P_i it does not step on, evolve runs in the reversed frame V_j =
+    A**(n-j) X_j, where step j -> j + 1 adds the translates of the law by
+    A**(n-j-1) h mod p for (h, w) in chain._shifts order: the first from
+    the sparse law pushed state by state through A**(n-i) mod p in exact
+    integers (_pushed), the others from the dense frame law by _slabs
+    through _write_translates, with no table and no pushed copy.  The
+    frame law at j is P_j permuted by x -> A**(n-j) x, each entry the same
+    products and sums in the same order as step_exact's, checked by
+    _check_law at every step; V_n = X_n is P_n in index order, bit for bit.
+    """
+    _check_work(chain, n)
+    p, k = chain.p, chain.k
+    if k == 1 and abs(_least_residue(chain.a.rows[0][0], p)) <= LINE_CUTOFF:
+        return deque(_walk(chain, n), maxlen=1)[0][1]
+    phase = _sparse(chain, n, lambda targets: True)
+    try:
+        while True:
+            next(phase)
+    except StopIteration as stop:
+        i, held, _ = stop.value
+    if i == n:
+        return _dense(held, chain)
+    # A**(n-j-1) h for step j, from j = i on, moved down one power of A a step
+    moved = np.array([h for h, _ in chain._shifts], dtype=np.int64)
+    moved = moved @ _power_mod(chain.a, n - i - 1, p).T % p
+    weights = [w for _, w in chain._shifts]
+    first = [*zip(moved.tolist(), weights)]
+    law = _pushed(held, chain, _power_mod(chain.a, n - i, p), first).reshape((p,) * k)
+    del held
+    inverse = _inverse_mod(chain.a, p)
+    # the buffer each later step writes into, none when no step is left
+    out = np.empty_like(law) if i + 1 < n else None
+    for _ in range(i + 1, n):
+        _check_law(law.reshape(-1))
+        moved = moved @ inverse.T % p
+        _write_translates(out, law, [*zip(moved.tolist(), weights)], partial(_slabs, p=p))
+        law, out = out, law
+    del out
+    return StateDistribution(p, k, law.reshape(-1).view(_Fresh))
 
 
 def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int]:
@@ -709,9 +851,7 @@ def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int
     for n, law, bound in _walk(chain, n_cap, lambda bound: bound < room):
         # an uncertified law is dense or, for k = 1, an arc, read as it is;
         # _walk yields a support only when the count certifies it
-        if bound >= room and (
-            tv_distance(law) if isinstance(law, StateDistribution) else _arc_tv(*law, size)
-        ) <= eps:
+        if bound >= room and _law_tv(law, size) <= eps:
             return n
         # dropped before _walk makes the next law, which it would outlive
         del law

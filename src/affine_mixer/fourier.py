@@ -50,10 +50,10 @@ from .evolution import (
     _check_cap,
     _check_steps,
     _check_work,
+    _law_tv,
     _mu_hat_table,
+    _walk,
     decode_state,
-    evolve_iter,
-    tv_distance,
 )
 from .increments import IncrementDistribution
 
@@ -193,7 +193,7 @@ def product_scan(chain: ChainSpec, n: int) -> Iterator[tuple[int, np.ndarray]]:
     stay valid upper bounds.  Factors lie in [0, 1], so a product never
     rises: the active ones are exactly those above the threshold.  The
     yielded array is a live buffer.  Step j multiplies in
-    |mu_hat(T**(j-1) alpha)|**2, a factor table gathered through
+    |mu_hat(T**(j-1) alpha)|**2, a factor table gathered (np.take) through
     alpha -> T alpha (_orbit_map) after every step from chain._factors,
     which the scan builds on first use and leaves with the chain; when
     A = I mod p that map is the identity, and the table is neither
@@ -205,7 +205,7 @@ def product_scan(chain: ChainSpec, n: int) -> Iterator[tuple[int, np.ndarray]]:
     for j in range(1, n + 1):
         np.multiply(prods, factor, out=prods, where=prods > FREEZE_THRESHOLD)
         if index is not None:
-            factor = factor[index]
+            factor = np.take(factor, index)
         yield j, prods
 
 
@@ -227,7 +227,8 @@ def _orbit_map(chain: ChainSpec) -> Optional[np.ndarray]:
 
 def _join(a: _Orbit, b: _Orbit) -> _Orbit:
     """The state of n_a + n_b steps: Q_{a+b}_hat(alpha) = Q_a_hat(alpha) *
-    Q_b_hat(T**a alpha) and T**(a+b) = T**b T**a, by exact index gathers;
+    Q_b_hat(T**a alpha) and T**(a+b) = T**b T**a, by exact index gathers
+    (np.take, the floats of fancy indexing and faster on both arrays);
     with no maps (A = I mod p) the product is elementwise, qb times qa in
     place in a copy of qb, the same floats as a gather through the identity."""
     (qa, pa), (qb, pb) = a, b
@@ -235,9 +236,9 @@ def _join(a: _Orbit, b: _Orbit) -> _Orbit:
         q = qb.copy()
         q *= qa
         return q, None
-    q = qb[pa]
+    q = np.take(qb, pa)
     q *= qa
-    return q, pb[pa]
+    return q, np.take(pb, pa)
 
 
 def _power(one: _Orbit, n: int) -> _Orbit:
@@ -435,6 +436,10 @@ def bounds_table(
 ) -> list[BoundsReport]:
     """Evolve the chain beside the frequency products, one row per n.
 
+    The laws are _walk's, each row's tv read where the law is held
+    (_law_tv): a support or arc row of the sparse phase is never made
+    dense, and its tv is the dense law's, bit for bit.
+
     product_scan gives upper, lower_best and its witness up to the first
     row whose best nonzero product is at most FREEZE_THRESHOLD.  From that
     row on every nonzero product is frozen, so upper keeps that row's value
@@ -453,7 +458,7 @@ def bounds_table(
     # from the first row whose best product froze: the orbit state at n
     state: Optional[_Orbit] = None
     rows: list[BoundsReport] = []
-    for (n, dist), certificate in zip(evolve_iter(chain, n_max), _certificates(chain, l_max)):
+    for (n, law, _), certificate in zip(_walk(chain, n_max), _certificates(chain, l_max)):
         if state is None:
             _, prods = next(scan)
             upper = 0.25 * float(prods[1:].sum())
@@ -468,7 +473,8 @@ def bounds_table(
             state = _join(state, one)
         if state is not None:
             lower, witness = _best_witness(state[0], chain.p, chain.k)
-        rows.append(BoundsReport(n, tv_distance(dist), upper, lower, witness, certificate))
+        tv = _law_tv(law, chain.n_states)
+        rows.append(BoundsReport(n, tv, upper, lower, witness, certificate))
     return rows
 
 

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from affine_mixer import (
@@ -346,6 +346,23 @@ def test_arc_tv_is_the_tv_of_the_arc_made_dense_bitwise(p):
         values = spread_law(rng, length)
         dense = evolution._dense((lo, values), chain)
         assert evolution._arc_tv(lo, values, p) == tv_distance(dense), (lo, length)
+
+
+@pytest.mark.parametrize("size", [7, 2**15, 2**15 + 1, 2**16 + 13, 497_025])
+def test_support_tv_is_the_tv_of_the_support_made_dense_bitwise(size):
+    # a support's tv, summed with 1/N off the support, is tv_distance of
+    # the support made dense, bit for bit: one state (the first, the last),
+    # states at a leaf's edges, a sparse and a full support
+    rng = np.random.default_rng(size)
+    supports = [[0], [size - 1], sorted({0, 2**15 - 1, 2**15, size - 1} & set(range(size)))]
+    supports += [rng.choice(size, max(1, size // 64), replace=False), range(size)]
+    for codes in supports:
+        codes = np.sort(np.asarray(codes, dtype=np.int64))
+        values = spread_law(rng, len(codes))
+        dense = np.zeros(size)
+        dense[codes] = values
+        expected = tv_distance(StateDistribution(size, 1, dense))
+        assert evolution._support_tv(codes, values, size) == expected, len(codes)
 
 
 def test_tv_distance_holds_no_law_sized_temporary():
@@ -896,6 +913,84 @@ def test_property_evolve_iter_matches_dense_laws_bitwise(chain, n):
     assert np.array_equal(evolve(chain, n).values, dense.values)
 
 
+# per k, prime and composite moduli on both sides of the floor 2**10
+FRAME_MODULI = {1: [2, 9, 101, 1024, 2003, 4096], 2: [4, 11, 33, 45], 3: [6, 7, 11, 12]}
+
+
+@st.composite
+def frame_chains(draw):
+    """Chains for evolve's reversed frame, on prime and composite moduli:
+    A with gcd(det A, p) = 1 with small entries (for k = 1 any unit
+    residue, past LINE_CUTOFF too), congruent to I mod p, or lifted by
+    multiples of p to negative entries and entries past p (some past
+    int64); twinned increments, which may fold mod p, and a random x0."""
+    k = draw(st.integers(1, 3))
+    p = draw(st.sampled_from(FRAME_MODULI[k]))
+    kind = draw(st.sampled_from(["small", "identity", "lifted"]))
+    if kind == "identity":
+        rows = [[int(i == j) for j in range(k)] for i in range(k)]
+    elif k == 1 and kind == "small":
+        rows = [[draw(st.integers(-(p // 2), p // 2).filter(lambda a: math.gcd(a, p) == 1))]]
+    else:
+        rows = coprime_rows(draw, k, p)
+    if kind != "small":
+        lift = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+        rows = [[c + p * draw(lift) for c in row] for row in rows]
+    x0 = draw(st.tuples(*[st.integers(0, p - 1)] * k))
+    return ChainSpec(IntMatrix.from_rows(rows), twinned_increments(draw, k, p), p, x0=x0)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(chain=frame_chains(), n=st.one_of(st.just(0), st.integers(0, 14)))
+# an arc within the cutoff that stays sparse up to n and straddles 0; an
+# arc past the cutoff whose sparse phase reaches n; the cat map on its
+# support, then in the frame, at a composite modulus; |a| past the cutoff
+# with a lift past int64, its arc pushed into the frame; A = I mod p at
+# k = 3
+@example(chain=ChainSpec(IntMatrix.from_rows([[1]]), fair_two_point(1), 4096, x0=(4090,)), n=14)
+@example(chain=ChainSpec(IntMatrix.from_rows([[-11]]), fair_two_point(1), 2003, x0=(1000,)), n=4)
+@example(chain=ChainSpec(IntMatrix.from_rows([[2, 1], [1, 1]]), fair_two_point(2), 45), n=12)
+@example(
+    chain=ChainSpec(IntMatrix.from_rows([[11 + 2003 * 2**70]]), fair_two_point(1), 2003), n=12
+)
+@example(
+    chain=ChainSpec(
+        IntMatrix.from_rows([[13, 12, 0], [0, 1, -24], [0, 0, -11]]), fair_two_point(3), 12
+    ),
+    n=9,
+)
+def test_property_evolve_matches_step_exact_bitwise(chain, n):
+    # past the k = 1 cutoff evolve takes its first step after the sparse
+    # phase from the sparse law pushed through A**(n-i) mod p, and the
+    # rest in the reversed frame A**(n-j) X_j, with no table: P_n is n
+    # iterations of step_exact from the point mass at x0, bit for bit,
+    # whichever side of the sparse hand-off n lies
+    law = evolve(chain, n)
+    assert "_perm" not in vars(chain)
+    *_, (_, dense) = dense_laws(chain, n)
+    assert np.array_equal(law.values, dense.values)
+    assert not np.signbit(law.values).any()
+    assert not law.values.flags.writeable
+
+
+def test_evolve_holds_two_laws_and_builds_no_table():
+    # the cat map with fair {0, e1} at p = 705, n = 30: 13 support steps,
+    # then 17 in the reversed frame, the first from the support, each
+    # later one writing the translates of one law into the other through
+    # a scratch block.  tracemalloc peaks in
+    # laws (8 bytes a state): 2.10 here; 4.10 when each step was
+    # step_exact's (its input, the pushed law, the new law and the table)
+    chain = ChainSpec(IntMatrix.from_rows([[2, 1], [1, 1]]), fair_two_point(2), 705)
+    tracemalloc.start()
+    try:
+        evolve(chain, 30)
+        peak = tracemalloc.get_traced_memory()[1] / (8 * chain.n_states)
+    finally:
+        tracemalloc.stop()
+    assert "_perm" not in chain.__dict__
+    assert peak < 2.5, peak
+
+
 def random_law(chain, seed):
     """A random law on the chain's states with about 30% exact zeros."""
     rng = np.random.default_rng(seed)
@@ -1000,9 +1095,12 @@ def test_k1_chain_within_the_cutoff_builds_no_table(a, strided):
     # evolve's last steps at p = 2003 are dense ones: one at a = 2, whose
     # arc of P_10 steps straight into the dense law of P_11, seven at
     # a = +-8, whose arc of P_4 steps into P_5, and eight at a = +-9, past
-    # the cutoff, whose arc of P_4 is made dense
+    # the cutoff, in the reversed frame from the arc of P_4; none builds a
+    # table, and a dense step_exact builds it only past the cutoff
     chain = ChainSpec(IntMatrix.from_rows([[a + 2003]]), fair_two_point(1), 2003)
     evolve(chain, 12)
+    assert "_perm" not in vars(chain)
+    step_exact(StateDistribution.point_mass(2003, 1, (0,)), chain)
     assert ("_perm" not in vars(chain)) == strided
 
 
@@ -1263,12 +1361,12 @@ def test_mixing_time_matches_dense_search_at_the_counting_bound(
     assert dense_mixing_time(chain, eps, 600) == n + 1
     sums = 0
 
-    def counted(*args, _original=evolution._half_abs_sum):
+    def counted(*args, _original=evolution._law_tv):
         nonlocal sums
         sums += 1
         return _original(*args)
 
-    monkeypatch.setattr(evolution, "_half_abs_sum", counted)
+    monkeypatch.setattr(evolution, "_law_tv", counted)
     assert mixing_time(chain, eps, 600) == n + 1
     assert sums == (2 if c <= 1 else 1)
 
@@ -1282,7 +1380,7 @@ def test_sweep_fast_moduli_make_one_dense_law_and_one_tv_sum_each(monkeypatch):
     # sums in all, where making that arc dense made 6 laws, and a margin of
     # b_n / N 12 laws and 12 sums
     moduli = [9997, 30003, 100_053, 299_713, 999_783, 3_000_959]
-    calls = {"_half_abs_sum": 0, "step_exact": 0, "laws": 0}
+    calls = {"_law_tv": 0, "step_exact": 0, "laws": 0}
 
     def counted(name):
         def call(*args, _original=getattr(evolution, name)):
@@ -1301,14 +1399,14 @@ def test_sweep_fast_moduli_make_one_dense_law_and_one_tv_sum_each(monkeypatch):
             calls["laws"] += 1
             super().__init__(*args)
 
-    for name in ("_half_abs_sum", "step_exact"):
+    for name in ("_law_tv", "step_exact"):
         monkeypatch.setattr(evolution, name, counted(name))
     monkeypatch.setattr(evolution, "_dense", dense)
     monkeypatch.setattr(evolution, "StateDistribution", CountedLaw)
     chains = [ChainSpec(IntMatrix.from_rows([[2]]), fair_two_point(1), p) for p in moduli]
     found = [mixing_time(chain, 0.25) for chain in chains]
     assert found == [13, 15, 17, 18, 20, 22]
-    assert calls == {"_half_abs_sum": 6, "step_exact": 0, "laws": 4}, calls
+    assert calls == {"_law_tv": 6, "step_exact": 0, "laws": 4}, calls
 
 
 @pytest.mark.parametrize(
@@ -1392,24 +1490,32 @@ def test_evolve_and_bounds_skip_the_dense_steps_of_a_small_support(
     # the cat map with fair {0, e1}: P_n has at most 2**n states, so at
     # p = 705 (497,025 states) the first 13 steps run on the support, and
     # at p = 11 (121 states, below the floor 2**10) every step is dense;
-    # evolve builds one dense law per dense step plus the one scattered:
-    # 18 at p = 705, where scattering every support law built 31
+    # evolve takes its dense steps in the reversed frame and no step_exact:
+    # the first from the support pushed state by state, each later one a
+    # translate write, and it builds one law, the last (31 at p = 705 when
+    # every support law was scattered, 18 when each dense step built
+    # one); bounds takes them by step_exact
     chain = ChainSpec(IntMatrix.from_rows([[2, 1], [1, 1]]), fair_two_point(2), p)
-    calls = {"step_exact": 0, "laws": 0}
+    calls = {"step_exact": 0, "_pushed": 0, "_write_translates": 0, "laws": 0}
 
-    def counted(*args, _original=evolution.step_exact):
-        calls["step_exact"] += 1
-        return _original(*args)
+    def counted(name):
+        def call(*args, _original=getattr(evolution, name)):
+            calls[name] += 1
+            return _original(*args)
+
+        return call
 
     class CountedLaw(StateDistribution):
         def __init__(self, *args):
             calls["laws"] += 1
             super().__init__(*args)
 
-    monkeypatch.setattr(evolution, "step_exact", counted)
+    for name in ("step_exact", "_pushed", "_write_translates"):
+        monkeypatch.setattr(evolution, name, counted(name))
     monkeypatch.setattr(evolution, "StateDistribution", CountedLaw)
     evolve(chain, 30)
-    assert (calls["step_exact"], calls["laws"]) == (evolve_steps, evolve_steps + 1)
+    steps = {"_pushed": 1, "_write_translates": evolve_steps - 1}
+    assert calls == {"step_exact": 0, **steps, "laws": 1}, calls
     calls["step_exact"] = 0
     bounds_table(chain, 40)
     assert calls["step_exact"] == bounds_steps

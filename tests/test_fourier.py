@@ -622,6 +622,37 @@ def test_bounds_table_builds_its_factor_table_once(monkeypatch):
     assert digest == "18e3e14ff362166028ca2b868fe0c48d3a45c1176caeedbe9823b35356001c0d"
 
 
+@pytest.mark.parametrize(
+    "rows, p, n_max, handoffs",
+    [
+        # A = 2: the arcs of P_0..P_10, the last stepping straight into the
+        # dense law of P_11, so no arc is ever made dense
+        ([[2]], 2003, 20, 0),
+        # the cat map: the supports of P_0..P_6 (p = 101) and P_0..P_12
+        # (p = 705), then the hand-off law, made dense once to step on
+        ([[2, 1], [1, 1]], 101, 20, 1),
+        ([[2, 1], [1, 1]], 705, 16, 1),
+    ],
+)
+def test_bounds_table_reads_each_tv_where_the_law_is_held(monkeypatch, rows, p, n_max, handoffs):
+    # the tv column is tv_distance of evolve_iter's dense laws, bit for
+    # bit, while bounds_table reads the sparse rows on the arc or support:
+    # _dense makes no row dense before the hand-off
+    chain = ChainSpec(IntMatrix.from_rows(rows), fair_two_point(len(rows)), p)
+    expected = [tv_distance(dist) for _, dist in evolve_iter(chain, n_max)]
+    sparse = []
+
+    def counted(law, chain, _original=evolution._dense):
+        if isinstance(law, tuple):
+            sparse.append(law)
+        return _original(law, chain)
+
+    monkeypatch.setattr(evolution, "_dense", counted)
+    tvs = [row.tv for row in bounds_table(chain, n_max)]
+    assert tvs == expected
+    assert len(sparse) == handoffs
+
+
 def test_bounds_table_closes_its_scan_at_the_first_frozen_row(monkeypatch):
     # the scan answers rows 0..50; from the first frozen row on (n = 50)
     # upper cannot change and lower_best is joined a row at a time
