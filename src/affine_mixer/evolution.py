@@ -7,11 +7,14 @@ reduced increment law, so a step costs 2 |supp mu| + 3 passes over the p^k
 states (one scatter through the permutation table of y -> A y, a multiply
 and an add per translate but the first, which only multiplies, all
 written by _write_translates, and the min, clip and sum that check the
-law) and stays exact up to float addition.  For k = 1 with a small
-multiplier the push needs no table and no scatter: each translate
-y -> a y + c is at most |a| + 1 strided slices read straight from the
-law, so a step costs 2 |supp mu| + 2 passes; the same slices, restricted
-to an arc of Z_p, step a law held on that arc.
+law) and stays exact up to float addition.
+
+A chain decides once how its law is held and moved (ChainSpec._stride).
+A stride chain, k = 1 with a the least residue of A mod p and |a| <=
+LINE_CUTOFF, pushes with no table and no scatter: each translate y -> a
+y + c is at most |a| + 1 strided slices read straight from the law, so a
+step costs 2 |supp mu| + 2 passes, and the same slices, restricted to an
+arc of Z_p, step a law held on that arc.  Every other chain scatters.
 
 Where a step would scatter through the table, evolve, which yields only
 P_n, steps in the reversed frame V_j = A**(n-j) X_j instead.  X_n =
@@ -23,14 +26,14 @@ lands in index order.
 The paper's necessary-steps count says where that work is wasted: P_n
 lives on at most |supp mu|**n states, so while that is small against p^k
 the early steps run on a sparse form of the law, and the mixing search
-computes tv only once the count no longer rules out mixing.  For k >= 2
-that form is the support, stepped at O(|supp| |supp mu|) a step.  For
-k = 1 it is an arc of Z_p, from the point mass at x0 on: in the fast
-regime (|a| > 1, with a the least residue of A mod p) the arc of P_n is
-about |a|**n times the spread of mu long, so the law fills Z_p only in
-the last few steps.  Those before are taken on the arc, at O(arc) each,
-until its image would wrap or the count stops ruling out mixing, and
-the last arc steps straight into the dense law.  The count asks a margin
+computes tv only once the count no longer rules out mixing.  For a
+stride chain that form is an arc of Z_p, from the point mass at x0 on:
+in the fast regime (|a| > 1) the arc of P_n is about |a|**n times the
+spread of mu long, so the law fills Z_p only in the last few steps.
+Those before are taken on the arc, at O(arc) each, until its image would
+wrap or the count stops ruling out mixing, and the last arc steps
+straight into the dense law.  For every other chain it is the support,
+stepped at O(|supp| |supp mu|) a step.  The count asks a margin
 of one state, 1/N in tv, past the float error; for A = 2 a mixing search
 then makes at most one dense law and sums one tv, not O(log p) of each.
 A law the count no longer rules out has its tv summed where it is held,
@@ -52,7 +55,7 @@ from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .algebra import IntMatrix, as_matrix, det_int
+from .algebra import IntMatrix, _fraction_free, as_matrix, det_int
 from .errors import ConfigInvalid, ModulusNotCoprime, StateSpaceTooLarge
 from .increments import IncrementDistribution
 
@@ -61,8 +64,7 @@ STATE_CAP_ENV = "AFFINE_MIXER_STATE_CAP"
 DEFAULT_N_CAP = 100_000
 SUM_TOL = 1e-10
 NEG_TOL = -1e-15
-# largest |a| for which a k = 1 step moves the law by strided slices, not
-# through the permutation table (see step_exact)
+# largest |a| for which a k = 1 chain is a stride chain (ChainSpec._stride)
 LINE_CUTOFF = 8
 # states in the block through which a translate's products pass on their
 # way into the new law (_add_scaled): 256 KB, so a block stays in L2
@@ -209,13 +211,23 @@ class ChainSpec:
         return self.p**self.k
 
     @cached_property
+    def _stride(self) -> Optional[int]:
+        """a, the least residue of A mod p, for a stride chain: k = 1 and
+        |a| <= LINE_CUTOFF, whose law is held on arcs and moved by strided
+        slices (_lines); None for every other chain, whose law is held as
+        its support and scattered through _perm."""
+        if self.k == 1 and abs(a := _least_residue(self.a.rows[0][0], self.p)) <= LINE_CUTOFF:
+            return a
+        return None
+
+    @cached_property
     def _perm(self) -> np.ndarray:
         """Index permutation of the push-forward y -> A y mod p.  Read by
-        step_exact for k >= 2 and for k = 1 past LINE_CUTOFF (the dense
-        steps of bounds_table, evolve_iter and mixing_time; evolve steps
-        in its reversed frame and never reads it), and, as _perm_t when A
-        is symmetric, by product_scan and by fourier's orbit products
-        unless A = I mod p."""
+        step_exact for every chain but a stride chain (the dense steps of
+        bounds_table, evolve_iter and mixing_time; evolve steps in its
+        reversed frame and never reads it), and, as _perm_t when A is
+        symmetric, by product_scan and by fourier's orbit products unless
+        A = I mod p."""
         return index_map(self.a, self.p, self.k)
 
     @cached_property
@@ -378,18 +390,17 @@ def step_exact(dist: StateDistribution, chain: ChainSpec) -> StateDistribution:
     """One exact step: P'(x) = sum_y P(y) * mu_p(x - A y mod p), the terms of
     each target added in the order of chain._shifts by _write_translates.
 
-    For k = 1 with a least residue a of A mod p (-p/2 < a <= p/2) of at most
-    LINE_CUTOFF in absolute value, P is the arc of all p states and steps
-    as _walk's last arc does (_step_lines), with no table and no pushed
-    copy.  Otherwise P is scattered through chain._perm into a pushed law,
-    whose translates are moved slab by slab (_slabs).  One writer gives
-    both paths the same products and sums in the same order, so the law is
-    the same bit for bit.
+    For a stride chain (chain._stride is a, not None) P is the arc of all
+    p states and steps as _walk's last arc does (_step_lines), with no
+    table and no pushed copy.  Otherwise P is scattered through
+    chain._perm into a pushed law, whose translates are moved slab by slab
+    (_slabs).  One writer gives both paths the same products and sums in
+    the same order, so the law is the same bit for bit.
     """
     if (dist.p, dist.k) != (chain.p, chain.k):
         raise ValueError("distribution and chain dimensions disagree")
     p, k = chain.p, chain.k
-    if k == 1 and abs(a := _least_residue(chain.a.rows[0][0], p)) <= LINE_CUTOFF:
+    if (a := chain._stride) is not None:
         return _step_lines(0, dist.values, a, chain._shifts, p)
     pushed = np.empty_like(dist.values)
     pushed[chain._perm] = dist.values
@@ -549,22 +560,25 @@ _Support = tuple[np.ndarray, np.ndarray]
 _Arc = tuple[int, np.ndarray]
 
 
-def _step_support(codes: np.ndarray, values: np.ndarray, chain: ChainSpec) -> _Support:
-    """One exact step of a law held as its support: sorted state indices and
-    their values.  Costs O(|supp| s log(|supp| s)) with s = |supp mu|, not
-    O(p**k), and builds no permutation table.
+def _step_support(
+    codes: np.ndarray, values: np.ndarray, rows: np.ndarray, shifts: Sequence[tuple], p: int
+) -> _Support:
+    """One exact step x -> M x + shift mod p of a law held as its support:
+    sorted state indices and their values, M the int64 (k, k) rows and
+    shifts (shift, weight) pairs.  Costs O(|supp| s log(|supp| s)) with s =
+    len(shifts), not O(p**k), and builds no permutation table.
 
     Each target gathers w * P(y) over the pairs (y, shift) with
-    A y + shift = x, added in the order of chain._shifts starting from 0,
-    as the translates are added in step_exact; so the law is bit-identical
-    to step_exact's on the same support.
+    M y + shift = x, added in the order of shifts starting from 0, as the
+    translates are added in step_exact; so with M = A mod p and the pairs
+    of chain._shifts the law is bit-identical to step_exact's.
     """
-    p, k = chain.p, chain.k
-    pushed = _decode(codes, p, k) @ _mod_rows(chain.a, p).T
-    shifts = np.array([shift for shift, _ in chain._shifts], dtype=np.int64)
-    weights = np.array([w for _, w in chain._shifts])
+    k = len(rows)
+    pushed = _decode(codes, p, k) @ rows.T
+    moves = np.array([shift for shift, _ in shifts], dtype=np.int64)
+    weights = np.array([w for _, w in shifts])
     # shift-major rows: bincount adds each target's terms in shift order
-    targets = _encode(((pushed[None] + shifts[:, None]) % p).reshape(-1, k), p)
+    targets = _encode(((pushed[None] + moves[:, None]) % p).reshape(-1, k), p)
     codes, inverse = np.unique(targets, return_inverse=True)
     terms = (weights[:, None] * values[None]).reshape(-1)
     return codes, np.bincount(inverse, weights=terms, minlength=len(codes))
@@ -617,24 +631,24 @@ def _sparse(
 
     It runs only past a floor of 2**10 states: below it a dense step costs
     no more than a sparse step's fixed overhead.  s is |supp mu| folded mod
-    p.  For k = 1 P_i is held on an arc, the point mass being an arc of one
-    state, and stepped by _step_arc, at O((|a| + s) L) for an arc of L,
-    while i < n, keep(b_i) holds and the image arc does not wrap; b_i is
-    min(b_{i-1} s, L).  With |a| > 1 (the fast regime) the arc grows about
-    |a|-fold a step, so the law fills Z_p only in the last few steps, and
-    all those before are paid on the arc.  For k >= 2 P_i is held as its
-    support, and stepped by _step_support, while i < n and keep(targets)
-    holds, targets being |supp P_i| * s: the bound on |supp P_{i+1}|; b_i
-    is |supp P_i|.  Past about p**k / 32 targets a dense step costs less
-    than a sort of them, so the phase ends there too.
+    p.  For a stride chain (chain._stride is a) P_i is held on an arc, the
+    point mass being an arc of one state, and stepped by _step_arc, at
+    O((|a| + s) L) for an arc of L, while i < n, keep(b_i) holds and the
+    image arc does not wrap; b_i is min(b_{i-1} s, L).  With |a| > 1 (the
+    fast regime) the arc grows about |a|-fold a step, so the law fills Z_p
+    only in the last few steps, and all those before are paid on the arc.
+    For every other chain P_i is held as its support, and stepped by
+    _step_support, while i < n and keep(targets) holds, targets being
+    |supp P_i| * s: the bound on |supp P_{i+1}|; b_i is |supp P_i|.  Past
+    about p**k / 32 targets a dense step costs less than a sort of them,
+    so the phase ends there too.
     """
     _check_steps(n)
     _check_cap(chain.n_states, "p**k")
     p, size, s = chain.p, chain.n_states, len(chain._shifts)
     i, floor = 0, 2**10 <= size
     held: _Support | _Arc
-    if chain.k == 1:
-        a = _least_residue(chain.a.rows[0][0], p)
+    if (a := chain._stride) is not None:
         shifts = [(_least_residue(c, p), w) for (c,), w in chain._shifts]
         spread = max(c for c, _ in shifts) - min(c for c, _ in shifts)
         held, bound = (chain.x0[0], np.ones(1)), 1
@@ -645,9 +659,10 @@ def _sparse(
             i += 1
         return i, held, bound
     held = (np.array([encode_state(chain.x0, p)], dtype=np.int64), np.ones(1))
+    rows = _mod_rows(chain.a, p)
     while i < n and floor and 32 * len(held[0]) * s < size and keep(len(held[0]) * s):
         yield i, held, len(held[0])
-        held = _step_support(*held, chain)
+        held = _step_support(*held, rows, chain._shifts, p)
         i += 1
     return i, held, len(held[0])
 
@@ -657,14 +672,13 @@ def _walk(
 ) -> Iterator[tuple[int, StateDistribution | _Support | _Arc, int]]:
     """Yield (i, P_i, b_i) for i = 0..n from the point mass at x0, with
     b_i >= |supp P_i| and b_0 = 1: first the laws of the sparse phase
-    (_sparse), on arcs for k = 1 and on the support for k >= 2.
+    (_sparse), on arcs for a stride chain and on the support for any other.
 
-    For k = 1 the last arc, whose image would wrap or for which keep(b_i)
-    fails (or the point mass below the floor), is yielded as an arc too
-    while i < n and |a| <= LINE_CUTOFF, and steps straight into the dense
-    law (_step_lines), so no reader makes it dense: one that sums its tv
-    reads it on the arc (_law_tv).  With |a| past the cutoff it is made
-    dense first, for step_exact to step.
+    For a stride chain the last arc, whose image would wrap or for which
+    keep(b_i) fails (or the point mass below the floor), is yielded as an
+    arc too while i < n, and steps straight into the dense law
+    (_step_lines), so no reader makes it dense: one that sums its tv reads
+    it on the arc (_law_tv).
 
     The first P_i the phase does not step, P_n at the latest, is made
     dense once (_dense), and the laws after it are step_exact's, with b_i
@@ -672,7 +686,7 @@ def _walk(
     """
     i, held, bound = yield from _sparse(chain, n, keep)
     p, size, s = chain.p, chain.n_states, len(chain._shifts)
-    if chain.k == 1 and i < n and abs(a := _least_residue(chain.a.rows[0][0], p)) <= LINE_CUTOFF:
+    if (a := chain._stride) is not None and i < n:
         yield i, held, bound
         held = _step_lines(*held, a, chain._shifts, p)
         bound = min(bound * s, size)
@@ -710,69 +724,25 @@ def _power_mod(a: IntMatrix, e: int, p: int) -> np.ndarray:
     return out.astype(np.int64)
 
 
-def _inverse_mod(a: IntMatrix, p: int) -> np.ndarray:
-    """A**-1 mod p as int64 rows: the adjugate times the inverse of det A
-    mod p, a unit since gcd(det A, p) = 1."""
-    rows, unit = a.rows, pow(det_int(a), -1, p)
-
-    def cofactor(i: int, j: int) -> int:
-        minor = [r[:j] + r[j + 1 :] for m, r in enumerate(rows) if m != i]
-        return (-1) ** (i + j) * (det_int(minor) if minor else 1)
-
-    return np.array([[cofactor(j, i) * unit % p for j in range(a.k)] for i in range(a.k)])
-
-
-def _pushed(
-    law: _Support | _Arc, chain: ChainSpec, power: np.ndarray, shifts: Sequence[tuple]
-) -> np.ndarray:
-    """A new dense array, the sum of w * (a sparse law moved by x -> M x + t
-    mod p) over the (t, w) pairs of shifts, M the int64 rows power: the
-    first written into zeros and each later one added, in order, as
-    _write_translates adds a dense step's translates, whose products with
-    the zeros off the law are exact zeros.  Each state's image is exact
-    int64 arithmetic, SCRATCH_STATES states at a time, so no index array
-    is law-sized."""
-    p, k = chain.p, chain.k
-    out, values = np.zeros(chain.n_states), law[1]
-    for t, (shift, w) in enumerate(shifts):
-        for start in range(0, len(values), SCRATCH_STATES):
-            part = slice(start, start + SCRATCH_STATES)
-            if isinstance(law[0], int):  # an arc: m (lo + j) + t mod p, in place
-                index = np.arange(start, min(start + SCRATCH_STATES, len(values)))
-                index += law[0]
-                index %= p
-                index *= power[0, 0]
-                index += shift[0]
-                index %= p
-            else:
-                index = _encode((_decode(law[0][part], p, k) @ power.T + shift) % p, p)
-            if t:
-                out[index] += values[part] * w
-            else:
-                out[index] = values[part] * w
-            del index  # before the next block's is made
-    return out
-
-
 def evolve(chain: ChainSpec, n: int) -> StateDistribution:
     """The law P_n of X_n, by n exact steps from the point mass at x0.
 
-    A k = 1 chain within LINE_CUTOFF takes _walk's steps, whose strided
-    dense steps need no table.  Any other takes _walk's sparse phase
-    (_sparse), and a phase that reaches n ends in _dense.  From the first
-    P_i it does not step on, evolve runs in the reversed frame V_j =
-    A**(n-j) X_j, where step j -> j + 1 adds the translates of the law by
-    A**(n-j-1) h mod p for (h, w) in chain._shifts order: the first from
-    the sparse law pushed state by state through A**(n-i) mod p in exact
-    integers (_pushed), the others from the dense frame law by _slabs
-    through _write_translates, with no table and no pushed copy.  The
-    frame law at j is P_j permuted by x -> A**(n-j) x, each entry the same
-    products and sums in the same order as step_exact's, checked by
-    _check_law at every step; V_n = X_n is P_n in index order, bit for bit.
+    A stride chain takes _walk's steps, whose strided dense steps need no
+    table.  Any other takes _walk's sparse phase (_sparse) on its support,
+    and a phase that reaches n ends in _dense.  From the first P_i it does
+    not step on, evolve runs in the reversed frame V_j = A**(n-j) X_j,
+    where step j -> j + 1 adds the translates of the law by A**(n-j-1) h
+    mod p for (h, w) in chain._shifts order: the first is one support step
+    (_step_support) by x -> A**(n-i) x + A**(n-i-1) h mod p, scattered into
+    zeros, the others move the dense frame law by _slabs through
+    _write_translates, with no table and no pushed copy.  The frame law at
+    j is P_j permuted by x -> A**(n-j) x, each entry the same products and
+    sums in the same order as step_exact's, checked by _check_law at every
+    step; V_n = X_n is P_n in index order, bit for bit.
     """
     _check_work(chain, n)
     p, k = chain.p, chain.k
-    if k == 1 and abs(_least_residue(chain.a.rows[0][0], p)) <= LINE_CUTOFF:
+    if chain._stride is not None:
         return deque(_walk(chain, n), maxlen=1)[0][1]
     phase = _sparse(chain, n, lambda targets: True)
     try:
@@ -786,10 +756,14 @@ def evolve(chain: ChainSpec, n: int) -> StateDistribution:
     moved = np.array([h for h, _ in chain._shifts], dtype=np.int64)
     moved = moved @ _power_mod(chain.a, n - i - 1, p).T % p
     weights = [w for _, w in chain._shifts]
-    first = [*zip(moved.tolist(), weights)]
-    law = _pushed(held, chain, _power_mod(chain.a, n - i, p), first).reshape((p,) * k)
-    del held
-    inverse = _inverse_mod(chain.a, p)
+    codes, values = _step_support(*held, _power_mod(chain.a, n - i, p), [*zip(moved, weights)], p)
+    law = np.zeros((p,) * k)
+    law.reshape(-1)[codes] = values
+    del held, codes, values
+    # A**-1 mod p: fraction-free elimination leaves [A | I] as [d I | d A**-1]
+    pair = np.hstack([_mod_rows(chain.a, p), np.identity(k, dtype=np.int64)]).astype(object)
+    _fraction_free(pair)
+    inverse = (pair[:, k:] * pow(int(pair[0, 0]), -1, p) % p).astype(np.int64)
     # the buffer each later step writes into, none when no step is left
     out = np.empty_like(law) if i + 1 < n else None
     for _ in range(i + 1, n):
@@ -808,12 +782,12 @@ def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int
     The paper's necessary-steps argument is a count: P_n lives on at most
     b_n states (_walk's bound), so tv(P_n) >= 1 - b_n / N with N = p**k.
     While that bound certifies tv > eps, no tv is computed, and _walk,
-    told so by keep, holds the law sparse: for k = 1 on the arc that holds
-    it, the last arc stepping straight into the dense law, so in the fast
-    regime the first dense law is about the mixed one; for k >= 2 on its
-    support, up to the last law whose successor the count certifies.  The
-    search sums a law's tv only once the count no longer certifies it,
-    an arc on the arc (_arc_tv) and never made dense.
+    told so by keep, holds the law sparse: for a stride chain on the arc
+    that holds it, the last arc stepping straight into the dense law, so in
+    the fast regime the first dense law is about the mixed one; for any
+    other on its support, up to the last law whose successor the count
+    certifies.  The search sums a law's tv only once the count no longer
+    certifies it, an arc on the arc (_arc_tv) and never made dense.
 
     The certificate is (1 - eps) N > b_n + 1 + D, with
     D = N 2**-50 (n_cap r + log2 N + 8) and r = |supp mu|: one state of
@@ -849,7 +823,7 @@ def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int
     size, r = chain.n_states, len(chain.mu.support)
     room = (1.0 - eps) * size - 1 - size * 2.0**-50 * (n_cap * r + math.log2(size) + 8)
     for n, law, bound in _walk(chain, n_cap, lambda bound: bound < room):
-        # an uncertified law is dense or, for k = 1, an arc, read as it is;
+        # an uncertified law is dense or, for a stride chain, an arc, read as it is;
         # _walk yields a support only when the count certifies it
         if bound >= room and _law_tv(law, size) <= eps:
             return n
@@ -896,11 +870,11 @@ def mixing_time(
     pointwise products and one FFT, so raising n_cap is cheap.  While the
     counting bound tv(P_n) >= 1 - |supp P_n| / p**k rules out mixing, with
     one state of margin past the float error, the prefix computes no tv,
-    and its early steps run on the arc that holds P_n for k = 1, at O(arc)
-    each, the last of them straight into the dense law, and on the support
-    of P_n for k >= 2, at O(|supp| |supp mu|) each (see
-    _mixing_time_dense).  A
-    Fourier value within the round-off margin of eps, or a crossing that
+    and its early steps run on the arc that holds P_n for a stride chain
+    (ChainSpec._stride), at O(arc) each, the last of them straight into the
+    dense law, and on the support of P_n for any other, at
+    O(|supp| |supp mu|) each (see _mixing_time_dense).  A Fourier value
+    within the round-off margin of eps, or a crossing that
     does not recompute, hands the whole search to dense stepping, so the
     answer is always the one incremental dense stepping gives.  That
     stepping stays within the budget of _check_work; a chain still

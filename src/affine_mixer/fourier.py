@@ -564,6 +564,9 @@ def _fourier_search(
     every candidate is decided by tv with the same margin, and the
     crossing is recomputed.
     """
+    if hint is not None and min(hint, n_cap) <= 2 * lo:
+        # refused before the one-step state's transform and index tables
+        raise _NearTie(f"the hint {min(hint, n_cap)} is not past twice the prefix {lo}")
     p, k, size = chain.p, chain.k, chain.n_states
     support_size = len(chain.mu.support)
     one = (_mu_hat_table(chain.mu, p), _orbit_map(chain))
@@ -603,8 +606,6 @@ def _fourier_search(
     else:
         prefix, start = lo, min(hint, n_cap)
         floor = 2 * prefix + 1
-        if start < floor:
-            raise _NearTie(f"the hint {start} is not past twice the prefix {prefix}")
         lo, low, down = start, doubled(start), 1
         while mixed(low, lo):
             if lo == floor:

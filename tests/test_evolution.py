@@ -664,6 +664,17 @@ def test_hinted_mixing_time_skips_the_dense_prefix(monkeypatch):
     assert calls == [prefix]
 
 
+def test_hint_within_twice_the_prefix_builds_no_orbit_state():
+    # A = 2 at p = 10,007 mixes at 13, inside its dense prefix; the hint
+    # 100 is not past twice the prefix, so the search refuses it before it
+    # builds the one-step state's transform or index map, as with no hint
+    chain = ChainSpec(IntMatrix.from_rows([[2]]), fair_two_point(1), 10_007)
+    assert 100 <= 2 * _dense_prefix(chain.n_states, 2)
+    assert mixing_time(chain, 0.25, hint=100) == 13
+    assert "_perm_t" not in vars(chain)
+    assert "_perm" not in vars(chain)
+
+
 def test_hinted_mixing_time_past_the_answer_runs_the_whole_search(monkeypatch):
     # p = 5 mixes within the dense prefix; the search steps down from the
     # hint, mixed each time, to the floor just past twice the prefix, still
@@ -890,9 +901,10 @@ def support_chains(draw, dims=(1, 2, 3), moduli=SMALL_AND_LARGE_MODULI):
 def test_property_support_steps_match_evolve_bitwise(chain, n):
     # the law stepped on its support, scattered at any n, is step_exact's law
     codes, values = np.array([encode_state(chain.x0, chain.p)]), np.ones(1)
+    rows = evolution._mod_rows(chain.a, chain.p)
     for i, dist in dense_laws(chain, n):
         if i:
-            codes, values = _step_support(codes, values, chain)
+            codes, values = _step_support(codes, values, rows, chain._shifts, chain.p)
         assert np.all(np.diff(codes) > 0)
         law = np.zeros(chain.n_states)
         law[codes] = values
@@ -942,11 +954,12 @@ def frame_chains(draw):
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(chain=frame_chains(), n=st.one_of(st.just(0), st.integers(0, 14)))
-# an arc within the cutoff that stays sparse up to n and straddles 0; an
-# arc past the cutoff whose sparse phase reaches n; the cat map on its
+# an arc within the cutoff that stays sparse up to n and straddles 0; a
+# support past the cutoff whose sparse phase reaches n; the cat map on its
 # support, then in the frame, at a composite modulus; |a| past the cutoff
-# with a lift past int64, its arc pushed into the frame; A = I mod p at
-# k = 3
+# with a lift past int64, its support stepped into the frame; A = I mod p
+# at k = 3; A = 9 with the support {0..19}, whose phase ends at i = 1, so
+# the frame is entered from a k = 1 support whose translates overlap
 @example(chain=ChainSpec(IntMatrix.from_rows([[1]]), fair_two_point(1), 4096, x0=(4090,)), n=14)
 @example(chain=ChainSpec(IntMatrix.from_rows([[-11]]), fair_two_point(1), 2003, x0=(1000,)), n=4)
 @example(chain=ChainSpec(IntMatrix.from_rows([[2, 1], [1, 1]]), fair_two_point(2), 45), n=12)
@@ -959,12 +972,19 @@ def frame_chains(draw):
     ),
     n=9,
 )
+@example(
+    chain=ChainSpec(
+        IntMatrix.from_rows([[9]]), IncrementDistribution.fair([(c,) for c in range(20)]), 2003
+    ),
+    n=3,
+)
 def test_property_evolve_matches_step_exact_bitwise(chain, n):
-    # past the k = 1 cutoff evolve takes its first step after the sparse
-    # phase from the sparse law pushed through A**(n-i) mod p, and the
-    # rest in the reversed frame A**(n-j) X_j, with no table: P_n is n
+    # a chain that is not a stride chain takes the first step after its
+    # sparse phase as one support step by x -> A**(n-i) x + A**(n-i-1) h,
+    # and the rest in the reversed frame A**(n-j) X_j, with no table: P_n is n
     # iterations of step_exact from the point mass at x0, bit for bit,
     # whichever side of the sparse hand-off n lies
+    assert chain._stride is None or chain.k == 1
     law = evolve(chain, n)
     assert "_perm" not in vars(chain)
     *_, (_, dense) = dense_laws(chain, n)
@@ -1094,14 +1114,60 @@ def test_property_k1_step_matches_roll_step_bitwise(chain, seed, n, dense):
 def test_k1_chain_within_the_cutoff_builds_no_table(a, strided):
     # evolve's last steps at p = 2003 are dense ones: one at a = 2, whose
     # arc of P_10 steps straight into the dense law of P_11, seven at
-    # a = +-8, whose arc of P_4 steps into P_5, and eight at a = +-9, past
-    # the cutoff, in the reversed frame from the arc of P_4; none builds a
-    # table, and a dense step_exact builds it only past the cutoff
+    # a = +-8, whose arc of P_4 steps into P_5, and seven at a = +-9, past
+    # the cutoff, in the reversed frame from the support of P_5; none
+    # builds a table, and a dense step_exact builds it only past the cutoff
     chain = ChainSpec(IntMatrix.from_rows([[a + 2003]]), fair_two_point(1), 2003)
     evolve(chain, 12)
     assert "_perm" not in vars(chain)
     step_exact(StateDistribution.point_mass(2003, 1, (0,)), chain)
     assert ("_perm" not in vars(chain)) == strided
+
+
+@pytest.mark.parametrize(
+    "a, n_mix, dense_steps", [(8, 22, 14), (-8, 22, 14), (9, 22, 8), (-9, 22, 8), (100, 21, 7)]
+)
+def test_a_chain_holds_its_sparse_law_on_arcs_only_within_the_cutoff(
+    monkeypatch, a, n_mix, dense_steps
+):
+    # at p = 999,983 with fair {0, 1} a stride chain (|a| <= LINE_CUTOFF)
+    # takes 7 arc steps and its arcs fill Z_p early, 14 steps before it
+    # mixes; past the cutoff the support phase runs while 64 |supp P_i|
+    # stays below p, to P_14, so 8 or 7 dense steps are left (15 and 18
+    # when those chains held arcs)
+    calls = {"step_exact": 0, "_step_arc": 0, "_step_support": 0}
+
+    def counted(name):
+        def call(*args, _original=getattr(evolution, name)):
+            calls[name] += 1
+            return _original(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(evolution, name, counted(name))
+    chain = ChainSpec(IntMatrix.from_rows([[a]]), fair_two_point(1), 999_983)
+    assert mixing_time(chain, 0.25) == n_mix
+    assert calls["step_exact"] == dense_steps
+    stride = abs(a) <= LINE_CUTOFF
+    assert (calls["_step_arc"] > 0, calls["_step_support"] > 0) == (stride, not stride)
+    assert chain._stride == (a if stride else None)
+
+
+@pytest.mark.parametrize(
+    "rows, stride",
+    [
+        ([[8 + 999_983 * 2**70]], 8),
+        ([[1, 0], [0, 1]], None),
+        ([[2, 1], [1, 1]], None),
+        ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], None),
+    ],
+)
+def test_stride_is_decided_by_k_and_the_least_residue(rows, stride):
+    # the least residue of the lifted 8 is 8 (+-8 and +-9 are in the test
+    # above); no chain with k >= 2 has a stride, whatever its entries
+    chain = ChainSpec(IntMatrix.from_rows(rows), fair_two_point(len(rows)), 999_983)
+    assert chain._stride == stride
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -1116,17 +1182,19 @@ def test_property_arc_phase_matches_dense_laws_bitwise(chain, n, eps):
     # steps at |a| >= 2 (one or two with a support as wide as {0, p / 2},
     # whose arc may hold all p states when made dense), and up to the
     # whole circle at |a| = 1 (1021 lies just below the floor 2**10, so
-    # it has no arc phase); no k = 1 chain takes a support step, every law
-    # evolve_iter yields is still step_exact's, bit for bit, and the
+    # it has no arc phase); no stride chain (|a| within LINE_CUTOFF) takes
+    # a support step, every law evolve_iter yields is still step_exact's,
+    # bit for bit, and the
     # mixing search finds the same n.  One folded increment never leaves
     # its one-state arc (see the point-mass test below).
     assume(len(chain._shifts) > 1)
 
     def no_support_step(*args):
-        raise AssertionError("a k = 1 chain took a support step")
+        raise AssertionError("a stride chain took a support step")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(evolution, "_step_support", no_support_step)
+        if chain._stride is not None:
+            patch.setattr(evolution, "_step_support", no_support_step)
         laws = zip(evolve_iter(chain, n), dense_laws(chain, n), strict=True)
         for (i, dist), (j, dense) in laws:
             assert i == j
@@ -1427,6 +1495,10 @@ def test_sweep_fast_moduli_make_one_dense_law_and_one_tv_sum_each(monkeypatch):
         (2, [(0,), (1,)], 999_983, 25, 0, 2.05),
         (3, [(0,), (1,)], 999_983, 15, 0, 2.05),
         (-2, [(0,), (1,), (5,)], 300_007, 14, 12_345, 1.42),
+        # past the cutoff: the support of P_14 (P_9 with three points)
+        # stepped into the frame, then the frame's two laws
+        (9, [(0,), (1,)], 999_983, 25, 0, 2.05),
+        (-9, [(0,), (1,), (5,)], 999_983, 20, 0, 2.05),
     ],
 )
 def test_k1_search_and_evolve_stay_within_their_memory(a, support, p, n, x0, ratio):
@@ -1481,22 +1553,23 @@ def test_property_arc_hand_off_matches_roll_step_bitwise(chain, data):
 
 
 @pytest.mark.parametrize(
-    "p, evolve_steps, bounds_steps",
-    [(705, 17, 27), (11, 30, 40)],
+    "p, support_steps, evolve_steps, bounds_steps",
+    [(705, 14, 17, 27), (11, 1, 30, 40)],
 )
 def test_evolve_and_bounds_skip_the_dense_steps_of_a_small_support(
-    monkeypatch, p, evolve_steps, bounds_steps
+    monkeypatch, p, support_steps, evolve_steps, bounds_steps
 ):
     # the cat map with fair {0, e1}: P_n has at most 2**n states, so at
     # p = 705 (497,025 states) the first 13 steps run on the support, and
     # at p = 11 (121 states, below the floor 2**10) every step is dense;
     # evolve takes its dense steps in the reversed frame and no step_exact:
-    # the first from the support pushed state by state, each later one a
-    # translate write, and it builds one law, the last (31 at p = 705 when
+    # the first one support step from the last support law (after 13 at
+    # p = 705, after none at p = 11), each later one a translate write,
+    # and it builds one law, the last (31 at p = 705 when
     # every support law was scattered, 18 when each dense step built
     # one); bounds takes them by step_exact
     chain = ChainSpec(IntMatrix.from_rows([[2, 1], [1, 1]]), fair_two_point(2), p)
-    calls = {"step_exact": 0, "_pushed": 0, "_write_translates": 0, "laws": 0}
+    calls = {"step_exact": 0, "_step_support": 0, "_write_translates": 0, "laws": 0}
 
     def counted(name):
         def call(*args, _original=getattr(evolution, name)):
@@ -1510,11 +1583,11 @@ def test_evolve_and_bounds_skip_the_dense_steps_of_a_small_support(
             calls["laws"] += 1
             super().__init__(*args)
 
-    for name in ("step_exact", "_pushed", "_write_translates"):
+    for name in ("step_exact", "_step_support", "_write_translates"):
         monkeypatch.setattr(evolution, name, counted(name))
     monkeypatch.setattr(evolution, "StateDistribution", CountedLaw)
     evolve(chain, 30)
-    steps = {"_pushed": 1, "_write_translates": evolve_steps - 1}
+    steps = {"_step_support": support_steps, "_write_translates": evolve_steps - 1}
     assert calls == {"step_exact": 0, **steps, "laws": 1}, calls
     calls["step_exact"] = 0
     bounds_table(chain, 40)
