@@ -35,10 +35,12 @@ wrap or the count stops ruling out mixing, and the last arc steps
 straight into the dense law.  For every other chain it is the support,
 stepped at O(|supp| |supp mu|) a step.  The count asks a margin
 of one state, 1/N in tv, past the float error; for A = 2 a mixing search
-then makes at most one dense law and sums one tv, not O(log p) of each.
-A law the count no longer rules out has its tv summed where it is held,
-an arc as an arc, through one 256 KB scratch block in numpy's own
-pairwise order (_half_abs_sum): the float a sum over the dense law
+then sums one tv, not O(log p), and makes no dense law: the law the
+count no longer rules out is an arc or the last arc's image under one
+step, and its tv is summed where it is held.  A law is summed leaf by
+leaf through a 256 KB scratch block in numpy's own pairwise order
+(_pairwise), an image's leaves written by the strided slices of the
+step cut to each leaf (_image_tv): the float a sum over the dense law
 gives, with no law-sized temporary.  Past a short prefix mixing_time
 hands the search to fourier (_fourier_search).
 """
@@ -69,6 +71,8 @@ LINE_CUTOFF = 8
 # states in the block through which a translate's products pass on their
 # way into the new law (_add_scaled): 256 KB, so a block stays in L2
 SCRATCH_STATES = 2**15
+# the (shift, weight) pairs of the identity step
+_IDENTITY = (((0,), 1.0),)
 
 
 def state_cap() -> int:
@@ -91,14 +95,6 @@ def encode_state(x: Sequence[int], p: int) -> int:
     for i, c in enumerate(x):
         code += (int(c) % p) * p**i
     return code
-
-
-def decode_state(code: int, p: int, k: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(k):
-        out.append(code % p)
-        code //= p
-    return tuple(out)
 
 
 def _state_index(x: Sequence[int], p: int, k: int) -> int:
@@ -260,20 +256,31 @@ class _Fresh(np.ndarray):
     """A new float64 law buffer, which StateDistribution takes without a copy."""
 
 
-def _check_law(arr: np.ndarray) -> None:
-    """Check a float64 law in place: no entry below NEG_TOL, and a sum
-    within SUM_TOL of 1.  Entries from NEG_TOL up to 0.0, -0.0 among them,
-    are clipped to +0.0; a law whose min is above 0 is left as it is,
-    which is what the clip would leave."""
+def _clip(arr: np.ndarray) -> float:
+    """arr's min, with arr's entries from NEG_TOL up to 0.0, -0.0 among
+    them, clipped to +0.0 in place when the min is at least NEG_TOL; an
+    array whose min is above 0 is left as it is, which is what the clip
+    would leave."""
     low = float(arr.min())
+    if NEG_TOL <= low <= 0.0:
+        np.clip(arr, 0.0, None, out=arr)
+    return low
+
+
+def _check_totals(low: float, total: float) -> None:
+    """Refuse a law whose min is below NEG_TOL or whose sum is not within
+    SUM_TOL of 1, in that order."""
     if low < NEG_TOL:
         raise ValueError(f"negative probability {low} below tolerance")
-    if low <= 0.0:
-        np.clip(arr, 0.0, None, out=arr)
-    total = float(arr.sum())
     # a NaN entry makes min and sum NaN, which fails every comparison
     if not abs(total - 1.0) <= SUM_TOL:
         raise ValueError(f"probabilities sum to {total}, not 1 within {SUM_TOL}")
+
+
+def _check_law(arr: np.ndarray) -> None:
+    """Check a float64 law in place: no entry below NEG_TOL, and a sum,
+    taken after the clip (_clip), within SUM_TOL of 1."""
+    _check_totals(_clip(arr), float(arr.sum()))
 
 
 class StateDistribution:
@@ -331,7 +338,7 @@ def _slabs(shift: Sequence[int], p: int) -> Iterator[tuple[tuple, tuple]]:
         yield tuple(zip(*pairs))
 
 
-def _lines(a: int, shift: Sequence[int], p: int, lo: int, length: int) -> Iterator[tuple]:
+def _lines(a: int, shift: Sequence[int], p: int, lo: int, length: int, window=None) -> Iterator:
     """Pairs (dst, src) of basic slices, at most |a| length / p + 2 (|a| + 1
     for the whole of Z_p) with disjoint dst, such that moved[dst] =
     law[src] for every pair moves a law held on the arc lo, lo + 1, ... of
@@ -339,7 +346,13 @@ def _lines(a: int, shift: Sequence[int], p: int, lo: int, length: int) -> Iterat
     y -> a y + c (mod p), c = shift[0]: src is a run of consecutive arc
     positions j and dst the images of y = lo + j at stride a.  a is
     coprime to p, with 0 < |a| < p; the counterpart of _slabs for a k = 1
-    push and translation at once."""
+    push and translation at once.  A window (start, stop), 0 <= start <
+    stop <= p, cuts each pair to its images in start, ..., stop - 1, which
+    moved holds from position 0 on; the default is all of Z_p."""
+    start, stop = window or (0, p)
+    # the run's m-th image t + a m lies in the window for ceil((e0 - t) / a)
+    # <= m < ceil((e1 - t) / a): its first and its last state past the end
+    e0, e1 = (start, stop) if a > 0 else (stop - 1, start - 1)
     # y = lo + j goes to a j + c', c' = a lo + c: a translate of the arc's positions
     c, j = (a * lo + int(shift[0])) % p, 0
     while j < length:
@@ -347,8 +360,10 @@ def _lines(a: int, shift: Sequence[int], p: int, lo: int, length: int) -> Iterat
         # the run goes on while a j + c' stays in one period: up to p - 1
         # for a > 0, down to 0 for a < 0
         run = min(length - j, (p - t + a - 1) // a if a > 0 else t // -a + 1)
-        stop = t + a * run
-        yield slice(t, stop if stop >= 0 else None, a), slice(j, j + run)
+        m0, m1 = max(-((t - e0) // a), 0), min(-((t - e1) // a), run)
+        if m0 < m1:
+            first, end = t + a * m0 - start, t + a * m1 - start
+            yield slice(first, end if end >= 0 else None, a), slice(j + m0, j + m1)
         j += run
 
 
@@ -401,7 +416,7 @@ def step_exact(dist: StateDistribution, chain: ChainSpec) -> StateDistribution:
         raise ValueError("distribution and chain dimensions disagree")
     p, k = chain.p, chain.k
     if (a := chain._stride) is not None:
-        return _step_lines(0, dist.values, a, chain._shifts, p)
+        return _step_lines(p, 0, dist.values, a, chain._shifts)
     pushed = np.empty_like(dist.values)
     pushed[chain._perm] = dist.values
     law = pushed.reshape((p,) * k)
@@ -414,7 +429,8 @@ def evolve_iter(chain: ChainSpec, n: int) -> Iterator[tuple[int, StateDistributi
     """Yield (i, P_i) for i = 0..n starting from the point mass at x0.
 
     The laws are _walk's, each one it holds as its support or on an arc
-    made dense here (_dense); every P_i is step_exact's, bit for bit.
+    made dense here (_dense), and each law made once; every P_i is
+    step_exact's, bit for bit.
     """
     for i, law, _ in _walk(chain, n):
         yield i, _dense(law, chain)
@@ -436,49 +452,57 @@ def _check_work(chain: ChainSpec, n: int) -> None:
     )
 
 
-def _abs_sum(
-    fill: Callable[[np.ndarray, slice], object], scratch: np.ndarray, start: int, n: int
-) -> float:
-    """float(np.abs(d[start : start + n]).sum()) for the node of numpy's
-    pairwise tree over d at start, of n entries (see _half_abs_sum), its
-    leaves of at most len(scratch) entries filled into scratch."""
-    if n > len(scratch):
+def _pairwise(leaf: Callable[[slice], np.ndarray], start: int, n: int) -> np.ndarray:
+    """The sums leaf(part) gives for the parts of an array that are the
+    leaves of numpy's pairwise tree over its n entries from start, nodes of
+    at most SCRATCH_STATES entries, added back up in the tree's order.
+
+    numpy sums a contiguous float64 array by one pairwise recursion, a node
+    of n > 128 entries splitting at h = n // 2 - (n // 2) % 8.  A leaf
+    summed by numpy is a node of that tree (an array of at most one leaf is
+    its root), so every rounding is the one sum over the array would make."""
+    if n > SCRATCH_STATES:
         h = n // 2 - n // 2 % 8
-        return _abs_sum(fill, scratch, start, h) + _abs_sum(fill, scratch, start + h, n - h)
-    leaf = scratch[:n]
-    fill(leaf, slice(start, start + n))
-    return float(np.abs(leaf, out=leaf).sum())
+        return _pairwise(leaf, start, h) + _pairwise(leaf, start + h, n - h)
+    return leaf(slice(start, start + n))
 
 
 def _half_abs_sum(size: int, fill: Callable[[np.ndarray, slice], object]) -> float:
     """0.5 * float(np.abs(d).sum()), bit for bit, for a length-size array d
     that is never built: fill(out, part) writes d[part] into out, a leaf
-    of at most SCRATCH_STATES entries in one reused scratch block.
+    of _pairwise in one reused scratch block."""
+    scratch = np.empty(min(size, SCRATCH_STATES))
 
-    numpy sums a contiguous float64 array by one pairwise recursion, a node
-    of n > 128 entries splitting at h = n // 2 - (n // 2) % 8.  The leaves
-    are nodes of that tree (a whole d of at most one leaf is its root),
-    each summed by numpy and added back up in the tree's order, so every
-    rounding is the one sum over d would make."""
-    return 0.5 * _abs_sum(fill, np.empty(min(size, SCRATCH_STATES)), 0, size)
+    def leaf(part: slice) -> np.ndarray:
+        fill(out := scratch[: part.stop - part.start], part)
+        return np.abs(out, out=out).sum()
+
+    return 0.5 * float(_pairwise(leaf, 0, size))
 
 
-def _arc_tv(lo: int, values: np.ndarray, size: int) -> float:
-    """tv_distance of the law on size states that is values on the arc lo,
-    lo + 1, ... (mod size) and 0 off it, without making it dense: off the
-    arc each |0 - 1/size| is 1/size, so every leaf holds the floats the
-    dense law's would."""
-    c = 1.0 / size
+def _image_tv(p: int, lo: int, values: np.ndarray, a=1, shifts=_IDENTITY) -> float:
+    """tv_distance of _step_lines(p, lo, values, a, shifts), the image of
+    the arc (lo, values) under one step, bit for bit, or the ValueError its
+    _check_law raises, without making that law: each leaf of _pairwise is
+    zeroed and written by _step_lines's slice pairs cut to the leaf's
+    window (_lines), through _write_translates in the order of shifts, so
+    every entry is the same products and sums in the same order; then it
+    is clipped (_clip) and summed twice, for the check and for tv, so the
+    leaves' mins and both sums are those over the law."""
+    c, scratch, lows = 1.0 / p, np.empty(min(p, SCRATCH_STATES)), []
+    lines = partial(_lines, a, p=p, lo=lo, length=len(values))
 
-    def fill(out: np.ndarray, part: slice) -> None:
-        out.fill(c)
-        # the arc's one or two segments, at positions off, off + 1, ...
-        for off in (lo, lo - size):
-            a, b = max(part.start, off), min(part.stop, off + len(values))
-            if a < b:
-                np.subtract(values[a - off : b - off], c, out=out[a - part.start : b - part.start])
+    def leaf(part: slice) -> np.ndarray:
+        (out := scratch[: part.stop - part.start]).fill(0.0)
+        _write_translates(out, values, shifts, partial(lines, window=(part.start, part.stop)))
+        lows.append(_clip(out))
+        # the sum is taken before the subtraction overwrites the leaf
+        return np.array([out.sum(), np.abs(np.subtract(out, c, out=out), out=out).sum()])
 
-    return _half_abs_sum(size, fill)
+    total, dev = _pairwise(leaf, 0, p)
+    # np.min keeps a NaN min, as the law's min would be NaN
+    _check_totals(float(np.min(lows)), float(total))
+    return 0.5 * float(dev)
 
 
 def _support_tv(codes: np.ndarray, values: np.ndarray, size: int) -> float:
@@ -506,14 +530,15 @@ def tv_distance(dist: StateDistribution) -> float:
     return _half_abs_sum(len(values), lambda out, part: np.subtract(values[part], c, out=out))
 
 
-def _law_tv(law: StateDistribution | _Support | _Arc, size: int) -> float:
+def _law_tv(law: _Law, size: int) -> float:
     """tv_distance of a law _walk yields, read where it is held: a dense
-    law as it is, an arc on the arc (_arc_tv) and a support on the support
-    (_support_tv), bit for bit the tv of the law made dense."""
+    law as it is, an arc or an image not yet made dense leaf by leaf
+    (_image_tv) and a support on the support (_support_tv), bit for bit
+    the tv of the law made dense."""
     if isinstance(law, StateDistribution):
         return tv_distance(law)
     if isinstance(law[0], int):
-        return _arc_tv(*law, size)
+        return _image_tv(size, *law)
     return _support_tv(*law, size)
 
 
@@ -558,6 +583,11 @@ _Support = tuple[np.ndarray, np.ndarray]
 # A k = 1 law held on an arc: its first state lo and its values at lo,
 # lo + 1, ... (mod p); the law is 0 off the arc.
 _Arc = tuple[int, np.ndarray]
+# A k = 1 law not yet made dense: the image (lo, values, a, shifts) of the
+# arc (lo, values) under one step y -> a y + c, (c, w) in shifts.  An arc
+# is its image under the identity step, a = 1 and the one shift 0 at
+# weight 1 (_IDENTITY), the defaults of _step_lines and _image_tv.
+_Law = StateDistribution | _Support | _Arc | tuple[int, np.ndarray, int, Sequence[tuple]]
 
 
 def _step_support(
@@ -606,7 +636,7 @@ def _step_arc(lo: int, values: np.ndarray, a: int, shifts: Sequence[tuple], p: i
     return start, out
 
 
-def _step_lines(lo: int, law: np.ndarray, a: int, shifts: Sequence, p: int) -> StateDistribution:
+def _step_lines(p: int, lo: int, law: np.ndarray, a=1, shifts=_IDENTITY) -> StateDistribution:
     """One exact k = 1 step of a law held on an arc (lo, law) into the
     dense law on Z_p: a is the least residue of A mod p and shifts the
     (shift, weight) pairs of chain._shifts, whose translates y -> a y + c
@@ -615,8 +645,8 @@ def _step_lines(lo: int, law: np.ndarray, a: int, shifts: Sequence, p: int) -> S
     _write_translates.  Off the arc a step from the arc made dense only
     multiplies and adds exact zeros, so the law is the same bit for bit.
     step_exact's strided path is this step from the arc of all p states
-    (lo = 0, L = p), and _dense's of an arc the identity (a = 1, the one
-    shift 0 at weight 1)."""
+    (lo = 0, L = p), _dense's of an arc the identity (a = 1, the one
+    shift 0 at weight 1), and _image_tv writes its law leaf by leaf."""
     out = np.zeros(p)
     _write_translates(out, law, shifts, partial(_lines, a, p=p, lo=lo, length=len(law)))
     return StateDistribution(p, 1, out.view(_Fresh))
@@ -668,47 +698,52 @@ def _sparse(
 
 
 def _walk(
-    chain: ChainSpec, n: int, keep: Callable[[int], bool] = lambda targets: True
-) -> Iterator[tuple[int, StateDistribution | _Support | _Arc, int]]:
+    chain: ChainSpec, n: int, keep: Callable[[int], bool] = lambda targets: True, lazy=False
+) -> Iterator[tuple[int, _Law, int]]:
     """Yield (i, P_i, b_i) for i = 0..n from the point mass at x0, with
     b_i >= |supp P_i| and b_0 = 1: first the laws of the sparse phase
     (_sparse), on arcs for a stride chain and on the support for any other.
 
     For a stride chain the last arc, whose image would wrap or for which
     keep(b_i) fails (or the point mass below the floor), is yielded as an
-    arc too while i < n, and steps straight into the dense law
-    (_step_lines), so no reader makes it dense: one that sums its tv reads
-    it on the arc (_law_tv).
+    arc too while i < n, and the law after it is that arc's image under
+    one step, (lo, values, a, shifts).
 
-    The first P_i the phase does not step, P_n at the latest, is made
-    dense once (_dense), and the laws after it are step_exact's, with b_i
-    = min(b_{i-1} s, p**k).  Every law is step_exact's, bit for bit.
+    That law, or for any other chain the first P_i the phase does not
+    step, P_n at the latest, is made dense once (_dense), and the laws
+    after it are step_exact's, with b_i = min(b_{i-1} s, p**k).  A lazy
+    walk, read by a search that only sums tv (_law_tv) and drops each law
+    before it resumes the walk, yields that law as it is held and makes it
+    dense only when resumed, so a search that stops there makes no dense
+    law.  Every law is step_exact's, bit for bit.
     """
     i, held, bound = yield from _sparse(chain, n, keep)
-    p, size, s = chain.p, chain.n_states, len(chain._shifts)
+    size, s = chain.n_states, len(chain._shifts)
     if (a := chain._stride) is not None and i < n:
         yield i, held, bound
-        held = _step_lines(*held, a, chain._shifts, p)
-        bound = min(bound * s, size)
-        i += 1
-    # the sparse form is dropped before the dense steps, which it would
-    # outlive: an arc may hold up to p floats, a support up to p**k / 32 states
-    held = _dense(held, chain)
+        held, bound, i = (*held, a, chain._shifts), min(bound * s, size), i + 1
+    # the sparse form is dropped once made dense, before the dense steps,
+    # which it would outlive: an arc may hold up to p floats, a support up
+    # to p**k / 32 states
+    if not lazy:
+        held = _dense(held, chain)
     yield i, held, bound
     for i in range(i + 1, n + 1):
+        held = _dense(held, chain)
         held = step_exact(held, chain)
         bound = min(bound * s, size)
         yield i, held, bound
 
 
-def _dense(law: StateDistribution | _Support | _Arc, chain: ChainSpec) -> StateDistribution:
+def _dense(law: _Law, chain: ChainSpec) -> StateDistribution:
     """law as a StateDistribution: a support law scattered into zeros, an
-    arc law written in by _step_lines with the identity map, as the one or
-    two slices it covers mod p (multiplying by 1.0 changes no bit)."""
+    image made by _step_lines, and an arc as its image under the identity
+    step, the one or two slices it covers mod p (multiplying by 1.0
+    changes no bit)."""
     if isinstance(law, StateDistribution):
         return law
     if isinstance(law[0], int):
-        return _step_lines(*law, 1, [((0,), 1.0)], chain.p)
+        return _step_lines(chain.p, *law)
     dense = np.zeros(chain.n_states)
     dense[law[0]] = law[1]
     return StateDistribution(chain.p, chain.k, dense.view(_Fresh))
@@ -783,11 +818,13 @@ def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int
     b_n states (_walk's bound), so tv(P_n) >= 1 - b_n / N with N = p**k.
     While that bound certifies tv > eps, no tv is computed, and _walk,
     told so by keep, holds the law sparse: for a stride chain on the arc
-    that holds it, the last arc stepping straight into the dense law, so in
-    the fast regime the first dense law is about the mixed one; for any
-    other on its support, up to the last law whose successor the count
-    certifies.  The search sums a law's tv only once the count no longer
-    certifies it, an arc on the arc (_arc_tv) and never made dense.
+    that holds it, the law after the last arc as that arc's image under
+    one step, so in the fast regime the first law not on an arc is about
+    the mixed one; for any other on its support, up to the last law whose
+    successor the count certifies.  The search sums a law's tv only once
+    the count no longer certifies it, where _walk, lazy, holds it: an arc
+    or an image leaf by leaf (_image_tv), a support on the support, and
+    none made dense, so a search that ends there makes no dense law.
 
     The certificate is (1 - eps) N > b_n + 1 + D, with
     D = N 2**-50 (n_cap r + log2 N + 8) and r = |supp mu|: one state of
@@ -807,10 +844,10 @@ def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int
       by log_s N: an arc at |a| = 1 grows by the spread of mu a step, and
       a support can stop growing, so b_n may stay below N for any n.
     - tv_distance subtracts a rounded 1 / N and sums by pairs: it is off
-      by at most (log2 N + 24) u.  _half_abs_sum sums leaf by leaf in
-      numpy's own pairwise order, and an arc's tv gives the floats of the
-      arc made dense, so the bound holds for both as for one sum over a
-      dense difference array.
+      by at most (log2 N + 24) u.  _pairwise sums leaf by leaf in numpy's
+      own pairwise order, and the tv of an arc, an image or a support
+      gives the floats of the law made dense, so the bound holds for each
+      as for one sum over a dense difference array.
     - The float test itself is off by at most 5 u in tv.
 
     D / N = 8 u (n_cap r + log2 N + 8) is more than these together, so
@@ -822,9 +859,9 @@ def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int
     """
     size, r = chain.n_states, len(chain.mu.support)
     room = (1.0 - eps) * size - 1 - size * 2.0**-50 * (n_cap * r + math.log2(size) + 8)
-    for n, law, bound in _walk(chain, n_cap, lambda bound: bound < room):
-        # an uncertified law is dense or, for a stride chain, an arc, read as it is;
-        # _walk yields a support only when the count certifies it
+    for n, law, bound in _walk(chain, n_cap, lambda bound: bound < room, lazy=True):
+        # an uncertified law is read as it is held: dense, or an arc, an
+        # image or a support, none made dense
         if bound >= room and _law_tv(law, size) <= eps:
             return n
         # dropped before _walk makes the next law, which it would outlive
@@ -871,9 +908,10 @@ def mixing_time(
     counting bound tv(P_n) >= 1 - |supp P_n| / p**k rules out mixing, with
     one state of margin past the float error, the prefix computes no tv,
     and its early steps run on the arc that holds P_n for a stride chain
-    (ChainSpec._stride), at O(arc) each, the last of them straight into the
-    dense law, and on the support of P_n for any other, at
-    O(|supp| |supp mu|) each (see _mixing_time_dense).  A Fourier value
+    (ChainSpec._stride), at O(arc) each, the law after the last of them
+    read as that arc's image until a step on needs it dense, and on the
+    support of P_n for any other, at O(|supp| |supp mu|) each (see
+    _mixing_time_dense).  A Fourier value
     within the round-off margin of eps, or a crossing that
     does not recompute, hands the whole search to dense stepping, so the
     answer is always the one incremental dense stepping gives.  That

@@ -53,7 +53,6 @@ from .evolution import (
     _law_tv,
     _mu_hat_table,
     _walk,
-    decode_state,
 )
 from .increments import IncrementDistribution
 
@@ -284,16 +283,28 @@ def lower_bound_at(
 
 def _best_witness(prods: np.ndarray, p: int, k: int) -> tuple[float, FrequencyVector]:
     """Half the root of the largest product over alpha != 0, and the
-    lexicographically first alpha attaining it."""
-    best = float(prods[1:].max())
-    ties = np.flatnonzero(prods[1:] == best) + 1
-    # keep the ties with the least c_0, then among those the least c_1, ...;
-    # the index of x is sum of x_i p**i, so this leaves exactly one
-    for i in range(k):
-        digit = ties // p**i % p
-        ties = ties[digit == digit.min()]
-    witness = decode_state(int(ties[0]), p, k)
+    lexicographically first alpha attaining it (_least_max)."""
+    best, witness = _least_max(prods.reshape((p,) * k), True)
     return 0.5 * math.sqrt(best), FrequencyVector(witness, p)
+
+
+def _least_max(cube: np.ndarray, skip_zero: bool) -> tuple[float, tuple[int, ...]]:
+    """The largest entry of a frequency cube, off its zero index if
+    skip_zero, and the least alpha = (c_0, c_1, ...) attaining it, c_j on
+    axis ndim - 1 - j.  One pass takes each c_0's maximum over the other
+    axes, and argmax the least c_0 past 0 with the largest of them.  The
+    slice at c_0 = 0, searched alike with its zero index skipped if
+    skip_zero, wins a tie; otherwise the slice at that c_0 is searched for
+    the rest of alpha.  A pass over the whole cube is made once, and each
+    deeper one over a slice p times smaller."""
+    if cube.ndim == 0:
+        return (-math.inf if skip_zero else float(cube)), ()
+    tops = cube.reshape(-1, cube.shape[-1]).max(axis=0) if cube.ndim > 1 else cube
+    head, rest = _least_max(cube[..., 0], skip_zero)
+    c = 1 + int(np.argmax(tops[1:]))
+    if head >= tops[c]:
+        return head, (0,) + rest
+    return float(tops[c]), (c,) + _least_max(cube[..., c], False)[1]
 
 
 def lower_bound_best(chain: ChainSpec, n: int) -> tuple[float, FrequencyVector]:

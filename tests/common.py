@@ -1,10 +1,11 @@
 """Shared fixtures: the matrix suite, its fair two-point increments, the
 table of all states, the reference step, index map, start shift, laws,
-mixing-time search and sampler, and a wall-clock limit for tests of work
-that must end quickly."""
+mixing-time search, sampler and best witness, and a wall-clock limit for
+tests of work that must end quickly."""
 
 from __future__ import annotations
 
+import math
 import signal
 from contextlib import contextmanager
 
@@ -50,6 +51,16 @@ def suite_chains(primes=SUITE_PRIMES) -> list[ChainSpec]:
         for p in primes:
             chains.append(ChainSpec(a, mu, p))
     return chains
+
+
+def decode_state(code, p, k):
+    """The state whose little-endian index is code: the inverse of
+    encode_state, one digit at a time."""
+    out = []
+    for _ in range(k):
+        out.append(code % p)
+        code //= p
+    return tuple(out)
 
 
 def state_table(p, k):
@@ -133,6 +144,21 @@ def reference_simulate(chain, n, trials, seed):
         x = (x @ a_mod.T + supp[picks]) % p
     codes = x @ np.array([p**i for i in range(k)], dtype=np.int64)
     return np.bincount(codes, minlength=p**k) / trials
+
+
+def flatnonzero_best_witness(prods, p, k):
+    """Half the root of the largest product over alpha != 0, and the
+    lexicographically first alpha attaining it: every tie's index by
+    flatnonzero, then the ties with the least c_0, among those the least
+    c_1, ..., one digit at a time (the index of x being sum x_i p**i), which
+    leaves exactly one.  The oracle of fourier._best_witness, which finds
+    the witness from per-axis maxima."""
+    best = float(prods[1:].max())
+    ties = np.flatnonzero(prods[1:] == best) + 1
+    for i in range(k):
+        digit = ties // p**i % p
+        ties = ties[digit == digit.min()]
+    return 0.5 * math.sqrt(best), tuple(int(ties[0]) // p**i % p for i in range(k))
 
 
 @contextmanager

@@ -40,8 +40,7 @@ from affine_mixer import (
     verify_spectral_identities,
 )
 from affine_mixer.digitlab import block_census, default_block_length
-from affine_mixer.evolution import decode_state
-from common import SUITE_PRIMES, SUITE_ROWS, fair_two_point, suite_matrices
+from common import SUITE_PRIMES, SUITE_ROWS, decode_state, fair_two_point, suite_matrices
 
 N_SUITE = 50
 EPS = 0.25

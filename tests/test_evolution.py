@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 import tracemalloc
 
 import numpy as np
@@ -36,13 +35,13 @@ from affine_mixer.evolution import (
     _mixing_time_dense,
     _step_support,
     _slabs,
-    decode_state,
     encode_state,
     index_map,
     state_cap,
 )
 from affine_mixer.fourier import _fourier_search, _NearTie
 from common import (
+    decode_state,
     dense_laws,
     dense_mixing_time,
     fair_two_point,
@@ -335,9 +334,10 @@ def test_half_abs_sum_is_numpys_pairwise_sum_bitwise():
 
 @pytest.mark.parametrize("p", [7, 1031, 2**15 + 1, 2**16 + 13, 1_000_003])
 def test_arc_tv_is_the_tv_of_the_arc_made_dense_bitwise(p):
-    # an arc's tv, summed with 1/p off the arc, is tv_distance of the arc
-    # made dense, bit for bit: arcs of one state, of all p (from 0 and
-    # from inside), wrapping past 0, ending at p - 1, and inside Z_p
+    # an arc's tv, read leaf by leaf as its image under the identity step,
+    # is tv_distance of the arc made dense, bit for bit: arcs of one state,
+    # of all p (from 0 and from inside), wrapping past 0, ending at p - 1,
+    # and inside Z_p
     chain = ChainSpec(IntMatrix.from_rows([[2]]), fair_two_point(1), p)
     rng = np.random.default_rng(p)
     arcs = [(0, 1), (p - 1, 1), (0, p), (p // 3, p), (p - 5, p // 2 + 3), (p // 2, p - p // 2)]
@@ -345,7 +345,7 @@ def test_arc_tv_is_the_tv_of_the_arc_made_dense_bitwise(p):
     for lo, length in arcs:
         values = spread_law(rng, length)
         dense = evolution._dense((lo, values), chain)
-        assert evolution._arc_tv(lo, values, p) == tv_distance(dense), (lo, length)
+        assert evolution._law_tv((lo, values), p) == tv_distance(dense), (lo, length)
 
 
 @pytest.mark.parametrize("size", [7, 2**15, 2**15 + 1, 2**16 + 13, 497_025])
@@ -1303,12 +1303,17 @@ def test_arc_phase_runs_up_to_the_whole_circle(a):
     # with |a| = 1 and fair {0, 1} the arc grows one state a step, so it
     # reaches exactly p states before its image would wrap: _walk yields
     # the arcs of 1 to p states, and the last, whose image would wrap,
-    # steps straight into the first dense law (_step_lines); every law is
-    # still step_exact's, bit for bit
+    # steps straight into the first dense law (_step_lines); a lazy walk
+    # yields that law as the image (lo, values, a, shifts), which is not an
+    # arc, and makes it dense once resumed; every law is still
+    # step_exact's, bit for bit
     p = 1031
     chain = ChainSpec(IntMatrix.from_rows([[a]]), fair_two_point(1), p, x0=(500,))
     lengths = [len(law[1]) for _, law, _ in evolution._walk(chain, 1100) if isinstance(law, tuple)]
     assert lengths == list(range(1, p + 1))
+    lazy = [getattr(law, "values", law) for _, law, _ in evolution._walk(chain, 1100, lazy=True)]
+    assert [len(law) for law in lazy[: p + 2]] == [2] * p + [4, p]
+    assert lazy[p][:3] == (lazy[p - 1][0], lazy[p - 1][1], a)
     laws = zip(evolve_iter(chain, 1100), dense_laws(chain, 1100), strict=True)
     for (i, dist), (_, dense) in laws:
         assert np.array_equal(dist.values, dense.values), i
@@ -1378,14 +1383,15 @@ def test_property_mixing_time_matches_dense_search_near_one(chain, eps, above):
 
 def test_mixing_time_skips_dense_work_the_counting_bound_decides(monkeypatch):
     # A = 2 with fair {0, 1}: P_n has at most 2**n states, so tv > 0.25 is
-    # certain while 2**n + 1 < 0.75 p, up to n = 16 at p = 100,003; the
-    # arc of P_16 steps straight into the dense law of P_17, the mixed
-    # one, so the arc phase and the certificate leave no dense step and
-    # 1 tv sum (_half_abs_sum, which every tv goes through) of the 17 and
-    # 18 a plain search makes (1 and 2 with a margin of b_n / N, which
+    # certain while 2**n + 1 < 0.75 p, up to n = 16 at p = 100,003; P_17,
+    # the mixed law, is the image of the arc of P_16, whose tv is read leaf
+    # by leaf, so the arc phase and the certificate leave no dense law
+    # (_step_lines makes every law of a stride chain) and 1 tv sum
+    # (_law_tv, through which the search reads every tv) of the 17 and 18
+    # a plain search makes (1 and 2 with a margin of b_n / N, which
     # certified up to n = 15)
     chain = ChainSpec(IntMatrix.from_rows([[2]]), fair_two_point(1), 100_003)
-    calls = {"step_exact": 0, "_half_abs_sum": 0}
+    calls = {"step_exact": 0, "_step_lines": 0, "_law_tv": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(evolution, name)):
             calls[_name] += 1
@@ -1393,7 +1399,7 @@ def test_mixing_time_skips_dense_work_the_counting_bound_decides(monkeypatch):
 
         monkeypatch.setattr(evolution, name, counted)
     assert mixing_time(chain, 0.25) == 17
-    assert calls == {"step_exact": 0, "_half_abs_sum": 1}, calls
+    assert calls == {"step_exact": 0, "_step_lines": 0, "_law_tv": 1}, calls
 
 
 @pytest.mark.parametrize("c", [0.5, 1, 1.5, 2, 3])
@@ -1439,16 +1445,17 @@ def test_mixing_time_matches_dense_search_at_the_counting_bound(
     assert sums == (2 if c <= 1 else 1)
 
 
-def test_sweep_fast_moduli_make_one_dense_law_and_one_tv_sum_each(monkeypatch):
+def test_sweep_fast_moduli_make_no_dense_law_and_one_tv_sum_each(monkeypatch):
     # A = 2 with fair {0, 1} and eps 0.25 at the moduli of perfbench's
-    # sweep-fast (default seed): at each, either the last arc the count
-    # certifies steps straight into the mixed law, or the first law it does
-    # not certify, the mixed one (an arc at p = 9997 and 299,713), has its
-    # tv summed on the arc and is never made dense; 4 dense laws and 6 tv
-    # sums in all, where making that arc dense made 6 laws, and a margin of
-    # b_n / N 12 laws and 12 sums
+    # sweep-fast (default seed): at each the first law the count does not
+    # certify is the mixed one, either the image of the last arc the count
+    # certifies or an arc (at p = 9997 and 299,713), and its tv is summed
+    # leaf by leaf, so no law is made dense (_dense, which a step on would
+    # call, and _step_lines, which makes every law of a stride chain): 6 tv
+    # sums and no law in all, where the image made dense made 4 laws, the
+    # arc made dense too 6, and a margin of b_n / N 12 laws and 12 sums
     moduli = [9997, 30003, 100_053, 299_713, 999_783, 3_000_959]
-    calls = {"_law_tv": 0, "step_exact": 0, "laws": 0}
+    calls = {"_law_tv": 0, "step_exact": 0, "_dense": 0, "_step_lines": 0, "laws": 0}
 
     def counted(name):
         def call(*args, _original=getattr(evolution, name)):
@@ -1457,35 +1464,33 @@ def test_sweep_fast_moduli_make_one_dense_law_and_one_tv_sum_each(monkeypatch):
 
         return call
 
-    def dense(law, chain, _original=evolution._dense):
-        if isinstance(law, tuple):
-            assert sys._getframe(1).f_code.co_name not in ("_mixing_time_dense", "_walk")
-        return _original(law, chain)
-
     class CountedLaw(StateDistribution):
         def __init__(self, *args):
             calls["laws"] += 1
             super().__init__(*args)
 
-    for name in ("_law_tv", "step_exact"):
+    for name in ("_law_tv", "step_exact", "_dense", "_step_lines"):
         monkeypatch.setattr(evolution, name, counted(name))
-    monkeypatch.setattr(evolution, "_dense", dense)
     monkeypatch.setattr(evolution, "StateDistribution", CountedLaw)
     chains = [ChainSpec(IntMatrix.from_rows([[2]]), fair_two_point(1), p) for p in moduli]
     found = [mixing_time(chain, 0.25) for chain in chains]
     assert found == [13, 15, 17, 18, 20, 22]
-    assert calls == {"_law_tv": 6, "step_exact": 0, "laws": 4}, calls
+    assert calls == {"_law_tv": 6, "step_exact": 0, "_dense": 0, "_step_lines": 0, "laws": 0}, calls
 
 
 @pytest.mark.parametrize(
     "a, support, p, n, x0, ratio",
     [
-        # the search: the hand-off at 999,983 and 999,783 (the mixed law
-        # stepped from the arc of P_19, about 1.56 laws), and the arc of P_18
-        # at 299,713, whose tv is summed on the arc (1.42); the tv sum adds
-        # only a scratch block, where a difference array made each 2.00
-        (2, [(0,), (1,)], 999_983, None, 0, 1.75),
-        (2, [(0,), (1,)], 999_783, None, 0, 1.75),
+        # the search: at 3,000,959, 999,983 and 999,783 the mixed law is
+        # the image of the arc of P_21 or P_19, read leaf by leaf and never
+        # made, so the last arc step (old arc beside new) sets the peak,
+        # about 1.06 and 0.82 laws (1.71 and 1.56 with the law made from
+        # the arc); the arc of P_18 at 299,713 has its tv read on the arc
+        # (1.42); a tv sum adds only scratch blocks, where a difference
+        # array made each 2.00
+        (2, [(0,), (1,)], 3_000_959, None, 0, 1.15),
+        (2, [(0,), (1,)], 999_983, None, 0, 0.9),
+        (2, [(0,), (1,)], 999_783, None, 0, 0.9),
         (2, [(0,), (1,)], 299_713, None, 0, 1.75),
         # A = 3 steps dense from P_13 on: a step's input, output and scratch
         (3, [(0,), (1,)], 999_983, None, 0, 2.05),
@@ -1504,7 +1509,7 @@ def test_sweep_fast_moduli_make_one_dense_law_and_one_tv_sum_each(monkeypatch):
 def test_k1_search_and_evolve_stay_within_their_memory(a, support, p, n, x0, ratio):
     # tracemalloc peaks in units of one law (8 bytes a state): the search
     # drops each law before the walk makes the next, so a law never has
-    # the one before it beside it, and sums tv through a scratch block;
+    # the one before it beside it, and sums tv through scratch blocks;
     # evolve holds the arc it steps from, the new law and the scratch
     # block, no more than when the last arc was made dense first
     chain = ChainSpec(IntMatrix.from_rows([[a]]), IncrementDistribution.fair(support), p, x0=(x0,))
@@ -1547,9 +1552,94 @@ def test_property_arc_hand_off_matches_roll_step_bitwise(chain, data):
     dense[(lo + np.arange(length)) % p] = values
     start = StateDistribution(p, 1, dense)
     assert np.array_equal(evolution._dense((lo, values), chain).values, start.values)
-    stepped = evolution._step_lines(lo, values, a, chain._shifts, p)
+    stepped = evolution._step_lines(p, lo, values, a, chain._shifts)
     assert np.array_equal(stepped.values, roll_step(start, chain).values)
     assert not np.signbit(stepped.values).any()
+
+
+# on both sides of one leaf (2**15 states) and of two (2**16)
+IMAGE_MODULI = [1031, 32_749, 32_771, 65_521, 65_537]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    a=st.integers(1, LINE_CUTOFF).flatmap(lambda m: st.sampled_from([m, -m])),
+    p=st.sampled_from(IMAGE_MODULI),
+    data=st.data(),
+)
+def test_property_image_tv_matches_the_law_made_bitwise(a, p, data):
+    # the image of an arc under one step, read leaf by leaf, has the tv of
+    # the law _step_lines makes from it, bit for bit: for a within
+    # LINE_CUTOFF of 0 either side, three-point supports whose translates
+    # overlap (spread at most 4, so some states gather two or three terms),
+    # arcs of any start (x0 anywhere, near p too) and any length up to all
+    # of Z_p.  An arc whose image fails _check_law (an entry below NEG_TOL,
+    # -inf among them, a sum off 1, a NaN) raises the same ValueError read
+    # or made dense
+    base = data.draw(st.integers(-4, 4))
+    gaps = data.draw(st.lists(st.integers(1, 2), min_size=2, max_size=2))
+    support = [(base,), (base + gaps[0],), (base + sum(gaps),)]
+    weights = data.draw(st.lists(st.integers(1, 5), min_size=3, max_size=3))
+    mu = IncrementDistribution(1, tuple(support), tuple(w / sum(weights) for w in weights))
+    chain = ChainSpec(IntMatrix.from_rows([[a]]), mu, p)
+    lo = data.draw(st.one_of(st.integers(0, p - 1), st.integers(p - 8, p - 1)))
+    length = data.draw(st.one_of(st.integers(1, p), st.integers(p // (2 * abs(a)), p)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    values = rng.random(length)
+    values[rng.random(length) < 0.3] = 0.0
+    values[0] += 1.0
+    values /= values.sum()
+    flaw = data.draw(st.sampled_from(["none", "small", "-inf", "sum", "nan"]))
+    at = data.draw(st.integers(0, length - 1))
+    if flaw == "small":
+        values[at] = -1e-12  # its image may stay above NEG_TOL, or go below it
+    elif flaw == "-inf":
+        values[at] = -np.inf
+    elif flaw == "sum":
+        values *= 1.001
+    elif flaw == "nan":
+        values[at] = np.nan
+
+    def outcome(read):
+        try:
+            return read((lo, values, a, chain._shifts))
+        except ValueError as err:
+            return str(err)
+
+    # _dense makes the image by _step_lines
+    made = outcome(lambda image: tv_distance(evolution._dense(image, chain)))
+    assert outcome(lambda image: evolution._law_tv(image, p)) == made
+    if flaw != "small":
+        assert isinstance(made, str) == (flaw != "none")
+
+
+@pytest.mark.parametrize("a, p, x0", [(2, 100_003, 0), (-3, 100_003, 77_777), (1, 1031, 5)])
+def test_stride_chains_make_each_law_once(monkeypatch, a, p, x0):
+    # evolve_iter, evolve and bounds_table on a stride chain make each
+    # dense law once, the image of the last arc among them: none is made
+    # twice (once for the walk and again for its reader) and no arc is made
+    # dense but by evolve_iter, whose laws are those made
+    made = []
+
+    class CountedLaw(StateDistribution):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(evolution, "StateDistribution", CountedLaw)
+    chain = ChainSpec(IntMatrix.from_rows([[a]]), fair_two_point(1), p, x0=(x0,))
+    walk = evolution._walk(chain, 2 * p, lazy=True)
+    image = next(i for i, law, _ in walk if isinstance(law, tuple) and len(law) == 4)
+    walk.close()
+    n = image + 3
+    made.clear()
+    laws = [dist for _, dist in evolve_iter(chain, n)]
+    assert len(made) == n + 1 and all(x is y for x, y in zip(made, laws, strict=True))
+    runs = [(evolve, n, 4), (bounds_table, n, 4), (bounds_table, image, 1), (evolve, image, 1)]
+    for run, steps, count in runs:
+        made.clear()
+        run(chain, steps)
+        assert len(made) == count, (run, steps)
 
 
 @pytest.mark.parametrize(

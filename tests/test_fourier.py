@@ -48,12 +48,18 @@ from affine_mixer import evolution, fourier
 from affine_mixer.evolution import (
     STATE_CAP_ENV,
     _mu_hat_table,
-    decode_state,
     encode_state,
     index_map,
 )
 from affine_mixer.fourier import FREEZE_THRESHOLD, _best_witness, _products_at
-from common import fair_two_point, state_table, suite_chains, time_limit
+from common import (
+    decode_state,
+    fair_two_point,
+    flatnonzero_best_witness,
+    state_table,
+    suite_chains,
+    time_limit,
+)
 
 
 def hand_chain(p=3):
@@ -626,7 +632,7 @@ def test_bounds_table_builds_its_factor_table_once(monkeypatch):
     "rows, p, n_max, handoffs",
     [
         # A = 2: the arcs of P_0..P_10, the last stepping straight into the
-        # dense law of P_11, so no arc is ever made dense
+        # dense law of P_11 (its image, made once), so no arc is made dense
         ([[2]], 2003, 20, 0),
         # the cat map: the supports of P_0..P_6 (p = 101) and P_0..P_12
         # (p = 705), then the hand-off law, made dense once to step on
@@ -637,13 +643,14 @@ def test_bounds_table_builds_its_factor_table_once(monkeypatch):
 def test_bounds_table_reads_each_tv_where_the_law_is_held(monkeypatch, rows, p, n_max, handoffs):
     # the tv column is tv_distance of evolve_iter's dense laws, bit for
     # bit, while bounds_table reads the sparse rows on the arc or support:
-    # _dense makes no row dense before the hand-off
+    # _dense makes no arc or support (a pair; an image holds four items)
+    # dense before the hand-off
     chain = ChainSpec(IntMatrix.from_rows(rows), fair_two_point(len(rows)), p)
     expected = [tv_distance(dist) for _, dist in evolve_iter(chain, n_max)]
     sparse = []
 
     def counted(law, chain, _original=evolution._dense):
-        if isinstance(law, tuple):
+        if isinstance(law, tuple) and len(law) == 2:
             sparse.append(law)
         return _original(law, chain)
 
@@ -797,3 +804,23 @@ def test_best_witness_matches_decoding_oracle():
         for prods in cases:
             bound, witness = _best_witness(prods, p, k)
             assert (bound, witness.alpha) == best_witness_oracle(prods, p, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 3), data=st.data())
+def test_property_best_witness_matches_flatnonzero_oracle_with_ties(k, data):
+    # products drawn from at most three levels, so the largest is tied at
+    # many frequencies, often at alpha = 0 too (which never counts), within
+    # the slice c_0 = 0 and past it, and on every frequency at one level:
+    # the bound and the witness are the flatnonzero oracle's, bit for bit
+    p = data.draw(st.integers(2, {1: 200, 2: 17, 3: 7}[k]), label="p")
+    levels = data.draw(
+        st.lists(st.sampled_from([0.0, 5e-324, 1e-30, 0.25, 0.5, 1.0]), min_size=1, max_size=3),
+        label="levels",
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    prods = np.array(levels)[rng.integers(0, len(levels), p**k)]
+    if data.draw(st.booleans(), label="zero on top"):
+        prods[0] = max(levels)
+    bound, witness = _best_witness(prods, p, k)
+    assert (bound, witness.alpha) == flatnonzero_best_witness(prods, p, k)
