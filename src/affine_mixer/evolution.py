@@ -21,7 +21,8 @@ P_n, steps in the reversed frame V_j = A**(n-j) X_j instead.  X_n =
 A**n x0 + sum_{j<n} A**(n-1-j) B_j, so V_{j+1} = V_j + A**(n-j-1) B_j:
 each step only adds the translates of the law by A**(n-j-1) h mod p,
 2 |supp mu| + 2 passes with no table and no pushed copy, and V_n = X_n
-lands in index order.
+lands in index order.  The multipliers from step i on are A**0 h, ...,
+A**(n-i-1) h, built once up from the identity and read backwards.
 
 The paper's necessary-steps count says where that work is wasted: P_n
 lives on at most |supp mu|**n states, so while that is small against p^k
@@ -57,7 +58,7 @@ from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .algebra import IntMatrix, _fraction_free, as_matrix, det_int
+from .algebra import IntMatrix, as_matrix, det_int
 from .errors import ConfigInvalid, ModulusNotCoprime, StateSpaceTooLarge
 from .increments import IncrementDistribution
 
@@ -428,9 +429,9 @@ def step_exact(dist: StateDistribution, chain: ChainSpec) -> StateDistribution:
 def evolve_iter(chain: ChainSpec, n: int) -> Iterator[tuple[int, StateDistribution]]:
     """Yield (i, P_i) for i = 0..n starting from the point mass at x0.
 
-    The laws are _walk's, each one it holds as its support or on an arc
-    made dense here (_dense), and each law made once; every P_i is
-    step_exact's, bit for bit.
+    The laws are _walk's, each one it holds as its support, on an arc or
+    as an arc's image made dense here (_dense), and each law made once;
+    every P_i is step_exact's, bit for bit.
     """
     for i, law, _ in _walk(chain, n):
         yield i, _dense(law, chain)
@@ -711,11 +712,14 @@ def _walk(
 
     That law, or for any other chain the first P_i the phase does not
     step, P_n at the latest, is made dense once (_dense), and the laws
-    after it are step_exact's, with b_i = min(b_{i-1} s, p**k).  A lazy
-    walk, read by a search that only sums tv (_law_tv) and drops each law
-    before it resumes the walk, yields that law as it is held and makes it
-    dense only when resumed, so a search that stops there makes no dense
-    law.  Every law is step_exact's, bit for bit.
+    after it are step_exact's, with b_i = min(b_{i-1} s, p**k).  A walk
+    yields it dense only when a step follows (i < n), so as not to write
+    an image twice; as P_n it is yielded as it is held, for its reader to
+    read tv where it is held (_law_tv) or make it dense (_dense).  A lazy
+    walk, read by a search that only sums tv and drops each law before it
+    resumes the walk, yields that law as it is held and makes it dense
+    only when resumed, so a search that stops there makes no dense law.
+    Every law is step_exact's, bit for bit.
     """
     i, held, bound = yield from _sparse(chain, n, keep)
     size, s = chain.n_states, len(chain._shifts)
@@ -725,7 +729,7 @@ def _walk(
     # the sparse form is dropped once made dense, before the dense steps,
     # which it would outlive: an arc may hold up to p floats, a support up
     # to p**k / 32 states
-    if not lazy:
+    if not lazy and i < n:
         held = _dense(held, chain)
     yield i, held, bound
     for i in range(i + 1, n + 1):
@@ -749,36 +753,30 @@ def _dense(law: _Law, chain: ChainSpec) -> StateDistribution:
     return StateDistribution(chain.p, chain.k, dense.view(_Fresh))
 
 
-def _power_mod(a: IntMatrix, e: int, p: int) -> np.ndarray:
-    """A**e mod p as int64 rows, by binary powering in Python ints."""
-    base, out = _mod_rows(a, p).astype(object), np.identity(a.k, dtype=int).astype(object)
-    while e:
-        if e & 1:
-            out = out @ base % p
-        base, e = base @ base % p, e >> 1
-    return out.astype(np.int64)
-
-
 def evolve(chain: ChainSpec, n: int) -> StateDistribution:
     """The law P_n of X_n, by n exact steps from the point mass at x0.
 
     A stride chain takes _walk's steps, whose strided dense steps need no
-    table.  Any other takes _walk's sparse phase (_sparse) on its support,
-    and a phase that reaches n ends in _dense.  From the first P_i it does
-    not step on, evolve runs in the reversed frame V_j = A**(n-j) X_j,
-    where step j -> j + 1 adds the translates of the law by A**(n-j-1) h
-    mod p for (h, w) in chain._shifts order: the first is one support step
-    (_step_support) by x -> A**(n-i) x + A**(n-i-1) h mod p, scattered into
-    zeros, the others move the dense frame law by _slabs through
-    _write_translates, with no table and no pushed copy.  The frame law at
-    j is P_j permuted by x -> A**(n-j) x, each entry the same products and
-    sums in the same order as step_exact's, checked by _check_law at every
-    step; V_n = X_n is P_n in index order, bit for bit.
+    table, and makes the last law dense (_dense).  Any other takes _walk's
+    sparse phase (_sparse) on its support, and a phase that reaches n ends
+    in _dense.  From the first P_i it does not step on, evolve runs in the
+    reversed frame V_j = A**(n-j) X_j, where step j -> j + 1 adds the
+    translates of the law by A**(n-j-1) h mod p for (h, w) in
+    chain._shifts order.  Their schedule is built once, in Python ints:
+    from the identity, n - i times, A**m h mod p is appended for each h
+    and the power multiplied by A mod p.  The power left, A**(n-i), and
+    the last entry make the first step one support step (_step_support)
+    by x -> A**(n-i) x + A**(n-i-1) h mod p, scattered into zeros; each
+    later step pops the next entry and moves the dense frame law by
+    _slabs through _write_translates, with no table and no pushed copy.
+    The frame law at j is P_j permuted by x -> A**(n-j) x, each entry the
+    same products and sums in the same order as step_exact's, checked by
+    _check_law at every step; V_n = X_n is P_n in index order, bit for bit.
     """
     _check_work(chain, n)
     p, k = chain.p, chain.k
     if chain._stride is not None:
-        return deque(_walk(chain, n), maxlen=1)[0][1]
+        return _dense(deque(_walk(chain, n), maxlen=1)[0][1], chain)
     phase = _sparse(chain, n, lambda targets: True)
     try:
         while True:
@@ -787,26 +785,22 @@ def evolve(chain: ChainSpec, n: int) -> StateDistribution:
         i, held, _ = stop.value
     if i == n:
         return _dense(held, chain)
-    # A**(n-j-1) h for step j, from j = i on, moved down one power of A a step
-    moved = np.array([h for h, _ in chain._shifts], dtype=np.int64)
-    moved = moved @ _power_mod(chain.a, n - i - 1, p).T % p
-    weights = [w for _, w in chain._shifts]
-    codes, values = _step_support(*held, _power_mod(chain.a, n - i, p), [*zip(moved, weights)], p)
+    # A**m h mod p for m = 0..n-i-1, in Python ints: step j pops A**(n-j-1) h
+    shifts, weights = zip(*chain._shifts)
+    moves, a = np.array(shifts, dtype=object), np.array(chain.a.rows, dtype=object)
+    power, schedule = np.identity(k, dtype=object), []
+    for _ in range(n - i):
+        schedule.append((moves @ power.T % p).astype(np.int64))
+        power = power @ a % p
+    codes, values = _step_support(*held, power.astype(np.int64), [*zip(schedule.pop(), weights)], p)
     law = np.zeros((p,) * k)
     law.reshape(-1)[codes] = values
     del held, codes, values
-    # A**-1 mod p: fraction-free elimination leaves [A | I] as [d I | d A**-1]
-    pair = np.hstack([_mod_rows(chain.a, p), np.identity(k, dtype=np.int64)]).astype(object)
-    _fraction_free(pair)
-    inverse = (pair[:, k:] * pow(int(pair[0, 0]), -1, p) % p).astype(np.int64)
-    # the buffer each later step writes into, none when no step is left
-    out = np.empty_like(law) if i + 1 < n else None
-    for _ in range(i + 1, n):
+    out = np.empty_like(law)
+    while schedule:
         _check_law(law.reshape(-1))
-        moved = moved @ inverse.T % p
-        _write_translates(out, law, [*zip(moved.tolist(), weights)], partial(_slabs, p=p))
+        _write_translates(out, law, [*zip(schedule.pop(), weights)], partial(_slabs, p=p))
         law, out = out, law
-    del out
     return StateDistribution(p, k, law.reshape(-1).view(_Fresh))
 
 

@@ -448,8 +448,9 @@ def bounds_table(
     """Evolve the chain beside the frequency products, one row per n.
 
     The laws are _walk's, each row's tv read where the law is held
-    (_law_tv): a support or arc row of the sparse phase is never made
-    dense, and its tv is the dense law's, bit for bit.
+    (_law_tv): a support or arc row of the sparse phase, or a last row
+    held as the last arc's image, is never made dense, and its tv is the
+    dense law's, bit for bit.
 
     product_scan gives upper, lower_best and its witness up to the first
     row whose best nonzero product is at most FREEZE_THRESHOLD.  From that

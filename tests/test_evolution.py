@@ -959,7 +959,10 @@ def frame_chains(draw):
 # support, then in the frame, at a composite modulus; |a| past the cutoff
 # with a lift past int64, its support stepped into the frame; A = I mod p
 # at k = 3; A = 9 with the support {0..19}, whose phase ends at i = 1, so
-# the frame is entered from a k = 1 support whose translates overlap
+# the frame is entered from a k = 1 support whose translates overlap; the
+# cat map at p = 45, whose phase ends at i = 5 = n - 1, so the entry step
+# runs alone; the quarter turn at p = 37, whose phase ends at i = 8, so the
+# entry step's power is A**4 = I mod p
 @example(chain=ChainSpec(IntMatrix.from_rows([[1]]), fair_two_point(1), 4096, x0=(4090,)), n=14)
 @example(chain=ChainSpec(IntMatrix.from_rows([[-11]]), fair_two_point(1), 2003, x0=(1000,)), n=4)
 @example(chain=ChainSpec(IntMatrix.from_rows([[2, 1], [1, 1]]), fair_two_point(2), 45), n=12)
@@ -978,6 +981,8 @@ def frame_chains(draw):
     ),
     n=3,
 )
+@example(chain=ChainSpec(IntMatrix.from_rows([[2, 1], [1, 1]]), fair_two_point(2), 45), n=6)
+@example(chain=ChainSpec(IntMatrix.from_rows([[0, -1], [1, 0]]), fair_two_point(2), 37), n=12)
 def test_property_evolve_matches_step_exact_bitwise(chain, n):
     # a chain that is not a stride chain takes the first step after its
     # sparse phase as one support step by x -> A**(n-i) x + A**(n-i-1) h,
@@ -1616,9 +1621,11 @@ def test_property_image_tv_matches_the_law_made_bitwise(a, p, data):
 @pytest.mark.parametrize("a, p, x0", [(2, 100_003, 0), (-3, 100_003, 77_777), (1, 1031, 5)])
 def test_stride_chains_make_each_law_once(monkeypatch, a, p, x0):
     # evolve_iter, evolve and bounds_table on a stride chain make each
-    # dense law once, the image of the last arc among them: none is made
-    # twice (once for the walk and again for its reader) and no arc is made
-    # dense but by evolve_iter, whose laws are those made
+    # dense law once: none is made twice (once for the walk and again for
+    # its reader) and no arc is made dense but by evolve_iter, whose laws
+    # are those made; the image of the last arc is made dense only when a
+    # step follows it or evolve returns it, and bounds_table reads a last
+    # row's tv on the image
     made = []
 
     class CountedLaw(StateDistribution):
@@ -1635,7 +1642,7 @@ def test_stride_chains_make_each_law_once(monkeypatch, a, p, x0):
     made.clear()
     laws = [dist for _, dist in evolve_iter(chain, n)]
     assert len(made) == n + 1 and all(x is y for x, y in zip(made, laws, strict=True))
-    runs = [(evolve, n, 4), (bounds_table, n, 4), (bounds_table, image, 1), (evolve, image, 1)]
+    runs = [(evolve, n, 4), (bounds_table, n, 4), (bounds_table, image, 0), (evolve, image, 1)]
     for run, steps, count in runs:
         made.clear()
         run(chain, steps)

@@ -638,6 +638,9 @@ def test_bounds_table_builds_its_factor_table_once(monkeypatch):
         # (p = 705), then the hand-off law, made dense once to step on
         ([[2, 1], [1, 1]], 101, 20, 1),
         ([[2, 1], [1, 1]], 705, 16, 1),
+        # n_max inside the support phase (P_0..P_13 at p = 705): every row is
+        # read on the support, the last too, and no law is made dense
+        ([[2, 1], [1, 1]], 705, 10, 0),
     ],
 )
 def test_bounds_table_reads_each_tv_where_the_law_is_held(monkeypatch, rows, p, n_max, handoffs):
