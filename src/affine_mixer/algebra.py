@@ -676,12 +676,17 @@ def canonical_eigenvalue_order(a: IntMatrix | Sequence[Sequence[int]]) -> tuple[
     are eigenvalues' complex roots, residual-checked.  Either way a root
     past float range raises OutOfRange.
     """
-    a = as_matrix(a)
-    cp = char_poly(a)
+    return tuple(_minimal_first(as_matrix(a))[1])
+
+
+def _minimal_first(a: IntMatrix) -> tuple[int, list[complex] | list[int]]:
+    """d, the degree of A's minimal polynomial, and the eigenvalues of A in
+    canonical_eigenvalue_order: the minimal polynomial's roots, then those
+    of char_poly / min_poly, each block by _ordered_roots."""
     mp = minimal_poly(a)
-    quotient, rem = poly_divmod(cp, mp)
+    quotient, rem = poly_divmod(char_poly(a), mp)
     assert rem.is_zero
-    return tuple(_ordered_roots(mp)) + (tuple(_ordered_roots(quotient)) if quotient.degree else ())
+    return mp.degree, _ordered_roots(mp) + (_ordered_roots(quotient) if quotient.degree else [])
 
 
 def _ordered_roots(f: IntPolynomial) -> list[complex] | list[int]:
@@ -724,18 +729,17 @@ def _magnitude(m: np.ndarray) -> float:
 
 class _IdentityChecker:
     """What every (e, j) check of verify_spectral_identities shares for one
-    matrix, the degree d of its minimal polynomial and one eigenvalue order:
-    the ordered eigenvalues, T, the prefix products P_e and the products of
+    matrix and one eigenvalue order: d, the degree of the minimal
+    polynomial, whose roots lead the eigenvalues (_minimal_first), the
+    ordered eigenvalues, T, the prefix products P_e and the products of
     their factors' magnitudes, the suffix products
     prod_{n=h+1..d} (T - lam_n I), and the powers of T, grown on demand."""
 
     # complex products past float range become inf or nan without a
     # warning on stderr; _magnitude turns them into OutOfRange
     @np.errstate(over="ignore", invalid="ignore")
-    def __init__(
-        self, a: IntMatrix, d: int, eigenvalue_order: Optional[Sequence[int]] = None
-    ) -> None:
-        lams = list(canonical_eigenvalue_order(a))
+    def __init__(self, a: IntMatrix, eigenvalue_order: Optional[Sequence[int]] = None) -> None:
+        d, lams = _minimal_first(a)
         if eigenvalue_order is not None:
             if sorted(eigenvalue_order) != list(range(a.k)):
                 raise OrderMismatch(f"eigenvalue_order must be a permutation of range({a.k})")
@@ -823,4 +827,4 @@ def verify_spectral_identities(
         raise ValueError(f"e must satisfy 1 <= e <= d = {d}")
     if j < 0:
         raise ValueError("j must be >= 0")
-    return _IdentityChecker(a, d, eigenvalue_order).check(e, (j,))[0]
+    return _IdentityChecker(a, eigenvalue_order).check(e, (j,))[0]

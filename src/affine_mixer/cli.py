@@ -31,19 +31,18 @@ import numpy as np
 from .algebra import (
     DEFAULT_L_MAX,
     IntMatrix,
+    Regime,
     _IdentityChecker,
     classify_regime,
     det_int,
     exact_int,
     json_float,
-    minimal_poly,
 )
 from .digitlab import BlockCensus, block_census
 from .errors import AffineMixerError, ConfigInvalid, InsufficientData, StateSpaceTooLarge
 from .evolution import (
     DEFAULT_N_CAP,
     ChainSpec,
-    _dense_prefix,
     _half_abs_sum,
     evolve,
     mixing_time,
@@ -260,11 +259,14 @@ def mixing_sweep(config: ExperimentConfig) -> list[SweepRow]:
     assert config.matrix is not None and config.increments is not None
     a = config.matrix
     mu = config.increments
-    regime = classify_regime(a, config.l_max).regime.value
+    regime = classify_regime(a, config.l_max).regime
+    # in the paper's fast regimes n_mix is O(log p), within the dense
+    # prefix, so no row hints another
+    slow = regime not in (Regime.NON_UNIT_MODULUS, Regime.ROOTS_OF_INTEGER_EXPANDING)
     basis = support_basis(mu, a)
     det_a = det_int(a)
     rows: list[SweepRow] = []
-    # (ln p, p, n_mix) of the rows answered past their dense prefix
+    # (ln p, p, n_mix) of the rows answered, in a slow regime
     answered: list[tuple[float, int, int]] = []
     for p in config.p_list or ():
         ln_p = math.log(p)
@@ -279,7 +281,7 @@ def mixing_sweep(config: ExperimentConfig) -> list[SweepRow]:
             chain = ChainSpec(a, mu, p)
             hint = None
             if answered:
-                # n_mix grows as p**2 in the regimes the prefix does not answer
+                # n_mix grows as p**2 in the slow regimes
                 _, near, n_near = min(answered, key=lambda row: abs(row[0] - ln_p))
                 hint = n_near * p * p // (near * near)
             try:
@@ -287,9 +289,9 @@ def mixing_sweep(config: ExperimentConfig) -> list[SweepRow]:
                 reason = "" if n_mix is not None else "unmixed"
             except StateSpaceTooLarge as err:
                 reason = f"error: {err.kind}"
-            if n_mix is not None and n_mix > _dense_prefix(chain.n_states, len(mu.support)):
+            if slow and n_mix is not None:
                 answered.append((ln_p, p, n_mix))
-        rows.append(SweepRow(p, regime, n_mix, ln_p, lnln, p * p, not reasons, reason))
+        rows.append(SweepRow(p, regime.value, n_mix, ln_p, lnln, p * p, not reasons, reason))
     if not any(row.admissible for row in rows):
         raise ConfigInvalid("no admissible modulus in p_list")
     return rows
@@ -551,8 +553,8 @@ def _run_digit_census(config: ExperimentConfig, out_dir: str) -> list[str]:
 
 
 def _run_verify_identities(config: ExperimentConfig, out_dir: str) -> list[str]:
-    d = minimal_poly(config.matrix).degree
-    checker = _IdentityChecker(config.matrix, d)
+    checker = _IdentityChecker(config.matrix)
+    d = checker.d
     rows = []
     for e in range(1, d + 1):
         for j, (ok, residual) in enumerate(checker.check(e, range(IDENTITY_J_MAX + 1))):

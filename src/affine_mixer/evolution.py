@@ -24,26 +24,26 @@ each step only adds the translates of the law by A**(n-j-1) h mod p,
 lands in index order.  The multipliers from step i on are A**0 h, ...,
 A**(n-i-1) h, built once up from the identity and read backwards.
 
-The paper's necessary-steps count says where that work is wasted: P_n
-lives on at most |supp mu|**n states, so while that is small against p^k
-the early steps run on a sparse form of the law, and the mixing search
-computes tv only once the count no longer rules out mixing.  For a
-stride chain that form is an arc of Z_p, from the point mass at x0 on:
-in the fast regime (|a| > 1) the arc of P_n is about |a|**n times the
-spread of mu long, so the law fills Z_p only in the last few steps.
-Those before are taken on the arc, at O(arc) each, until its image would
-wrap or the count stops ruling out mixing, and the last arc steps
-straight into the dense law.  For every other chain it is the support,
-stepped at O(|supp| |supp mu|) a step.  The count asks a margin
-of one state, 1/N in tv, past the float error; for A = 2 a mixing search
-then sums one tv, not O(log p), and makes no dense law: the law the
-count no longer rules out is an arc or the last arc's image under one
-step, and its tv is summed where it is held.  A law is summed leaf by
-leaf through a 256 KB scratch block in numpy's own pairwise order
-(_pairwise), an image's leaves written by the strided slices of the
-step cut to each leaf (_image_tv): the float a sum over the dense law
-gives, with no law-sized temporary.  Past a short prefix mixing_time
-hands the search to fourier (_fourier_search).
+P_n lives on at most |supp mu|**n states, so while that is small
+against p^k the early steps run on a sparse form of the law (_sparse).
+For a stride chain that form is an arc of Z_p, from the point mass at
+x0 on: in the fast regime (|a| > 1) the arc of P_n is about |a|**n
+times the spread of mu long, so the law fills Z_p only in the last few
+steps.  Those before are taken on the arc, at O(arc) each, until its
+image would wrap, and the last arc steps straight into the dense law.
+For every other chain it is the support, stepped at O(|supp|
+|supp mu|) a step until about p^k / 32 targets.  The paper's
+necessary-steps count belongs to the mixing search alone: it computes tv
+only once the count no longer rules out mixing, with a margin of one
+state, 1/N in tv, past the float error.  For A = 2 it then sums one tv,
+not O(log p), and makes no dense law: the law the count no longer rules
+out is an arc or the last arc's image under one step, and its tv is
+summed where it is held.  A law is summed leaf by leaf through a 256 KB
+scratch block in numpy's own pairwise order (_pairwise), an image's
+leaves written by the strided slices of the step cut to each leaf
+(_image_tv): the float a sum over the dense law gives, with no
+law-sized temporary.  Past a short prefix mixing_time hands the search
+to fourier (_fourier_search).
 """
 
 from __future__ import annotations
@@ -433,7 +433,7 @@ def evolve_iter(chain: ChainSpec, n: int) -> Iterator[tuple[int, StateDistributi
     as an arc's image made dense here (_dense), and each law made once;
     every P_i is step_exact's, bit for bit.
     """
-    for i, law, _ in _walk(chain, n):
+    for i, law in _walk(chain, n):
         yield i, _dense(law, chain)
 
 
@@ -489,20 +489,26 @@ def _image_tv(p: int, lo: int, values: np.ndarray, a=1, shifts=_IDENTITY) -> flo
     window (_lines), through _write_translates in the order of shifts, so
     every entry is the same products and sums in the same order; then it
     is clipped (_clip) and summed twice, for the check and for tv, so the
-    leaves' mins and both sums are those over the law."""
+    leaves' mins and both sums are those over the law.  A plain arc (the
+    identity step, the defaults) was checked where _step_arc made it, and
+    the point mass is exact, so its leaves are summed for tv alone."""
     c, scratch, lows = 1.0 / p, np.empty(min(p, SCRATCH_STATES)), []
     lines = partial(_lines, a, p=p, lo=lo, length=len(values))
+    plain = shifts is _IDENTITY
 
     def leaf(part: slice) -> np.ndarray:
         (out := scratch[: part.stop - part.start]).fill(0.0)
         _write_translates(out, values, shifts, partial(lines, window=(part.start, part.stop)))
-        lows.append(_clip(out))
+        if not plain:
+            lows.append(_clip(out))
         # the sum is taken before the subtraction overwrites the leaf
-        return np.array([out.sum(), np.abs(np.subtract(out, c, out=out), out=out).sum()])
+        total = 0.0 if plain else out.sum()
+        return np.array([total, np.abs(np.subtract(out, c, out=out), out=out).sum()])
 
     total, dev = _pairwise(leaf, 0, p)
-    # np.min keeps a NaN min, as the law's min would be NaN
-    _check_totals(float(np.min(lows)), float(total))
+    if not plain:
+        # np.min keeps a NaN min, as the law's min would be NaN
+        _check_totals(float(np.min(lows)), float(total))
     return 0.5 * float(dev)
 
 
@@ -653,90 +659,79 @@ def _step_lines(p: int, lo: int, law: np.ndarray, a=1, shifts=_IDENTITY) -> Stat
     return StateDistribution(p, 1, out.view(_Fresh))
 
 
-def _sparse(
-    chain: ChainSpec, n: int, keep: Callable[[int], bool]
-) -> Generator[tuple[int, _Support | _Arc, int], None, tuple[int, _Support | _Arc, int]]:
-    """_walk's sparse phase: yield (i, P_i, b_i) for each law it steps from
-    the point mass at x0 on, and return the first it does not step, P_n at
-    the latest, with its b_i.
+def _sparse(chain: ChainSpec, n: int) -> Generator[tuple[int, _Law], None, tuple[int, _Law]]:
+    """_walk's sparse phase: yield (i, P_i) for each law it steps from the
+    point mass at x0 on, and return the first it does not step, P_n at the
+    latest.
 
-    It runs only past a floor of 2**10 states: below it a dense step costs
-    no more than a sparse step's fixed overhead.  s is |supp mu| folded mod
-    p.  For a stride chain (chain._stride is a) P_i is held on an arc, the
-    point mass being an arc of one state, and stepped by _step_arc, at
-    O((|a| + s) L) for an arc of L, while i < n, keep(b_i) holds and the
-    image arc does not wrap; b_i is min(b_{i-1} s, L).  With |a| > 1 (the
-    fast regime) the arc grows about |a|-fold a step, so the law fills Z_p
-    only in the last few steps, and all those before are paid on the arc.
-    For every other chain P_i is held as its support, and stepped by
-    _step_support, while i < n and keep(targets) holds, targets being
-    |supp P_i| * s: the bound on |supp P_{i+1}|; b_i is |supp P_i|.  Past
-    about p**k / 32 targets a dense step costs less than a sort of them,
-    so the phase ends there too.
+    It steps only past a floor of 2**10 states: below it a dense step
+    costs no more than a sparse step's fixed overhead.  s is |supp mu|
+    folded mod p.  For a stride chain (chain._stride is a) P_i is held on
+    an arc, the point mass being an arc of one state, and stepped by
+    _step_arc, at O((|a| + s) L) for an arc of L, while i < n and the
+    image arc does not wrap.  With |a| > 1 (the fast regime) the arc grows
+    about |a|-fold a step, so the law fills Z_p only in the last few
+    steps, and all those before are paid on the arc.  The last arc, whose
+    image would wrap (or the point mass below the floor), is yielded too
+    while i < n, and the law returned after it is that arc's image under
+    one step, (lo, values, a, shifts), not yet made dense.  For every
+    other chain P_i is held as its support, and stepped by _step_support,
+    while i < n and 32 |supp P_i| s < p**k: past about p**k / 32 targets
+    a dense step costs less than a sort of them.
     """
     _check_steps(n)
     _check_cap(chain.n_states, "p**k")
     p, size, s = chain.p, chain.n_states, len(chain._shifts)
     i, floor = 0, 2**10 <= size
-    held: _Support | _Arc
+    held: _Law
     if (a := chain._stride) is not None:
         shifts = [(_least_residue(c, p), w) for (c,), w in chain._shifts]
         spread = max(c for c, _ in shifts) - min(c for c, _ in shifts)
-        held, bound = (chain.x0[0], np.ones(1)), 1
-        while i < n and floor and keep(bound) and abs(a) * (len(held[1]) - 1) + spread < p:
-            yield i, held, bound
+        held = (chain.x0[0], np.ones(1))
+        while i < n:
+            yield i, held
+            if not floor or abs(a) * (len(held[1]) - 1) + spread >= p:
+                return i + 1, (*held, a, chain._shifts)
             held = _step_arc(*held, a, shifts, p)
-            bound = min(bound * s, len(held[1]))
             i += 1
-        return i, held, bound
+        return i, held
     held = (np.array([encode_state(chain.x0, p)], dtype=np.int64), np.ones(1))
     rows = _mod_rows(chain.a, p)
-    while i < n and floor and 32 * len(held[0]) * s < size and keep(len(held[0]) * s):
-        yield i, held, len(held[0])
+    while i < n and floor and 32 * len(held[0]) * s < size:
+        yield i, held
         held = _step_support(*held, rows, chain._shifts, p)
         i += 1
-    return i, held, len(held[0])
+    return i, held
 
 
-def _walk(
-    chain: ChainSpec, n: int, keep: Callable[[int], bool] = lambda targets: True, lazy=False
-) -> Iterator[tuple[int, _Law, int]]:
-    """Yield (i, P_i, b_i) for i = 0..n from the point mass at x0, with
-    b_i >= |supp P_i| and b_0 = 1: first the laws of the sparse phase
-    (_sparse), on arcs for a stride chain and on the support for any other.
+def _walk(chain: ChainSpec, n: int, lazy=False) -> Iterator[tuple[int, _Law]]:
+    """Yield (i, P_i) for i = 0..n from the point mass at x0: first the
+    laws of the sparse phase (_sparse), on arcs for a stride chain and on
+    the support for any other.
 
-    For a stride chain the last arc, whose image would wrap or for which
-    keep(b_i) fails (or the point mass below the floor), is yielded as an
-    arc too while i < n, and the law after it is that arc's image under
-    one step, (lo, values, a, shifts).
-
-    That law, or for any other chain the first P_i the phase does not
-    step, P_n at the latest, is made dense once (_dense), and the laws
-    after it are step_exact's, with b_i = min(b_{i-1} s, p**k).  A walk
-    yields it dense only when a step follows (i < n), so as not to write
-    an image twice; as P_n it is yielded as it is held, for its reader to
-    read tv where it is held (_law_tv) or make it dense (_dense).  A lazy
-    walk, read by a search that only sums tv and drops each law before it
-    resumes the walk, yields that law as it is held and makes it dense
-    only when resumed, so a search that stops there makes no dense law.
-    Every law is step_exact's, bit for bit.
+    The law the phase returns, P_n at the latest, an arc's image or a
+    support, is made dense once (_dense), and the laws after it are
+    step_exact's.  A walk yields it dense only when a step follows
+    (i < n), so as not to write an image twice; as P_n it is yielded as
+    it is held, for its reader to read tv where it is held (_law_tv) or
+    make it dense (_dense).  A lazy walk, read by a search that only sums
+    tv and drops each law before it resumes the walk, yields that law as
+    it is held and makes it dense only when resumed, so a search that
+    stops there makes no dense law.  Every law is step_exact's, bit for
+    bit.
     """
-    i, held, bound = yield from _sparse(chain, n, keep)
-    size, s = chain.n_states, len(chain._shifts)
-    if (a := chain._stride) is not None and i < n:
-        yield i, held, bound
-        held, bound, i = (*held, a, chain._shifts), min(bound * s, size), i + 1
+    i, held = yield from _sparse(chain, n)
     # the sparse form is dropped once made dense, before the dense steps,
     # which it would outlive: an arc may hold up to p floats, a support up
     # to p**k / 32 states
     if not lazy and i < n:
         held = _dense(held, chain)
-    yield i, held, bound
+    yield i, held
     for i in range(i + 1, n + 1):
+        # rebound first, so a sparse form is freed before the step
         held = _dense(held, chain)
         held = step_exact(held, chain)
-        bound = min(bound * s, size)
-        yield i, held, bound
+        yield i, held
 
 
 def _dense(law: _Law, chain: ChainSpec) -> StateDistribution:
@@ -777,12 +772,12 @@ def evolve(chain: ChainSpec, n: int) -> StateDistribution:
     p, k = chain.p, chain.k
     if chain._stride is not None:
         return _dense(deque(_walk(chain, n), maxlen=1)[0][1], chain)
-    phase = _sparse(chain, n, lambda targets: True)
+    phase = _sparse(chain, n)
     try:
         while True:
             next(phase)
     except StopIteration as stop:
-        i, held, _ = stop.value
+        i, held = stop.value
     if i == n:
         return _dense(held, chain)
     # A**m h mod p for m = 0..n-i-1, in Python ints: step j pops A**(n-j-1) h
@@ -808,17 +803,19 @@ def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int
     """Smallest n <= n_cap with tv_distance(P_n) <= eps, by incremental
     exact stepping; None when unmixed at the cap.
 
-    The paper's necessary-steps argument is a count: P_n lives on at most
-    b_n states (_walk's bound), so tv(P_n) >= 1 - b_n / N with N = p**k.
-    While that bound certifies tv > eps, no tv is computed, and _walk,
-    told so by keep, holds the law sparse: for a stride chain on the arc
-    that holds it, the law after the last arc as that arc's image under
-    one step, so in the fast regime the first law not on an arc is about
-    the mixed one; for any other on its support, up to the last law whose
-    successor the count certifies.  The search sums a law's tv only once
-    the count no longer certifies it, where _walk, lazy, holds it: an arc
-    or an image leaf by leaf (_image_tv), a support on the support, and
-    none made dense, so a search that ends there makes no dense law.
+    The paper's necessary-steps argument is a count, kept here: P_n lives
+    on at most b_n states, b_0 = 1 and b_n = min(b_{n-1} s, the states the
+    walk holds P_n on), s = |supp mu| folded mod p: an arc's or a
+    support's values, all N = p**k for an image or a dense law.  So
+    tv(P_n) >= 1 - b_n / N, and while that bound certifies tv > eps no tv
+    is computed.  The lazy walk (_walk) holds the law sparse on its own
+    terms: for a stride chain on the arc that holds it, the law after the
+    last arc as that arc's image under one step, so in the fast regime the
+    first law not on an arc is about the mixed one; for any other on its
+    support.  A law the count does not certify has its tv summed where
+    the walk holds it: an arc or an image leaf by leaf (_image_tv), a
+    support on the support, and none made dense, so a search that ends
+    there makes no dense law.
 
     The certificate is (1 - eps) N > b_n + 1 + D, with
     D = N 2**-50 (n_cap r + log2 N + 8) and r = |supp mu|: one state of
@@ -851,13 +848,19 @@ def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int
     Every law is the one evolve gives, bit for bit, so the answer is the
     one tv_distance at every n gives.
     """
-    size, r = chain.n_states, len(chain.mu.support)
+    size, r, s = chain.n_states, len(chain.mu.support), len(chain._shifts)
     room = (1.0 - eps) * size - 1 - size * 2.0**-50 * (n_cap * r + math.log2(size) + 8)
-    for n, law, bound in _walk(chain, n_cap, lambda bound: bound < room, lazy=True):
+    # b_{n-1} s, 1 before P_0, the point mass on one state
+    bound = 1
+    for n, law in _walk(chain, n_cap, lazy=True):
+        # an arc or a support is held on its values, an image or a dense law on all N
+        states = size if isinstance(law, StateDistribution) or len(law) == 4 else len(law[1])
+        bound = min(bound, states)
         # an uncertified law is read as it is held: dense, or an arc, an
         # image or a support, none made dense
         if bound >= room and _law_tv(law, size) <= eps:
             return n
+        bound *= s
         # dropped before _walk makes the next law, which it would outlive
         del law
     return None
@@ -900,8 +903,8 @@ def mixing_time(
     bisects on n in the Fourier domain, where each candidate costs O(log n)
     pointwise products and one FFT, so raising n_cap is cheap.  While the
     counting bound tv(P_n) >= 1 - |supp P_n| / p**k rules out mixing, with
-    one state of margin past the float error, the prefix computes no tv,
-    and its early steps run on the arc that holds P_n for a stride chain
+    one state of margin past the float error, the prefix computes no tv.
+    Its early steps run on the arc that holds P_n for a stride chain
     (ChainSpec._stride), at O(arc) each, the law after the last of them
     read as that arc's image until a step on needs it dense, and on the
     support of P_n for any other, at O(|supp| |supp mu|) each (see

@@ -470,7 +470,7 @@ def bounds_table(
     # from the first row whose best product froze: the orbit state at n
     state: Optional[_Orbit] = None
     rows: list[BoundsReport] = []
-    for (n, law, _), certificate in zip(_walk(chain, n_max), _certificates(chain, l_max)):
+    for (n, law), certificate in zip(_walk(chain, n_max), _certificates(chain, l_max)):
         if state is None:
             _, prods = next(scan)
             upper = 0.25 * float(prods[1:].sum())

@@ -686,21 +686,8 @@ class SweepCalls:
         monkeypatch.setattr(cli, "mixing_time", recorded)
 
 
-def test_main_sweep_hints_each_row_from_the_nearest_row_answered_past_its_prefix(
-    tmp_path, capsys, monkeypatch
-):
-    # A = I with fair {0, 2}: p = 4 and 6 are inadmissible, 251 and 253 are
-    # unmixed at n_cap 5000, and 10**400 + 1 is refused by the state cap, so
-    # none of them gives a hint; p = 31, 151 and the repeated 101 take theirs
-    # from the row nearest by ratio of p among 101, 31 and 151.  Every row
-    # reads as it does with no hints.
-    big = 10**400 + 1
-    obj = {
-        "matrix": [[1]],
-        "increments": {"k": 1, "support": [[0], [2]], "probs": [0.5, 0.5]},
-        "p_list": [4, 101, 31, 151, 6, 251, 253, big, 101],
-        "n_cap": 5000,
-    }
+def run_sweep_unhinted(tmp_path, capsys, monkeypatch, obj):
+    """The sweep.csv of a sweep run whose mixing_time calls take no hint."""
     unhinted = tmp_path / "unhinted"
     unhinted.mkdir()
     with monkeypatch.context() as patch:
@@ -709,10 +696,29 @@ def test_main_sweep_hints_each_row_from_the_nearest_row_answered_past_its_prefix
             cli, "mixing_time", lambda chain, eps, n_cap, hint: mixing_time(chain, eps, n_cap)
         )
         assert run_main_on_text(unhinted, capsys, "mixing-sweep", json.dumps(obj)) == (0, None)
+    return (unhinted / "out" / "sweep.csv").read_text()
+
+
+def test_main_sweep_hints_each_row_from_the_nearest_row_answered_in_a_slow_regime(
+    tmp_path, capsys, monkeypatch
+):
+    # A = I with fair {0, 2}, UnitRootMixed: p = 4 and 6 are inadmissible,
+    # 251 and 253 are unmixed at n_cap 5000, and 10**400 + 1 is refused by
+    # the state cap, so none of them gives a hint; p = 31, 151 and the
+    # repeated 101 take theirs from the row nearest by ratio of p among
+    # 101, 31 and 151.  Every row reads as it does with no hints.
+    big = 10**400 + 1
+    obj = {
+        "matrix": [[1]],
+        "increments": {"k": 1, "support": [[0], [2]], "probs": [0.5, 0.5]},
+        "p_list": [4, 101, 31, 151, 6, 251, 253, big, 101],
+        "n_cap": 5000,
+    }
+    unhinted = run_sweep_unhinted(tmp_path, capsys, monkeypatch, obj)
     sweep = SweepCalls(monkeypatch)
     assert run_main_on_text(tmp_path, capsys, "mixing-sweep", json.dumps(obj)) == (0, None)
     written = (tmp_path / "out" / "sweep.csv").read_text()
-    assert written == (unhinted / "out" / "sweep.csv").read_text()
+    assert written == unhinted
     rows = list(csv.DictReader(io.StringIO(written)))
     n = {int(row["p"]): int(row["n_mix"]) for row in rows if row["n_mix"]}
     assert sorted(n) == [31, 101, 151]
@@ -730,6 +736,28 @@ def test_main_sweep_hints_each_row_from_the_nearest_row_answered_past_its_prefix
     # hints past n_cap are clamped to it, and one transform at 5000 finds
     # each unmixed row unmixed there
     assert [call[2] for call in sweep.calls[3:5]] == [1, 1]
+
+
+def test_main_sweep_hints_from_a_row_answered_within_its_prefix(tmp_path, capsys, monkeypatch):
+    # the general case A = [[1, 1], [0, 2]] (UnitRootMixed) with fair
+    # {0, e_1, e_2}: p = 11 answers 9 within its dense prefix of 18 steps,
+    # and as the regime is slow it hints p = 101 with 9 * 101**2 // 11**2
+    # = 758, where the answer is 726; the sweep reads as it does unhinted
+    obj = {
+        "matrix": [[1, 1], [0, 2]],
+        "increments": {"k": 2, "support": [[0, 0], [1, 0], [0, 1]], "probs": [1 / 3] * 3},
+        "p_list": [11, 101],
+    }
+    unhinted = run_sweep_unhinted(tmp_path, capsys, monkeypatch, obj)
+    sweep = SweepCalls(monkeypatch)
+    assert run_main_on_text(tmp_path, capsys, "mixing-sweep", json.dumps(obj)) == (0, None)
+    written = (tmp_path / "out" / "sweep.csv").read_text()
+    assert written == unhinted
+    rows = list(csv.DictReader(io.StringIO(written)))
+    assert [row["regime"] for row in rows] == ["UnitRootMixed"] * 2
+    assert [row["n_mix"] for row in rows] == ["9", "726"]
+    assert evolution._dense_prefix(11**2, 3) == 18
+    assert [call[:2] for call in sweep.calls] == [[11, None], [101, 758]]
 
 
 def test_sweep_slow_at_seed_1_hints_its_later_rows(tmp_path, capsys, monkeypatch):

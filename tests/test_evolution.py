@@ -1314,14 +1314,82 @@ def test_arc_phase_runs_up_to_the_whole_circle(a):
     # step_exact's, bit for bit
     p = 1031
     chain = ChainSpec(IntMatrix.from_rows([[a]]), fair_two_point(1), p, x0=(500,))
-    lengths = [len(law[1]) for _, law, _ in evolution._walk(chain, 1100) if isinstance(law, tuple)]
+    lengths = [len(law[1]) for _, law in evolution._walk(chain, 1100) if isinstance(law, tuple)]
     assert lengths == list(range(1, p + 1))
-    lazy = [getattr(law, "values", law) for _, law, _ in evolution._walk(chain, 1100, lazy=True)]
+    lazy = [getattr(law, "values", law) for _, law in evolution._walk(chain, 1100, lazy=True)]
     assert [len(law) for law in lazy[: p + 2]] == [2] * p + [4, p]
     assert lazy[p][:3] == (lazy[p - 1][0], lazy[p - 1][1], a)
     laws = zip(evolve_iter(chain, 1100), dense_laws(chain, 1100), strict=True)
     for (i, dist), (_, dense) in laws:
         assert np.array_equal(dist.values, dense.values), i
+
+
+def fair_chain(rows, p, x0=None):
+    """The chain of A = rows with fair increments on {0, e_1} mod p."""
+    return ChainSpec(IntMatrix.from_rows(rows), fair_two_point(len(rows)), p, x0=x0)
+
+
+@st.composite
+def sparse_chains(draw):
+    """Chains with a sparse phase (p**k >= 2**10), at even odds: stride
+    chains, a in +-1..+-LINE_CUTOFF at p >= 1031, whose laws are held on
+    arcs, and chains of k <= 3 held on the support (k = 1 past the
+    cutoff), with a random x0 and wide or twinned increments."""
+    if draw(st.booleans()):
+        k, p = 1, draw(st.sampled_from(LARGE_MODULI[1]))
+        rows = [[draw(st.sampled_from([-1, 1])) * draw(st.integers(1, LINE_CUTOFF))]]
+    else:
+        k = draw(st.sampled_from((1, 2, 3)))
+        p = draw(st.sampled_from(LARGE_MODULI[k]))
+        rows = coprime_rows(draw, k, p)
+        if k == 1:
+            rows = [[draw(st.sampled_from([-1, 1])) * draw(st.integers(LINE_CUTOFF + 1, p // 2))]]
+    mu = arc_increments(draw, 1, p) if k == 1 else twinned_increments(draw, k, p)
+    x0 = draw(st.tuples(*[st.integers(0, p - 1)] * k))
+    return ChainSpec(IntMatrix.from_rows(rows), mu, p, x0=x0)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    chain=sparse_chains(),
+    eps=st.one_of(st.floats(0.01, 0.999), st.floats(31 / 32, 0.999)),
+    n_cap=st.integers(0, 300),
+)
+@example(chain=fair_chain([[1]], 1031, x0=(500,)), eps=0.2, n_cap=1100)
+@example(chain=fair_chain([[-1]], 1031, x0=(500,)), eps=0.2, n_cap=1100)
+@example(chain=fair_chain([[2]], 2003), eps=0.25, n_cap=60)
+@example(chain=fair_chain([[2, 1], [1, 1]], 37), eps=0.99, n_cap=60)
+def test_property_the_search_skips_only_laws_the_count_rules_out(chain, eps, n_cap):
+    # the search keeps the paper's count b_n >= |supp P_n| itself, from
+    # the forms the walk holds each law in, and reads no tv the count
+    # certifies above eps: every n it passes without reading tv has
+    # tv(P_n) > eps, and its answer is the dense search's.  At A = +-1
+    # with eps 0.2 the count stops certifying at an arc of about 823 of
+    # the 1031 states, past 3/4 of the circle, and the search reads the tv
+    # of each later arc, up to the last, whose image would wrap; at A = 2,
+    # p = 2003 the image of the last arc, held on all p states, decides
+    seen, read = [], []
+    walk, law_tv = evolution._walk, evolution._law_tv
+
+    def seen_walk(*args, **kwargs):
+        for n, law in walk(*args, **kwargs):
+            seen.append(n)
+            yield n, law
+
+    def read_tv(*args):
+        read.append(seen[-1])
+        return law_tv(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evolution, "_walk", seen_walk)
+        patch.setattr(evolution, "_law_tv", read_tv)
+        found = _mixing_time_dense(chain, eps, n_cap)
+    assert found == dense_mixing_time(chain, eps, n_cap)
+    assert len(set(read)) == len(read) and set(read) <= set(seen)
+    skipped = set(seen) - set(read)
+    for n, dist in dense_laws(chain, max(skipped, default=-1)):
+        if n in skipped:
+            assert tv_distance(dist) > eps, n
 
 
 @pytest.mark.parametrize(
@@ -1636,7 +1704,7 @@ def test_stride_chains_make_each_law_once(monkeypatch, a, p, x0):
     monkeypatch.setattr(evolution, "StateDistribution", CountedLaw)
     chain = ChainSpec(IntMatrix.from_rows([[a]]), fair_two_point(1), p, x0=(x0,))
     walk = evolution._walk(chain, 2 * p, lazy=True)
-    image = next(i for i, law, _ in walk if isinstance(law, tuple) and len(law) == 4)
+    image = next(i for i, law in walk if isinstance(law, tuple) and len(law) == 4)
     walk.close()
     n = image + 3
     made.clear()
