@@ -676,14 +676,13 @@ def canonical_eigenvalue_order(a: IntMatrix | Sequence[Sequence[int]]) -> tuple[
     are eigenvalues' complex roots, residual-checked.  Either way a root
     past float range raises OutOfRange.
     """
-    return tuple(_minimal_first(as_matrix(a))[1])
+    return tuple(_minimal_first(a := as_matrix(a), minimal_poly(a))[1])
 
 
-def _minimal_first(a: IntMatrix) -> tuple[int, list[complex] | list[int]]:
-    """d, the degree of A's minimal polynomial, and the eigenvalues of A in
-    canonical_eigenvalue_order: the minimal polynomial's roots, then those
-    of char_poly / min_poly, each block by _ordered_roots."""
-    mp = minimal_poly(a)
+def _minimal_first(a: IntMatrix, mp: IntPolynomial) -> tuple[int, list[complex] | list[int]]:
+    """d, the degree of mp, A's minimal polynomial, and the eigenvalues of
+    A in canonical_eigenvalue_order: the roots of mp, then those of
+    char_poly / mp, each block by _ordered_roots."""
     quotient, rem = poly_divmod(char_poly(a), mp)
     assert rem.is_zero
     return mp.degree, _ordered_roots(mp) + (_ordered_roots(quotient) if quotient.degree else [])
@@ -729,8 +728,9 @@ def _magnitude(m: np.ndarray) -> float:
 
 class _IdentityChecker:
     """What every (e, j) check of verify_spectral_identities shares for one
-    matrix and one eigenvalue order: d, the degree of the minimal
-    polynomial, whose roots lead the eigenvalues (_minimal_first), the
+    matrix A, given with its minimal polynomial mp, and one eigenvalue
+    order (order, verify_spectral_identities's eigenvalue_order): d, the
+    degree of mp, whose roots lead the eigenvalues (_minimal_first), the
     ordered eigenvalues, T, the prefix products P_e and the products of
     their factors' magnitudes, the suffix products
     prod_{n=h+1..d} (T - lam_n I), and the powers of T, grown on demand."""
@@ -738,12 +738,12 @@ class _IdentityChecker:
     # complex products past float range become inf or nan without a
     # warning on stderr; _magnitude turns them into OutOfRange
     @np.errstate(over="ignore", invalid="ignore")
-    def __init__(self, a: IntMatrix, eigenvalue_order: Optional[Sequence[int]] = None) -> None:
-        d, lams = _minimal_first(a)
-        if eigenvalue_order is not None:
-            if sorted(eigenvalue_order) != list(range(a.k)):
+    def __init__(self, a: IntMatrix, mp: IntPolynomial, order: Optional[Sequence[int]] = None) -> None:
+        d, lams = _minimal_first(a, mp)
+        if order is not None:
+            if sorted(order) != list(range(a.k)):
                 raise OrderMismatch(f"eigenvalue_order must be a permutation of range({a.k})")
-            lams = [lams[i] for i in eigenvalue_order]
+            lams = [lams[i] for i in order]
         # ints only when the characteristic polynomial splits into linear factors
         exact = all(isinstance(z, int) for z in lams)
         one = 1 if exact else complex(1)
@@ -821,10 +821,11 @@ def verify_spectral_identities(
     them as ints), and a residual or matrix entry past float range raises
     OutOfRange.
     """
-    a = as_matrix(a)
-    d = minimal_poly(a).degree
-    if not 1 <= e <= d:
-        raise ValueError(f"e must satisfy 1 <= e <= d = {d}")
+    # the checker takes the minimal polynomial found here, so it is
+    # computed once, and the range is refused before any root is sought
+    mp = minimal_poly(a := as_matrix(a))
+    if not 1 <= e <= mp.degree:
+        raise ValueError(f"e must satisfy 1 <= e <= d = {mp.degree}")
     if j < 0:
         raise ValueError("j must be >= 0")
-    return _IdentityChecker(a, eigenvalue_order).check(e, (j,))[0]
+    return _IdentityChecker(a, mp, eigenvalue_order).check(e, (j,))[0]

@@ -37,6 +37,7 @@ from .algebra import (
     det_int,
     exact_int,
     json_float,
+    minimal_poly,
 )
 from .digitlab import BlockCensus, block_census
 from .errors import AffineMixerError, ConfigInvalid, InsufficientData, StateSpaceTooLarge
@@ -553,7 +554,7 @@ def _run_digit_census(config: ExperimentConfig, out_dir: str) -> list[str]:
 
 
 def _run_verify_identities(config: ExperimentConfig, out_dir: str) -> list[str]:
-    checker = _IdentityChecker(config.matrix)
+    checker = _IdentityChecker(config.matrix, minimal_poly(config.matrix))
     d = checker.d
     rows = []
     for e in range(1, d + 1):

@@ -26,35 +26,39 @@ A**(n-i-1) h, built once up from the identity and read backwards.
 
 P_n lives on at most |supp mu|**n states, so while that is small
 against p^k the early steps run on a sparse form of the law (_sparse).
-For a stride chain that form is an arc of Z_p, from the point mass at
-x0 on: in the fast regime (|a| > 1) the arc of P_n is about |a|**n
-times the spread of mu long, so the law fills Z_p only in the last few
-steps.  Those before are taken on the arc, at O(arc) each, until its
-image would wrap, and the last arc steps straight into the dense law.
-For every other chain it is the support, stepped at O(|supp|
+For a stride chain that form is an arc of Z_p under j <= 2 steps (_Arc),
+from the point mass at x0 on: in the fast regime (|a| > 1) the arc of
+P_n is about |a|**n times the spread of mu long, so the law fills Z_p
+only in the last one or two steps.  Those before are taken on the arc,
+at O(arc) each, while the arc two steps on would not wrap; the last arc
+is then held under one step and under two, and the arc between is made
+only by a walk that steps on, which steps it straight into the dense
+law.  For every other chain it is the support, stepped at O(|supp|
 |supp mu|) a step until about p^k / 32 targets.  The paper's
 necessary-steps count belongs to the mixing search alone: it computes tv
 only once the count no longer rules out mixing, with a margin of one
 state, 1/N in tv, past the float error.  For A = 2 it then sums one tv,
-not O(log p), and makes no dense law: the law the count no longer rules
-out is an arc or the last arc's image under one step, and its tv is
-summed where it is held.  A law is summed leaf by leaf through a 256 KB
-scratch block in numpy's own pairwise order (_pairwise), an image's
-leaves written by the strided slices of the step cut to each leaf
-(_image_tv): the float a sum over the dense law gives, with no
-law-sized temporary.  Past a short prefix mixing_time hands the search
-to fourier (_fourier_search).
+not O(log p), and makes no dense law and not the arc between: the law
+the count no longer rules out is an arc under at most two steps, and its
+tv is summed where it is held.  A law is summed leaf by leaf through a
+256 KB scratch block in numpy's own pairwise order (_pairwise), the
+leaves of an arc under steps written by the strided slices of its last
+step cut to each leaf, from the arc between's runs that the leaf reads
+for two steps (_image_tv): the float a sum over the dense law gives,
+with no law-sized temporary.  Past a short prefix mixing_time hands the
+search to fourier (_fourier_search).
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections import defaultdict, deque
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from itertools import product
-from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
+from itertools import accumulate, product
+from typing import Callable, Generator, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -72,7 +76,8 @@ LINE_CUTOFF = 8
 # states in the block through which a translate's products pass on their
 # way into the new law (_add_scaled): 256 KB, so a block stays in L2
 SCRATCH_STATES = 2**15
-# the (shift, weight) pairs of the identity step
+# the (shift, weight) pairs of the identity step, the last step of an arc
+# under 0 steps (_Arc)
 _IDENTITY = (((0,), 1.0),)
 
 
@@ -258,11 +263,11 @@ class _Fresh(np.ndarray):
 
 
 def _clip(arr: np.ndarray) -> float:
-    """arr's min, with arr's entries from NEG_TOL up to 0.0, -0.0 among
-    them, clipped to +0.0 in place when the min is at least NEG_TOL; an
-    array whose min is above 0 is left as it is, which is what the clip
-    would leave."""
-    low = float(arr.min())
+    """arr's min (inf for an empty arr), with arr's entries from NEG_TOL up
+    to 0.0, -0.0 among them, clipped to +0.0 in place when the min is at
+    least NEG_TOL; an array whose min is above 0 is left as it is, which
+    is what the clip would leave."""
+    low = float(arr.min(initial=np.inf))
     if NEG_TOL <= low <= 0.0:
         np.clip(arr, 0.0, None, out=arr)
     return low
@@ -396,7 +401,7 @@ def _write_translates(
     (shift, w), *rest = shifts
     for dst, src in pairs(shift):
         np.multiply(law[src], w, out=out[dst])
-    scratch = np.empty(min(law.size, max(SCRATCH_STATES, law.size // len(law))) if rest else 0)
+    scratch = np.empty(min(law.size, max(SCRATCH_STATES, math.prod(law.shape[1:]))) if rest else 0)
     for shift, w in rest:
         for dst, src in pairs(shift):
             _add_scaled(out[dst], law[src], w, scratch)
@@ -407,8 +412,8 @@ def step_exact(dist: StateDistribution, chain: ChainSpec) -> StateDistribution:
     each target added in the order of chain._shifts by _write_translates.
 
     For a stride chain (chain._stride is a, not None) P is the arc of all
-    p states and steps as _walk's last arc does (_step_lines), with no
-    table and no pushed copy.  Otherwise P is scattered through
+    p states and steps as an arc under one step is made dense
+    (_step_lines), with no table and no pushed copy.  Otherwise P is scattered through
     chain._perm into a pushed law, whose translates are moved slab by slab
     (_slabs).  One writer gives both paths the same products and sums in
     the same order, so the law is the same bit for bit.
@@ -429,12 +434,13 @@ def step_exact(dist: StateDistribution, chain: ChainSpec) -> StateDistribution:
 def evolve_iter(chain: ChainSpec, n: int) -> Iterator[tuple[int, StateDistribution]]:
     """Yield (i, P_i) for i = 0..n starting from the point mass at x0.
 
-    The laws are _walk's, each one it holds as its support, on an arc or
-    as an arc's image made dense here (_dense), and each law made once;
-    every P_i is step_exact's, bit for bit.
+    The laws are _walk's, each one it holds as its support or as an arc
+    under steps made dense here (_dense), and each law made once; every
+    P_i is step_exact's, bit for bit.
     """
     for i, law in _walk(chain, n):
-        yield i, _dense(law, chain)
+        # rebound, so a sparse form is freed before the walk makes the next law
+        yield i, (law := _dense(law, chain))
 
 
 def _step_price(states: int) -> int:
@@ -481,35 +487,74 @@ def _half_abs_sum(size: int, fill: Callable[[np.ndarray, slice], object]) -> flo
     return 0.5 * float(_pairwise(leaf, 0, size))
 
 
-def _image_tv(p: int, lo: int, values: np.ndarray, a=1, shifts=_IDENTITY) -> float:
-    """tv_distance of _step_lines(p, lo, values, a, shifts), the image of
-    the arc (lo, values) under one step, bit for bit, or the ValueError its
-    _check_law raises, without making that law: each leaf of _pairwise is
-    zeroed and written by _step_lines's slice pairs cut to the leaf's
-    window (_lines), through _write_translates in the order of shifts, so
-    every entry is the same products and sums in the same order; then it
-    is clipped (_clip) and summed twice, for the check and for tv, so the
-    leaves' mins and both sums are those over the law.  A plain arc (the
-    identity step, the defaults) was checked where _step_arc made it, and
-    the point mass is exact, so its leaves are summed for tv alone."""
-    c, scratch, lows = 1.0 / p, np.empty(min(p, SCRATCH_STATES)), []
-    lines = partial(_lines, a, p=p, lo=lo, length=len(values))
-    plain = shifts is _IDENTITY
+def _image_tv(law: _Arc, chain: ChainSpec) -> float:
+    """tv_distance of an arc under steps (_Arc) made dense, bit for bit, or
+    the ValueError making it raises, without making it: under two steps
+    that law is _step_lines from the arc between that _step_arc makes,
+    under fewer steps the law _dense makes.  Each leaf of _pairwise is zeroed and written by
+    the slice pairs of the last step (the identity for an arc) cut to the
+    leaf's window (_lines), through _write_translates in the order of its
+    shifts, so every entry is the same products and sums in the same
+    order; then it is clipped (_clip) and summed twice, for the check and
+    for tv, so the leaves' mins and both sums are those over the law.
+    Under two steps the last step reads the arc between, whose runs each
+    leaf reads are written once a leaf (_between), and that arc is
+    checked first, as _step_arc checks it."""
+    p, (lo, values, steps) = chain.p, law
+    a, shifts = (chain._stride, chain._shifts) if steps else (1, _IDENTITY)
+    # the arc the last step moves: the arc between under two steps
+    start, length = _moved(law, 1, chain) if steps == 2 else (lo, len(values))
+    c, scratch, lows, between = 1.0 / p, np.empty(min(p, SCRATCH_STATES)), [], ([], [])
 
     def leaf(part: slice) -> np.ndarray:
         (out := scratch[: part.stop - part.start]).fill(0.0)
-        _write_translates(out, values, shifts, partial(lines, window=(part.start, part.stop)))
-        if not plain:
-            lows.append(_clip(out))
+        pairs = {s: list(_lines(a, s, p, start, length, (part.start, part.stop))) for s, _ in shifts}
+        moved = _between(pairs, law, chain, start, between) if steps == 2 else values
+        _write_translates(out, moved, shifts, pairs.__getitem__)
+        lows.append(_clip(out))
         # the sum is taken before the subtraction overwrites the leaf
-        total = 0.0 if plain else out.sum()
-        return np.array([total, np.abs(np.subtract(out, c, out=out), out=out).sum()])
+        return np.array([out.sum(), np.abs(np.subtract(out, c, out=out), out=out).sum()])
 
     total, dev = _pairwise(leaf, 0, p)
-    if not plain:
-        # np.min keeps a NaN min, as the law's min would be NaN
-        _check_totals(float(np.min(lows)), float(total))
+    # the arc between first; np.min keeps a NaN min, as a law's min would be NaN
+    if steps == 2:
+        _check_totals(float(np.min(between[0])), float(np.sum(between[1])))
+    _check_totals(float(np.min(lows)), float(total))
     return 0.5 * float(dev)
+
+
+def _between(pairs: dict, law: _Arc, chain: ChainSpec, start: int, checks: tuple) -> np.ndarray:
+    """The runs of the arc between the two steps of law, which starts at
+    start, that one leaf's last-step slice pairs (pairs, by shift) read,
+    as one block, to which each pair's src is moved in place.
+
+    The runs are merged, so each entry is written once a leaf, by
+    _write_translates in the order of chain._shifts, as _step_arc writes
+    it.  The block is clipped (_clip) where its min is at most 0, as
+    _step_arc's check clips a law that passes, and checks, two lists, get
+    that min and the sums of the runs the first translate reads: over all
+    leaves the blocks hold every entry of the arc between, and those runs
+    each entry once."""
+    runs: list[list[int]] = []
+    for u, v in sorted((src.start, src.stop) for found in pairs.values() for _, src in found):
+        if not runs or u > runs[-1][1]:
+            runs.append([u, v])
+        runs[-1][1] = max(runs[-1][1], v)
+    # each run's first position in the arc between and in the block
+    heads, offsets = [u for u, _ in runs], [0, *accumulate(v - u for u, v in runs)]
+    block = np.zeros(offsets[-1])
+    # the translates in positions from the arc between's first state, as _step_arc moves them
+    shifts = [((c - start,), w) for (c,), w in chain._shifts]
+    lines = partial(_lines, chain._stride, p=chain.p, lo=law.lo, length=len(law.values))
+    for (u, v), o in zip(runs, offsets):
+        _write_translates(block[o : o + v - u], law.values, shifts, partial(lines, window=(u, v)))
+    for found in pairs.values():
+        for i, (dst, src) in enumerate(found):
+            move = offsets[r := bisect_right(heads, src.start) - 1] - heads[r]
+            found[i] = dst, slice(src.start + move, src.stop + move)
+    checks[0].append(_clip(block))
+    checks[1].extend(block[src].sum() for _, src in pairs[chain._shifts[0][0]])
+    return block
 
 
 def _support_tv(codes: np.ndarray, values: np.ndarray, size: int) -> float:
@@ -537,16 +582,16 @@ def tv_distance(dist: StateDistribution) -> float:
     return _half_abs_sum(len(values), lambda out, part: np.subtract(values[part], c, out=out))
 
 
-def _law_tv(law: _Law, size: int) -> float:
+def _law_tv(law: _Law, chain: ChainSpec) -> float:
     """tv_distance of a law _walk yields, read where it is held: a dense
-    law as it is, an arc or an image not yet made dense leaf by leaf
-    (_image_tv) and a support on the support (_support_tv), bit for bit
-    the tv of the law made dense."""
+    law as it is, an arc under steps leaf by leaf (_image_tv) and a
+    support on the support (_support_tv), bit for bit the tv of the law
+    made dense."""
     if isinstance(law, StateDistribution):
         return tv_distance(law)
-    if isinstance(law[0], int):
-        return _image_tv(size, *law)
-    return _support_tv(*law, size)
+    if isinstance(law, _Arc):
+        return _image_tv(law, chain)
+    return _support_tv(*law, chain.n_states)
 
 
 def simulate(chain: ChainSpec, n: int, trials: int, seed: int) -> StateDistribution:
@@ -587,14 +632,17 @@ def simulate(chain: ChainSpec, n: int, trials: int, seed: int) -> StateDistribut
 
 # A law held as its support: sorted state indices and their values.
 _Support = tuple[np.ndarray, np.ndarray]
-# A k = 1 law held on an arc: its first state lo and its values at lo,
-# lo + 1, ... (mod p); the law is 0 off the arc.
-_Arc = tuple[int, np.ndarray]
-# A k = 1 law not yet made dense: the image (lo, values, a, shifts) of the
-# arc (lo, values) under one step y -> a y + c, (c, w) in shifts.  An arc
-# is its image under the identity step, a = 1 and the one shift 0 at
-# weight 1 (_IDENTITY), the defaults of _step_lines and _image_tv.
-_Law = StateDistribution | _Support | _Arc | tuple[int, np.ndarray, int, Sequence[tuple]]
+
+
+# A stride chain's law held on an arc under steps, 0, 1 or 2: the law that
+# is values at lo, lo + 1, ... (mod p) and 0 off that arc, moved steps
+# times by the chain's step y -> a y + c (mod p), (c, w) in chain._shifts.
+# Under 0 steps it is the arc; _sparse holds the last arc under one step
+# and two rather than make the arc between (_moved).
+_Arc = NamedTuple("_Arc", [("lo", int), ("values", np.ndarray), ("steps", int)])
+
+
+_Law = StateDistribution | _Support | _Arc
 
 
 def _step_support(
@@ -621,29 +669,42 @@ def _step_support(
     return codes, np.bincount(inverse, weights=terms, minlength=len(codes))
 
 
-def _step_arc(lo: int, values: np.ndarray, a: int, shifts: Sequence[tuple], p: int) -> _Arc:
-    """One exact step of a k = 1 law held on an arc (lo, values), onto the
-    arc of its image: a is the least residue of A mod p, shifts the (least
-    residue, weight) pairs of chain._shifts in their order, and the image
-    arc, |a| (L - 1) + max c - min c + 1 states for an arc of L, must not
-    wrap.
+def _moved(arc: _Arc, steps: int, chain: ChainSpec) -> tuple[int, int]:
+    """The first state and the length of the arc that holds a stride
+    chain's arc (arc.lo, arc.values) moved steps times (arc.steps is not
+    read), each image taken as if Z_p did not wrap: |a| (L - 1) + max c -
+    min c + 1 states from an arc of L, c over the least residues of
+    chain._shifts.  The law moved holds no state twice while that length
+    is at most p; past p it wraps."""
+    a, p, lo, length = chain._stride, chain.p, arc.lo, len(arc.values)
+    low, high = min(cs := [_least_residue(c, p) for (c,), _ in chain._shifts]), max(cs)
+    for _ in range(steps):
+        span = abs(a) * (length - 1)
+        # the image of the arc's first state for a > 0, of its last for a < 0
+        lo, length = (a * lo + low - (span if a < 0 else 0)) % p, span + high - low + 1
+    return lo, length
 
-    Each translate y -> a y + c is moved by _lines, in positions from the
-    image arc's first state, and _write_translates adds them as
-    step_exact's do.  Off the arc step_exact only multiplies and adds
-    exact zeros, so the law is step_exact's, bit for bit.
+
+def _step_arc(arc: _Arc, chain: ChainSpec) -> _Arc:
+    """One exact step of a stride chain's law held on an arc (arc.lo,
+    arc.values; arc.steps is not read), onto the arc of its image
+    (_moved), which must not wrap.
+
+    Each translate y -> a y + c, (c, w) in chain._shifts, is moved by
+    _lines, in positions from the image arc's first state, and
+    _write_translates adds them as step_exact's do.  Off the arc
+    step_exact only multiplies and adds exact zeros, so the law is
+    step_exact's, bit for bit.
     """
-    low = min(c for c, _ in shifts)
-    span = abs(a) * (len(values) - 1)
-    out = np.zeros(span + max(c for c, _ in shifts) - low + 1)
-    # the image of the arc's first state for a > 0, of its last for a < 0
-    start = (a * lo + low - (span if a < 0 else 0)) % p
-    _write_translates(out, values, shifts, lambda c: _lines(a, (c - start,), p, lo, len(values)))
+    start, length = _moved(arc, 1, chain)
+    out = np.zeros(length)
+    lines = partial(_lines, chain._stride, p=chain.p, lo=arc.lo, length=len(arc.values))
+    _write_translates(out, arc.values, chain._shifts, lambda shift: lines((shift[0] - start,)))
     _check_law(out)
-    return start, out
+    return _Arc(start, out, 0)
 
 
-def _step_lines(p: int, lo: int, law: np.ndarray, a=1, shifts=_IDENTITY) -> StateDistribution:
+def _step_lines(p: int, lo: int, law: np.ndarray, a: int, shifts: Sequence) -> StateDistribution:
     """One exact k = 1 step of a law held on an arc (lo, law) into the
     dense law on Z_p: a is the least residue of A mod p and shifts the
     (shift, weight) pairs of chain._shifts, whose translates y -> a y + c
@@ -653,7 +714,8 @@ def _step_lines(p: int, lo: int, law: np.ndarray, a=1, shifts=_IDENTITY) -> Stat
     multiplies and adds exact zeros, so the law is the same bit for bit.
     step_exact's strided path is this step from the arc of all p states
     (lo = 0, L = p), _dense's of an arc the identity (a = 1, the one
-    shift 0 at weight 1), and _image_tv writes its law leaf by leaf."""
+    shift 0 at weight 1, _IDENTITY), and _image_tv writes its law leaf by
+    leaf."""
     out = np.zeros(p)
     _write_translates(out, law, shifts, partial(_lines, a, p=p, lo=lo, length=len(law)))
     return StateDistribution(p, 1, out.view(_Fresh))
@@ -667,33 +729,38 @@ def _sparse(chain: ChainSpec, n: int) -> Generator[tuple[int, _Law], None, tuple
     It steps only past a floor of 2**10 states: below it a dense step
     costs no more than a sparse step's fixed overhead.  s is |supp mu|
     folded mod p.  For a stride chain (chain._stride is a) P_i is held on
-    an arc, the point mass being an arc of one state, and stepped by
-    _step_arc, at O((|a| + s) L) for an arc of L, while i < n and the
-    image arc does not wrap.  With |a| > 1 (the fast regime) the arc grows
-    about |a|-fold a step, so the law fills Z_p only in the last few
-    steps, and all those before are paid on the arc.  The last arc, whose
-    image would wrap (or the point mass below the floor), is yielded too
-    while i < n, and the law returned after it is that arc's image under
-    one step, (lo, values, a, shifts), not yet made dense.  For every
-    other chain P_i is held as its support, and stepped by _step_support,
-    while i < n and 32 |supp P_i| s < p**k: past about p**k / 32 targets
-    a dense step costs less than a sort of them.
+    an arc (_Arc), the point mass being an arc of one state, and stepped
+    by _step_arc, at O((|a| + s) L) for an arc of L, while i < n and the
+    arc two steps on would not wrap (_moved).  With |a| > 1 (the fast
+    regime) the arc grows about |a|-fold a step, so the law fills Z_p
+    only in the last one or two steps, and all those before are paid on
+    the arc.  The last arc is yielded too while i < n, and the laws after
+    it are that arc under one step and, when that one would not wrap but
+    its image would and i + 1 < n, under two: the arc between, of up to p
+    states, is never made here.  Below the floor the point mass is the
+    last arc, under one step next.  For every other chain P_i is held as
+    its support, and stepped by _step_support, while i < n and
+    32 |supp P_i| s < p**k: past about p**k / 32 targets a dense step
+    costs less than a sort of them.
     """
     _check_steps(n)
     _check_cap(chain.n_states, "p**k")
     p, size, s = chain.p, chain.n_states, len(chain._shifts)
     i, floor = 0, 2**10 <= size
     held: _Law
-    if (a := chain._stride) is not None:
-        shifts = [(_least_residue(c, p), w) for (c,), w in chain._shifts]
-        spread = max(c for c, _ in shifts) - min(c for c, _ in shifts)
-        held = (chain.x0[0], np.ones(1))
+    if chain._stride is not None:
+        held = _Arc(chain.x0[0], np.ones(1), 0)
         while i < n:
             yield i, held
-            if not floor or abs(a) * (len(held[1]) - 1) + spread >= p:
-                return i + 1, (*held, a, chain._shifts)
-            held = _step_arc(*held, a, shifts, p)
             i += 1
+            # stepped while the arc two steps on, and so the one, would not
+            # wrap: while its length is at most p
+            if floor and _moved(held, 2, chain)[1] <= p:
+                held = _step_arc(held, chain)
+            elif held.steps or not floor or i == n or _moved(held, 1, chain)[1] > p:
+                return i, held._replace(steps=held.steps + 1)
+            else:
+                held = held._replace(steps=1)
         return i, held
     held = (np.array([encode_state(chain.x0, p)], dtype=np.int64), np.ones(1))
     rows = _mod_rows(chain.a, p)
@@ -706,27 +773,36 @@ def _sparse(chain: ChainSpec, n: int) -> Generator[tuple[int, _Law], None, tuple
 
 def _walk(chain: ChainSpec, n: int, lazy=False) -> Iterator[tuple[int, _Law]]:
     """Yield (i, P_i) for i = 0..n from the point mass at x0: first the
-    laws of the sparse phase (_sparse), on arcs for a stride chain and on
-    the support for any other.
+    laws of the sparse phase (_sparse), on arcs under steps for a stride
+    chain and on the support for any other.
 
-    The law the phase returns, P_n at the latest, an arc's image or a
-    support, is made dense once (_dense), and the laws after it are
-    step_exact's.  A walk yields it dense only when a step follows
-    (i < n), so as not to write an image twice; as P_n it is yielded as
-    it is held, for its reader to read tv where it is held (_law_tv) or
-    make it dense (_dense).  A lazy walk, read by a search that only sums
-    tv and drops each law before it resumes the walk, yields that law as
-    it is held and makes it dense only when resumed, so a search that
-    stops there makes no dense law.  Every law is step_exact's, bit for
+    The law the phase returns, P_n at the latest, an arc under one or two
+    steps or a support, is made dense once (_dense), and the laws after it
+    are step_exact's.  An arc under two steps first steps to the arc
+    between (_step_arc), which is then under one step, and the arc it was
+    moved from is freed before the law is made.  A walk yields that law
+    dense only when a step follows (i < n), so as not to write an image
+    twice; as P_n it is yielded as it is held, for its reader to read tv
+    where it is held (_law_tv) or make it dense (_dense).  A lazy walk,
+    read by a search that only sums tv and drops each law before it
+    resumes the walk, yields that law as it is held, under two steps too,
+    and makes it dense only when resumed, so a search that stops there
+    makes no dense law and no arc between.  Every reader drops each law
+    before it resumes the walk, and every law is step_exact's, bit for
     bit.
     """
     i, held = yield from _sparse(chain, n)
+    if lazy:
+        yield i, held
     # the sparse form is dropped once made dense, before the dense steps,
     # which it would outlive: an arc may hold up to p floats, a support up
-    # to p**k / 32 states
-    if not lazy and i < n:
-        held = _dense(held, chain)
-    yield i, held
+    # to p**k / 32 states; an arc under two steps is rebound to the arc
+    # between first, so the arc it was moved from is freed before that
+    if (i < n or not lazy) and isinstance(held, _Arc) and held.steps == 2:
+        held = _step_arc(held, chain)._replace(steps=1)
+    if not lazy:
+        held = _dense(held, chain) if i < n else held
+        yield i, held
     for i in range(i + 1, n + 1):
         # rebound first, so a sparse form is freed before the step
         held = _dense(held, chain)
@@ -736,13 +812,15 @@ def _walk(chain: ChainSpec, n: int, lazy=False) -> Iterator[tuple[int, _Law]]:
 
 def _dense(law: _Law, chain: ChainSpec) -> StateDistribution:
     """law as a StateDistribution: a support law scattered into zeros, an
-    image made by _step_lines, and an arc as its image under the identity
-    step, the one or two slices it covers mod p (multiplying by 1.0
-    changes no bit)."""
+    arc under one step made by _step_lines, and an arc as its image under
+    the identity step, the one or two slices it covers mod p (multiplying
+    by 1.0 changes no bit).  An arc under two steps reaches it only after
+    _walk has stepped it to the arc between."""
     if isinstance(law, StateDistribution):
         return law
-    if isinstance(law[0], int):
-        return _step_lines(chain.p, *law)
+    if isinstance(law, _Arc):
+        a, shifts = (chain._stride, chain._shifts) if law.steps else (1, _IDENTITY)
+        return _step_lines(chain.p, law.lo, law.values, a, shifts)
     dense = np.zeros(chain.n_states)
     dense[law[0]] = law[1]
     return StateDistribution(chain.p, chain.k, dense.view(_Fresh))
@@ -752,9 +830,10 @@ def evolve(chain: ChainSpec, n: int) -> StateDistribution:
     """The law P_n of X_n, by n exact steps from the point mass at x0.
 
     A stride chain takes _walk's steps, whose strided dense steps need no
-    table, and makes the last law dense (_dense).  Any other takes _walk's
-    sparse phase (_sparse) on its support, and a phase that reaches n ends
-    in _dense.  From the first P_i it does not step on, evolve runs in the
+    table, dropping each law before the next is made, and makes the last
+    law dense (_dense).  Any other takes _walk's sparse phase (_sparse) on
+    its support, and a phase that reaches n ends in _dense.  From the
+    first P_i it does not step on, evolve runs in the
     reversed frame V_j = A**(n-j) X_j, where step j -> j + 1 adds the
     translates of the law by A**(n-j-1) h mod p for (h, w) in
     chain._shifts order.  Their schedule is built once, in Python ints:
@@ -771,7 +850,10 @@ def evolve(chain: ChainSpec, n: int) -> StateDistribution:
     _check_work(chain, n)
     p, k = chain.p, chain.k
     if chain._stride is not None:
-        return _dense(deque(_walk(chain, n), maxlen=1)[0][1], chain)
+        for i, law in _walk(chain, n):
+            if i < n:
+                del law  # before the walk makes the next law, which it would outlive
+        return _dense(law, chain)
     phase = _sparse(chain, n)
     try:
         while True:
@@ -805,17 +887,18 @@ def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int
 
     The paper's necessary-steps argument is a count, kept here: P_n lives
     on at most b_n states, b_0 = 1 and b_n = min(b_{n-1} s, the states the
-    walk holds P_n on), s = |supp mu| folded mod p: an arc's or a
-    support's values, all N = p**k for an image or a dense law.  So
-    tv(P_n) >= 1 - b_n / N, and while that bound certifies tv > eps no tv
-    is computed.  The lazy walk (_walk) holds the law sparse on its own
-    terms: for a stride chain on the arc that holds it, the law after the
-    last arc as that arc's image under one step, so in the fast regime the
-    first law not on an arc is about the mixed one; for any other on its
+    walk holds P_n on), s = |supp mu| folded mod p: a support's values,
+    the arc an arc under steps would be moved onto (_moved), that is an
+    arc's values or the arc of an image that does not wrap, and all
+    N = p**k for one that wraps or a dense law.  So tv(P_n) >= 1 - b_n / N,
+    and while that bound certifies tv > eps no tv is computed.  The lazy
+    walk (_walk) holds the law sparse on its own terms: for a stride chain
+    on an arc under at most two steps, so in the fast regime the first
+    law held on all N is about the mixed one; for any other on its
     support.  A law the count does not certify has its tv summed where
-    the walk holds it: an arc or an image leaf by leaf (_image_tv), a
+    the walk holds it: an arc under steps leaf by leaf (_image_tv), a
     support on the support, and none made dense, so a search that ends
-    there makes no dense law.
+    there makes no dense law and no arc between two steps.
 
     The certificate is (1 - eps) N > b_n + 1 + D, with
     D = N 2**-50 (n_cap r + log2 N + 8) and r = |supp mu|: one state of
@@ -836,7 +919,7 @@ def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int
       a support can stop growing, so b_n may stay below N for any n.
     - tv_distance subtracts a rounded 1 / N and sums by pairs: it is off
       by at most (log2 N + 24) u.  _pairwise sums leaf by leaf in numpy's
-      own pairwise order, and the tv of an arc, an image or a support
+      own pairwise order, and the tv of an arc under steps or a support
       gives the floats of the law made dense, so the bound holds for each
       as for one sum over a dense difference array.
     - The float test itself is off by at most 5 u in tv.
@@ -853,12 +936,16 @@ def _mixing_time_dense(chain: ChainSpec, eps: float, n_cap: int) -> Optional[int
     # b_{n-1} s, 1 before P_0, the point mass on one state
     bound = 1
     for n, law in _walk(chain, n_cap, lazy=True):
-        # an arc or a support is held on its values, an image or a dense law on all N
-        states = size if isinstance(law, StateDistribution) or len(law) == 4 else len(law[1])
+        # a support is held on its values, an arc under steps on the arc
+        # it would be moved onto, and a dense law on all N
+        if isinstance(law, _Arc):
+            states = min(size, _moved(law, law.steps, chain)[1])
+        else:
+            states = size if isinstance(law, StateDistribution) else len(law[1])
         bound = min(bound, states)
-        # an uncertified law is read as it is held: dense, or an arc, an
-        # image or a support, none made dense
-        if bound >= room and _law_tv(law, size) <= eps:
+        # an uncertified law is read as it is held: dense, or an arc under
+        # steps or a support, none made dense
+        if bound >= room and _law_tv(law, chain) <= eps:
             return n
         bound *= s
         # dropped before _walk makes the next law, which it would outlive
@@ -905,10 +992,10 @@ def mixing_time(
     counting bound tv(P_n) >= 1 - |supp P_n| / p**k rules out mixing, with
     one state of margin past the float error, the prefix computes no tv.
     Its early steps run on the arc that holds P_n for a stride chain
-    (ChainSpec._stride), at O(arc) each, the law after the last of them
-    read as that arc's image until a step on needs it dense, and on the
-    support of P_n for any other, at O(|supp| |supp mu|) each (see
-    _mixing_time_dense).  A Fourier value
+    (ChainSpec._stride), at O(arc) each, the laws after the last of them
+    read as that arc under one and two steps until a step on needs them
+    dense, and on the support of P_n for any other, at
+    O(|supp| |supp mu|) each (see _mixing_time_dense).  A Fourier value
     within the round-off margin of eps, or a crossing that
     does not recompute, hands the whole search to dense stepping, so the
     answer is always the one incremental dense stepping gives.  That

@@ -448,9 +448,9 @@ def bounds_table(
     """Evolve the chain beside the frequency products, one row per n.
 
     The laws are _walk's, each row's tv read where the law is held
-    (_law_tv): a support or arc row of the sparse phase, or a last row
-    held as the last arc's image, is never made dense, and its tv is the
-    dense law's, bit for bit.
+    (_law_tv): a support row or a row held on an arc under steps, the
+    last row's too, is never made dense, and its tv is the dense law's,
+    bit for bit.
 
     product_scan gives upper, lower_best and its witness up to the first
     row whose best nonzero product is at most FREEZE_THRESHOLD.  From that
@@ -485,8 +485,10 @@ def bounds_table(
             state = _join(state, one)
         if state is not None:
             lower, witness = _best_witness(state[0], chain.p, chain.k)
-        tv = _law_tv(law, chain.n_states)
+        tv = _law_tv(law, chain)
         rows.append(BoundsReport(n, tv, upper, lower, witness, certificate))
+        # dropped before _walk makes the next law, which it would outlive
+        del law
     return rows
 
 

@@ -525,6 +525,35 @@ def test_spectral_identities_argument_range():
         verify_spectral_identities(a, 1, -1)
 
 
+def test_spectral_identities_compute_the_minimal_polynomial_once(monkeypatch):
+    # verify_spectral_identities takes d from the minimal polynomial it
+    # hands the checker, so each call computes it once; the range is still
+    # refused first, before a bad order (OrderMismatch) and before a root
+    # past float range (OutOfRange)
+    from affine_mixer import verify_spectral_identities
+
+    calls = []
+
+    def counted(a, _original=algebra.minimal_poly):
+        calls.append(a)
+        return _original(a)
+
+    monkeypatch.setattr(algebra, "minimal_poly", counted)
+    a = IntMatrix.from_rows([[2, 1, 0], [0, 3, 0], [1, 0, -1]])
+    for e, j in [(1, 0), (2, 5), (3, 10)]:
+        calls.clear()
+        assert verify_spectral_identities(a, e, j)[0]
+        assert len(calls) == 1, (e, j)
+    with pytest.raises(ValueError, match="e must satisfy"):
+        verify_spectral_identities(a, 4, 0, eigenvalue_order=(0, 0, 1))
+    with pytest.raises(ValueError, match="e must satisfy"):
+        verify_spectral_identities(FLOAT_RANGE_MATRICES[0], 3, 0)
+    with pytest.raises(OutOfRange):
+        verify_spectral_identities(FLOAT_RANGE_MATRICES[0], 1, 0)
+    with pytest.raises(OrderMismatch):
+        verify_spectral_identities(a, 1, 0, eigenvalue_order=(0, 0, 1))
+
+
 def test_eigenvalue_residual_guard():
     lams = eigenvalues(IntPolynomial((-2, 0, 1)))
     f = IntPolynomial((-2, 0, 1))
@@ -704,6 +733,8 @@ def test_identities_report_computes_spectral_data_once(tmp_path, monkeypatch):
             return original(a)
 
         monkeypatch.setattr(algebra, name, counted)
+    # the report computes the minimal polynomial and hands it to the checker
+    monkeypatch.setattr(cli, "minimal_poly", algebra.minimal_poly)
     path = tmp_path / "cfg.json"
     path.write_text('{"matrix": [[2, 1, 0], [0, 3, 0], [1, 0, -1]]}')
     argv = ["verify-identities", "--config", str(path), "--out", str(tmp_path / "out")]

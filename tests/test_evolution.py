@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -334,18 +335,18 @@ def test_half_abs_sum_is_numpys_pairwise_sum_bitwise():
 
 @pytest.mark.parametrize("p", [7, 1031, 2**15 + 1, 2**16 + 13, 1_000_003])
 def test_arc_tv_is_the_tv_of_the_arc_made_dense_bitwise(p):
-    # an arc's tv, read leaf by leaf as its image under the identity step,
-    # is tv_distance of the arc made dense, bit for bit: arcs of one state,
-    # of all p (from 0 and from inside), wrapping past 0, ending at p - 1,
-    # and inside Z_p
+    # an arc's tv (an arc under 0 steps), read leaf by leaf as its image
+    # under the identity step, is tv_distance of the arc made dense, bit
+    # for bit: arcs of one state, of all p (from 0 and from inside),
+    # wrapping past 0, ending at p - 1, and inside Z_p
     chain = ChainSpec(IntMatrix.from_rows([[2]]), fair_two_point(1), p)
     rng = np.random.default_rng(p)
     arcs = [(0, 1), (p - 1, 1), (0, p), (p // 3, p), (p - 5, p // 2 + 3), (p // 2, p - p // 2)]
     arcs += [(p // 5, p // 3), (p - 1, 2)]
     for lo, length in arcs:
-        values = spread_law(rng, length)
-        dense = evolution._dense((lo, values), chain)
-        assert evolution._law_tv((lo, values), p) == tv_distance(dense), (lo, length)
+        arc = evolution._Arc(lo, spread_law(rng, length), 0)
+        dense = evolution._dense(arc, chain)
+        assert evolution._law_tv(arc, chain) == tv_distance(dense), (lo, length)
 
 
 @pytest.mark.parametrize("size", [7, 2**15, 2**15 + 1, 2**16 + 13, 497_025])
@@ -1118,7 +1119,9 @@ def test_property_k1_step_matches_roll_step_bitwise(chain, seed, n, dense):
 @pytest.mark.parametrize("a, strided", [(2, True), (-8, True), (8, True), (9, False), (-9, False)])
 def test_k1_chain_within_the_cutoff_builds_no_table(a, strided):
     # evolve's last steps at p = 2003 are dense ones: one at a = 2, whose
-    # arc of P_10 steps straight into the dense law of P_11, seven at
+    # arc of P_9 steps to the arc of P_10 (P_10 is held as the arc of P_9
+    # under one step, P_11 under two), which steps straight into the
+    # dense law of P_11, seven at
     # a = +-8, whose arc of P_4 steps into P_5, and seven at a = +-9, past
     # the cutoff, in the reversed frame from the support of P_5; none
     # builds a table, and a dense step_exact builds it only past the cutoff
@@ -1183,7 +1186,8 @@ def test_stride_is_decided_by_k_and_the_least_residue(rows, stride):
 )
 def test_property_arc_phase_matches_dense_laws_bitwise(chain, n, eps):
     # a k = 1 law is stepped on an arc from the point mass at x0 on, and
-    # the arc may straddle 0, until the image wraps or i = n: for a few
+    # the arc may straddle 0, until the arc two steps on would wrap or
+    # i = n, then held on that arc under one and two steps: for a few
     # steps at |a| >= 2 (one or two with a support as wide as {0, p / 2},
     # whose arc may hold all p states when made dense), and up to the
     # whole circle at |a| = 1 (1021 lies just below the floor 2**10, so
@@ -1213,11 +1217,11 @@ def test_property_arc_phase_matches_dense_laws_bitwise(chain, n, eps):
 def test_arc_phase_leaves_a_fast_chain_no_dense_step(monkeypatch):
     # A = 2 with fair {0, 1} at p = 999,983: P_n lies on an arc of 2**n
     # states, and the count certifies tv > 0.25 up to n = 19
-    # (2**19 + 1 < 0.75 p); the arc of P_19 cannot step without wrapping,
-    # so it steps straight into the dense law of P_20, the mixed one, and
-    # the search makes no step_exact (one, when the law of P_19 was the
-    # first made dense; six, had the law gone dense once 64 |supp P_n|
-    # passed p, at n = 14)
+    # (2**19 + 1 < 0.75 p); the arc of P_19 would step to an arc whose
+    # image wraps, so P_19 and P_20, the mixed law, are held as the arc of
+    # P_18 under one and two steps, and the search makes no step_exact
+    # (one, when the law of P_19 was the first made dense; six, had the
+    # law gone dense once 64 |supp P_n| passed p, at n = 14)
     chain = ChainSpec(IntMatrix.from_rows([[2]]), fair_two_point(1), 999_983)
     calls = 0
 
@@ -1288,9 +1292,12 @@ def test_step_exact_and_its_table_stay_within_their_memory(
 
 def test_every_arc_law_is_checked(monkeypatch):
     # A = 2 with fair {0, 1} at p = 100,003: the arcs double from the
-    # point mass, which is checked by no step, up to P_16, whose image
-    # would wrap, and P_16 is made dense; each stepped arc and the dense
-    # law go through the one check StateDistribution runs
+    # point mass, which is checked by no step, up to P_15, whose arc two
+    # steps on would wrap, so P_16 and P_17 are held as the arc of P_15
+    # under one and two steps.  P_16 is made dense from the arc of P_15;
+    # P_17 from the arc of P_16, the arc between, made only then; each
+    # made arc and the dense law go through the one check
+    # StateDistribution runs, once
     chain = ChainSpec(IntMatrix.from_rows([[2]]), fair_two_point(1), 100_003)
     checked = []
 
@@ -1299,26 +1306,31 @@ def test_every_arc_law_is_checked(monkeypatch):
         _original(arr)
 
     monkeypatch.setattr(evolution, "_check_law", recorded)
-    evolve(chain, 16)
-    assert checked == [2**i for i in range(1, 17)] + [100_003]
+    for n in (16, 17):
+        checked.clear()
+        evolve(chain, n)
+        assert checked == [2**i for i in range(1, n)] + [100_003], n
 
 
 @pytest.mark.parametrize("a", [1, -1])
 def test_arc_phase_runs_up_to_the_whole_circle(a):
-    # with |a| = 1 and fair {0, 1} the arc grows one state a step, so it
-    # reaches exactly p states before its image would wrap: _walk yields
-    # the arcs of 1 to p states, and the last, whose image would wrap,
-    # steps straight into the first dense law (_step_lines); a lazy walk
-    # yields that law as the image (lo, values, a, shifts), which is not an
-    # arc, and makes it dense once resumed; every law is still
-    # step_exact's, bit for bit
+    # with |a| = 1 and fair {0, 1} the arc grows one state a step, so the
+    # arcs of 1 to p - 1 states are made, and the last of them under one
+    # step holds all p states without wrapping: _walk yields P_{p-1} as
+    # that arc under one step, and P_p, the arc under two steps, whose
+    # image wraps, steps to the arc between (of p states), which steps
+    # straight into the first dense law (_step_lines); a lazy walk yields
+    # P_p too as the arc under two steps, and makes it dense once resumed;
+    # every law is still step_exact's, bit for bit
     p = 1031
     chain = ChainSpec(IntMatrix.from_rows([[a]]), fair_two_point(1), p, x0=(500,))
-    lengths = [len(law[1]) for _, law in evolution._walk(chain, 1100) if isinstance(law, tuple)]
-    assert lengths == list(range(1, p + 1))
-    lazy = [getattr(law, "values", law) for _, law in evolution._walk(chain, 1100, lazy=True)]
-    assert [len(law) for law in lazy[: p + 2]] == [2] * p + [4, p]
-    assert lazy[p][:3] == (lazy[p - 1][0], lazy[p - 1][1], a)
+    held = [law for _, law in evolution._walk(chain, 1100) if isinstance(law, evolution._Arc)]
+    forms = [(steps, len(values)) for _, values, steps in held]
+    assert forms == [(0, length) for length in range(1, p)] + [(1, p - 1)]
+    lazy = [law for _, law in evolution._walk(chain, 1100, lazy=True)]
+    forms = [law.steps if isinstance(law, evolution._Arc) else len(law.values) for law in lazy]
+    assert forms[: p + 2] == [0] * (p - 1) + [1, 2, p]
+    assert lazy[p - 1][:2] == lazy[p][:2] == lazy[p - 2][:2]
     laws = zip(evolve_iter(chain, 1100), dense_laws(chain, 1100), strict=True)
     for (i, dist), (_, dense) in laws:
         assert np.array_equal(dist.values, dense.values), i
@@ -1349,6 +1361,11 @@ def sparse_chains(draw):
     return ChainSpec(IntMatrix.from_rows(rows), mu, p, x0=x0)
 
 
+# fair {0, 1, 2}: with A = 2 the arc of P_n has 2**(n + 1) - 1 states,
+# fewer than the 3**n of b_{n-1} s
+THREE_POINT = IncrementDistribution.fair([(0,), (1,), (2,)])
+
+
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     chain=sparse_chains(),
@@ -1359,6 +1376,7 @@ def sparse_chains(draw):
 @example(chain=fair_chain([[-1]], 1031, x0=(500,)), eps=0.2, n_cap=1100)
 @example(chain=fair_chain([[2]], 2003), eps=0.25, n_cap=60)
 @example(chain=fair_chain([[2, 1], [1, 1]], 37), eps=0.99, n_cap=60)
+@example(chain=ChainSpec(IntMatrix.from_rows([[2]]), THREE_POINT, 2003), eps=0.25, n_cap=60)
 def test_property_the_search_skips_only_laws_the_count_rules_out(chain, eps, n_cap):
     # the search keeps the paper's count b_n >= |supp P_n| itself, from
     # the forms the walk holds each law in, and reads no tv the count
@@ -1366,8 +1384,18 @@ def test_property_the_search_skips_only_laws_the_count_rules_out(chain, eps, n_c
     # tv(P_n) > eps, and its answer is the dense search's.  At A = +-1
     # with eps 0.2 the count stops certifying at an arc of about 823 of
     # the 1031 states, past 3/4 of the circle, and the search reads the tv
-    # of each later arc, up to the last, whose image would wrap; at A = 2,
-    # p = 2003 the image of the last arc, held on all p states, decides
+    # of each later arc, up to the last arc under two steps; at A = 2,
+    # p = 2003 the last arc under two steps, held on all p states, decides
+    seen, read = search_reads(chain, eps, n_cap)
+    skipped = set(seen) - set(read)
+    for n, dist in dense_laws(chain, max(skipped, default=-1)):
+        if n in skipped:
+            assert tv_distance(dist) > eps, n
+
+
+def search_reads(chain, eps, n_cap):
+    """The n the search walks past and the n whose tv it reads, in order;
+    its answer is the dense search's."""
     seen, read = [], []
     walk, law_tv = evolution._walk, evolution._law_tv
 
@@ -1386,10 +1414,21 @@ def test_property_the_search_skips_only_laws_the_count_rules_out(chain, eps, n_c
         found = _mixing_time_dense(chain, eps, n_cap)
     assert found == dense_mixing_time(chain, eps, n_cap)
     assert len(set(read)) == len(read) and set(read) <= set(seen)
-    skipped = set(seen) - set(read)
-    for n, dist in dense_laws(chain, max(skipped, default=-1)):
-        if n in skipped:
-            assert tv_distance(dist) > eps, n
+    return seen, read
+
+
+@pytest.mark.parametrize("eps, reads", [(0.25, [10, 11]), (0.5, [9, 10])])
+def test_a_one_step_image_counts_the_arc_it_would_make(eps, reads):
+    # A = 2 with fair {0, 1, 2} at p = 2003: P_9 is the arc of P_8 (511
+    # states) under one step, which does not wrap, and the count takes the
+    # 1023 states of its arc, as it did when that arc was made, not N; so
+    # with eps 0.25 ((1 - eps) p = 1502) the search skips P_9 and reads
+    # P_10 (under two steps) and P_11, and with eps 0.5 it reads P_9 and
+    # P_10: the tvs it read when P_9 was made as an arc
+    chain = ChainSpec(IntMatrix.from_rows([[2]]), THREE_POINT, 2003)
+    forms = [law.steps for n, law in evolution._walk(chain, 10, lazy=True) if n >= 8]
+    assert forms == [0, 1, 2]
+    assert search_reads(chain, eps, 60)[1] == reads
 
 
 @pytest.mark.parametrize(
@@ -1457,8 +1496,8 @@ def test_property_mixing_time_matches_dense_search_near_one(chain, eps, above):
 def test_mixing_time_skips_dense_work_the_counting_bound_decides(monkeypatch):
     # A = 2 with fair {0, 1}: P_n has at most 2**n states, so tv > 0.25 is
     # certain while 2**n + 1 < 0.75 p, up to n = 16 at p = 100,003; P_17,
-    # the mixed law, is the image of the arc of P_16, whose tv is read leaf
-    # by leaf, so the arc phase and the certificate leave no dense law
+    # the mixed law, is the arc of P_15 under two steps, whose tv is read
+    # leaf by leaf, so the arc phase and the certificate leave no dense law
     # (_step_lines makes every law of a stride chain) and 1 tv sum
     # (_law_tv, through which the search reads every tv) of the 17 and 18
     # a plain search makes (1 and 2 with a margin of b_n / N, which
@@ -1521,12 +1560,13 @@ def test_mixing_time_matches_dense_search_at_the_counting_bound(
 def test_sweep_fast_moduli_make_no_dense_law_and_one_tv_sum_each(monkeypatch):
     # A = 2 with fair {0, 1} and eps 0.25 at the moduli of perfbench's
     # sweep-fast (default seed): at each the first law the count does not
-    # certify is the mixed one, either the image of the last arc the count
-    # certifies or an arc (at p = 9997 and 299,713), and its tv is summed
-    # leaf by leaf, so no law is made dense (_dense, which a step on would
-    # call, and _step_lines, which makes every law of a stride chain): 6 tv
-    # sums and no law in all, where the image made dense made 4 laws, the
-    # arc made dense too 6, and a margin of b_n / N 12 laws and 12 sums
+    # certify is the mixed one, the last arc under two steps or, at
+    # p = 9997 and 299,713, under one, and its tv is summed leaf by leaf,
+    # so no arc between is made and no law made dense (_dense, which a
+    # step on would call, and _step_lines, which makes every law of a
+    # stride chain): 6 tv sums and no law in all, where the image made
+    # dense made 4 laws, the arc made dense too 6, and a margin of b_n / N
+    # 12 laws and 12 sums
     moduli = [9997, 30003, 100_053, 299_713, 999_783, 3_000_959]
     calls = {"_law_tv": 0, "step_exact": 0, "_dense": 0, "_step_lines": 0, "laws": 0}
 
@@ -1555,20 +1595,23 @@ def test_sweep_fast_moduli_make_no_dense_law_and_one_tv_sum_each(monkeypatch):
     "a, support, p, n, x0, ratio",
     [
         # the search: at 3,000,959, 999,983 and 999,783 the mixed law is
-        # the image of the arc of P_21 or P_19, read leaf by leaf and never
-        # made, so the last arc step (old arc beside new) sets the peak,
-        # about 1.06 and 0.82 laws (1.71 and 1.56 with the law made from
-        # the arc); the arc of P_18 at 299,713 has its tv read on the arc
-        # (1.42); a tv sum adds only scratch blocks, where a difference
-        # array made each 2.00
-        (2, [(0,), (1,)], 3_000_959, None, 0, 1.15),
-        (2, [(0,), (1,)], 999_983, None, 0, 0.9),
-        (2, [(0,), (1,)], 999_783, None, 0, 0.9),
+        # the arc of P_20 or P_18 under two steps, read leaf by leaf with
+        # neither it nor the arc between made, so the last arc step (old
+        # arc beside new) sets the peak, about 0.535 and 0.43 laws (1.06
+        # and 0.82 with the arc between made, 1.71 and 1.56 with the law
+        # made too); at 299,713 the arc of P_17 under one step is read
+        # (0.77; 1.42 with its arc made); a tv sum adds only scratch
+        # blocks, where a difference array made each 2.00
+        (2, [(0,), (1,)], 3_000_959, None, 0, 0.6),
+        (2, [(0,), (1,)], 999_983, None, 0, 0.5),
+        (2, [(0,), (1,)], 999_783, None, 0, 0.5),
         (2, [(0,), (1,)], 299_713, None, 0, 1.75),
         # A = 3 steps dense from P_13 on: a step's input, output and scratch
         (3, [(0,), (1,)], 999_983, None, 0, 2.05),
-        # evolve: up to the step from the arc (n = 20), past it, with A = 3,
-        # and with A = -2 and a three-point support from x0 = 12,345
+        # evolve: up to the law made from the arc between (n = 20), past
+        # it, with A = 3 (the arc of P_12 freed before P_14 is made from the
+        # arc of P_13), and with A = -2 and a three-point support from
+        # x0 = 12,345
         (2, [(0,), (1,)], 999_983, 20, 0, 2.05),
         (2, [(0,), (1,)], 999_983, 25, 0, 2.05),
         (3, [(0,), (1,)], 999_983, 15, 0, 2.05),
@@ -1584,7 +1627,8 @@ def test_k1_search_and_evolve_stay_within_their_memory(a, support, p, n, x0, rat
     # drops each law before the walk makes the next, so a law never has
     # the one before it beside it, and sums tv through scratch blocks;
     # evolve holds the arc it steps from, the new law and the scratch
-    # block, no more than when the last arc was made dense first
+    # block, no more than when the last arc was made dense first, and
+    # never the arc an arc between was made from
     chain = ChainSpec(IntMatrix.from_rows([[a]]), IncrementDistribution.fair(support), p, x0=(x0,))
     tracemalloc.start()
     try:
@@ -1624,7 +1668,7 @@ def test_property_arc_hand_off_matches_roll_step_bitwise(chain, data):
     dense = np.zeros(p)
     dense[(lo + np.arange(length)) % p] = values
     start = StateDistribution(p, 1, dense)
-    assert np.array_equal(evolution._dense((lo, values), chain).values, start.values)
+    assert np.array_equal(evolution._dense(evolution._Arc(lo, values, 0), chain).values, start.values)
     stepped = evolution._step_lines(p, lo, values, a, chain._shifts)
     assert np.array_equal(stepped.values, roll_step(start, chain).values)
     assert not np.signbit(stepped.values).any()
@@ -1634,29 +1678,24 @@ def test_property_arc_hand_off_matches_roll_step_bitwise(chain, data):
 IMAGE_MODULI = [1031, 32_749, 32_771, 65_521, 65_537]
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    a=st.integers(1, LINE_CUTOFF).flatmap(lambda m: st.sampled_from([m, -m])),
-    p=st.sampled_from(IMAGE_MODULI),
-    data=st.data(),
-)
-def test_property_image_tv_matches_the_law_made_bitwise(a, p, data):
-    # the image of an arc under one step, read leaf by leaf, has the tv of
-    # the law _step_lines makes from it, bit for bit: for a within
-    # LINE_CUTOFF of 0 either side, three-point supports whose translates
-    # overlap (spread at most 4, so some states gather two or three terms),
-    # arcs of any start (x0 anywhere, near p too) and any length up to all
-    # of Z_p.  An arc whose image fails _check_law (an entry below NEG_TOL,
-    # -inf among them, a sum off 1, a NaN) raises the same ValueError read
-    # or made dense
+def overlapping_chain(data, a, p):
+    """The chain of A = a at p with a three-point support whose translates
+    overlap (spread at most 4, so some states gather two or three terms)."""
     base = data.draw(st.integers(-4, 4))
     gaps = data.draw(st.lists(st.integers(1, 2), min_size=2, max_size=2))
     support = [(base,), (base + gaps[0],), (base + sum(gaps),)]
     weights = data.draw(st.lists(st.integers(1, 5), min_size=3, max_size=3))
     mu = IncrementDistribution(1, tuple(support), tuple(w / sum(weights) for w in weights))
-    chain = ChainSpec(IntMatrix.from_rows([[a]]), mu, p)
+    return ChainSpec(IntMatrix.from_rows([[a]]), mu, p)
+
+
+def flawed_arc(data, p, top):
+    """An arc of any start (near p too) and of 1 to top states, or near
+    top, holding a random law with zeros in it, and the flaw planted in
+    it: none, an entry of -1e-12, whose images may stay above NEG_TOL or go
+    below it, -inf, a sum off 1, or a NaN."""
     lo = data.draw(st.one_of(st.integers(0, p - 1), st.integers(p - 8, p - 1)))
-    length = data.draw(st.one_of(st.integers(1, p), st.integers(p // (2 * abs(a)), p)))
+    length = data.draw(st.one_of(st.integers(1, top), st.integers(max(1, top // 2), top)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     values = rng.random(length)
     values[rng.random(length) < 0.3] = 0.0
@@ -1665,25 +1704,76 @@ def test_property_image_tv_matches_the_law_made_bitwise(a, p, data):
     flaw = data.draw(st.sampled_from(["none", "small", "-inf", "sum", "nan"]))
     at = data.draw(st.integers(0, length - 1))
     if flaw == "small":
-        values[at] = -1e-12  # its image may stay above NEG_TOL, or go below it
+        values[at] = -1e-12
     elif flaw == "-inf":
         values[at] = -np.inf
     elif flaw == "sum":
         values *= 1.001
     elif flaw == "nan":
         values[at] = np.nan
+    return lo, values, flaw
 
-    def outcome(read):
-        try:
-            return read((lo, values, a, chain._shifts))
-        except ValueError as err:
-            return str(err)
 
-    # _dense makes the image by _step_lines
-    made = outcome(lambda image: tv_distance(evolution._dense(image, chain)))
-    assert outcome(lambda image: evolution._law_tv(image, p)) == made
+def outcome(read):
+    """read(), or the reason of the ValueError it raises, with the sum a
+    message names rounded to 9 digits: a sum taken in another order may
+    differ in its last bits."""
+    try:
+        return read()
+    except ValueError as err:
+        return re.sub(r"sum to (\S+),", lambda m: f"sum to {float(m[1]):.9g},", str(err))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    a=st.integers(1, LINE_CUTOFF).flatmap(lambda m: st.sampled_from([m, -m])),
+    p=st.sampled_from(IMAGE_MODULI),
+    data=st.data(),
+)
+def test_property_image_tv_matches_the_law_made_bitwise(a, p, data):
+    # an arc under one step, read leaf by leaf, has the tv of the law
+    # _step_lines makes from it, bit for bit: for a within LINE_CUTOFF of
+    # 0 either side, three-point supports whose translates overlap, arcs
+    # of any start and any length up to all of Z_p.  An arc whose image
+    # fails _check_law (an entry below NEG_TOL, -inf among them, a sum off
+    # 1, a NaN) raises the same ValueError read or made dense
+    chain = overlapping_chain(data, a, p)
+    lo, values, flaw = flawed_arc(data, p, p)
+    image = evolution._Arc(lo, values, 1)
+    # _dense makes it by _step_lines
+    made = outcome(lambda: tv_distance(evolution._dense(image, chain)))
+    assert outcome(lambda: evolution._law_tv(image, chain)) == made
     if flaw != "small":
         assert isinstance(made, str) == (flaw != "none")
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    a=st.integers(1, LINE_CUTOFF).flatmap(lambda m: st.sampled_from([m, -m])),
+    p=st.sampled_from(IMAGE_MODULI),
+    data=st.data(),
+)
+def test_property_two_step_image_tv_matches_the_law_made_bitwise(a, p, data):
+    # an arc under two steps, read leaf by leaf from the runs of the arc
+    # between that each leaf reads, has the tv of the law _step_lines
+    # makes from the arc _step_arc makes, bit for bit: for a within
+    # LINE_CUTOFF of 0 either side, three-point supports whose translates
+    # overlap, and arcs of any start whose next arc does not wrap, its own
+    # image wrapping or not.  A flaw raises a ValueError for the same
+    # reason read or made: the arc between's first, its min (-inf among
+    # them) or its sum (a NaN, or off 1), then the law's
+    chain = overlapping_chain(data, a, p)
+    spread = max(c for (c,) in chain.mu.support) - min(c for (c,) in chain.mu.support)
+    lo, values, flaw = flawed_arc(data, p, (p - spread - 1) // abs(a) + 1)
+
+    def made():
+        start, between, _ = evolution._step_arc(evolution._Arc(lo, values, 0), chain)
+        return tv_distance(evolution._step_lines(p, start, between, a, chain._shifts))
+
+    read = outcome(lambda: evolution._law_tv(evolution._Arc(lo, values, 2), chain))
+    assert read == outcome(made)
+    if flaw != "small":
+        assert isinstance(read, str) == (flaw != "none")
 
 
 @pytest.mark.parametrize("a, p, x0", [(2, 100_003, 0), (-3, 100_003, 77_777), (1, 1031, 5)])
@@ -1691,9 +1781,10 @@ def test_stride_chains_make_each_law_once(monkeypatch, a, p, x0):
     # evolve_iter, evolve and bounds_table on a stride chain make each
     # dense law once: none is made twice (once for the walk and again for
     # its reader) and no arc is made dense but by evolve_iter, whose laws
-    # are those made; the image of the last arc is made dense only when a
-    # step follows it or evolve returns it, and bounds_table reads a last
-    # row's tv on the image
+    # are those made; the last arc under one step (P_one) or two (P_two) is
+    # made dense only when a step follows it or evolve returns it, never
+    # P_one when P_two follows, and bounds_table reads a last row's tv on
+    # the arc under steps
     made = []
 
     class CountedLaw(StateDistribution):
@@ -1704,13 +1795,16 @@ def test_stride_chains_make_each_law_once(monkeypatch, a, p, x0):
     monkeypatch.setattr(evolution, "StateDistribution", CountedLaw)
     chain = ChainSpec(IntMatrix.from_rows([[a]]), fair_two_point(1), p, x0=(x0,))
     walk = evolution._walk(chain, 2 * p, lazy=True)
-    image = next(i for i, law in walk if isinstance(law, tuple) and len(law) == 4)
+    held = (i for i, law in walk if isinstance(law, evolution._Arc) and law.steps)
+    one, two = next(held), next(held)
     walk.close()
-    n = image + 3
+    assert two == one + 1
+    n = two + 3
     made.clear()
     laws = [dist for _, dist in evolve_iter(chain, n)]
     assert len(made) == n + 1 and all(x is y for x, y in zip(made, laws, strict=True))
-    runs = [(evolve, n, 4), (bounds_table, n, 4), (bounds_table, image, 0), (evolve, image, 1)]
+    runs = [(evolve, n, 4), (bounds_table, n, 4)]
+    runs += [(run, steps, count) for steps in (one, two) for run, count in ((bounds_table, 0), (evolve, 1))]
     for run, steps, count in runs:
         made.clear()
         run(chain, steps)

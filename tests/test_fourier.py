@@ -631,8 +631,9 @@ def test_bounds_table_builds_its_factor_table_once(monkeypatch):
 @pytest.mark.parametrize(
     "rows, p, n_max, handoffs",
     [
-        # A = 2: the arcs of P_0..P_10, the last stepping straight into the
-        # dense law of P_11 (its image, made once), so no arc is made dense
+        # A = 2: the arcs of P_0..P_9, then P_10 read on the arc of P_9
+        # under one step, and P_11 made once from the arc of P_10, the arc
+        # between, so no arc is made dense
         ([[2]], 2003, 20, 0),
         # the cat map: the supports of P_0..P_6 (p = 101) and P_0..P_12
         # (p = 705), then the hand-off law, made dense once to step on
@@ -646,14 +647,14 @@ def test_bounds_table_builds_its_factor_table_once(monkeypatch):
 def test_bounds_table_reads_each_tv_where_the_law_is_held(monkeypatch, rows, p, n_max, handoffs):
     # the tv column is tv_distance of evolve_iter's dense laws, bit for
     # bit, while bounds_table reads the sparse rows on the arc or support:
-    # _dense makes no arc or support (a pair; an image holds four items)
-    # dense before the hand-off
+    # _dense makes no arc (under 0 steps) or support (a pair) dense before
+    # the hand-off
     chain = ChainSpec(IntMatrix.from_rows(rows), fair_two_point(len(rows)), p)
     expected = [tv_distance(dist) for _, dist in evolve_iter(chain, n_max)]
     sparse = []
 
     def counted(law, chain, _original=evolution._dense):
-        if isinstance(law, tuple) and len(law) == 2:
+        if isinstance(law, evolution._Arc) and law.steps == 0 or type(law) is tuple:
             sparse.append(law)
         return _original(law, chain)
 
