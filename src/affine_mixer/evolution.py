@@ -491,15 +491,17 @@ def _image_tv(law: _Arc, chain: ChainSpec) -> float:
     """tv_distance of an arc under steps (_Arc) made dense, bit for bit, or
     the ValueError making it raises, without making it: under two steps
     that law is _step_lines from the arc between that _step_arc makes,
-    under fewer steps the law _dense makes.  Each leaf of _pairwise is zeroed and written by
-    the slice pairs of the last step (the identity for an arc) cut to the
-    leaf's window (_lines), through _write_translates in the order of its
-    shifts, so every entry is the same products and sums in the same
-    order; then it is clipped (_clip) and summed twice, for the check and
-    for tv, so the leaves' mins and both sums are those over the law.
-    Under two steps the last step reads the arc between, whose runs each
-    leaf reads are written once a leaf (_between), and that arc is
-    checked first, as _step_arc checks it."""
+    under fewer steps the law _dense makes.  Each leaf of _pairwise is
+    zeroed and written by the slice pairs of the last step (the identity
+    for an arc) cut to the leaf's window (_lines), through
+    _write_translates in the order of its shifts, so every entry is the
+    same products and sums in the same order; then it is clipped (_clip)
+    and summed twice, for the check and for tv, so the leaves' mins and
+    both sums are those over the law.  Under two steps the last step
+    reads the arc between, whose runs each leaf reads are written once a
+    leaf (_between), and that arc is checked first, as _step_arc checks
+    it.  An arc under 0 steps was checked where _step_arc made it, and the
+    point mass is exact, so its leaves are summed for tv alone."""
     p, (lo, values, steps) = chain.p, law
     a, shifts = (chain._stride, chain._shifts) if steps else (1, _IDENTITY)
     # the arc the last step moves: the arc between under two steps
@@ -511,15 +513,18 @@ def _image_tv(law: _Arc, chain: ChainSpec) -> float:
         pairs = {s: list(_lines(a, s, p, start, length, (part.start, part.stop))) for s, _ in shifts}
         moved = _between(pairs, law, chain, start, between) if steps == 2 else values
         _write_translates(out, moved, shifts, pairs.__getitem__)
-        lows.append(_clip(out))
+        if steps:
+            lows.append(_clip(out))
         # the sum is taken before the subtraction overwrites the leaf
-        return np.array([out.sum(), np.abs(np.subtract(out, c, out=out), out=out).sum()])
+        total = out.sum() if steps else 0.0
+        return np.array([total, np.abs(np.subtract(out, c, out=out), out=out).sum()])
 
     total, dev = _pairwise(leaf, 0, p)
     # the arc between first; np.min keeps a NaN min, as a law's min would be NaN
     if steps == 2:
         _check_totals(float(np.min(between[0])), float(np.sum(between[1])))
-    _check_totals(float(np.min(lows)), float(total))
+    if steps:
+        _check_totals(float(np.min(lows)), float(total))
     return 0.5 * float(dev)
 
 
@@ -677,7 +682,8 @@ def _moved(arc: _Arc, steps: int, chain: ChainSpec) -> tuple[int, int]:
     chain._shifts.  The law moved holds no state twice while that length
     is at most p; past p it wraps."""
     a, p, lo, length = chain._stride, chain.p, arc.lo, len(arc.values)
-    low, high = min(cs := [_least_residue(c, p) for (c,), _ in chain._shifts]), max(cs)
+    # the shifts lie in [0, p), so each least residue is c or c - p
+    low, high = min(cs := [c - p if 2 * c > p else c for (c,), _ in chain._shifts]), max(cs)
     for _ in range(steps):
         span = abs(a) * (length - 1)
         # the image of the arc's first state for a > 0, of its last for a < 0
@@ -801,8 +807,7 @@ def _walk(chain: ChainSpec, n: int, lazy=False) -> Iterator[tuple[int, _Law]]:
     if (i < n or not lazy) and isinstance(held, _Arc) and held.steps == 2:
         held = _step_arc(held, chain)._replace(steps=1)
     if not lazy:
-        held = _dense(held, chain) if i < n else held
-        yield i, held
+        yield i, (held := _dense(held, chain) if i < n else held)
     for i in range(i + 1, n + 1):
         # rebound first, so a sparse form is freed before the step
         held = _dense(held, chain)

@@ -1689,13 +1689,13 @@ def overlapping_chain(data, a, p):
     return ChainSpec(IntMatrix.from_rows([[a]]), mu, p)
 
 
-def flawed_arc(data, p, top):
-    """An arc of any start (near p too) and of 1 to top states, or near
-    top, holding a random law with zeros in it, and the flaw planted in
+def flawed_arc(data, p, top, low):
+    """An arc of any start (near p too) and of 1 to top states, or of low
+    to top, holding a random law with zeros in it, and the flaw planted in
     it: none, an entry of -1e-12, whose images may stay above NEG_TOL or go
     below it, -inf, a sum off 1, or a NaN."""
     lo = data.draw(st.one_of(st.integers(0, p - 1), st.integers(p - 8, p - 1)))
-    length = data.draw(st.one_of(st.integers(1, top), st.integers(max(1, top // 2), top)))
+    length = data.draw(st.one_of(st.integers(1, top), st.integers(low, top)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     values = rng.random(length)
     values[rng.random(length) < 0.3] = 0.0
@@ -1714,63 +1714,50 @@ def flawed_arc(data, p, top):
     return lo, values, flaw
 
 
-def outcome(read):
-    """read(), or the reason of the ValueError it raises, with the sum a
-    message names rounded to 9 digits: a sum taken in another order may
-    differ in its last bits."""
-    try:
-        return read()
-    except ValueError as err:
-        return re.sub(r"sum to (\S+),", lambda m: f"sum to {float(m[1]):.9g},", str(err))
-
-
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     a=st.integers(1, LINE_CUTOFF).flatmap(lambda m: st.sampled_from([m, -m])),
     p=st.sampled_from(IMAGE_MODULI),
+    steps=st.sampled_from([1, 2]),
     data=st.data(),
 )
-def test_property_image_tv_matches_the_law_made_bitwise(a, p, data):
-    # an arc under one step, read leaf by leaf, has the tv of the law
-    # _step_lines makes from it, bit for bit: for a within LINE_CUTOFF of
-    # 0 either side, three-point supports whose translates overlap, arcs
-    # of any start and any length up to all of Z_p.  An arc whose image
-    # fails _check_law (an entry below NEG_TOL, -inf among them, a sum off
-    # 1, a NaN) raises the same ValueError read or made dense
+def test_property_image_tv_matches_the_law_made_bitwise(a, p, steps, data):
+    # an arc under one or two steps, read leaf by leaf, has the tv of the
+    # law made from it, bit for bit: under one step the law _step_lines
+    # makes from the arc, under two the law it makes from the arc between
+    # that _step_arc makes, whose runs each leaf reads are written once a
+    # leaf; for a within LINE_CUTOFF of 0 either side, three-point
+    # supports whose translates overlap, and arcs of any start: of any
+    # length up to all of Z_p under one step, drawn often from
+    # p // (2 |a|) up, where the image starts to wrap, and under two steps
+    # of any length whose next arc does not wrap, drawn often from where
+    # its own image starts to wrap.  A flawed arc (an entry below NEG_TOL,
+    # -inf among them, a sum off 1, a NaN) raises a ValueError for the
+    # same reason read or made, under two steps the arc between's first;
+    # the same message under one step, where the sums are taken in the
+    # same order, and under two with the sum it names rounded to 9 digits,
+    # as the arc between's is summed over the runs each leaf reads
     chain = overlapping_chain(data, a, p)
-    lo, values, flaw = flawed_arc(data, p, p)
-    image = evolution._Arc(lo, values, 1)
-    # _dense makes it by _step_lines
-    made = outcome(lambda: tv_distance(evolution._dense(image, chain)))
-    assert outcome(lambda: evolution._law_tv(image, chain)) == made
-    if flaw != "small":
-        assert isinstance(made, str) == (flaw != "none")
-
-
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    a=st.integers(1, LINE_CUTOFF).flatmap(lambda m: st.sampled_from([m, -m])),
-    p=st.sampled_from(IMAGE_MODULI),
-    data=st.data(),
-)
-def test_property_two_step_image_tv_matches_the_law_made_bitwise(a, p, data):
-    # an arc under two steps, read leaf by leaf from the runs of the arc
-    # between that each leaf reads, has the tv of the law _step_lines
-    # makes from the arc _step_arc makes, bit for bit: for a within
-    # LINE_CUTOFF of 0 either side, three-point supports whose translates
-    # overlap, and arcs of any start whose next arc does not wrap, its own
-    # image wrapping or not.  A flaw raises a ValueError for the same
-    # reason read or made: the arc between's first, its min (-inf among
-    # them) or its sum (a NaN, or off 1), then the law's
-    chain = overlapping_chain(data, a, p)
-    spread = max(c for (c,) in chain.mu.support) - min(c for (c,) in chain.mu.support)
-    lo, values, flaw = flawed_arc(data, p, (p - spread - 1) // abs(a) + 1)
+    cs = [c for (c,) in chain.mu.support]
+    top = p if steps == 1 else (p - (max(cs) - min(cs)) - 1) // abs(a) + 1
+    lo, values, flaw = flawed_arc(data, p, top, top // (2 * abs(a)))
 
     def made():
-        start, between, _ = evolution._step_arc(evolution._Arc(lo, values, 0), chain)
-        return tv_distance(evolution._step_lines(p, start, between, a, chain._shifts))
+        # _dense makes an arc under one step by _step_lines
+        start, moved = lo, values
+        if steps == 2:
+            start, moved, _ = evolution._step_arc(evolution._Arc(lo, values, 0), chain)
+        return tv_distance(evolution._step_lines(p, start, moved, a, chain._shifts))
 
-    read = outcome(lambda: evolution._law_tv(evolution._Arc(lo, values, 2), chain))
+    def outcome(read):
+        try:
+            return read()
+        except ValueError as err:
+            if steps == 1:
+                return str(err)
+            return re.sub(r"sum to (\S+),", lambda m: f"sum to {float(m[1]):.9g},", str(err))
+
+    read = outcome(lambda: evolution._law_tv(evolution._Arc(lo, values, steps), chain))
     assert read == outcome(made)
     if flaw != "small":
         assert isinstance(read, str) == (flaw != "none")
